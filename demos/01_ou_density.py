@@ -37,7 +37,7 @@ w = summarize(d)
 print(f"  mean weight      : {w.mean:+.4f} +- {w.se:.4f}  (should be ~0)")
 print(f"  duality E[F d]   : {duality_statistic(res):.4f}          (should be ~1)")
 
-x = auto_grid(f, points=41, lower_bound=vol.lower_bound_c**2)
+x = auto_grid(f, points=41, lower_bound=model.density_lower_bound)
 mall = malliavin_density(f, d, x)
 kde = kde_density(f, x)
 print(f"  normalization    : malliavin {mall.normalization:.4f}, "

@@ -32,12 +32,12 @@ models = {
 
 for tag, model in models.items():
     p = model.params
-    lower = vol.lower_bound_c**2 if tag == "OU" else None
 
     dens_res = run_ensemble(model, make_grid(p.T, 256), N_PATHS, SEED,
                             namespace=NAMESPACE_DENSITY, threads=2)
     f, d = dens_res.valid_samples()
-    dens = malliavin_density(f, d, auto_grid(f, points=41, lower_bound=lower))
+    dens = malliavin_density(f, d, auto_grid(f, points=41,
+                                              lower_bound=model.density_lower_bound))
     p_dens = price_from_density(dens, STRIKE, p.s0, p.r, p.T,
                                 samples=f, weights=d)
 

@@ -16,9 +16,10 @@ from .density import (DensityEstimate, auto_grid, kde_density,
                       malliavin_density, survival_from_density,
                       winsorize_weights)
 from .ensemble import EnsembleResult, Summary, duality_statistic, run_ensemble, summarize
-from .errors import (AvgVarError, EmptyEnsemble, FailureBudgetExceeded,
-                     FloorSaturation, GridTooCoarse, InvalidGrid,
-                     NonPositiveDenominator, TooFewSamples, ValidationError)
+from .errors import (AvgVarError, ConfigError, EmptyEnsemble,
+                     FailureBudgetExceeded, FloorSaturation, GridTooCoarse,
+                     InvalidGrid, NonPositiveDenominator, TooFewSamples,
+                     ValidationError)
 from .models import (CIRParams, Contract, OUParams, ValidatedCIRModel,
                      ValidatedOUModel, VolFunctionSpec, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)

@@ -15,29 +15,35 @@ Configs are JSON documents::
       "output": {"directory": "out", "format": "csv"}            # csv | json
     }
 
-CIR configs put {"b":..,"k":..,"z0":..} in params instead. ``density`` and
-``price`` validate the full density hypotheses; ``validate`` honours an
-optional top-level "density_mode": false for pricing-only CIR setups.
+CIR configs put {"b":..,"k":..,"z0":..} in params instead. Every command
+parses the whole config into one RunSpec before anything runs; ``validate``
+also accepts a model-only config and honours a top-level "density_mode":
+false for pricing-only CIR setups.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 validation failure,
-3 unreadable or malformed config, 4 runtime guard budget exceeded.
-Nothing is written unless validation passes, and outputs are byte-stable
-across reruns and --threads values. All floats are serialized with 17
-significant digits (exact float64 round-trip).
+Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
+``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
+E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE);
+3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG);
+4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
+``[avgvar]`` progress lines, E_CONFIG and E_FAILURE_BUDGET to stderr.
+Nothing is written unless the parse succeeds. Outputs are byte-stable
+across reruns and --threads values; floats have 17 significant digits.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, pricing
-from .density import (KDE_MIN_SAMPLES, auto_grid, kde_density,
+from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid, kde_density,
                       malliavin_density, winsorize_weights)
 from .ensemble import duality_statistic, run_ensemble
-from .errors import FailureBudgetExceeded, ValidationError
+from .errors import ConfigError, FailureBudgetExceeded, ValidationError
 from .models import (CIRParams, Contract, OUParams, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
 from .paths import make_grid
@@ -54,226 +60,215 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_GUARD = 4
 
+_REQUIRED = object()
 
-class ConfigError(Exception):
-    """Structurally unusable config (missing keys, wrong types): exit 3."""
+
+@dataclass(frozen=True)
+class RunSpec:
+    """A whole config, parsed and validated before anything runs."""
+
+    model: object                # ValidatedOUModel or ValidatedCIRModel
+    contract: Contract | None    # None when the config has no contract
+    n_paths: int | None          # None when the config has no ensemble
+    seed: int
+    antithetic: bool
+    winsorize_quantile: float | None  # None: weights are used unclipped
+    density_steps: int
+    pricing_steps: int
+    x_grid: tuple | None         # (min, max, points); None: auto grid
+    out_dir: str
+    fmt: str                     # csv | json
 
 
 def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"missing '{key}' in {where}")
-    return mapping[key]
-
-
 def load_config(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not valid JSON or UTF-8
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
 
 
-def build_model(raw, density_mode):
-    """Construct and validate the model described by a config dict."""
-    kind = _require(raw, "model", "config")
-    params = _require(raw, "params", "config")
-    try:
-        if kind == "ou":
-            fam = raw.get("vol_family", {"name": "reference", "c": 0.1, "m": 0.1})
-            if fam.get("name", "reference") != "reference":
-                raise ConfigError(f"unknown vol_family {fam.get('name')!r}")
-            vol = reference_vol_family(float(fam["c"]), float(fam["m"]))
-            p = OUParams(alpha=float(params["alpha"]), k=float(params["k"]),
-                         y0=float(params["y0"]), s0=float(params["s0"]),
-                         r=float(params["r"]), mu=float(params.get("mu", params["r"])),
-                         T=float(params["T"]))
-            return validate_ou(p, vol)
-        if kind == "cir":
-            p = CIRParams(b=float(params["b"]), k=float(params["k"]),
-                          z0=float(params["z0"]), s0=float(params["s0"]),
-                          r=float(params["r"]), mu=float(params.get("mu", params["r"])),
-                          T=float(params["T"]))
-            return validate_cir(p, density_mode=density_mode)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params block: {exc!r}") from exc
-    raise ConfigError(f"unknown model {kind!r} (expected 'ou' or 'cir')")
-
-
-def _ensemble_opts(raw):
-    ens = _require(raw, "ensemble", "config")
-    try:
-        return {
-            "n_paths": int(ens["n_paths"]),
-            "seed": int(ens.get("seed", 0)),
-            "antithetic": bool(ens.get("antithetic", False)),
-            "winsorize": bool(ens.get("winsorize", False)),
-            "winsorize_quantile": float(ens.get("winsorize_quantile", 1e-4)),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ensemble block: {exc!r}") from exc
-
-
-def _write_rows(out_dir, name, fmt, header, rows):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+def _get(raw, path, kind, default=_REQUIRED, choices=None):
+    """The config value at dotted ``path``: JSON of ``kind`` (float, int, bool,
+    str or dict), one of ``choices`` if given, no loose casts; else ``default``."""
+    parent, _, key = path.rpartition(".")
+    block = _get(raw, parent, dict, {}) if parent else raw
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing '{path}' in config")
+        return default
+    value = block[key]
+    if kind in (int, float):  # bool is not a number; an integer has no fraction
+        ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{path} must be JSON of type {kind.__name__}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {path} {value!r}, expected one of {choices}")
+    return kind(value)
+
+
+def parse_config(raw, command, seed=None, out=None):
+    """Parse and validate a whole config for ``command`` into a RunSpec.
+
+    Wrong types and shapes raise ConfigError at once; out-of-range values of
+    the model, contract and run settings are raised together as one
+    ValidationError. ``seed`` and ``out`` override the config's values."""
+    violations = []
+
+    def check(ok, code, message):
+        if not ok:
+            violations.append((code, message))
+
+    def validated(validate, *args):
+        try:
+            return validate(*args)
+        except ValidationError as exc:
+            violations.extend(exc.violations)
+
+    def num(key, default=_REQUIRED):
+        return _get(raw, f"params.{key}", float, default)
+
+    # density and price always need the density hypotheses
+    density_mode = _get(raw, "density_mode", bool, True) or command != "validate"
+    kind = _get(raw, "model", str, choices=("ou", "cir"))
+    common = {"s0": num("s0"), "r": num("r"), "T": num("T")}
+    common["mu"] = num("mu", common["r"])
+    if kind == "ou":
+        _get(raw, "vol_family.name", str, "reference", choices=("reference",))
+        c, m = (_get(raw, f"vol_family.{key}", float, 0.1) for key in ("c", "m"))
+        p = OUParams(alpha=num("alpha"), k=num("k"), y0=num("y0"), **common)
+        vol = validated(reference_vol_family, c, m)
+        model = None if vol is None else validated(validate_ou, p, vol)
+    else:
+        p = CIRParams(b=num("b"), k=num("k"), z0=num("z0"), **common)
+        model = validated(validate_cir, p, density_mode)
+
+    contract = None
+    if "contract" in raw or command == "price":
+        contract = validated(validate_contract,
+                             Contract(strike=_get(raw, "contract.strike", float)))
+
+    # validate accepts a model-only config; the other commands need a run
+    has_run = command != "validate" or "ensemble" in raw
+    n_paths = _get(raw, "ensemble.n_paths", int, _REQUIRED if has_run else None)
+    check(n_paths is None or n_paths >= 1, "E_EMPTY_ENSEMBLE",
+          f"n_paths must be >= 1, got {n_paths}")
+    config_seed = _get(raw, "ensemble.seed", int, 0)
+    quantile = _get(raw, "ensemble.winsorize_quantile", float, 1e-4)
+    if not _get(raw, "ensemble.winsorize", bool, False):
+        quantile = None
+    check(quantile is None or 0.0 <= quantile < 0.5, "E_INVALID_WINSORIZE",
+          f"winsorize_quantile must be in [0, 0.5), got {quantile}")
+    steps = (_get(raw, "grid.n_steps", int, DEFAULT_DENSITY_STEPS),
+             _get(raw, "grid.pricing_n_steps", int, DEFAULT_PRICING_STEPS))
+    check(min(steps) >= 2, "E_INVALID_GRID",
+          f"grid.n_steps and grid.pricing_n_steps must be >= 2, got {steps}")
+
+    x_grid = None
+    if _get(raw, "density", dict, {}).get("x_grid", "auto") != "auto":
+        x_grid = tuple(_get(raw, f"density.x_grid.{key}", t) for key, t
+                       in (("min", float), ("max", float), ("points", int)))
+        lo, hi, points = x_grid
+        check(points >= MIN_GRID_POINTS, "E_GRID_TOO_COARSE",
+              f"density.x_grid needs >= {MIN_GRID_POINTS} points, got {points}")
+        check(-math.inf < lo < hi < math.inf, "E_INVALID_X_GRID",
+              f"density.x_grid needs finite bounds with min < max, got [{lo}, {hi}]")
+
+    directory = _get(raw, "output.directory", str, ".")
+    fmt = _get(raw, "output.format", str, "csv", choices=("csv", "json"))
+    if violations:
+        raise ValidationError(violations)
+    return RunSpec(model=model, contract=contract, n_paths=n_paths,
+                   seed=config_seed if seed is None else seed,
+                   antithetic=_get(raw, "ensemble.antithetic", bool, False),
+                   winsorize_quantile=quantile,
+                   density_steps=steps[0], pricing_steps=steps[1],
+                   x_grid=x_grid, out_dir=out or directory, fmt=fmt)
+
+
+def _write_rows(spec, name, header, rows):
+    header = header.split()
+    os.makedirs(spec.out_dir, exist_ok=True)
+    path = os.path.join(spec.out_dir, f"{name}.{spec.fmt}")
+    with open(path, "w") as fh:
+        if spec.fmt == "csv":
+            lines = [",".join(header)]
+            lines += (",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+                      for row in rows)
+            fh.write("\n".join(lines) + "\n")
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
             fh.write("\n")
     return path
 
 
-def _density_grid(raw, samples, lower_bound):
-    spec = raw.get("density", {}).get("x_grid", "auto")
-    if spec == "auto":
-        return auto_grid(samples, points=41, lower_bound=lower_bound)
-    try:
-        return np.linspace(float(spec["min"]), float(spec["max"]), int(spec["points"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad density.x_grid block: {exc!r}") from exc
+def _ensemble(spec, label, steps, namespace, threads, **options):
+    print(f"[avgvar] {label} ensemble: {spec.n_paths} paths, n={steps}", file=sys.stderr)
+    return run_ensemble(spec.model, make_grid(spec.model.params.T, steps),
+                        spec.n_paths, spec.seed, namespace=namespace,
+                        threads=threads, antithetic=spec.antithetic, **options)
 
 
-def _contract_from(raw):
-    block = _require(raw, "contract", "config")
-    try:
-        return validate_contract(Contract(strike=float(block["strike"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad contract block: {exc!r}") from exc
-
-
-def cmd_validate(args):
-    raw = load_config(args.config)
-    density_mode = bool(raw.get("density_mode", True))
-    build_model(raw, density_mode)
-    if "contract" in raw:
-        _contract_from(raw)
-    print("VALID")
-    return EXIT_OK
-
-
-def cmd_density(args):
-    raw = load_config(args.config)
-    model = build_model(raw, density_mode=True)
-    opts = _ensemble_opts(raw)
-    seed = args.seed if args.seed is not None else opts["seed"]
-    steps = int(raw.get("grid", {}).get("n_steps", DEFAULT_DENSITY_STEPS))
-    grid = make_grid(model.params.T, steps)
-    out_dir = args.out or raw.get("output", {}).get("directory", ".")
-    fmt = raw.get("output", {}).get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-
-    print(f"[avgvar] simulating {opts['n_paths']} {model.params.__class__.__name__} "
-          f"paths on n={steps} (seed {seed})")
-    result = run_ensemble(model, grid, opts["n_paths"], seed,
-                          namespace=NAMESPACE_DENSITY, threads=args.threads,
-                          antithetic=opts["antithetic"])
-    if opts["n_paths"] < LOW_SAMPLE_THRESHOLD:
-        print(f"LOW_SAMPLE n_paths={opts['n_paths']} < {LOW_SAMPLE_THRESHOLD}; "
+def _density_stage(spec, threads):
+    """Density ensemble -> valid samples -> optional winsorize -> x-grid ->
+    Malliavin density; returns the ensemble, F samples, weights and density."""
+    result = _ensemble(spec, "density", spec.density_steps, NAMESPACE_DENSITY, threads)
+    if spec.n_paths < LOW_SAMPLE_THRESHOLD:
+        print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")
-
     f_samples, weights = result.valid_samples()
-    if opts["winsorize"]:
-        weights = winsorize_weights(weights, opts["winsorize_quantile"])
-    lower = model.vol.lower_bound_c**2 if result.model_tag == "ou" else None
-    x_grid = _density_grid(raw, f_samples, lower)
+    if spec.winsorize_quantile is not None:
+        weights = winsorize_weights(weights, spec.winsorize_quantile)
+    x_grid = (auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
+              if spec.x_grid is None else np.linspace(*spec.x_grid))
+    print(f"[avgvar] estimating density on [{x_grid[0]:.6g}, {x_grid[-1]:.6g}] "
+          f"with {x_grid.size} points", file=sys.stderr)
+    return result, f_samples, weights, malliavin_density(f_samples, weights, x_grid)
 
-    print("[avgvar] estimating density on "
-          f"[{x_grid[0]:.6g}, {x_grid[-1]:.6g}] with {x_grid.size} points")
-    dens = malliavin_density(f_samples, weights, x_grid)
-    if f_samples.size >= KDE_MIN_SAMPLES:
-        kde = kde_density(f_samples, x_grid)
-        kde_cols = (kde.p_hat, kde.se)
-    else:
-        kde_cols = (np.full(x_grid.size, np.nan), np.full(x_grid.size, np.nan))
 
-    rows = [(float(x), float(p), float(s), float(pk), float(sk))
-            for x, p, s, pk, sk in zip(x_grid, dens.p_hat, dens.se, *kde_cols)]
-    path1 = _write_rows(out_dir, "density", fmt,
-                        ["x", "p_malliavin", "se_malliavin", "p_kde", "se_kde"], rows)
-
-    denom = result.denominator
-    wrows = [(int(i), float(result.avg_variance[i]),
-              float(result.weight[i]), float(denom[i]))
-             for i in range(result.n_paths)]
-    path2 = _write_rows(out_dir, "weights", fmt,
-                        ["path_index", "avg_variance", "weight", "denominator"], wrows)
-
-    print(f"[avgvar] wrote {path1} and {path2} "
-          f"({result.n_failures} failed paths of {result.n_paths})")
-    print(f"summary normalization={_fmt(dens.normalization)} "
-          f"mean_weight={_fmt(np.mean(weights))} "
-          f"duality={_fmt(duality_statistic(result))}")
+def cmd_density(spec, threads):
+    result, f_samples, weights, dens = _density_stage(spec, threads)
+    x_grid = dens.x_grid
+    kde = kde_density(f_samples, x_grid) if f_samples.size >= KDE_MIN_SAMPLES else None
+    kde_cols = (kde.p_hat, kde.se) if kde else (np.full(x_grid.size, np.nan),) * 2
+    path1 = _write_rows(spec, "density", "x p_malliavin se_malliavin p_kde se_kde",
+                        zip(x_grid, dens.p_hat, dens.se, *kde_cols))
+    path2 = _write_rows(spec, "weights", "path_index avg_variance weight denominator",
+                        zip(range(result.n_paths), result.avg_variance,
+                            result.weight, result.denominator))
+    print(f"[avgvar] wrote {path1} and {path2} ({result.n_failures} failed "
+          f"paths of {result.n_paths})", file=sys.stderr)
+    print(f"summary normalization={_fmt(dens.normalization)} mean_weight="
+          f"{_fmt(np.mean(weights))} duality={_fmt(duality_statistic(result))}")
     return EXIT_OK
 
 
-def cmd_price(args):
-    raw = load_config(args.config)
-    model = build_model(raw, density_mode=True)
-    contract = _contract_from(raw)
-    opts = _ensemble_opts(raw)
-    seed = args.seed if args.seed is not None else opts["seed"]
-    grid_cfg = raw.get("grid", {})
-    density_steps = int(grid_cfg.get("n_steps", DEFAULT_DENSITY_STEPS))
-    pricing_steps = int(grid_cfg.get("pricing_n_steps", DEFAULT_PRICING_STEPS))
-    out_dir = args.out or raw.get("output", {}).get("directory", ".")
-    fmt = raw.get("output", {}).get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    p = model.params
-
-    print(f"[avgvar] density ensemble: {opts['n_paths']} paths, n={density_steps}")
-    dens_res = run_ensemble(model, make_grid(p.T, density_steps), opts["n_paths"],
-                            seed, namespace=NAMESPACE_DENSITY, threads=args.threads,
-                            antithetic=opts["antithetic"])
-    f_samples, weights = dens_res.valid_samples()
-    if opts["winsorize"]:
-        weights = winsorize_weights(weights, opts["winsorize_quantile"])
-    lower = model.vol.lower_bound_c**2 if dens_res.model_tag == "ou" else None
-    dens = malliavin_density(f_samples, weights, _density_grid(raw, f_samples, lower))
-    p_dens = pricing.price_from_density(dens, contract.strike, p.s0, p.r, p.T,
+def cmd_price(spec, threads):
+    p, strike = spec.model.params, spec.contract.strike
+    _, f_samples, weights, dens = _density_stage(spec, threads)
+    p_dens = pricing.price_from_density(dens, strike, p.s0, p.r, p.T,
                                         samples=f_samples, weights=weights)
-
-    print(f"[avgvar] mixing ensemble: {opts['n_paths']} paths, n={pricing_steps}")
-    mix_res = run_ensemble(model, make_grid(p.T, pricing_steps), opts["n_paths"],
-                           seed, namespace=NAMESPACE_MIXING, threads=args.threads,
-                           antithetic=opts["antithetic"], compute_weights=False)
-    p_mix = pricing.price_mixing(np.sqrt(mix_res.avg_variance), contract.strike,
-                                 p.s0, p.r, p.T)
-
-    print(f"[avgvar] plain MC ensemble: {opts['n_paths']} paths, n={pricing_steps}")
-    plain_res = run_ensemble(model, make_grid(p.T, pricing_steps), opts["n_paths"],
-                             seed, namespace=NAMESPACE_PLAIN, threads=args.threads,
-                             antithetic=opts["antithetic"], compute_weights=False,
-                             collect_asset=True)
-    p_plain = pricing.price_plain_mc(plain_res.terminal_asset, contract.strike,
-                                     p.r, p.T)
-    p_mart = pricing.martingale_check(plain_res.terminal_asset, p.s0, p.r, p.T)
-
-    rows = [(e.method, float(e.value), float(e.std_error),
-             float(e.ci95[0]), float(e.ci95[1]))
-            for e in (p_dens, p_mix, p_plain, p_mart)]
-    path = _write_rows(out_dir, "prices", fmt,
-                       ["method", "value", "se", "ci_lo", "ci_hi"], rows)
-    print(f"[avgvar] wrote {path}")
-    for e in (p_dens, p_mix, p_plain, p_mart):
+    mix_res = _ensemble(spec, "mixing", spec.pricing_steps, NAMESPACE_MIXING,
+                        threads, compute_weights=False)
+    p_mix = pricing.price_mixing(np.sqrt(mix_res.avg_variance), strike, p.s0, p.r, p.T)
+    plain_res = _ensemble(spec, "plain MC", spec.pricing_steps, NAMESPACE_PLAIN,
+                          threads, compute_weights=False, collect_asset=True)
+    estimates = (p_dens, p_mix,
+                 pricing.price_plain_mc(plain_res.terminal_asset, strike, p.r, p.T),
+                 pricing.martingale_check(plain_res.terminal_asset, p.s0, p.r, p.T))
+    path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
+                       [(e.method, e.value, e.std_error, *e.ci95) for e in estimates])
+    print(f"[avgvar] wrote {path}", file=sys.stderr)
+    for e in estimates:
         print(f"{e.method} value={_fmt(e.value)} se={_fmt(e.std_error)}")
     return EXIT_OK
 
@@ -303,21 +298,25 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="validate a config; exit 0 iff usable")
     sp.add_argument("--config", required=True)
-    sp = sub.add_parser("density", help="estimate the averaged-variance density")
-    common(sp)
-    sp = sub.add_parser("price", help="price a European call three ways")
-    common(sp)
-    sp = sub.add_parser("selfcheck", help="run the reduced-size correctness battery")
-    common(sp, needs_config=False)
+    sp.set_defaults(seed=None, out=None)
+    common(sub.add_parser("density", help="estimate the averaged-variance density"))
+    common(sub.add_parser("price", help="price a European call three ways"))
+    common(sub.add_parser("selfcheck", help="run the reduced-size correctness battery"),
+           needs_config=False)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {"validate": cmd_validate, "density": cmd_density,
-                "price": cmd_price, "selfcheck": cmd_selfcheck}
     try:
-        return handlers[args.command](args)
+        if args.command == "selfcheck":
+            return cmd_selfcheck(args)
+        spec = parse_config(load_config(args.config), args.command,
+                            seed=args.seed, out=args.out)
+        if args.command == "validate":
+            print("VALID")
+            return EXIT_OK
+        return (cmd_density if args.command == "density" else cmd_price)(spec, args.threads)
     except ConfigError as exc:
         print(f"E_CONFIG {exc}", file=sys.stderr)
         return EXIT_IO

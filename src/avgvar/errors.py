@@ -9,8 +9,13 @@ class AvgVarError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(AvgVarError):
+    """Config is unreadable or has the wrong shape: a missing key, a value of
+    the wrong type, or an unknown choice."""
+
+
 class ValidationError(AvgVarError):
-    """Model parameters violate one or more assumptions.
+    """Model parameters or run settings violate one or more assumptions.
 
     ``violations`` is a nonempty list of (code, message) pairs; every violated
     assumption is reported, not just the first one found.
@@ -57,7 +62,3 @@ class FailureBudgetExceeded(AvgVarError):
 
 class NegativeMassWarning(UserWarning):
     """Density mass below 0.9: the estimate is too noisy to price from."""
-
-
-class LowSampleWarning(UserWarning):
-    """Ensemble too small for stable density output (informational only)."""

@@ -85,11 +85,19 @@ class ValidatedOUModel:
     params: OUParams
     vol: VolFunctionSpec
 
+    @property
+    def density_lower_bound(self):
+        """F >= c^2 on every path, since sigma >= c."""
+        return self.vol.lower_bound_c ** 2
+
 
 @dataclass(frozen=True)
 class ValidatedCIRModel:
     params: CIRParams
     density_mode: bool
+
+    # the averaged CIR variance has no positive lower bound
+    density_lower_bound = None
 
 
 def reference_vol_family(c, m):
@@ -203,13 +211,12 @@ def validate_cir(params, density_mode=False):
         violations.append(("E_NONPOSITIVE_B", f"b must be > 0, got {params.b}"))
     if not (params.k > 0):
         violations.append(("E_NONPOSITIVE_K", f"k must be > 0, got {params.k}"))
-    # compare against factored square roots: k**2 (and even 2*b) can
-    # overflow, and validation must never raise anything but ValidationError
-    if params.b > 0 and params.k > 0 \
-            and not (params.k < math.sqrt(2.0) * math.sqrt(params.b)):
+    # float products saturate to inf instead of raising, so these compare
+    # exactly at the boundary and never raise anything but ValidationError
+    k2 = params.k * params.k
+    if params.b > 0 and params.k > 0 and not (k2 < 2.0 * params.b):
         violations.append(("E_FELLER", "k^2 >= 2*b"))
-    if density_mode and params.b > 0 and params.k > 0 \
-            and not (params.k < math.sqrt(params.b) / math.sqrt(6.0)):
+    if density_mode and params.b > 0 and params.k > 0 and not (6.0 * k2 < params.b):
         violations.append(("E_DENSITY_CONDITION", "6*k^2 >= b"))
     if not (params.z0 > 0):
         violations.append(("E_NONPOSITIVE_Z0", f"z0 must be > 0, got {params.z0}"))

@@ -16,10 +16,10 @@ estimators of the unconditional price must agree:
     Malliavin density of the averaged variance,
   * plain MC:  discounted average payoff of simulated terminal prices.
 
-Phi is evaluated through the complementary error function (absolute error
-below 1e-15). ``_phi`` is a module attribute on purpose: the self-check
-battery's fault-injection test monkeypatches it to verify the monotonicity
-guard actually bites.
+Phi is evaluated elementwise through the standard library's complementary
+error function (absolute error below 1e-15). ``_phi`` is a module attribute
+on purpose: the self-check battery's fault-injection test monkeypatches it
+to verify the monotonicity guard actually bites.
 """
 
 import math
@@ -27,16 +27,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import EmptyEnsemble, GridTooCoarse, NegativeMassWarning
 
 _SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _phi(x):
     """Standard normal CDF via erfc (monkeypatchable for fault injection)."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
 
 
 @dataclass

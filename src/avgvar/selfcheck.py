@@ -87,7 +87,7 @@ def run_battery(seed=20240601, threads=1):
     # --- duality battery and density diagnostics (N=12000, n=256) ---
     guards_ok = True
     ou_density = None  # kept for the price-triangle check below
-    for tag, model, lower in (("ou", ou, vol.lower_bound_c**2), ("cir", cir, None)):
+    for tag, model in (("ou", ou), ("cir", cir)):
         ens = run_ensemble(model, make_grid(1.0, 256), 12000, seed, threads=threads)
         guards_ok &= ens.n_failures == 0
         f, d = ens.valid_samples()
@@ -95,7 +95,7 @@ def run_battery(seed=20240601, threads=1):
         _zcheck(rows, f"{tag}_duality_first", f * d, 1.0)
         _zcheck(rows, f"{tag}_duality_square", f * f * d - 2 * f)
 
-        grid_x = auto_grid(f, points=41, lower_bound=lower)
+        grid_x = auto_grid(f, points=41, lower_bound=model.density_lower_bound)
         dens = malliavin_density(f, d, grid_x)
         rows.append(CheckResult(f"{tag}_density_mass",
                                 0.90 <= dens.normalization <= 1.10,

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import avgvar.cli as cli
 import avgvar.pricing as pricing
@@ -51,6 +52,12 @@ def test_validate_density_mode_off(tmp_path):
     assert cli.main(["validate", "--config", cfg]) == 0
 
 
+def test_validate_accepts_model_only_config(tmp_path):
+    path = tmp_path / "model_only.json"
+    path.write_text(json.dumps({**cir_overrides(k=1.2), "density_mode": False}))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+
+
 def test_validate_feller_line(tmp_path, capsys):
     cfg = write_config(tmp_path, **cir_overrides(b=0.5, k=1.1))
     assert cli.main(["validate", "--config", cfg]) == 2
@@ -79,15 +86,52 @@ def test_non_numeric_param_is_io_error(tmp_path):
 def test_density_command_writes_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["density", "--config", cfg, "--threads", "2"]) == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "LOW_SAMPLE" in out  # 600 < 1000
     assert "summary normalization=" in out
+    assert "[avgvar]" not in out and "[avgvar] wrote" in captured.err
     dens = (tmp_path / "out" / "density.csv").read_text().splitlines()
     assert dens[0] == "x,p_malliavin,se_malliavin,p_kde,se_kde"
     assert len(dens) == 42  # header + 41 grid rows
     weights = (tmp_path / "out" / "weights.csv").read_text().splitlines()
     assert weights[0] == "path_index,avg_variance,weight,denominator"
     assert len(weights) == 601
+
+
+MALFORMED = {
+    "n_paths_zero": ({"ensemble": {"n_paths": 0}}, 2, "E_EMPTY_ENSEMBLE"),
+    "n_steps_one": ({"grid": {"n_steps": 1}}, 2, "E_INVALID_GRID"),
+    "n_steps_text": ({"grid": {"n_steps": "abc"}}, 3, "E_CONFIG"),
+    "pricing_n_steps_text": ({"grid": {"pricing_n_steps": "abc"}}, 3, "E_CONFIG"),
+    "grid_list": ({"grid": []}, 3, "E_CONFIG"),
+    "vol_family_text": ({"vol_family": "reference"}, 3, "E_CONFIG"),
+    "x_grid_5_points": ({"density": {"x_grid": {"min": 0.01, "max": 0.1, "points": 5}}},
+                        2, "E_GRID_TOO_COARSE"),
+    "x_grid_text": ({"density": {"x_grid": "fine"}}, 3, "E_CONFIG"),
+    "x_grid_decreasing": ({"density": {"x_grid": {"min": 0.1, "max": 0.01, "points": 41}}},
+                          2, "E_INVALID_X_GRID"),
+    "x_grid_infinite": ({"density": {"x_grid": {"min": 0.01, "max": float("inf"),
+                                                "points": 41}}}, 2, "E_INVALID_X_GRID"),
+    "winsorize_quantile_high": ({"ensemble": {"n_paths": 600, "winsorize": True,
+                                              "winsorize_quantile": 0.7}},
+                                2, "E_INVALID_WINSORIZE"),
+}
+
+
+@pytest.mark.parametrize("overrides, code, line", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_fails_before_simulating(tmp_path, capsys, monkeypatch,
+                                                  overrides, code, line):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the config was rejected")
+    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
+    cfg = write_config(tmp_path, **overrides)
+    for command in ("validate", "density", "price"):
+        assert cli.main([command, "--config", cfg]) == code, command
+        captured = capsys.readouterr()
+        stream = captured.out if code == 2 else captured.err
+        assert any(text.startswith(line + " ") for text in stream.splitlines()), command
+    assert not (tmp_path / "out").exists()
 
 
 def test_density_validation_failure_writes_nothing(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgvar import (CIRParams, OUParams, ValidationError, reference_vol_family,
@@ -115,6 +115,8 @@ def test_validation_is_total(alpha, k, y0, s0, r, T):
 @settings(max_examples=200, deadline=None)
 @given(b=finite_or_weird, k=finite_or_weird, z0=finite_or_weird,
        density_mode=st.booleans())
+@example(b=2.0, k=2.0, z0=1.0, density_mode=False)        # k^2 == 2b exactly
+@example(b=1176.0, k=14.0, z0=1.0, density_mode=True)     # 6k^2 == b exactly
 def test_cir_validation_is_total(b, k, z0, density_mode):
     params = CIRParams(b=b, k=k, z0=z0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     try:
