@@ -53,6 +53,9 @@ from .selfcheck import format_table, run_battery
 DEFAULT_DENSITY_STEPS = 512
 DEFAULT_PRICING_STEPS = 256
 LOW_SAMPLE_THRESHOLD = 1000
+# above this alpha*dt the OU weight's bias in mean(F delta), about
+# 12 alpha dt, reaches 0.12 (README, "Grid resolution")
+ALPHA_DT_THRESHOLD = 0.01
 
 EXIT_OK = 0
 EXIT_SELFCHECK = 1
@@ -222,6 +225,10 @@ def _density_stage(spec, threads):
     """Density ensemble -> valid samples -> optional winsorize -> x-grid ->
     Malliavin density; returns the ensemble, F samples, weights and density."""
     result = _ensemble(spec, "density", spec.density_steps, NAMESPACE_DENSITY, threads)
+    rate = spec.model.grid_bias_rate
+    if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
+        print(f"W_ALPHA_DT alpha*dt={_fmt(rate * result.grid.dt)} > {ALPHA_DT_THRESHOLD}; "
+              "the OU weight is biased by about 12*alpha*dt in mean(F*delta)")
     if spec.n_paths < LOW_SAMPLE_THRESHOLD:
         print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")

@@ -90,6 +90,11 @@ class ValidatedOUModel:
         """F >= c^2 on every path, since sigma >= c."""
         return self.vol.lower_bound_c ** 2
 
+    @property
+    def grid_bias_rate(self):
+        """alpha: the OU weight's bias in mean(F delta) grows like 12 alpha dt."""
+        return self.params.alpha
+
 
 @dataclass(frozen=True)
 class ValidatedCIRModel:
@@ -98,6 +103,8 @@ class ValidatedCIRModel:
 
     # the averaged CIR variance has no positive lower bound
     density_lower_bound = None
+    # the CIR weight shows no comparable grid bias
+    grid_bias_rate = None
 
 
 def reference_vol_family(c, m):

@@ -82,7 +82,9 @@ class CIRPathBatch:
 
     ``recip_integral[p, j]`` is the trapezoid prefix of 1/Z up to t_j (the
     R_t the psi kernel needs); the psi-weighted Ito prefix is built later by
-    the weight module because it depends on the model constant q.
+    the weight module because it depends on the model constant q. The
+    simulator stores dW, states and recip_integral as transposed views of
+    time-major (n+1, P) buffers, which the weight sweeps step row by row.
     """
 
     grid: TimeGrid
@@ -152,38 +154,45 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
     Z_FLOOR. In the validated regime (k^2 < 2b, and 6k^2 < b for density
     work) the floor is essentially never hit; per-path floored-step counts
     are reported so the ensemble can enforce the FloorSaturation budget.
+
+    ``dW`` has one row per path. The recursion steps the rows of time-major
+    (n, P) and (n+1, P) buffers, and the batch's fields are transposed
+    views of them; a ``dW`` that is already such a view is not copied.
     """
     p = model.params
     n = grid.n_steps
     dt = grid.dt
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    dW = np.ascontiguousarray(np.atleast_2d(np.asarray(dW, dtype=float)).T)
 
-    z = np.empty((dW.shape[0], n + 1))
-    z[:, 0] = p.z0
-    floored = np.zeros(dW.shape[0], dtype=np.int64)
+    z = np.empty((n + 1, dW.shape[1]))
+    z[0] = p.z0
+    recip = np.zeros_like(z)
+    inv_z = 1.0 / z[0]
+    floored = np.zeros(dW.shape[1], dtype=np.int64)
     for j in range(n):
-        zj = z[:, j]
-        znext = zj + (p.b - zj) * dt + p.k * np.sqrt(np.maximum(zj, 0.0)) * dW[:, j]
+        zj = z[j]
+        znext = zj + (p.b - zj) * dt + p.k * np.sqrt(np.maximum(zj, 0.0)) * dW[j]
         hit = znext < Z_FLOOR
         floored += hit
-        z[:, j + 1] = np.where(hit, Z_FLOOR, znext)
+        np.copyto(znext, Z_FLOOR, where=hit)
+        z[j + 1] = znext
+        inv_next = 1.0 / znext
+        np.add(recip[j], 0.5 * dt * (inv_z + inv_next), out=recip[j + 1])
+        inv_z = inv_next
 
-    w = grid.trapezoid_weights
-    avg_variance = z @ w / grid.T
-
-    inv_z = 1.0 / z
-    recip = np.zeros_like(z)
-    np.cumsum(0.5 * dt * (inv_z[:, :-1] + inv_z[:, 1:]), axis=1, out=recip[:, 1:])
+    # a path-major copy keeps each path's BLAS summation order, so F does
+    # not depend on the layout
+    avg_variance = np.ascontiguousarray(z.T) @ grid.trapezoid_weights / grid.T
 
     if path_indices is None:
-        path_indices = np.arange(dW.shape[0])
+        path_indices = np.arange(dW.shape[1])
     return CIRPathBatch(
         grid=grid,
         path_indices=np.asarray(path_indices, dtype=np.int64),
-        dW=dW,
-        states=z,
+        dW=dW.T,
+        states=z.T,
         avg_variance=avg_variance,
-        recip_integral=recip,
+        recip_integral=recip.T,
         floored_steps=floored,
     )
 
@@ -192,8 +201,8 @@ def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False):
     """Simulate CIR variance paths (full-truncation Euler; see
     cir_paths_from_increments)."""
     xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
-    return cir_paths_from_increments(model, grid, xi * np.sqrt(grid.dt),
-                                     path_indices=path_indices)
+    dW = np.multiply(xi.T, np.sqrt(grid.dt), order="C")  # time-major
+    return cir_paths_from_increments(model, grid, dW.T, path_indices=path_indices)
 
 
 def require_floor_budget(batch):

@@ -47,30 +47,40 @@ for dW integrals. The factorized denominator
     Atil_j = sum_{i<j} w_i sqrt(Z_i) psi_{ti,tj} Fhat_i,
 
 reproduces the brute-force triple sum in ``reference`` exactly.
+
+Layout: every recursion is a sweep over the rows of time-major (n+1, P)
+buffers, one row of P paths per node, so each step reads and writes
+contiguous memory. A quantity that is only reduced is folded into the
+sweep that produces it and carried as a running row: Atil into I, the Ito
+prefix into A, W2 into C2, and Jhat, S1, S2, S3 with the suffix trapezoids
+of sqrt(Z) rho and Jhat^2 into C3. Besides sqrt(Z) and Z^{-3/2}, only
+log phi, psi_step, Fhat and rho (built in place from abar) are held whole.
+The (P, n+1) fields of the batches are transposed views of those buffers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDenominator
-
 
 @dataclass
 class CIRKernelBatch:
     """Per-path kernel state in running-shift form.
 
-    ``log_phi`` is log phi at the nodes (nonincreasing when q > 0);
-    ``f_hat`` is phi^2 F = int psi^2, ``ito_psi_prefix`` is the psi-weighted
-    Ito prefix P(t) phi(t) = int_0^t psi_{h,t} dW_h. The raw
-    F(t) = exp(-2 log_phi) f_hat is never materialized.
+    ``log_phi`` is log phi at the nodes (nonincreasing when q > 0) and
+    ``f_hat`` is phi^2 F = int psi^2; the raw F(t) = exp(-2 log_phi) f_hat is
+    never materialized. The psi-weighted Ito prefix P(t) phi(t) =
+    int_0^t psi_{h,t} dW_h is only needed in term A, so the sweep that builds
+    it reduces it at once: ``ito_psi_prefix`` is the per-path trapezoid sum
+    of sqrt(Z_t) P(t) phi(t). The (P, n+1) fields are transposed views of
+    time-major (n+1, P) buffers.
     """
 
     q: float
     log_phi: np.ndarray        # (P, n+1)
     psi_step: np.ndarray       # (P, n)  one-step ratios psi_{t_j, t_{j+1}}
     f_hat: np.ndarray          # (P, n+1)
-    ito_psi_prefix: np.ndarray # (P, n+1)
+    ito_psi_prefix: np.ndarray # (P,)  sum_j w_j sqrt(Z_j) P(t_j) phi(t_j)
     I: np.ndarray              # (P,)
     bad: np.ndarray            # (P,) bool
 
@@ -98,101 +108,147 @@ def log_phi_nodes(batch, q):
     return -0.5 * batch.grid.t[None, :] - q * batch.recip_integral
 
 
+def _time_major(a):
+    """The C-ordered (n+1, P) form of a (P, n+1) field; no copy when the
+    field is already a transposed view of such a buffer."""
+    return np.ascontiguousarray(a.T)
+
+
 def cir_kernel(batch, params):
-    """Assemble kernel state and the denominator I for a batch of CIR paths."""
+    """Assemble kernel state and the denominator I for a batch of CIR paths.
+
+    One forward sweep over time-major rows builds f_hat and folds the strict
+    prefix Atil_j and the Ito prefix into their per-path sums as it goes.
+    """
     grid = batch.grid
     dt = grid.dt
     w = grid.trapezoid_weights
+    w_sq = w**2
     n = grid.n_steps
 
     q = q_constant(params)
-    log_phi = log_phi_nodes(batch, q)
-    psi_step = np.exp(np.diff(log_phi, axis=1))
+    log_phi = _time_major(log_phi_nodes(batch, q))
+    psi_step = np.diff(log_phi, axis=0)
+    np.exp(psi_step, out=psi_step)
 
-    sqrt_z = np.sqrt(batch.states)
-    P = batch.states.shape[0]
-    f_hat = np.zeros((P, n + 1))
-    p_hat = np.zeros((P, n + 1))
-    a_excl = np.zeros((P, n + 1))  # strict prefix, pairs with the diagonal term of I
-    for j in range(n):
-        s = psi_step[:, j]
-        a_excl[:, j + 1] = s * (a_excl[:, j] + w[j] * sqrt_z[:, j] * f_hat[:, j])
-        p_hat[:, j + 1] = s * (p_hat[:, j] + batch.dW[:, j])
-        f_hat[:, j + 1] = s * s * (f_hat[:, j] + 0.5 * dt) + 0.5 * dt
+    z = _time_major(batch.states)
+    dW = _time_major(batch.dW)
+    sqrt_z = np.sqrt(z)
+    P = z.shape[1]
+    f_hat = np.zeros((n + 1, P))
+    a_excl = np.zeros(P)  # strict prefix Atil_j, pairs with the diagonal term of I
+    p_hat = np.zeros(P)   # P(t_j) phi(t_j)
+    i_cross = np.zeros(P)  # sum_j w_j sqrt(Z_j) Atil_j
+    i_diag = np.zeros(P)   # sum_j w_j^2 Z_j Fhat_j
+    ito = np.zeros(P)      # sum_j w_j sqrt(Z_j) P(t_j) phi(t_j)
+    tmp = np.empty(P)
+    for j in range(n + 1):
+        # node j: every running row holds its value at t_j
+        wsz = w[j] * sqrt_z[j]
+        i_cross += np.multiply(wsz, a_excl, out=tmp)
+        ito += np.multiply(wsz, p_hat, out=tmp)
+        np.multiply(w_sq[j], z[j], out=tmp)
+        tmp *= f_hat[j]
+        i_diag += tmp
+        if j == n:
+            break
+        s = psi_step[j]
+        a_excl += np.multiply(wsz, f_hat[j], out=tmp)
+        a_excl *= s
+        p_hat += dW[j]
+        p_hat *= s
+        np.add(f_hat[j], 0.5 * dt, out=tmp)
+        tmp *= s * s
+        np.add(tmp, 0.5 * dt, out=f_hat[j + 1])
 
-    I = (2.0 * np.sum(w * sqrt_z * a_excl, axis=1)
-         + np.sum(w**2 * batch.states * f_hat, axis=1))
+    I = 2.0 * i_cross + i_diag
     bad = ~(I > 0) | ~np.isfinite(I)
-    return CIRKernelBatch(q=q, log_phi=log_phi, psi_step=psi_step, f_hat=f_hat,
-                          ito_psi_prefix=p_hat, I=I, bad=bad)
+    return CIRKernelBatch(q=q, log_phi=log_phi.T, psi_step=psi_step.T, f_hat=f_hat.T,
+                          ito_psi_prefix=ito, I=I, bad=bad)
 
 
 def skorokhod_weight_cir(batch, params, kernel=None):
-    """Per-path Skorokhod weight delta = A - B - C2 + C3 (see module docstring)."""
+    """Per-path Skorokhod weight delta = A - B - C2 + C3 (see module docstring).
+
+    A forward sweep over time-major rows builds abar (kept whole, it becomes
+    rho) and reduces W2 into C2; one backward sweep carries Jhat, the suffix
+    trapezoids of sqrt(Z) rho and Jhat^2, and S1..S3 as running rows and
+    reduces them into C3.
+    """
     if kernel is None:
         kernel = cir_kernel(batch, params)
     grid = batch.grid
-    dt = grid.dt
+    h = 0.5 * grid.dt
     w = grid.trapezoid_weights
     n = grid.n_steps
     T, k = params.T, params.k
     q = kernel.q
-    psi = kernel.psi_step
-    f_hat = kernel.f_hat
+    psi = _time_major(kernel.psi_step)
+    f_hat = _time_major(kernel.f_hat)
 
-    z = batch.states
+    z = _time_major(batch.states)
     sqrt_z = np.sqrt(z)
     z_m32 = z**-1.5
-    P = z.shape[0]
+    P = z.shape[1]
 
-    # forward psi-shifted closed trapezoids
-    abar = np.zeros((P, n + 1))
-    w2 = np.zeros((P, n + 1))
+    # forward psi-shifted closed trapezoids: abar whole, W2 reduced into C2
+    abar = np.zeros((n + 1, P))
+    w2 = np.zeros(P)
+    c2 = np.zeros(P)
+    ha_prev = h * (sqrt_z[0] * f_hat[0])
+    hw_prev = h * (z_m32[0] * f_hat[0])
     for j in range(n):
-        s = psi[:, j]
-        y0 = sqrt_z[:, j] * f_hat[:, j]
-        y1 = sqrt_z[:, j + 1] * f_hat[:, j + 1]
-        abar[:, j + 1] = s * (abar[:, j] + 0.5 * dt * y0) + 0.5 * dt * y1
-        y0 = z_m32[:, j] * f_hat[:, j]
-        y1 = z_m32[:, j + 1] * f_hat[:, j + 1]
-        w2[:, j + 1] = s * (w2[:, j] + 0.5 * dt * y0) + 0.5 * dt * y1
+        s = psi[j]
+        ha = h * (sqrt_z[j + 1] * f_hat[j + 1])
+        hw = h * (z_m32[j + 1] * f_hat[j + 1])
+        row = abar[j + 1]
+        np.add(abar[j], ha_prev, out=row)
+        row *= s
+        row += ha
+        w2 += hw_prev
+        w2 *= s
+        w2 += hw
+        c2 += w[j + 1] * sqrt_z[j + 1] * w2
+        ha_prev, hw_prev = ha, hw
 
-    # backward psi-shifted trapezoid for Jhat
-    j_hat = np.zeros((P, n + 1))
+    # backward sweep: on entry to step j the running rows hold node j+1
+    rho = abar  # completed in place, row by row, as Jhat becomes known
+    j_hat = np.zeros(P)
+    hsz_next = h * sqrt_z[n]
+    sums = np.zeros((2, P))  # suffix trapezoids of sqrt(Z) rho and Jhat^2
+    y, y_next = np.empty((2, P)), np.zeros((2, P))  # their integrands
+    np.multiply(sqrt_z[n], rho[n], out=y_next[0])
+    s_run = np.zeros((3, P))  # S1, S2, S3
+    hu, hu_next = np.empty((3, P)), np.zeros((3, P))  # h times their integrands
+    np.multiply(rho[n], h, out=hu_next[0])
+    c3 = np.zeros(P)
+    two_q = 2.0 * q
     for j in range(n - 1, -1, -1):
-        s = psi[:, j]
-        j_hat[:, j] = (0.5 * dt * sqrt_z[:, j]
-                       + s * (j_hat[:, j + 1] + 0.5 * dt * sqrt_z[:, j + 1]))
-
-    rho = abar + f_hat * j_hat
-
-    # plain suffix trapezoids of sqrt(Z) rho and Jhat^2
-    def suffix_trapz(y):
-        out = np.zeros_like(y)
-        incr = 0.5 * dt * (y[:, :-1] + y[:, 1:])
-        out[:, :-1] = np.cumsum(incr[:, ::-1], axis=1)[:, ::-1]
-        return out
-
-    sum_rho = suffix_trapz(sqrt_z * rho)
-    sum_j2 = suffix_trapz(j_hat**2)
-
-    # backward psi-shifted trapezoids for S1, S2, S3
-    s1 = np.zeros((P, n + 1))
-    s2 = np.zeros((P, n + 1))
-    s3 = np.zeros((P, n + 1))
-    y2 = z_m32 * sum_rho
-    y3 = z_m32 * sum_j2
-    for j in range(n - 1, -1, -1):
-        s = psi[:, j]
-        s1[:, j] = 0.5 * dt * rho[:, j] + s * (s1[:, j + 1] + 0.5 * dt * rho[:, j + 1])
-        s2[:, j] = 0.5 * dt * y2[:, j] + s * (s2[:, j + 1] + 0.5 * dt * y2[:, j + 1])
-        s3[:, j] = 0.5 * dt * y3[:, j] + s * (s3[:, j + 1] + 0.5 * dt * y3[:, j + 1])
+        s = psi[j]
+        hsz = h * sqrt_z[j]
+        j_hat += hsz_next
+        j_hat *= s
+        j_hat += hsz
+        rho[j] += f_hat[j] * j_hat
+        np.multiply(sqrt_z[j], rho[j], out=y[0])
+        np.multiply(j_hat, j_hat, out=y[1])
+        sums += (y + y_next) * h
+        np.multiply(rho[j], h, out=hu[0])
+        np.multiply(z_m32[j], sums, out=hu[1:])
+        hu[1:] *= h
+        s_run += hu_next
+        s_run *= s
+        s_run += hu
+        c3 += w[j] * j_hat * (s_run[0] + two_q * (s_run[1] - s_run[2]))
+        y, y_next = y_next, y
+        hu, hu_next = hu_next, hu
+        hsz_next = hsz
 
     I_safe = np.where(kernel.bad, 1.0, kernel.I)
-    term_ito = (T / k) * np.sum(w * sqrt_z * kernel.ito_psi_prefix, axis=1) / I_safe
-    term_trace = 0.5 * T * (f_hat @ w) / I_safe
-    term_dphi = q * T * np.sum(w * sqrt_z * w2, axis=1) / I_safe
-    term_denom = T * np.sum(w * j_hat * (s1 + 2.0 * q * (s2 - s3)), axis=1) / I_safe**2
+    term_ito = (T / k) * kernel.ito_psi_prefix / I_safe
+    term_trace = 0.5 * T * (w @ f_hat) / I_safe
+    term_dphi = q * T * c2 / I_safe
+    term_denom = T * c3 / I_safe**2
 
     delta = term_ito - term_trace - term_dphi + term_denom
     bad = kernel.bad | ~np.isfinite(delta)
@@ -200,18 +256,3 @@ def skorokhod_weight_cir(batch, params, kernel=None):
     return CIRWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
                           term_dphi=term_dphi, term_denom=term_denom,
                           I=kernel.I, bad=bad)
-
-
-def psi_pair(log_phi_row, h_index, t_index):
-    """psi_{t_h, t_t} for one path from log-phi differences (h <= t)."""
-    return float(np.exp(log_phi_row[t_index] - log_phi_row[h_index]))
-
-
-def require_positive_i(I):
-    """Raise NonPositiveDenominator unless every I is strictly positive."""
-    I = np.atleast_1d(I)
-    if not np.all(np.isfinite(I)) or np.any(I <= 0):
-        worst = float(np.nanmin(I))
-        raise NonPositiveDenominator(
-            f"denominator I must be > 0 on every path (min {worst!r})")
-    return I

@@ -99,6 +99,16 @@ def test_density_command_writes_outputs(tmp_path, capsys):
     assert len(weights) == 601
 
 
+@pytest.mark.parametrize("n_steps, warned", [(64, True), (128, False)])
+def test_density_warns_when_alpha_dt_exceeds_threshold(tmp_path, capsys, n_steps, warned):
+    cfg = write_config(tmp_path, grid={"n_steps": n_steps, "pricing_n_steps": 64})
+    assert cli.main(["density", "--config", cfg]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("W_ALPHA_DT ")]
+    assert lines == (["W_ALPHA_DT alpha*dt=0.015625 > 0.01; the OU weight is biased "
+                      "by about 12*alpha*dt in mean(F*delta)"] if warned else [])
+
+
 MALFORMED = {
     "n_paths_zero": ({"ensemble": {"n_paths": 0}}, 2, "E_EMPTY_ENSEMBLE"),
     "n_steps_one": ({"grid": {"n_steps": 1}}, 2, "E_INVALID_GRID"),
@@ -140,8 +150,10 @@ def test_density_validation_failure_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_density_outputs_bit_identical_across_threads_and_seed_changes_them(tmp_path):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("overrides", [{}, cir_overrides()], ids=["ou", "cir"])
+def test_density_outputs_bit_identical_across_threads_and_seed_changes_them(tmp_path,
+                                                                           overrides):
+    cfg = write_config(tmp_path, **overrides)
     outs = []
     for threads in ("1", "2", "4"):
         out_dir = tmp_path / f"run{threads}"

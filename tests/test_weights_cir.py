@@ -3,15 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from avgvar import (CIRPathBatch, NonPositiveDenominator, make_grid,
-                    cir_paths_from_increments, simulate_cir_paths)
+from avgvar import (CIRParams, CIRPathBatch, NonPositiveDenominator, make_grid,
+                    cir_paths_from_increments, simulate_cir_paths, validate_cir)
 from avgvar.reference import (cir_weight_triple_sum, i_triple_sum, psi_matrix,
                               _suffix_trapezoid_weights)
 from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream, refine_increments
-from avgvar.weights_cir import (cir_kernel, log_phi_nodes, psi_pair, q_constant,
-                                require_positive_i, skorokhod_weight_cir)
+from avgvar.weights_cir import (cir_kernel, log_phi_nodes, q_constant,
+                                skorokhod_weight_cir)
 
 SEED = 20240601
+
+# fast mean reversion over a long horizon: on a 64-step grid the one-step
+# ratios psi_step go down to about 0.62, far from the psi ~ 1 of the demo model
+FAST_DECAY = CIRParams(b=20.0, k=1.5, z0=0.5, s0=100.0, r=0.05, mu=0.05, T=2.0)
+
+
+def psi_pair(log_phi_row, h_index, t_index):
+    """psi_{t_h, t_t} for one path from log-phi differences (h <= t)."""
+    return float(np.exp(log_phi_row[t_index] - log_phi_row[h_index]))
+
+
+def require_positive_i(I):
+    """Raise NonPositiveDenominator unless every I is strictly positive."""
+    I = np.atleast_1d(I)
+    if not np.all(np.isfinite(I)) or np.any(I <= 0):
+        worst = float(np.nanmin(I))
+        raise NonPositiveDenominator(
+            f"denominator I must be > 0 on every path (min {worst!r})")
+    return I
 
 
 def _flat_z_batch(z0, grid):
@@ -93,15 +112,18 @@ def test_i_scaling_is_exactly_quadratic(cir_model):
     assert scaled == pytest.approx(4.0 * base, rel=1e-14)
 
 
-def test_kernel_and_weight_match_brute_force(cir_model, grid64):
-    batch = simulate_cir_paths(cir_model, grid64, NoiseStream(SEED, PURPOSE_VOL),
+@pytest.mark.parametrize("fast_decay", [False, True], ids=["demo", "fast_decay"])
+def test_kernel_and_weight_match_brute_force(cir_model, fast_decay):
+    model = validate_cir(FAST_DECAY, density_mode=True) if fast_decay else cir_model
+    grid = make_grid(model.params.T, 64)
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(5))
-    kern = cir_kernel(batch, cir_model.params)
-    wb = skorokhod_weight_cir(batch, cir_model.params, kern)
+    kern = cir_kernel(batch, model.params)
+    wb = skorokhod_weight_cir(batch, model.params, kern)
     assert not wb.bad.any()
     for p in range(5):
         a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[p], kern.log_phi[p], batch.dW[p], grid64, cir_model.params)
+            batch.states[p], kern.log_phi[p], batch.dW[p], grid, model.params)
         assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
         assert abs(wb.term_ito[p] - a) / abs(a) < 1e-8
         assert abs(wb.term_trace[p] - b) / abs(b) < 1e-8
@@ -119,11 +141,6 @@ def test_positive_i_on_simulated_paths(cir_model):
         batch = simulate_cir_paths(cir_model, grid, stream, idx)
         kern = cir_kernel(batch, cir_model.params)
         require_positive_i(kern.I)
-
-
-def test_require_positive_i_raises():
-    with pytest.raises(NonPositiveDenominator):
-        require_positive_i(np.array([1.0, 0.0]))
 
 
 def test_weight_matches_discrete_divergence(cir_model):
