@@ -28,9 +28,8 @@ grid = make_grid(1.0, 64)
 
 # --- Part 1: one path, factorized vs brute force -------------------------
 batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
-nu = np.asarray(vol.nu(batch.states))
-nup = np.asarray(vol.nu_prime(batch.states))
-wb = skorokhod_weight_ou(batch, vol, model.params)
+nu, nup = batch.nu, batch.nu_prime
+wb = skorokhod_weight_ou(batch, model.params)
 
 G = denominator_g(nu, grid, model.params.alpha)[0]
 eta = eta_nodes(nu, grid, model.params.alpha, model.params.k, np.array([G]))[0]

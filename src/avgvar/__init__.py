@@ -32,7 +32,7 @@ from .pricing import (PriceEstimate, bs_conditional, martingale_check,
 from .rng import NoiseStream, refine_increments
 from .weights_cir import (CIRKernelBatch, CIRWeightBatch, cir_kernel,
                           skorokhod_weight_cir)
-from .weights_ou import (OUWeightBatch, c_of_h, denominator_g, dh_eta_matrix,
-                         eta_nodes, skorokhod_weight_ou)
+from .weights_ou import (OUWeightBatch, c_of_h, denominator_g, eta_nodes,
+                         skorokhod_weight_ou)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

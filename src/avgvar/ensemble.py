@@ -118,13 +118,9 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         if tag == "ou":
             batch = _paths.simulate_ou_paths(model, grid, vol_stream, idx,
                                              antithetic=antithetic)
-            # re-assert the volatility assumptions at every visited state
-            sig = np.asarray(model.vol.sigma(batch.states))
-            sig_p = np.asarray(model.vol.sigma_prime(batch.states))
-            ok = (sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))
-            bad = ~ok.all(axis=1)
+            bad = ~batch.vol_ok
             if compute_weights:
-                wb = skorokhod_weight_ou(batch, model.vol, model.params)
+                wb = skorokhod_weight_ou(batch, model.params)
                 weight[idx] = wb.delta
                 denom[idx] = wb.G
                 bad |= wb.bad

@@ -36,6 +36,12 @@ class VolFunctionSpec:
     ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The products
     nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' are what the
     density kernels actually consume.
+
+    ``evaluate(x)`` returns (sigma, sigma', sigma'') at x. The path
+    simulator calls it once per batch of states. A spec may pass ``joint``,
+    a callable returning the triple in one pass (the reference family does,
+    sharing its intermediates); without it, ``evaluate`` calls the three
+    callables in turn.
     """
 
     sigma: Callable
@@ -45,12 +51,21 @@ class VolFunctionSpec:
     growth_scale: float
     growth_power: int
     name: str = "custom"
+    joint: Callable | None = None
+
+    def evaluate(self, x):
+        if self.joint is not None:
+            return self.joint(x)
+        return tuple(np.asarray(f(x), dtype=float)
+                     for f in (self.sigma, self.sigma_prime, self.sigma_second))
 
     def nu(self, x):
-        return self.sigma(x) * self.sigma_prime(x)
+        sig, sig_p, _ = self.evaluate(x)
+        return sig * sig_p
 
     def nu_prime(self, x):
-        return self.sigma_prime(x) ** 2 + self.sigma(x) * self.sigma_second(x)
+        sig, sig_p, sig_pp = self.evaluate(x)
+        return sig_p ** 2 + sig * sig_pp
 
 
 @dataclass(frozen=True)
@@ -127,31 +142,43 @@ def reference_vol_family(c, m):
     c = float(c)
     m = float(m)
 
-    def sigma(x):
+    def joint(x):
+        # one sqrt, one mask and one s - x for all three; the operations
+        # run in place on four buffers, each with the operands and order of
+        # the closed forms, so the values match them bit for bit
         x = np.asarray(x, dtype=float)
-        s = np.sqrt(x * x + 1.0)
-        bump = np.where(x >= 0, x + s, 1.0 / (s - x))
-        return c + m * bump
-
-    def sigma_prime(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt(x * x + 1.0)
-        slope = np.where(x >= 0, (s + x) / s, 1.0 / (s * (s - x)))
-        return m * slope
-
-    def sigma_second(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt(x * x + 1.0)
-        return m / s**3
+        shape = x.shape
+        x = np.atleast_1d(x)
+        pos = x >= 0
+        s = x * x
+        s += 1.0
+        np.sqrt(s, out=s)
+        up = x + s
+        d = s - x
+        # sigma = c + m * (x + s  if x >= 0 else  1 / (s - x))
+        sigma = np.divide(1.0, d)
+        np.copyto(sigma, up, where=pos)
+        sigma *= m
+        sigma += c
+        # sigma' = m * ((s + x) / s  if x >= 0 else  1 / (s (s - x)))
+        d *= s
+        sigma_prime = np.divide(1.0, d, out=d)
+        np.divide(up, s, out=sigma_prime, where=pos)
+        sigma_prime *= m
+        # sigma'' = m / s^3
+        sigma_second = np.power(s, 3, out=s)
+        np.divide(m, sigma_second, out=sigma_second)
+        return sigma.reshape(shape), sigma_prime.reshape(shape), sigma_second.reshape(shape)
 
     return VolFunctionSpec(
-        sigma=sigma,
-        sigma_prime=sigma_prime,
-        sigma_second=sigma_second,
+        sigma=lambda x: joint(x)[0],
+        sigma_prime=lambda x: joint(x)[1],
+        sigma_second=lambda x: joint(x)[2],
         lower_bound_c=c,
         growth_scale=c + 2.0 * m,
         growth_power=1,
         name="reference",
+        joint=joint,
     )
 
 
@@ -159,10 +186,9 @@ def _check_vol_on_grid(vol, violations):
     """Sample the (A2)-style constraints on the probe grid."""
     x = PROBE_GRID
     try:
-        sig = np.asarray(vol.sigma(x), dtype=float)
-        sig_p = np.asarray(vol.sigma_prime(x), dtype=float)
-        nu = np.asarray(vol.nu(x), dtype=float)
-        nu_p = np.asarray(vol.nu_prime(x), dtype=float)
+        sig, sig_p, _ = vol.evaluate(x)
+        nu = vol.nu(x)
+        nu_p = vol.nu_prime(x)
     except Exception as exc:  # a vol spec that cannot be evaluated is invalid
         violations.append(("E_VOL_EVAL", f"volatility function raised on probe grid: {exc!r}"))
         return

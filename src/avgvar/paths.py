@@ -66,6 +66,9 @@ class OUPathBatch:
 
     ``ito_prefix[p, j]`` is the left-point sum of e^{alpha t_i} dW_i over
     i < j, i.e. the discretized Ito integral of e^{alpha h} up to t_j.
+    sigma and its derivatives are evaluated once per batch and reduced at
+    once to ``avg_variance``, ``vol_ok`` and the weight's node values
+    ``nu`` and ``nu_prime``; the batch keeps no sigma array.
     """
 
     grid: TimeGrid
@@ -74,6 +77,9 @@ class OUPathBatch:
     states: np.ndarray        # (P, n+1) Y values
     avg_variance: np.ndarray  # (P,) trapezoid of sigma^2(Y) / T
     ito_prefix: np.ndarray    # (P, n+1)
+    vol_ok: np.ndarray        # (P,) sigma' > 0 and sigma >= c at every node
+    nu: np.ndarray            # (P, n+1) sigma * sigma' at the nodes
+    nu_prime: np.ndarray      # (P, n+1) sigma'^2 + sigma * sigma'' at the nodes
 
 
 @dataclass
@@ -117,8 +123,15 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
     for j in range(n):
         y[:, j + 1] = y[:, j] * decay + step_sd * xi[:, j]
 
-    sig2 = np.asarray(model.vol.sigma(y)) ** 2
-    avg_variance = sig2 @ grid.trapezoid_weights / grid.T
+    # one volatility pass, reduced at once to what the guard and weight use
+    sig, sig_p, sig_pp = model.vol.evaluate(y)
+    avg_variance = sig**2 @ grid.trapezoid_weights / grid.T
+    # re-assert the volatility assumptions at every visited state
+    vol_ok = ((sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))).all(axis=1)
+    nu_prime = sig_p**2
+    nu_prime += sig * sig_pp
+    nu = sig * sig_p
+    del sig, sig_p, sig_pp
 
     exp_ah = np.exp(p.alpha * grid.t[:n])
     ito_prefix = np.zeros((xi.shape[0], n + 1))
@@ -133,6 +146,9 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
         states=y,
         avg_variance=avg_variance,
         ito_prefix=ito_prefix,
+        vol_ok=vol_ok,
+        nu=nu,
+        nu_prime=nu_prime,
     )
 
 

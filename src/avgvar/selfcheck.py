@@ -140,8 +140,7 @@ def run_battery(seed=20240601, threads=1):
     grid64 = make_grid(1.0, 64)
     stream = NoiseStream(seed, PURPOSE_VOL, namespace=NAMESPACE_MOMENTS)
     ob = _paths.simulate_ou_paths(ou, grid64, stream, np.arange(3))
-    f_nodes = np.asarray(vol.nu(ob.states))
-    g_nodes = np.asarray(vol.nu_prime(ob.states))
+    f_nodes, g_nodes = ob.nu, ob.nu_prime
     worst = 0.0
     g_fact = denominator_g(f_nodes, grid64, ou.params.alpha)
     c_fact = c_of_h(f_nodes, g_nodes, grid64, ou.params.alpha)

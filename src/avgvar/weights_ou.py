@@ -36,6 +36,11 @@ brute-force double sums in ``reference``:
     the strict index range (the integrand is zero at the boundary node),
   * inner dh-integrals over [0, t]: trapezoid on the truncated node range.
 
+nu and nu' at the nodes come with the path batch (``batch.nu`` and
+``batch.nu_prime``): the simulator evaluates sigma, sigma' and sigma'' in
+one pass and reduces them at once, so this module never calls the
+volatility function.
+
 Unlike the CIR kernel (whose exponent grows with the random path and is
 therefore kept in ratio form), the exponentials here are the deterministic
 e^{+-a t} and e^{2 a h}: they stay in float64 range for a T up to ~350.
@@ -46,8 +51,6 @@ aborts loudly rather than returning garbage.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonPositiveDenominator
 
 
 @dataclass
@@ -64,11 +67,6 @@ class OUWeightBatch:
     term_trace: np.ndarray  # (P,)
     G: np.ndarray           # (P,)
     bad: np.ndarray         # (P,) bool
-
-
-def _nu_nodes(batch, vol):
-    y = batch.states
-    return np.asarray(vol.nu(y), dtype=float), np.asarray(vol.nu_prime(y), dtype=float)
 
 
 def denominator_g(nu_vals, grid, alpha):
@@ -130,27 +128,7 @@ def c_of_h(nu_vals, nu_prime_vals, grid, alpha):
     return prefix[:, -1:] - prefix  # masked suffix: C[l] = sum_{j>l} s_j, C[n] = 0
 
 
-def dh_eta_matrix(nu_vals, nu_prime_vals, grid, alpha, k, G, C):
-    """Full (h, t) matrix of D_h eta_t for one path; test/diagnostic use only.
-
-    Returns D[l, i] = D_{t_l} eta_{t_i}. O(n^2) memory, so keep n small.
-    """
-    f = np.asarray(nu_vals, dtype=float)
-    g = np.asarray(nu_prime_vals, dtype=float)
-    t = grid.t
-    E = np.exp(-alpha * t)
-    A = np.exp(alpha * t)
-    scale = alpha * grid.T  # the k of D_h Y cancels the 1/k of eta
-
-    # e^{-a (t_i - t_l)} for l < i, else 0 (strict indicator)
-    lag = np.where(t[None, :] > t[:, None],
-                   np.exp(-alpha * (t[None, :] - t[:, None])), 0.0)
-    term1 = lag * g[None, :] / G
-    term2 = (2.0 * A[:, None] * C[:, None]) * f[None, :] / G**2
-    return scale * E[None, :] * (term1 - term2)
-
-
-def skorokhod_weight_ou(batch, vol, params):
+def skorokhod_weight_ou(batch, params):
     """Compute the per-path Skorokhod weight for a batch of OU paths.
 
     The trace term integrates e^{a h} D_h eta_t over the lower triangle
@@ -169,7 +147,7 @@ def skorokhod_weight_ou(batch, vol, params):
     t = grid.t
     dt = grid.dt
 
-    f, g = _nu_nodes(batch, vol)
+    f, g = batch.nu, batch.nu_prime
     G = denominator_g(f, grid, alpha)
     bad = ~(G > 0) | ~np.isfinite(G)
     G_safe = np.where(bad, 1.0, G)
@@ -204,13 +182,3 @@ def skorokhod_weight_ou(batch, vol, params):
     return OUWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
                          G=G, bad=bad)
 
-
-def require_positive_g(G):
-    """Raise NonPositiveDenominator unless every G is strictly positive."""
-    G = np.atleast_1d(G)
-    if not np.all(np.isfinite(G)) or np.any(G <= 0):
-        worst = float(np.nanmin(G))
-        raise NonPositiveDenominator(
-            f"denominator G must be > 0 on every path (min {worst!r}); "
-            "hypothesis violation or catastrophic cancellation")
-    return G

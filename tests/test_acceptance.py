@@ -237,11 +237,10 @@ def test_criterion_12_kernel_oracles(ou_model, cir_model):
     worst = 0.0
 
     ob = simulate_ou_paths(ou_model, grid, stream, np.arange(5))
-    nu = np.asarray(ou_model.vol.nu(ob.states))
-    nup = np.asarray(ou_model.vol.nu_prime(ob.states))
+    nu, nup = ob.nu, ob.nu_prime
     g_fast = denominator_g(nu, grid, 1.0)
     c_fast = c_of_h(nu, nup, grid, 1.0)
-    wb = skorokhod_weight_ou(ob, ou_model.vol, ou_model.params)
+    wb = skorokhod_weight_ou(ob, ou_model.params)
     for p in range(5):
         g_ref = g_double_sum(nu[p], grid, 1.0)
         c_ref = c_double_sum(nu[p], nup[p], grid, 1.0)

@@ -194,6 +194,18 @@ def test_price_command(tmp_path, capsys):
     assert abs(mart[0] - 100.0) < 4 * mart[1]
 
 
+def test_price_outputs_bit_identical_across_threads(tmp_path):
+    # three chunks per ensemble, so two workers split each ensemble
+    cfg = write_config(tmp_path, ensemble={"n_paths": 4500, "seed": 7})
+    outs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"run{threads}"
+        assert cli.main(["price", "--config", cfg, "--threads", threads,
+                         "--out", str(out_dir)]) == 0
+        outs.append((out_dir / "prices.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_price_zero_strike_recovers_spot(tmp_path):
     cfg = write_config(tmp_path, contract={"strike": 0.0},
                        ensemble={"n_paths": 2000, "seed": 5})

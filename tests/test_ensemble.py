@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import avgvar.ensemble as ens_mod
-from avgvar import (EmptyEnsemble, FailureBudgetExceeded, make_grid,
-                    run_ensemble, summarize)
+from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
+                    VolFunctionSpec, make_grid, run_ensemble, summarize,
+                    validate_ou)
 from avgvar.ensemble import duality_statistic
 
 SEED = 20240601
@@ -92,7 +93,7 @@ def test_no_failures_on_reference_models(ou_model, cir_model):
 def test_failure_budget_enforced(ou_model, monkeypatch):
     from avgvar.weights_ou import OUWeightBatch
 
-    def all_bad(batch, vol, params):
+    def all_bad(batch, params):
         n = batch.states.shape[0]
         nan = np.full(n, np.nan)
         return OUWeightBatch(delta=nan, term_ito=nan, term_trace=nan,
@@ -106,8 +107,8 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
 def test_failed_paths_below_budget_are_reported(ou_model, monkeypatch):
     from avgvar.weights_ou import skorokhod_weight_ou as real_weight
 
-    def one_bad(batch, vol, params):
-        wb = real_weight(batch, vol, params)
+    def one_bad(batch, params):
+        wb = real_weight(batch, params)
         if 0 in batch.path_indices:
             row = int(np.where(batch.path_indices == 0)[0][0])
             wb.bad[row] = True
@@ -120,3 +121,34 @@ def test_failed_paths_below_budget_are_reported(ou_model, monkeypatch):
     f, w = res.valid_samples()
     assert f.size == 1999
     assert np.all(np.isfinite(w))
+
+
+def _flat_above_ten_model(y0):
+    """sigma = 0.3 + 0.1 atan(min(x, 10)): valid on the probe grid [-10, 10],
+    but sigma' = 0 at every x > 10."""
+    def sigma(x):
+        return 0.3 + 0.1 * np.arctan(np.minimum(x, 10.0))
+
+    def sigma_prime(x):
+        return np.where(x > 10.0, 0.0, 0.1 / (1.0 + x * x))
+
+    def sigma_second(x):
+        return np.where(x > 10.0, 0.0, -0.2 * x / (1.0 + x * x) ** 2)
+
+    vol = VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime,
+                          sigma_second=sigma_second, lower_bound_c=0.1,
+                          growth_scale=0.5, growth_power=0)
+    return validate_ou(OUParams(alpha=1.0, k=0.5, y0=y0, s0=100.0,
+                                r=0.05, mu=0.05, T=1.0), vol)
+
+
+@pytest.mark.parametrize("compute_weights", [True, False])
+def test_visited_state_guard_fails_paths_outside_the_probe_grid(compute_weights):
+    grid = make_grid(1.0, 32)
+    # every path starts at y0 = 12, where sigma' = 0
+    with pytest.raises(FailureBudgetExceeded, match=r"^500 of 500 paths failed"):
+        run_ensemble(_flat_above_ten_model(12.0), grid, 500, SEED,
+                     compute_weights=compute_weights)
+    res = run_ensemble(_flat_above_ten_model(0.0), grid, 500, SEED,
+                       compute_weights=compute_weights)
+    assert res.n_failures == 0

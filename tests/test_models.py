@@ -5,8 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avgvar import (CIRParams, OUParams, ValidationError, reference_vol_family,
-                    validate_cir, validate_ou)
+from avgvar import (CIRParams, OUParams, ValidationError, VolFunctionSpec,
+                    make_grid, reference_vol_family, run_ensemble,
+                    simulate_ou_paths, validate_cir, validate_ou)
+from avgvar.models import PROBE_GRID
+from avgvar.rng import PURPOSE_VOL, NoiseStream
+
+SEED = 20240601
 
 
 def codes(err):
@@ -93,6 +98,59 @@ def test_sigma_prime_positive_on_probe(ref_vol):
     x = np.linspace(-10, 10, 1001)
     assert np.all(ref_vol.sigma_prime(x) > 0)
     assert np.all(ref_vol.sigma(x) >= ref_vol.lower_bound_c)
+
+
+def oracle_family(c, m):
+    """The reference family as three separate closures, one formula each:
+    the form the one-pass ``evaluate`` must reproduce bit for bit."""
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sqrt(x * x + 1.0)
+        bump = np.where(x >= 0, x + s, 1.0 / (s - x))
+        return c + m * bump
+
+    def sigma_prime(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sqrt(x * x + 1.0)
+        slope = np.where(x >= 0, (s + x) / s, 1.0 / (s * (s - x)))
+        return m * slope
+
+    def sigma_second(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sqrt(x * x + 1.0)
+        return m / s**3
+
+    return sigma, sigma_prime, sigma_second
+
+
+def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
+    vol = ou_model.vol
+    oracle = oracle_family(0.1, 0.1)
+    chunk = simulate_ou_paths(ou_model, make_grid(1.0, 512),
+                              NoiseStream(SEED, PURPOSE_VOL), np.arange(2048)).states
+    assert chunk.shape == (2048, 513)
+    for x in (PROBE_GRID, np.array([-1e8, 1e8, -0.0, 0.0]), chunk):
+        # at x = 1e8, s - x = 0 in the branch that is discarded
+        with np.errstate(divide="ignore"):
+            got = vol.evaluate(x)
+            want = [f(x) for f in oracle]
+            nu, nu_prime = vol.nu(x), vol.nu_prime(x)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(nu, want[0] * want[1])
+        assert np.array_equal(nu_prime, want[1] ** 2 + want[0] * want[2])
+
+
+def test_three_callable_spec_runs_the_same_ensemble(ou_model):
+    custom = VolFunctionSpec(*oracle_family(0.1, 0.1), lower_bound_c=0.1,
+                             growth_scale=0.3, growth_power=1)
+    assert custom.joint is None  # evaluate falls back to the three callables
+    twin = validate_ou(ou_model.params, custom)
+    grid = make_grid(1.0, 128)
+    ref = run_ensemble(ou_model, grid, 3000, SEED)
+    alt = run_ensemble(twin, grid, 3000, SEED)
+    for name in ("avg_variance", "weight", "denominator", "failed"):
+        assert np.array_equal(getattr(ref, name), getattr(alt, name), equal_nan=True)
 
 
 finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)

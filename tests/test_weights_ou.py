@@ -8,8 +8,7 @@ from avgvar import (NonPositiveDenominator, make_grid, ou_paths_from_increments,
 from avgvar.reference import (c_double_sum, dh_eta_double_sum, g_double_sum,
                               ou_weight_double_sum, psi_closed_form)
 from avgvar.rng import PURPOSE_VOL, NoiseStream
-from avgvar.weights_ou import (c_of_h, denominator_g, dh_eta_matrix, eta_nodes,
-                               require_positive_g, skorokhod_weight_ou)
+from avgvar.weights_ou import c_of_h, denominator_g, eta_nodes, skorokhod_weight_ou
 
 SEED = 20240601
 
@@ -17,6 +16,37 @@ SEED = 20240601
 # recomputed symbolically; equals 4x the constant printed in the source
 # derivation chain, which slips a factor in an intermediate rescaling.
 G_FLAT_UNIT = 2.0 / math.e - (1.0 - 1.0 / math.e) ** 2
+
+
+def require_positive_g(G):
+    """Raise NonPositiveDenominator unless every G is strictly positive."""
+    G = np.atleast_1d(G)
+    if not np.all(np.isfinite(G)) or np.any(G <= 0):
+        worst = float(np.nanmin(G))
+        raise NonPositiveDenominator(
+            f"denominator G must be > 0 on every path (min {worst!r}); "
+            "hypothesis violation or catastrophic cancellation")
+    return G
+
+
+def dh_eta_matrix(nu_vals, nu_prime_vals, grid, alpha, k, G, C):
+    """Full (h, t) matrix of D_h eta_t for one path.
+
+    Returns D[l, i] = D_{t_l} eta_{t_i}. O(n^2) memory, so keep n small.
+    """
+    f = np.asarray(nu_vals, dtype=float)
+    g = np.asarray(nu_prime_vals, dtype=float)
+    t = grid.t
+    E = np.exp(-alpha * t)
+    A = np.exp(alpha * t)
+    scale = alpha * grid.T  # the k of D_h Y cancels the 1/k of eta
+
+    # e^{-a (t_i - t_l)} for l < i, else 0 (strict indicator)
+    lag = np.where(t[None, :] > t[:, None],
+                   np.exp(-alpha * (t[None, :] - t[:, None])), 0.0)
+    term1 = lag * g[None, :] / G
+    term2 = (2.0 * A[:, None] * C[:, None]) * f[None, :] / G**2
+    return scale * E[None, :] * (term1 - term2)
 
 
 def test_flat_nu_matches_closed_form():
@@ -42,7 +72,7 @@ def test_zero_nu_gives_zero_g():
 def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
     batch = simulate_ou_paths(ou_model, grid64, NoiseStream(SEED, PURPOSE_VOL),
                               np.arange(4))
-    nu = np.asarray(ou_model.vol.nu(batch.states))
+    nu = batch.nu
     g1 = denominator_g(nu, grid64, 1.0)
     g2 = denominator_g(2.0 * nu, grid64, 1.0)
     assert np.array_equal(g2, 4.0 * g1)  # powers of two: exact in float
@@ -67,8 +97,7 @@ def _fixed_batch(ou_model, grid, n_paths=5):
 
 def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
     batch = _fixed_batch(ou_model, grid64)
-    nu = np.asarray(ou_model.vol.nu(batch.states))
-    nup = np.asarray(ou_model.vol.nu_prime(batch.states))
+    nu, nup = batch.nu, batch.nu_prime
     g_fast = denominator_g(nu, grid64, 1.0)
     c_fast = c_of_h(nu, nup, grid64, 1.0)
     for p in range(5):
@@ -81,8 +110,7 @@ def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
 
 def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
     batch = _fixed_batch(ou_model, grid64, n_paths=2)
-    nu = np.asarray(ou_model.vol.nu(batch.states))
-    nup = np.asarray(ou_model.vol.nu_prime(batch.states))
+    nu, nup = batch.nu, batch.nu_prime
     p = ou_model.params
     rng = np.random.default_rng(1)
     for pth in range(2):
@@ -100,8 +128,7 @@ def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
 def test_dh_eta_indicator_zone(ou_model, grid64):
     # with the correction frozen to zero (C == 0), D_h eta_t vanishes for h >= t
     batch = _fixed_batch(ou_model, grid64, n_paths=1)
-    nu = np.asarray(ou_model.vol.nu(batch.states))
-    nup = np.asarray(ou_model.vol.nu_prime(batch.states))
+    nu, nup = batch.nu, batch.nu_prime
     G = denominator_g(nu, grid64, 1.0)[0]
     D = dh_eta_matrix(nu[0], nup[0], grid64, 1.0, 0.5, G, np.zeros(65))
     upper = np.triu_indices(65)  # l >= i
@@ -111,9 +138,8 @@ def test_dh_eta_indicator_zone(ou_model, grid64):
 
 def test_weight_terms_match_brute_force(ou_model, grid64):
     batch = _fixed_batch(ou_model, grid64)
-    nu = np.asarray(ou_model.vol.nu(batch.states))
-    nup = np.asarray(ou_model.vol.nu_prime(batch.states))
-    wb = skorokhod_weight_ou(batch, ou_model.vol, ou_model.params)
+    nu, nup = batch.nu, batch.nu_prime
+    wb = skorokhod_weight_ou(batch, ou_model.params)
     assert not wb.bad.any()
     for p in range(5):
         ito_ref, trace_ref, g_ref = ou_weight_double_sum(
@@ -133,12 +159,11 @@ def test_dh_eta_matches_pathwise_finite_differences(ou_model):
 
     def eta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        nu = np.asarray(ou_model.vol.nu(b.states))
+        nu = b.nu
         G = denominator_g(nu, grid, p.alpha)
         return eta_nodes(nu, grid, p.alpha, p.k, G)[0]
 
-    nu = np.asarray(ou_model.vol.nu(batch.states))
-    nup = np.asarray(ou_model.vol.nu_prime(batch.states))
+    nu, nup = batch.nu, batch.nu_prime
     G = denominator_g(nu, grid, p.alpha)[0]
     C = c_of_h(nu, nup, grid, p.alpha)[0]
     D = dh_eta_matrix(nu[0], nup[0], grid, p.alpha, p.k, G, C)
@@ -166,14 +191,14 @@ def test_weight_matches_discrete_divergence(ou_model):
     grid = make_grid(1.0, n)
     p = ou_model.params
     batch = _fixed_batch(ou_model, grid, n_paths=2)
-    wb = skorokhod_weight_ou(batch, ou_model.vol, ou_model.params)
+    wb = skorokhod_weight_ou(batch, ou_model.params)
 
     w_suffix = np.full(n + 1, grid.dt)
     w_suffix[-1] = 0.5 * grid.dt
 
     def zeta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        nu = np.asarray(ou_model.vol.nu(b.states))
+        nu = b.nu
         G = denominator_g(nu, grid, p.alpha)
         eta = eta_nodes(nu, grid, p.alpha, p.k, G)[0]
         out = np.empty(n + 1)
@@ -207,7 +232,7 @@ def test_duality_small_ensemble(ou_model):
     for lo in range(0, 8000, 2048):
         idx = np.arange(lo, min(lo + 2048, 8000))
         b = simulate_ou_paths(ou_model, grid, stream, idx)
-        wb = skorokhod_weight_ou(b, ou_model.vol, ou_model.params)
+        wb = skorokhod_weight_ou(b, ou_model.params)
         assert not wb.bad.any()
         f[idx] = b.avg_variance
         d[idx] = wb.delta
