@@ -13,8 +13,7 @@ mixing formula, and plain path simulation.
 __version__ = "0.1.0"
 
 from .density import (DensityEstimate, auto_grid, kde_density,
-                      malliavin_density, survival_from_density,
-                      winsorize_weights)
+                      malliavin_density, winsorize_weights)
 from .ensemble import EnsembleResult, Summary, duality_statistic, run_ensemble, summarize
 from .errors import (AvgVarError, ConfigError, EmptyEnsemble,
                      FailureBudgetExceeded, FloorSaturation, GridTooCoarse,
@@ -24,8 +23,7 @@ from .models import (CIRParams, Contract, OUParams, ValidatedCIRModel,
                      ValidatedOUModel, VolFunctionSpec, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
 from .paths import (CIRPathBatch, OUPathBatch, TimeGrid, cir_paths_from_increments,
-                    ito_prefix_sums, make_grid, ou_paths_from_increments,
-                    require_floor_budget, sample_terminal_asset,
+                    make_grid, ou_paths_from_increments, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
 from .pricing import (PriceEstimate, bs_conditional, martingale_check,
                       price_from_density, price_mixing, price_plain_mc)

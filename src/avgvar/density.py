@@ -120,15 +120,6 @@ def kde_density(samples, x_grid, bandwidth=None):
                            normalization=mass, method="kde")
 
 
-def survival_from_density(density, x):
-    """Integral of p_hat from x to the top of the grid (trapezoid)."""
-    xs = density.x_grid
-    mask = xs >= x
-    if mask.sum() < 2:
-        return 0.0
-    return float(np.trapezoid(density.p_hat[mask], xs[mask]))
-
-
 def winsorize_weights(weights, quantile=1e-4):
     """Clip weights to their [q, 1-q] empirical quantiles (optional guard).
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloorSaturation, InvalidGrid
+from .errors import InvalidGrid
 from .rng import PURPOSE_ASSET, NoiseStream
 
 Z_FLOOR = 1e-12
-FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget before FloorSaturation
+FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
 
     # one volatility pass, reduced at once to what the guard and weight use
     sig, sig_p, sig_pp = model.vol.evaluate(y)
-    avg_variance = sig**2 @ grid.trapezoid_weights / grid.T
+    avg_variance = np.einsum("pj,j->p", sig**2, grid.trapezoid_weights) / grid.T
     # re-assert the volatility assumptions at every visited state
     vol_ok = ((sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))).all(axis=1)
     nu_prime = sig_p**2
@@ -196,9 +196,8 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
         np.add(recip[j], 0.5 * dt * (inv_z + inv_next), out=recip[j + 1])
         inv_z = inv_next
 
-    # a path-major copy keeps each path's BLAS summation order, so F does
-    # not depend on the layout
-    avg_variance = np.ascontiguousarray(z.T) @ grid.trapezoid_weights / grid.T
+    # a running sum down the rows: each path's F is summed node by node
+    avg_variance = np.einsum("jp,j->p", z, grid.trapezoid_weights) / grid.T
 
     if path_indices is None:
         path_indices = np.arange(dW.shape[1])
@@ -219,40 +218,6 @@ def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False):
     xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
     dW = np.multiply(xi.T, np.sqrt(grid.dt), order="C")  # time-major
     return cir_paths_from_increments(model, grid, dW.T, path_indices=path_indices)
-
-
-def require_floor_budget(batch):
-    """Raise FloorSaturation if any path floored more than 0.1% of its steps.
-
-    The ensemble layer prefers marking such paths failed (so one bad path
-    cannot abort a run); this strict form is for single-path use.
-    """
-    limit = FLOOR_RATE_LIMIT * batch.grid.n_steps
-    over = batch.floored_steps > limit
-    if np.any(over):
-        worst = int(batch.floored_steps.max())
-        raise FloorSaturation(
-            f"{int(over.sum())} path(s) floored more than {FLOOR_RATE_LIMIT:.1%} "
-            f"of steps (worst {worst}/{batch.grid.n_steps}); grid too coarse")
-    return batch
-
-
-def ito_prefix_sums(dW, integrand_nodes):
-    """Left-point Ito prefix sums P_j = sum_{i<j} f(t_i) dW_i, with P_0 = 0.
-
-    ``integrand_nodes`` must supply f at all n+1 grid nodes (the terminal
-    value is unused, matching the left-point rule); shapes broadcast across
-    a batch of paths.
-    """
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    f = np.atleast_2d(np.asarray(integrand_nodes, dtype=float))
-    if f.shape[-1] != dW.shape[-1] + 1:
-        raise ValueError(
-            f"integrand must have one value per node: got {f.shape[-1]} "
-            f"for {dW.shape[-1]} steps")
-    out = np.zeros((max(dW.shape[0], f.shape[0]), dW.shape[-1] + 1))
-    np.cumsum(f[:, :-1] * dW, axis=1, out=out[:, 1:])
-    return out
 
 
 def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic=False):

@@ -132,9 +132,11 @@ def price_from_density(density, strike, s0, r, T, min_mass=0.9,
     if samples is not None and weights is not None:
         f = np.asarray(samples, dtype=float)
         w = np.asarray(weights, dtype=float)
-        terms = w * ((f[:, None] > x[None, :]) @ (wq * payoff))
-        if terms.size > 1 and w.var(ddof=1) > 0:
-            beta = float(np.cov(terms, w, ddof=1)[0, 1] / w.var(ddof=1))
+        terms = w * np.einsum("px,x->p", f[:, None] > x[None, :], wq * payoff)
+        w_c = w - w.mean()
+        ss_w = float(np.sum(w_c * w_c))
+        if terms.size > 1 and ss_w > 0:
+            beta = float(np.sum((terms - terms.mean()) * w_c)) / ss_w
             terms = terms - beta * w
         value = float(np.mean(terms))
         se = float(terms.std(ddof=1) / math.sqrt(terms.size)) if terms.size > 1 else 0.0

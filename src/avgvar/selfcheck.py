@@ -26,7 +26,7 @@ from .models import (CIRParams, Contract, OUParams, reference_vol_family,
 from .paths import make_grid
 from .reference import c_double_sum, cir_weight_triple_sum, g_double_sum
 from .rng import NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN, PURPOSE_VOL, NoiseStream
-from .weights_cir import cir_kernel, skorokhod_weight_cir
+from .weights_cir import cir_kernel, log_phi_nodes, skorokhod_weight_cir
 from .weights_ou import c_of_h, denominator_g
 from . import paths as _paths
 
@@ -154,8 +154,9 @@ def run_battery(seed=20240601, threads=1):
     cb = _paths.simulate_cir_paths(cir, grid64, stream, np.arange(3))
     kern = cir_kernel(cb, cir.params)
     wcb = skorokhod_weight_cir(cb, cir.params, kern)
+    log_phi = log_phi_nodes(cb, kern.q)
     for pth in range(3):
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[pth], kern.log_phi[pth],
+        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[pth], log_phi[pth],
                                                     cb.dW[pth], grid64, cir.params)
         worst = max(worst,
                     abs(kern.I[pth] - i_ref) / i_ref,

@@ -54,8 +54,10 @@ contiguous memory. A quantity that is only reduced is folded into the
 sweep that produces it and carried as a running row: Atil into I, the Ito
 prefix into A, W2 into C2, and Jhat, S1, S2, S3 with the suffix trapezoids
 of sqrt(Z) rho and Jhat^2 into C3. Besides sqrt(Z) and Z^{-3/2}, only
-log phi, psi_step, Fhat and rho (built in place from abar) are held whole.
-The (P, n+1) fields of the batches are transposed views of those buffers.
+psi_step, Fhat and rho (built in place from abar) are held whole; log phi
+is dropped as soon as psi_step is formed from it. The (P, n+1) fields of
+the batches are transposed views of those buffers. The trapezoid sum of
+Fhat in B is a running sum down the rows (einsum, not a BLAS product).
 """
 
 from dataclasses import dataclass
@@ -67,9 +69,10 @@ import numpy as np
 class CIRKernelBatch:
     """Per-path kernel state in running-shift form.
 
-    ``log_phi`` is log phi at the nodes (nonincreasing when q > 0) and
-    ``f_hat`` is phi^2 F = int psi^2; the raw F(t) = exp(-2 log_phi) f_hat is
-    never materialized. The psi-weighted Ito prefix P(t) phi(t) =
+    ``psi_step`` holds the one-step ratios exp(log phi(t_{j+1}) - log phi(t_j))
+    and ``f_hat`` is phi^2 F = int psi^2; the raw F(t) = exp(-2 log_phi) f_hat is
+    never materialized. log phi itself is not kept: ``log_phi_nodes(batch, q)``
+    recomputes it. The psi-weighted Ito prefix P(t) phi(t) =
     int_0^t psi_{h,t} dW_h is only needed in term A, so the sweep that builds
     it reduces it at once: ``ito_psi_prefix`` is the per-path trapezoid sum
     of sqrt(Z_t) P(t) phi(t). The (P, n+1) fields are transposed views of
@@ -77,7 +80,6 @@ class CIRKernelBatch:
     """
 
     q: float
-    log_phi: np.ndarray        # (P, n+1)
     psi_step: np.ndarray       # (P, n)  one-step ratios psi_{t_j, t_{j+1}}
     f_hat: np.ndarray          # (P, n+1)
     ito_psi_prefix: np.ndarray # (P,)  sum_j w_j sqrt(Z_j) P(t_j) phi(t_j)
@@ -119,6 +121,8 @@ def cir_kernel(batch, params):
 
     One forward sweep over time-major rows builds f_hat and folds the strict
     prefix Atil_j and the Ito prefix into their per-path sums as it goes.
+    log phi is formed whole only to take its one-step ratios psi_step, and
+    is released before the sweep.
     """
     grid = batch.grid
     dt = grid.dt
@@ -129,6 +133,7 @@ def cir_kernel(batch, params):
     q = q_constant(params)
     log_phi = _time_major(log_phi_nodes(batch, q))
     psi_step = np.diff(log_phi, axis=0)
+    del log_phi
     np.exp(psi_step, out=psi_step)
 
     z = _time_major(batch.states)
@@ -163,8 +168,8 @@ def cir_kernel(batch, params):
 
     I = 2.0 * i_cross + i_diag
     bad = ~(I > 0) | ~np.isfinite(I)
-    return CIRKernelBatch(q=q, log_phi=log_phi.T, psi_step=psi_step.T, f_hat=f_hat.T,
-                          ito_psi_prefix=ito, I=I, bad=bad)
+    return CIRKernelBatch(q=q, psi_step=psi_step.T, f_hat=f_hat.T, ito_psi_prefix=ito,
+                          I=I, bad=bad)
 
 
 def skorokhod_weight_cir(batch, params, kernel=None):
@@ -246,7 +251,7 @@ def skorokhod_weight_cir(batch, params, kernel=None):
 
     I_safe = np.where(kernel.bad, 1.0, kernel.I)
     term_ito = (T / k) * kernel.ito_psi_prefix / I_safe
-    term_trace = 0.5 * T * (w @ f_hat) / I_safe
+    term_trace = 0.5 * T * np.einsum("jp,j->p", f_hat, w) / I_safe
     term_dphi = q * T * c2 / I_safe
     term_denom = T * c3 / I_safe**2
 

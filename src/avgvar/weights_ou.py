@@ -88,7 +88,7 @@ def denominator_g(nu_vals, grid, alpha):
     wf = w * f
     u_excl = np.zeros_like(f)
     np.cumsum(wf[:, :-1] * A[:-1], axis=1, out=u_excl[:, 1:])
-    s_sep = wf @ E
+    s_sep = np.einsum("pj,j->p", wf, E)
     first = 2.0 * np.sum(wf * E * u_excl, axis=1) + np.sum((wf * f) * w, axis=1)
     return first - s_sep**2
 
@@ -107,7 +107,8 @@ def c_of_h(nu_vals, nu_prime_vals, grid, alpha):
     By Fubini the h-cut only restricts the t2 variable, so with
     kappa(t2) = int_0^T K(t1, t2) nu(Y_t1) dt1 one suffix sweep gives
     C(h) = int_h^T e^{-a t2} nu'(Y_t2) kappa(t2) dt2. kappa itself comes
-    from one forward and one backward prefix sum.
+    from one forward and one backward prefix sum. Both sweeps run in place,
+    so at most three whole arrays are live besides the inputs.
     """
     f = np.atleast_2d(nu_vals)
     g = np.atleast_2d(nu_prime_vals)
@@ -117,15 +118,28 @@ def c_of_h(nu_vals, nu_prime_vals, grid, alpha):
     A = np.exp(alpha * t)
 
     wf = w * f
-    u_incl = np.cumsum(wf * A, axis=1)
-    v_excl = np.zeros_like(f)
-    np.cumsum((wf * E)[:, :0:-1], axis=1, out=v_excl[:, -2::-1])
-    s_sep = wf @ E
-    kappa = E * u_incl + A * v_excl - E * s_sep[:, None]
+    kappa = wf * A
+    np.cumsum(kappa, axis=1, out=kappa)  # u_incl, becomes kappa
+    # v[:, j] = wf_{j+1} E_{j+1}, so the reversed in-place cumsum reads each
+    # element before it writes it and yields the strict suffix v_excl
+    v = np.empty_like(kappa)
+    np.multiply(wf[:, 1:], E[1:], out=v[:, :-1])
+    v[:, -1] = 0.0
+    s_sep = np.einsum("pj,j->p", wf, E)
+    del wf
+    np.cumsum(v[:, ::-1], axis=1, out=v[:, ::-1])
+    kappa *= E
+    v *= A
+    kappa += v  # E u_incl + A v_excl
+    np.multiply(E, s_sep[:, None], out=v)
+    kappa -= v
 
-    s = w * E * g * kappa
-    prefix = np.cumsum(s, axis=1)
-    return prefix[:, -1:] - prefix  # masked suffix: C[l] = sum_{j>l} s_j, C[n] = 0
+    np.multiply(w * E, g, out=v)
+    kappa *= v  # s = w E g kappa
+    del v
+    np.cumsum(kappa, axis=1, out=kappa)
+    # masked suffix: C[l] = sum_{j>l} s_j, C[n] = 0
+    return np.subtract(kappa[:, -1:].copy(), kappa, out=kappa)
 
 
 def skorokhod_weight_ou(batch, params):
@@ -154,6 +168,7 @@ def skorokhod_weight_ou(batch, params):
 
     eta = eta_nodes(f, grid, alpha, k, G_safe)
     term_ito = np.sum(w * eta * batch.ito_prefix, axis=1)
+    del eta
 
     C = c_of_h(f, g, grid, alpha)
 
@@ -165,16 +180,18 @@ def skorokhod_weight_ou(batch, params):
     r1[1:] = 0.5 * dt + dt * cum_q[1:]
 
     qc = q_nodes * C
-    cum_qc = np.zeros_like(C)
+    del C
+    cum_qc = np.zeros_like(qc)
     np.cumsum(qc[:, 1:-1], axis=1, out=cum_qc[:, 2:])
-    r2 = np.zeros_like(C)
+    r2 = np.zeros_like(qc)
     r2[:, 1:] = 0.5 * dt * qc[:, :1] + dt * cum_qc[:, 1:] + 0.5 * dt * qc[:, 1:]
+    del qc, cum_qc
 
     E = np.exp(-alpha * t)
     scale = alpha * grid.T  # k of D_h Y cancels the 1/k of eta
     inner = scale * E * ((g / G_safe[:, None]) * E * r1
                          - (2.0 * f / G_safe[:, None] ** 2) * r2)
-    term_trace = inner @ w
+    term_trace = np.einsum("pj,j->p", inner, w)
 
     delta = term_ito - term_trace
     bad |= ~np.isfinite(delta)

@@ -24,7 +24,7 @@ from avgvar.density import auto_grid, kde_density, malliavin_density
 from avgvar.reference import cir_weight_triple_sum, g_double_sum, c_double_sum, ou_weight_double_sum
 from avgvar.rng import (NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN,
                         PURPOSE_VOL, NoiseStream)
-from avgvar.weights_cir import cir_kernel, skorokhod_weight_cir
+from avgvar.weights_cir import cir_kernel, log_phi_nodes, skorokhod_weight_cir
 from avgvar.weights_ou import c_of_h, denominator_g, skorokhod_weight_ou
 
 SEED = 20240601
@@ -255,8 +255,9 @@ def test_criterion_12_kernel_oracles(ou_model, cir_model):
     cb = simulate_cir_paths(cir_model, grid, stream, np.arange(5))
     kern = cir_kernel(cb, cir_model.params)
     wcb = skorokhod_weight_cir(cb, cir_model.params, kern)
+    log_phi = log_phi_nodes(cb, kern.q)
     for p in range(5):
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[p], kern.log_phi[p],
+        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[p], log_phi[p],
                                                     cb.dW[p], grid, cir_model.params)
         worst = max(worst,
                     abs(kern.I[p] - i_ref) / i_ref,

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
-                    kde_density, malliavin_density, survival_from_density,
-                    winsorize_weights)
+                    kde_density, malliavin_density, winsorize_weights)
 
 SEED = 20240601
+
+
+def survival_from_density(density, x):
+    """Integral of p_hat from x to the top of the grid (trapezoid)."""
+    xs = density.x_grid
+    mask = xs >= x
+    if mask.sum() < 2:
+        return 0.0
+    return float(np.trapezoid(density.p_hat[mask], xs[mask]))
 
 
 def test_kde_recovers_standard_normal():

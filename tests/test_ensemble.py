@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,24 @@ def test_visited_state_guard_fails_paths_outside_the_probe_grid(compute_weights)
     res = run_ensemble(_flat_above_ten_model(0.0), grid, 500, SEED,
                        compute_weights=compute_weights)
     assert res.n_failures == 0
+
+
+@pytest.mark.parametrize("model_name,budget", [("ou_model", 11.5), ("cir_model", 8.5)])
+def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
+    """The traced peak of one 2048-path chunk at n=512, in whole (P, n+1)
+    float64 arrays. The OU weight builds C(h) in place and drops eta, C, qc
+    and cum_qc as soon as they are used; the CIR kernel drops log phi once
+    psi_step is formed, and F is summed on the time-major states without a
+    path-major copy."""
+    model = request.getfixturevalue(model_name)
+    grid = make_grid(1.0, 512)
+    n_paths = ens_mod.CHUNK
+    run_ensemble(model, grid, n_paths, SEED)  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_ensemble(model, grid, n_paths, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = n_paths * (grid.n_steps + 1) * 8
+    assert peak <= budget * whole, peak / whole

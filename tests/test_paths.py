@@ -6,14 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from avgvar import (InvalidGrid, OUParams, ValidatedOUModel, CIRParams,
-                    ValidatedCIRModel, ito_prefix_sums, make_grid,
-                    ou_paths_from_increments, require_floor_budget,
-                    sample_terminal_asset,
+from avgvar import (FloorSaturation, InvalidGrid, OUParams, ValidatedOUModel,
+                    CIRParams, ValidatedCIRModel, make_grid,
+                    ou_paths_from_increments, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
+from avgvar.paths import FLOOR_RATE_LIMIT
 from avgvar.rng import PURPOSE_VOL, NoiseStream, refine_increments, PURPOSE_BRIDGE
 
 SEED = 20240601
+
+
+def require_floor_budget(batch):
+    """Raise FloorSaturation if any path floored more than 0.1% of its steps.
+
+    The strict single-batch form of the ensemble's per-path floor guard,
+    which marks such paths failed instead of raising.
+    """
+    limit = FLOOR_RATE_LIMIT * batch.grid.n_steps
+    over = batch.floored_steps > limit
+    if np.any(over):
+        worst = int(batch.floored_steps.max())
+        raise FloorSaturation(
+            f"{int(over.sum())} path(s) floored more than {FLOOR_RATE_LIMIT:.1%} "
+            f"of steps (worst {worst}/{batch.grid.n_steps}); grid too coarse")
+    return batch
+
+
+def ito_prefix_sums(dW, integrand_nodes):
+    """Left-point Ito prefix sums P_j = sum_{i<j} f(t_i) dW_i, with P_0 = 0.
+
+    ``integrand_nodes`` must supply f at all n+1 grid nodes (the terminal
+    value is unused, matching the left-point rule); shapes broadcast across
+    a batch of paths.
+    """
+    dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    f = np.atleast_2d(np.asarray(integrand_nodes, dtype=float))
+    if f.shape[-1] != dW.shape[-1] + 1:
+        raise ValueError(
+            f"integrand must have one value per node: got {f.shape[-1]} "
+            f"for {dW.shape[-1]} steps")
+    out = np.zeros((max(dW.shape[0], f.shape[0]), dW.shape[-1] + 1))
+    np.cumsum(f[:, :-1] * dW, axis=1, out=out[:, 1:])
+    return out
 
 
 def test_make_grid_nodes():
@@ -97,7 +131,6 @@ def test_cir_never_floors_in_reference_regime(cir_model):
 
 
 def test_floor_saturation_raises_on_coarse_grid():
-    from avgvar import FloorSaturation, require_floor_budget as req
     # aggressive vol-of-vol on a coarse grid slams into the floor
     params = CIRParams(b=0.05, k=0.3, z0=0.01, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedCIRModel(params=params, density_mode=False)
@@ -105,7 +138,7 @@ def test_floor_saturation_raises_on_coarse_grid():
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(64))
     with pytest.raises(FloorSaturation):
-        req(batch)
+        require_floor_budget(batch)
 
 
 def test_ou_avg_variance_above_lower_bound(ou_model):
@@ -113,6 +146,24 @@ def test_ou_avg_variance_above_lower_bound(ou_model):
     batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
                               np.arange(500))
     assert np.all(batch.avg_variance >= ou_model.vol.lower_bound_c**2)
+
+
+@pytest.mark.parametrize("model_name", ["ou_model", "cir_model"])
+def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
+    """F is the trapezoid sum of sigma^2(Y) (OU) or Z (CIR), whatever the
+    order of summation: each path agrees with math.fsum of its terms."""
+    model = request.getfixturevalue(model_name)
+    grid = make_grid(1.0, 512)
+    stream = NoiseStream(SEED, PURPOSE_VOL)
+    if model_name == "ou_model":
+        batch = simulate_ou_paths(model, grid, stream, np.arange(512))
+        integrand = model.vol.evaluate(batch.states)[0] ** 2
+    else:
+        batch = simulate_cir_paths(model, grid, stream, np.arange(512))
+        integrand = batch.states
+    w = grid.trapezoid_weights
+    exact = np.array([math.fsum(w * row) for row in integrand]) / grid.T
+    assert np.max(np.abs(batch.avg_variance - exact) / exact) <= 1e-14
 
 
 def test_ito_prefix_zero_and_brownian():

@@ -64,7 +64,7 @@ def test_flat_z_f_integral_closed_form(cir_model):
     kern = cir_kernel(batch, cir_model.params)
     gamma = 0.5 + q_constant(cir_model.params)
     closed = (math.exp(2 * gamma) - 1.0) / (2.0 * gamma)
-    f_impl = math.exp(-2.0 * kern.log_phi[0, -1]) * kern.f_hat[0, -1]
+    f_impl = math.exp(-2.0 * log_phi_nodes(batch, kern.q)[0, -1]) * kern.f_hat[0, -1]
     assert f_impl == pytest.approx(closed, rel=1e-4)
     # independent Riemann cross-check of the same integral
     mid = (np.arange(4096) + 0.5) / 4096
@@ -78,11 +78,12 @@ def test_psi_bounds_and_cocycle(cir_model):
                                np.arange(4))
     kern = cir_kernel(batch, cir_model.params)
     assert np.all(kern.psi_step <= 1.0 + 1e-15)
+    log_phi = log_phi_nodes(batch, kern.q)
     rng = np.random.default_rng(0)
     for _ in range(50):
         pth = int(rng.integers(0, 4))
         h, s, t = sorted(rng.integers(0, 257, size=3))
-        lp = kern.log_phi[pth]
+        lp = log_phi[pth]
         lhs = psi_pair(lp, h, t)
         rhs = psi_pair(lp, h, s) * psi_pair(lp, s, t)
         assert abs(lhs - rhs) < 1e-12
@@ -94,11 +95,12 @@ def test_psi_matrix_agrees_with_psi_pair(cir_model):
     grid = make_grid(1.0, 64)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     kern = cir_kernel(batch, cir_model.params)
-    mat = psi_matrix(kern.log_phi[0])
+    lp = log_phi_nodes(batch, kern.q)[0]
+    mat = psi_matrix(lp)
     rng = np.random.default_rng(1)
     for _ in range(50):
         h, t = sorted(rng.integers(0, 65, size=2))
-        assert abs(mat[h, t] - psi_pair(kern.log_phi[0], h, t)) < 1e-12
+        assert abs(mat[h, t] - psi_pair(lp, h, t)) < 1e-12
 
 
 def test_i_scaling_is_exactly_quadratic(cir_model):
@@ -107,8 +109,9 @@ def test_i_scaling_is_exactly_quadratic(cir_model):
     grid = make_grid(1.0, 32)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     kern = cir_kernel(batch, cir_model.params)
-    base = i_triple_sum(batch.states[0], kern.log_phi[0], grid)
-    scaled = i_triple_sum(4.0 * batch.states[0], kern.log_phi[0], grid)
+    lp = log_phi_nodes(batch, kern.q)[0]
+    base = i_triple_sum(batch.states[0], lp, grid)
+    scaled = i_triple_sum(4.0 * batch.states[0], lp, grid)
     assert scaled == pytest.approx(4.0 * base, rel=1e-14)
 
 
@@ -121,9 +124,10 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_decay):
     kern = cir_kernel(batch, model.params)
     wb = skorokhod_weight_cir(batch, model.params, kern)
     assert not wb.bad.any()
+    log_phi = log_phi_nodes(batch, kern.q)
     for p in range(5):
         a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[p], kern.log_phi[p], batch.dW[p], grid, model.params)
+            batch.states[p], log_phi[p], batch.dW[p], grid, model.params)
         assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
         assert abs(wb.term_ito[p] - a) / abs(a) < 1e-8
         assert abs(wb.term_trace[p] - b) / abs(b) < 1e-8
@@ -155,7 +159,7 @@ def test_weight_matches_discrete_divergence(cir_model):
     def zeta_of(dW):
         b = cir_paths_from_increments(cir_model, grid, dW[None, :])
         kern = cir_kernel(b, p)
-        psi = psi_matrix(kern.log_phi[0])
+        psi = psi_matrix(log_phi_nodes(b, kern.q)[0])
         sqrt_z = np.sqrt(b.states[0])
         out = np.empty(n + 1)
         for j in range(n + 1):
@@ -210,14 +214,15 @@ def test_kernel_survives_extreme_log_phi_range():
     batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL),
                                np.arange(2))
     kern = cir_kernel(batch, params)
-    assert -2.0 * kern.log_phi.min() > 709  # naive arithmetic would overflow
+    log_phi = log_phi_nodes(batch, kern.q)
+    assert -2.0 * log_phi.min() > 709  # naive arithmetic would overflow
     wb = skorokhod_weight_cir(batch, params, kern)
     assert not wb.bad.any()
     assert np.all(np.isfinite(wb.delta))
     require_positive_i(kern.I)
     for p in range(2):
         a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[p], kern.log_phi[p], batch.dW[p], grid, params)
+            batch.states[p], log_phi[p], batch.dW[p], grid, params)
         assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
         assert abs(wb.term_denom[p] - c3) / abs(c3) < 1e-8
 

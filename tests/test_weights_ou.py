@@ -49,6 +49,31 @@ def dh_eta_matrix(nu_vals, nu_prime_vals, grid, alpha, k, G, C):
     return scale * E[None, :] * (term1 - term2)
 
 
+def c_of_h_out_of_place(nu_vals, nu_prime_vals, grid, alpha):
+    """Oracle: C(h) with every intermediate a fresh whole array.
+
+    The same operands and operations in the same order as the in-place
+    ``c_of_h``, so the two must agree bit for bit.
+    """
+    f = np.atleast_2d(nu_vals)
+    g = np.atleast_2d(nu_prime_vals)
+    w = grid.trapezoid_weights
+    t = grid.t
+    E = np.exp(-alpha * t)
+    A = np.exp(alpha * t)
+
+    wf = w * f
+    u_incl = np.cumsum(wf * A, axis=1)
+    v_excl = np.zeros_like(f)
+    np.cumsum((wf * E)[:, :0:-1], axis=1, out=v_excl[:, -2::-1])
+    s_sep = np.einsum("pj,j->p", wf, E)
+    kappa = E * u_incl + A * v_excl - E * s_sep[:, None]
+
+    s = w * E * g * kappa
+    prefix = np.cumsum(s, axis=1)
+    return prefix[:, -1:] - prefix
+
+
 def test_flat_nu_matches_closed_form():
     assert psi_closed_form(1.0, 1.0) == pytest.approx(G_FLAT_UNIT, rel=1e-14)
     grid = make_grid(1.0, 2048)
@@ -106,6 +131,19 @@ def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
         c_ref = c_double_sum(nu[p], nup[p], grid64, 1.0)
         scale = np.max(np.abs(c_ref))
         assert np.max(np.abs(c_fast[p] - c_ref)) / scale < 1e-12
+
+
+@pytest.mark.parametrize("n_steps,n_paths", [(64, 5), (512, 300)])
+def test_in_place_c_of_h_matches_out_of_place_bit_for_bit(ou_model, n_steps, n_paths):
+    grid = make_grid(1.0, n_steps)
+    batch = _fixed_batch(ou_model, grid, n_paths=n_paths)
+    nu, nup = batch.nu, batch.nu_prime
+    nu_before, nup_before = nu.copy(), nup.copy()
+    C = c_of_h(nu, nup, grid, 1.0)
+    assert np.array_equal(C, c_of_h_out_of_place(nu, nup, grid, 1.0))
+    assert np.all(C[:, -1] == 0.0)
+    # the sweeps run in their own buffers, never in the inputs
+    assert np.array_equal(nu, nu_before) and np.array_equal(nup, nup_before)
 
 
 def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
