@@ -27,7 +27,7 @@ from .paths import (CIRPathBatch, OUPathBatch, TimeGrid, cir_paths_from_incremen
                     simulate_cir_paths, simulate_ou_paths)
 from .pricing import (PriceEstimate, bs_conditional, martingale_check,
                       price_from_density, price_mixing, price_plain_mc)
-from .rng import NoiseStream, refine_increments
+from .rng import NoiseStream
 from .weights_cir import (CIRKernelBatch, CIRWeightBatch, cir_kernel,
                           skorokhod_weight_cir)
 from .weights_ou import (OUWeightBatch, c_of_h, denominator_g, eta_nodes,

@@ -48,7 +48,7 @@ from .models import (CIRParams, Contract, OUParams, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
 from .paths import make_grid
 from .rng import NAMESPACE_DENSITY, NAMESPACE_MIXING, NAMESPACE_PLAIN
-from .selfcheck import format_table, run_battery
+from .selfcheck import SEED, format_table, run_battery
 
 DEFAULT_DENSITY_STEPS = 512
 DEFAULT_PRICING_STEPS = 256
@@ -281,8 +281,7 @@ def cmd_price(spec, threads):
 
 
 def cmd_selfcheck(args):
-    rows = run_battery(seed=args.seed if args.seed is not None else 20240601,
-                       threads=args.threads)
+    rows = run_battery(seed=SEED if args.seed is None else args.seed, threads=args.threads)
     print(format_table(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_SELFCHECK
 

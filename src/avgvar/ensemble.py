@@ -53,7 +53,6 @@ def summarize(values):
 
 @dataclass
 class EnsembleResult:
-    model_tag: str              # "ou" | "cir"
     avg_variance: np.ndarray    # (N,)
     weight: np.ndarray | None   # (N,) NaN on failed paths
     denominator: np.ndarray | None  # (N,) G or I
@@ -152,7 +151,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         for lo in starts:
             work(lo)
 
-    result = EnsembleResult(model_tag=tag, avg_variance=avg_variance,
+    result = EnsembleResult(avg_variance=avg_variance,
                             weight=weight, denominator=denom,
                             terminal_state=terminal_state,
                             terminal_asset=terminal_asset, failed=failed,

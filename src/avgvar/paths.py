@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGrid
-from .rng import PURPOSE_ASSET, NoiseStream
 
 Z_FLOOR = 1e-12
 FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
@@ -122,6 +121,7 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
     y[:, 0] = p.y0
     for j in range(n):
         y[:, j + 1] = y[:, j] * decay + step_sd * xi[:, j]
+    del xi
 
     # one volatility pass, reduced at once to what the guard and weight use
     sig, sig_p, sig_pp = model.vol.evaluate(y)
@@ -134,7 +134,7 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
     del sig, sig_p, sig_pp
 
     exp_ah = np.exp(p.alpha * grid.t[:n])
-    ito_prefix = np.zeros((xi.shape[0], n + 1))
+    ito_prefix = np.zeros((dW.shape[0], n + 1))
     np.cumsum(exp_ah * dW, axis=1, out=ito_prefix[:, 1:])
 
     if path_indices is None:
@@ -158,9 +158,9 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False):
     With k = 0 the recursion degenerates to the deterministic decay
     Y_{t_i} = y0 e^{-alpha t_i} exactly.
     """
-    xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
-    return ou_paths_from_increments(model, grid, xi * np.sqrt(grid.dt),
-                                    path_indices=path_indices)
+    dW = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
+    np.multiply(dW, np.sqrt(grid.dt), out=dW)  # the normals become dW in place
+    return ou_paths_from_increments(model, grid, dW, path_indices=path_indices)
 
 
 def cir_paths_from_increments(model, grid, dW, path_indices=None):
@@ -235,8 +235,3 @@ def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic
     T = params.T
     return params.s0 * np.exp(params.r * T - 0.5 * avg_variance * T
                               + sig_bar * np.sqrt(T) * xi)
-
-
-def asset_stream(seed, namespace=0):
-    """The noise stream for terminal-asset draws (purpose tag PURPOSE_ASSET)."""
-    return NoiseStream(seed, PURPOSE_ASSET, namespace=namespace)

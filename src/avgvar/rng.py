@@ -13,6 +13,7 @@ Purpose tags keep logically distinct draws from colliding:
     PURPOSE_VOL    volatility-driver increments
     PURPOSE_ASSET  terminal asset normal (independent of the vol driver)
     PURPOSE_BRIDGE + level   Brownian-bridge refinement noise per halving
+                             (reserved for the grid-convergence tests)
 
 Namespaces separate independent ensembles that share a seed (e.g. the
 mixing and plain-MC pricers must not reuse the same volatility paths).
@@ -86,24 +87,3 @@ class NoiseStream:
             else:
                 out[row] = self.normals(idx, count)
         return out
-
-
-def refine_increments(dW, dt, bridge_normals):
-    """One Brownian-bridge halving of Wiener increments.
-
-    Given increments over steps of size ``dt`` and one standard normal per
-    step, returns increments over steps of size ``dt/2`` whose pairwise sums
-    reproduce ``dW`` to floating-point roundoff: the first half-step is
-    dW/2 + sqrt(dt)/2 * z (the conditional law of the midpoint), the second
-    is the remainder.
-    """
-    dW = np.asarray(dW)
-    z = np.asarray(bridge_normals)
-    if z.shape != dW.shape:
-        raise ValueError(f"need one bridge normal per step: {z.shape} vs {dW.shape}")
-    first = 0.5 * dW + 0.5 * np.sqrt(dt) * z
-    second = dW - first
-    fine = np.empty(dW.shape[:-1] + (2 * dW.shape[-1],))
-    fine[..., 0::2] = first
-    fine[..., 1::2] = second
-    return fine

@@ -1,16 +1,16 @@
-"""Self-contained correctness battery, runnable from a fresh checkout.
+"""The correctness battery: one registry of criteria, run at two scales.
 
-Runs the same families of checks as the full acceptance suite but at
-reduced sample sizes (documented per check below), so the whole battery
-finishes in well under a minute single-threaded. Statistical checks use a
-+/- 3.89 SE guard band (two-sided p ~ 1e-4) instead of the acceptance
-suite's 3 SE: at reduced N the Monte Carlo noise dominates discretization
-bias, and the wider band keeps the battery seed-robust without weakening
-any exact (non-statistical) check.
+Each criterion is one function of a CheckContext, registered with the
+names of the rows it returns. ``avgvar selfcheck`` runs the whole registry
+at QUICK scale; ``tests/test_acceptance.py`` runs it at DESK scale, one
+test per criterion. A scale fixes the sample sizes and the statistical
+tolerances. The exact checks are the same at both: kernel oracles within
+1e-8, the constant-volatility price within 1e-9, bit-identical reruns.
 
-Sizes: moments N=20000; duality/density ensembles N=12000 at n=256;
-pricing N=8000 at n=128; kernel oracles at n=64 (exact, 1e-8);
-reproducibility on N=3000 (spans two chunks).
+Statistical checks pass within ``scale.z`` standard errors: 3 at DESK and
+3.89 (two-sided p ~ 1e-4) at QUICK. At QUICK's smaller N the Monte Carlo
+noise dominates the discretization bias, and the wider band keeps the
+battery seed-robust.
 """
 
 import math
@@ -21,20 +21,52 @@ import numpy as np
 from . import pricing
 from .density import auto_grid, kde_density, malliavin_density
 from .ensemble import run_ensemble, summarize
-from .models import (CIRParams, Contract, OUParams, reference_vol_family,
-                     validate_cir, validate_ou)
-from .paths import make_grid
-from .reference import c_double_sum, cir_weight_triple_sum, g_double_sum
+from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
+                     validate_ou)
+from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
+from .reference import (c_double_sum, cir_weight_triple_sum, g_double_sum,
+                        ou_weight_double_sum)
 from .rng import NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN, PURPOSE_VOL, NoiseStream
 from .weights_cir import cir_kernel, log_phi_nodes, skorokhod_weight_cir
-from .weights_ou import c_of_h, denominator_g
-from . import paths as _paths
+from .weights_ou import c_of_h, denominator_g, skorokhod_weight_ou
 
-Z_BAND = 3.89  # two-sided p ~ 1e-4
-
+SEED = 20240601
 OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 CIR_REFERENCE = CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 REFERENCE_VOL = (0.1, 0.1)  # (c, m)
+MODELS = ("ou", "cir")
+STRIKE = 100.0
+ORACLE_STEPS, ORACLE_PATHS = 64, 5
+REPRO_STEPS, REPRO_PATHS = 64, 3000  # two chunks
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Sample sizes and statistical tolerances of one run of the battery."""
+
+    z: float                     # statistical band, in standard errors
+    n_moments: int               # terminal-moment ensembles
+    moment_steps: dict           # their grid steps, per model
+    n_density: int               # weighted ensembles: duality, density, guards
+    density_steps: int
+    mass_band: tuple             # accepted density mass
+    kde_interior: slice          # grid points where Malliavin and KDE must agree
+    survival_percentiles: tuple  # survival probes, as percentiles of F
+    n_price: int                 # mixing and plain pricing ensembles
+    price_steps: int
+    n_martingale: int            # OU plain ensemble of the martingale check
+    n_exact: int                 # constant-volatility sample of the exact price
+
+
+QUICK = Scale(z=3.89, n_moments=20000, moment_steps={"ou": 64, "cir": 256},
+              n_density=20000, density_steps=256, mass_band=(0.90, 1.10),
+              kde_interior=slice(2, -2), survival_percentiles=(20, 40, 60, 80, 95),
+              n_price=8000, price_steps=128, n_martingale=8000, n_exact=200)
+DESK = Scale(z=3.0, n_moments=100000, moment_steps={"ou": 256, "cir": 512},
+             n_density=50000, density_steps=512, mass_band=(0.95, 1.05),
+             kde_interior=slice(10, 31),  # 21 interior points covering the bulk
+             survival_percentiles=(5, 15, 25, 35, 45, 55, 65, 75, 85, 95),
+             n_price=50000, price_steps=256, n_martingale=100000, n_exact=50000)
 
 
 @dataclass
@@ -44,165 +76,189 @@ class CheckResult:
     detail: str
 
 
-def _z(mean, se):
-    return abs(mean) / se if se and se > 0 else math.inf
+class CheckContext:
+    """The scale, seed and threads of one battery run. Ensembles are
+    simulated on first use and shared by every criterion that reads them."""
+
+    def __init__(self, scale, seed=SEED, threads=1):
+        self.scale, self.seed, self.threads = scale, seed, threads
+        self.models = {"ou": validate_ou(OU_REFERENCE, reference_vol_family(*REFERENCE_VOL)),
+                       "cir": validate_cir(CIR_REFERENCE, density_mode=True)}
+        self._cache = {}
+
+    def _once(self, key, make):
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
+    def _ensemble(self, tag, n_paths, steps, **options):
+        model = self.models[tag]
+        return self._once((tag, n_paths, steps, *sorted(options.items())), lambda: run_ensemble(
+            model, make_grid(model.params.T, steps), n_paths, self.seed,
+            threads=self.threads, **options))
+
+    def moments(self, tag):
+        s = self.scale
+        return self._ensemble(tag, s.n_moments, s.moment_steps[tag], namespace=NAMESPACE_MOMENTS,
+                              compute_weights=False, collect_terminal=True)
+
+    def weighted(self, tag):
+        """(ensemble, F, delta, Malliavin density on the 41-point auto grid)."""
+        def make():
+            ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps)
+            f, d = ens.valid_samples()
+            x = auto_grid(f, points=41, lower_bound=self.models[tag].density_lower_bound)
+            return ens, f, d, malliavin_density(f, d, x)
+        return self._once(("weighted", tag), make)
+
+    def mixing(self, tag):
+        s = self.scale
+        return self._ensemble(tag, s.n_price, s.price_steps, namespace=NAMESPACE_MIXING,
+                              compute_weights=False)
+
+    def plain(self, tag):
+        """The plain-MC ensemble. The martingale check reads the OU one at
+        n_martingale paths; the first n_price of them are the pricing run."""
+        s = self.scale
+        n = max(s.n_price, s.n_martingale) if tag == "ou" else s.n_price
+        return self._ensemble(tag, n, s.price_steps, namespace=NAMESPACE_PLAIN,
+                              compute_weights=False, collect_asset=True)
 
 
-def _zcheck(rows, name, values, target=0.0):
+def criterion(*rows):
+    """Name the rows of a check: it takes a CheckContext and returns one
+    (passed, detail) pair per row, in order."""
+    def name_rows(check):
+        check.rows = rows
+        return check
+    return name_rows
+
+
+def _zcheck(ctx, values, target=0.0):
     s = summarize(np.asarray(values) - target)
-    z = _z(s.mean, s.se)
-    rows.append(CheckResult(name, z < Z_BAND,
-                            f"mean {s.mean + target:+.5f} target {target:+.5f} z={z:.2f}"))
+    z = abs(s.mean) / s.se if s.se else math.inf
+    return z < ctx.scale.z, f"mean {s.mean + target:+.5f} target {target:+.5f} z={z:.2f}"
 
 
-def run_battery(seed=20240601, threads=1):
-    """Run every check; returns a list of CheckResult."""
+def _rel(value, ref):
+    return abs(value - ref) / abs(ref)
+
+
+def _quadrature_price(ctx, tag, dens):
+    p = ctx.models[tag].params
+    _, f, d, _ = ctx.weighted(tag)
+    return pricing.price_from_density(dens, STRIKE, p.s0, p.r, p.T, samples=f, weights=d)
+
+
+@criterion("ou_terminal_mean", "ou_terminal_var")
+def ou_moments(ctx):
+    """Terminal mean and variance of Y against the OU transition law."""
+    y, p = ctx.moments("ou").terminal_state, OU_REFERENCE
+    var = p.k**2 / (2 * p.alpha) * (1 - math.exp(-2 * p.alpha * p.T))
+    return [_zcheck(ctx, y, p.y0 * math.exp(-p.alpha * p.T)),
+            _zcheck(ctx, (y - y.mean()) ** 2, var)]
+
+
+@criterion("cir_terminal_mean", "cir_terminal_var")
+def cir_moments(ctx):
+    """Terminal mean and variance of Z against the CIR closed forms."""
+    z, c = ctx.moments("cir").terminal_state, CIR_REFERENCE
+    var = (c.z0 * c.k**2 * (math.exp(-c.T) - math.exp(-2 * c.T))
+           + 0.5 * c.b * c.k**2 * (1 - math.exp(-c.T)) ** 2)
+    return [_zcheck(ctx, z, c.z0 * math.exp(-c.T) + c.b * (1 - math.exp(-c.T))),
+            _zcheck(ctx, (z - z.mean()) ** 2, var)]
+
+
+@criterion("ou_weight_zero_mean", "cir_weight_zero_mean")
+def zero_mean_weights(ctx):
+    """E[delta] = 0."""
+    return [_zcheck(ctx, ctx.weighted(tag)[2]) for tag in MODELS]
+
+
+@criterion("ou_duality_first", "ou_duality_square", "cir_duality_first", "cir_duality_square")
+def duality(ctx):
+    """E[F delta] = 1 and E[F^2 delta] = 2 E[F]."""
     rows = []
-    vol = reference_vol_family(*REFERENCE_VOL)
-    ou = validate_ou(OU_REFERENCE, vol)
-    cir = validate_cir(CIR_REFERENCE, density_mode=True)
+    for tag in MODELS:
+        _, f, d, _ = ctx.weighted(tag)
+        rows += [_zcheck(ctx, f * d, 1.0), _zcheck(ctx, f * f * d - 2 * f)]
+    return rows
 
-    # --- moments against the closed-form driver laws (N=20000) ---
-    res = run_ensemble(ou, make_grid(OU_REFERENCE.T, 64), 20000, seed,
-                       namespace=NAMESPACE_MOMENTS, threads=threads,
-                       compute_weights=False, collect_terminal=True)
-    y_t = res.terminal_state
-    p = OU_REFERENCE
-    mean_target = p.y0 * math.exp(-p.alpha * p.T)
-    var_target = p.k**2 / (2 * p.alpha) * (1 - math.exp(-2 * p.alpha * p.T))
-    _zcheck(rows, "ou_terminal_mean", y_t, mean_target)
-    _zcheck(rows, "ou_terminal_var", (y_t - y_t.mean()) ** 2, var_target)
 
-    res = run_ensemble(cir, make_grid(CIR_REFERENCE.T, 256), 20000, seed,
-                       namespace=NAMESPACE_MOMENTS, threads=threads,
-                       compute_weights=False, collect_terminal=True)
-    z_t = res.terminal_state
-    c = CIR_REFERENCE
-    mean_target = c.z0 * math.exp(-c.T) + c.b * (1 - math.exp(-c.T))
-    var_target = (c.z0 * c.k**2 * (math.exp(-c.T) - math.exp(-2 * c.T))
-                  + 0.5 * c.b * c.k**2 * (1 - math.exp(-c.T)) ** 2)
-    _zcheck(rows, "cir_terminal_mean", z_t, mean_target)
-    _zcheck(rows, "cir_terminal_var", (z_t - z_t.mean()) ** 2, var_target)
+@criterion("ou_density_mass", "cir_density_mass")
+def density_normalization(ctx):
+    """The Malliavin density integrates to 1 within the scale's mass band."""
+    lo, hi = ctx.scale.mass_band
+    masses = [ctx.weighted(tag)[3].normalization for tag in MODELS]
+    return [(lo <= m <= hi, f"mass {m:.4f} (band {lo:.2f}..{hi:.2f} at "
+             f"N={ctx.scale.n_density})") for m in masses]
 
-    # --- duality battery and density diagnostics (N=12000, n=256) ---
-    guards_ok = True
-    ou_density = None  # kept for the price-triangle check below
-    for tag, model in (("ou", ou), ("cir", cir)):
-        ens = run_ensemble(model, make_grid(1.0, 256), 12000, seed, threads=threads)
-        guards_ok &= ens.n_failures == 0
-        f, d = ens.valid_samples()
-        _zcheck(rows, f"{tag}_weight_zero_mean", d)
-        _zcheck(rows, f"{tag}_duality_first", f * d, 1.0)
-        _zcheck(rows, f"{tag}_duality_square", f * f * d - 2 * f)
 
-        grid_x = auto_grid(f, points=41, lower_bound=model.density_lower_bound)
-        dens = malliavin_density(f, d, grid_x)
-        rows.append(CheckResult(f"{tag}_density_mass",
-                                0.90 <= dens.normalization <= 1.10,
-                                f"mass {dens.normalization:.4f} (band 0.90..1.10 at N=12000)"))
-        kde = kde_density(f, grid_x)
-        inner = slice(2, -2)
+@criterion("ou_density_vs_kde", "cir_density_vs_kde")
+def density_vs_kde(ctx):
+    """Malliavin density and KDE agree within z (se_m + se_kde) on the
+    interior of the grid."""
+    rows = []
+    for tag in MODELS:
+        _, f, _, dens = ctx.weighted(tag)
+        kde = kde_density(f, dens.x_grid)
+        inner = ctx.scale.kde_interior
         gap = np.abs(dens.p_hat - kde.p_hat)[inner]
-        tol = Z_BAND * (dens.se + kde.se)[inner]
-        worst = float(np.max(gap - tol))
-        rows.append(CheckResult(f"{tag}_density_vs_kde", bool(np.all(gap <= tol)),
-                                f"max(gap - {Z_BAND}*(se_m+se_kde)) = {worst:+.4f}"))
+        tol = ctx.scale.z * (dens.se + kde.se)[inner]
+        rows.append((bool(np.all(gap <= tol)), f"worst gap/tolerance {np.max(gap / tol):.2f}"))
+    return rows
 
-        # trapezoid of 1{F_i > u} w_i over [x, top] vs the empirical mass of
-        # (x, top] (truncating both sides identically); tolerance is the sum
-        # of the two estimators' SEs. The check grid is finer than the
-        # reporting grid: trapezoid integration of indicator steps has a
-        # deterministic O(h^2) error that must stay far below the noise.
-        worst_ratio = 0.0
-        fine_x = np.linspace(grid_x[0], grid_x[-1], 641)
-        top = fine_x[-1]
-        for x in np.percentile(f, [20, 40, 60, 80, 95]):
-            mask = fine_x >= x
-            if mask.sum() < 2:
+
+@criterion("ou_survival_consistency", "cir_survival_consistency")
+def density_cdf_consistency(ctx):
+    """The trapezoid of 1{F > u} delta over [x, top] against the empirical
+    mass of (x, top], at percentiles x of F; both sides truncate at the grid
+    top. The tolerance is z times the sum of the two estimators' SEs. The
+    check grid is 16x finer than the reporting grid, so the O(h^2) trapezoid
+    error of integrating indicator steps stays far below the noise."""
+    rows = []
+    for tag in MODELS:
+        _, f, d, dens = ctx.weighted(tag)
+        fine = np.linspace(dens.x_grid[0], dens.x_grid[-1], 641)
+        top = fine[-1]
+        worst = 0.0
+        for x in np.percentile(f, ctx.scale.survival_percentiles):
+            u = fine[fine >= x]
+            if u.size < 2:
                 continue
-            int_terms = np.trapezoid((f[:, None] > fine_x[None, mask]) * d[:, None],
-                                     fine_x[mask], axis=1)
+            # 1{F > u} is 1 on the first K nodes, K = #{u_k < F}, so its
+            # trapezoid is the sum of the first K trapezoid weights
+            half = 0.5 * np.diff(u)
+            partial = np.zeros(u.size + 1)
+            partial[1:-1] = half
+            partial[2:] += half
+            np.cumsum(partial, out=partial)
+            int_terms = partial[np.searchsorted(u, f)] * d
             emp_terms = ((f > x) & ~(f > top)).astype(float)
             gap = abs(int_terms.mean() - emp_terms.mean())
-            tol = Z_BAND * (summarize(int_terms).se + summarize(emp_terms).se)
-            worst_ratio = max(worst_ratio, gap / tol)
-        cdf_ok = worst_ratio < 1.0
-        rows.append(CheckResult(f"{tag}_survival_consistency", cdf_ok,
-                                f"worst gap/tolerance over probe points = {worst_ratio:.2f}"))
-        if tag == "ou":
-            ou_density = dens
-            ou_samples, ou_weights = f, d
+            tol = ctx.scale.z * (summarize(int_terms).se + summarize(emp_terms).se)
+            worst = max(worst, gap / tol)
+        rows.append((worst < 1.0, f"worst gap/tolerance over "
+                     f"{len(ctx.scale.survival_percentiles)} probes {worst:.2f}"))
+    return rows
 
-    rows.append(CheckResult("positivity_guards", guards_ok,
-                            "0 guard violations" if guards_ok else "guard violations found"))
 
-    # --- factorized kernels vs brute-force direct sums (n=64, exact) ---
-    grid64 = make_grid(1.0, 64)
-    stream = NoiseStream(seed, PURPOSE_VOL, namespace=NAMESPACE_MOMENTS)
-    ob = _paths.simulate_ou_paths(ou, grid64, stream, np.arange(3))
-    f_nodes, g_nodes = ob.nu, ob.nu_prime
-    worst = 0.0
-    g_fact = denominator_g(f_nodes, grid64, ou.params.alpha)
-    c_fact = c_of_h(f_nodes, g_nodes, grid64, ou.params.alpha)
-    for pth in range(3):
-        g_ref = g_double_sum(f_nodes[pth], grid64, ou.params.alpha)
-        c_ref = c_double_sum(f_nodes[pth], g_nodes[pth], grid64, ou.params.alpha)
-        scale_c = np.max(np.abs(c_ref))
-        worst = max(worst,
-                    abs(g_fact[pth] - g_ref) / g_ref,
-                    float(np.max(np.abs(c_fact[pth] - c_ref))) / scale_c)
-    cb = _paths.simulate_cir_paths(cir, grid64, stream, np.arange(3))
-    kern = cir_kernel(cb, cir.params)
-    wcb = skorokhod_weight_cir(cb, cir.params, kern)
-    log_phi = log_phi_nodes(cb, kern.q)
-    for pth in range(3):
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[pth], log_phi[pth],
-                                                    cb.dW[pth], grid64, cir.params)
-        worst = max(worst,
-                    abs(kern.I[pth] - i_ref) / i_ref,
-                    abs(wcb.term_ito[pth] - a) / abs(a),
-                    abs(wcb.term_trace[pth] - b) / abs(b),
-                    abs(wcb.term_dphi[pth] - c2) / abs(c2),
-                    abs(wcb.term_denom[pth] - c3) / abs(c3))
-    rows.append(CheckResult("kernel_oracles", worst < 1e-8,
-                            f"worst factorized-vs-direct rel err {worst:.2e}"))
-
-    # --- conditional Black-Scholes sanity (exact checks) ---
-    rows.extend(bs_checks())
-
-    # --- price triangle on the OU config (N=8000, n=128) ---
-    contract = Contract(strike=100.0)
-    mix_ens = run_ensemble(ou, make_grid(1.0, 128), 8000, seed,
-                           namespace=NAMESPACE_MIXING, threads=threads,
-                           compute_weights=False)
-    plain_ens = run_ensemble(ou, make_grid(1.0, 128), 8000, seed,
-                             namespace=NAMESPACE_PLAIN, threads=threads,
-                             compute_weights=False, collect_asset=True)
-    p_mix = pricing.price_mixing(np.sqrt(mix_ens.avg_variance), contract.strike,
-                                 ou.params.s0, ou.params.r, ou.params.T)
-    p_plain = pricing.price_plain_mc(plain_ens.terminal_asset, contract.strike,
-                                     ou.params.r, ou.params.T)
-    p_dens = pricing.price_from_density(ou_density, contract.strike,
-                                        ou.params.s0, ou.params.r, ou.params.T,
-                                        samples=ou_samples, weights=ou_weights)
-    tri = (p_mix.overlaps(p_plain) and p_mix.overlaps(p_dens)
-           and p_plain.overlaps(p_dens))
-    rows.append(CheckResult("price_triangle", tri,
-                            f"dq {p_dens.value:.4f} mix {p_mix.value:.4f} "
-                            f"plain {p_plain.value:.4f}"))
-
-    disc = math.exp(-ou.params.r * ou.params.T) * plain_ens.terminal_asset
-    _zcheck(rows, "martingale", disc, ou.params.s0)
-
-    # --- reproducibility: threads and reruns must not move a byte ---
-    a = run_ensemble(ou, make_grid(1.0, 64), 3000, seed, threads=1)
-    b = run_ensemble(ou, make_grid(1.0, 64), 3000, seed, threads=2)
-    c_rerun = run_ensemble(ou, make_grid(1.0, 64), 3000, seed, threads=1)
-    same = (a.weight.tobytes() == b.weight.tobytes() == c_rerun.weight.tobytes()
-            and a.avg_variance.tobytes() == b.avg_variance.tobytes())
-    rows.append(CheckResult("reproducibility", same,
-                            "bit-identical across threads and reruns" if same
-                            else "outputs differ"))
+@criterion("ou_price_triangle", "cir_price_triangle")
+def price_triangle(ctx):
+    """Density quadrature, mixing and plain MC have pairwise overlapping 95%
+    intervals, and |dq - mix| / mix < 2%."""
+    rows = []
+    for tag in MODELS:
+        p = ctx.models[tag].params
+        dq = _quadrature_price(ctx, tag, ctx.weighted(tag)[3])
+        mix = pricing.price_mixing(np.sqrt(ctx.mixing(tag).avg_variance), STRIKE,
+                                   p.s0, p.r, p.T)
+        plain = pricing.price_plain_mc(ctx.plain(tag).terminal_asset[:ctx.scale.n_price],
+                                       STRIKE, p.r, p.T)
+        rel = _rel(dq.value, mix.value)
+        ok = dq.overlaps(mix) and dq.overlaps(plain) and mix.overlaps(plain) and rel < 0.02
+        rows.append((ok, f"dq {dq.value:.4f} mix {mix.value:.4f} plain {plain.value:.4f} "
+                     f"|dq-mix|/mix {rel:.2%}"))
     return rows
 
 
@@ -214,26 +270,120 @@ def _bs_oracle(s0, strike, r, T, sigma):
     return s0 * phi(d1) - strike * math.exp(-r * T) * phi(d2)
 
 
-def bs_checks():
+@criterion("bs_monotone_bounded", "bs_deterministic_vol")
+def deterministic_vol_exactness(ctx):
     """Exact conditional-pricer checks: monotone in sigma, within no-arbitrage
-    bounds, and equal to an independent oracle for constant volatility.
-
-    These go through pricing._phi, so corrupting the normal CDF (fault
-    injection) must flip them to FAIL.
-    """
-    rows = []
-    sig_grid = np.linspace(0.05, 1.0, 40)
-    _, prices = pricing.bs_conditional(sig_grid, 100.0, 100.0, 0.05, 1.0)
+    bounds, and the mixing price of a constant volatility equal to an
+    independent oracle within 1e-9. Both go through pricing._phi, so a
+    corrupted normal CDF turns them to FAIL."""
+    _, prices = pricing.bs_conditional(np.linspace(0.05, 1.0, 40), 100.0, 100.0, 0.05, 1.0)
     mono = bool(np.all(np.diff(prices) > 0))
     lo_bound = max(100.0 - 100.0 * math.exp(-0.05), 0.0)
     bounds = bool(np.all(prices >= lo_bound - 1e-12) and np.all(prices <= 100.0 + 1e-12))
-    rows.append(CheckResult("bs_monotone_bounded", mono and bounds,
-                            f"monotone={mono} bounds={bounds}"))
     oracle = _bs_oracle(100.0, 100.0, 0.05, 1.0, 0.2)
-    mix = pricing.price_mixing(np.full(200, 0.2), 100.0, 100.0, 0.05, 1.0)
-    rows.append(CheckResult("bs_deterministic_vol", abs(mix.value - oracle) < 1e-9,
-                            f"|mixing - oracle| = {abs(mix.value - oracle):.2e}"))
+    mix = pricing.price_mixing(np.full(ctx.scale.n_exact, 0.2), 100.0, 100.0, 0.05, 1.0)
+    gap = abs(mix.value - oracle)
+    return [(mono and bounds, f"monotone={mono} bounds={bounds}"),
+            (gap < 1e-9, f"|mixing - oracle| = {gap:.2e} (oracle {oracle:.6f})")]
+
+
+@criterion("martingale")
+def martingale(ctx):
+    """E[e^{-rT} S_T] = s0 on the OU plain ensemble."""
+    p = OU_REFERENCE
+    return [_zcheck(ctx, math.exp(-p.r * p.T) * ctx.plain("ou").terminal_asset, p.s0)]
+
+
+@criterion("positivity_guards")
+def positivity_guards(ctx):
+    """No path of the weighted ensembles fails a guard, and every weight
+    denominator (G or I) is positive."""
+    ensembles = [ctx.weighted(tag)[0] for tag in MODELS]
+    failures = sum(e.n_failures for e in ensembles)
+    positive = all(bool(np.all(e.denominator > 0)) for e in ensembles)
+    return [(failures == 0 and positive,
+             f"{failures} guard violations in 2 x {ctx.scale.n_density} paths, "
+             f"denominators {'positive' if positive else 'NOT positive'}")]
+
+
+@criterion("kernel_oracles")
+def kernel_oracles(ctx):
+    """Factorized kernels and weight terms against the brute-force direct
+    sums of reference.py, within 1e-8 relative."""
+    grid = make_grid(1.0, ORACLE_STEPS)
+    stream = NoiseStream(ctx.seed, PURPOSE_VOL)
+    idx = np.arange(ORACLE_PATHS)
+    ou, cir = ctx.models["ou"], ctx.models["cir"]
+    alpha, errs = ou.params.alpha, []
+
+    ob = simulate_ou_paths(ou, grid, stream, idx)
+    g_fast = denominator_g(ob.nu, grid, alpha)
+    c_fast = c_of_h(ob.nu, ob.nu_prime, grid, alpha)
+    wb = skorokhod_weight_ou(ob, ou.params)
+    for p in idx:
+        nu, nup = ob.nu[p], ob.nu_prime[p]
+        c_ref = c_double_sum(nu, nup, grid, alpha)
+        ito_ref, trace_ref, _ = ou_weight_double_sum(nu, nup, ob.ito_prefix[p], grid,
+                                                     alpha, ou.params.k)
+        errs += [_rel(g_fast[p], g_double_sum(nu, grid, alpha)),
+                 np.max(np.abs(c_fast[p] - c_ref)) / np.max(np.abs(c_ref)),
+                 _rel(wb.term_ito[p], ito_ref), _rel(wb.term_trace[p], trace_ref)]
+
+    cb = simulate_cir_paths(cir, grid, stream, idx)
+    kern = cir_kernel(cb, cir.params)
+    wcb = skorokhod_weight_cir(cb, cir.params, kern)
+    log_phi = log_phi_nodes(cb, kern.q)
+    for p in idx:
+        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[p], log_phi[p], cb.dW[p],
+                                                    grid, cir.params)
+        errs += [_rel(kern.I[p], i_ref), _rel(wcb.term_ito[p], a), _rel(wcb.term_trace[p], b),
+                 _rel(wcb.term_dphi[p], c2), _rel(wcb.term_denom[p], c3)]
+    worst = float(max(errs))
+    return [(worst < 1e-8, f"worst factorized-vs-direct rel err {worst:.2e}")]
+
+
+@criterion("reproducibility")
+def reproducibility(ctx):
+    """F and delta are bit-identical for one and two threads and a rerun."""
+    ou = ctx.models["ou"]
+    runs = [run_ensemble(ou, make_grid(1.0, REPRO_STEPS), REPRO_PATHS, ctx.seed, threads=t)
+            for t in (1, 2, 1)]
+    same = all(r.weight.tobytes() == runs[0].weight.tobytes()
+               and r.avg_variance.tobytes() == runs[0].avg_variance.tobytes() for r in runs)
+    return [(same, "bit-identical across threads and reruns" if same else "outputs differ")]
+
+
+@criterion("ou_quadrature_convergence", "cir_quadrature_convergence")
+def quadrature_convergence(ctx):
+    """Doubling the density grid (41 -> 81 points) moves the quadrature price
+    by less than half its standard error."""
+    rows = []
+    for tag in MODELS:
+        _, f, d, dens = ctx.weighted(tag)
+        coarse = _quadrature_price(ctx, tag, dens)
+        fine = _quadrature_price(ctx, tag, malliavin_density(
+            f, d, np.linspace(dens.x_grid[0], dens.x_grid[-1], 81)))
+        moved, bound = abs(fine.value - coarse.value), 0.5 * coarse.std_error
+        rows.append((moved < bound, f"|p81 - p41| {moved:.4f} bound {bound:.4f}"))
     return rows
+
+
+# registry order is the acceptance numbering: test_criterion_01_ou_moments, ...
+CRITERIA = (ou_moments, cir_moments, zero_mean_weights, duality, density_normalization,
+            density_vs_kde, density_cdf_consistency, price_triangle,
+            deterministic_vol_exactness, martingale, positivity_guards, kernel_oracles,
+            reproducibility, quadrature_convergence)
+
+
+def run_criterion(check, ctx):
+    return [CheckResult(name, bool(passed), detail)
+            for name, (passed, detail) in zip(check.rows, check(ctx), strict=True)]
+
+
+def run_battery(seed=SEED, threads=1):
+    """Run every criterion at QUICK scale; returns a list of CheckResult."""
+    ctx = CheckContext(QUICK, seed, threads)
+    return [row for check in CRITERIA for row in run_criterion(check, ctx)]
 
 
 def format_table(rows):

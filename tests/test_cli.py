@@ -195,15 +195,19 @@ def test_price_command(tmp_path, capsys):
 
 
 def test_price_outputs_bit_identical_across_threads(tmp_path):
-    # three chunks per ensemble, so two workers split each ensemble
-    cfg = write_config(tmp_path, ensemble={"n_paths": 4500, "seed": 7})
+    # three chunks per ensemble, split between 2 workers or fewer chunks
+    # than workers at 4 and 8
+    cfg = write_config(tmp_path, ensemble={"n_paths": 4500, "seed": 7},
+                       grid={"n_steps": 128, "pricing_n_steps": 128})
     outs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4", "8"):
         out_dir = tmp_path / f"run{threads}"
-        assert cli.main(["price", "--config", cfg, "--threads", threads,
-                         "--out", str(out_dir)]) == 0
-        outs.append((out_dir / "prices.csv").read_bytes())
-    assert outs[0] == outs[1]
+        for command in ("density", "price"):
+            assert cli.main([command, "--config", cfg, "--threads", threads,
+                             "--out", str(out_dir)]) == 0
+        outs.append(b"".join((out_dir / name).read_bytes()
+                             for name in ("density.csv", "weights.csv", "prices.csv")))
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_price_zero_strike_recovers_spot(tmp_path):
@@ -242,12 +246,13 @@ def test_selfcheck_exit_codes(monkeypatch, capsys):
 
 
 def test_corrupted_phi_fails_bs_checks(monkeypatch):
-    """Fault injection: a flat normal CDF must break the monotonicity check."""
-    rows = selfcheck.bs_checks()
-    assert all(r.passed for r in rows)
+    """Fault injection: a flat normal CDF must turn both Black-Scholes rows
+    (monotone/bounds and the constant-volatility oracle) to FAIL."""
+    ctx = selfcheck.CheckContext(selfcheck.QUICK)
+    check = selfcheck.deterministic_vol_exactness
+    assert all(r.passed for r in selfcheck.run_criterion(check, ctx))
     monkeypatch.setattr(pricing, "_phi", lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
-    rows = selfcheck.bs_checks()
-    assert any(not r.passed for r in rows)
+    assert not any(r.passed for r in selfcheck.run_criterion(check, ctx))
 
 
 def test_density_tiny_ensemble_still_exits_zero(tmp_path, capsys):
@@ -311,7 +316,10 @@ def test_density_winsorize_flag(tmp_path):
 def test_selfcheck_real_battery_passes(capsys):
     assert cli.main(["selfcheck", "--threads", "2"]) == 0
     out = capsys.readouterr().out
-    assert "23/23 checks passed" in out
+    names = [name for check in selfcheck.CRITERIA for name in check.rows]
+    assert f"{len(names)}/{len(names)} checks passed" in out
+    assert [line.split()[1] for line in out.splitlines()
+            if line.startswith("PASS")] == names
 
 
 def test_float_serialization_round_trips(tmp_path):

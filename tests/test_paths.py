@@ -11,7 +11,8 @@ from avgvar import (FloorSaturation, InvalidGrid, OUParams, ValidatedOUModel,
                     ou_paths_from_increments, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
 from avgvar.paths import FLOOR_RATE_LIMIT
-from avgvar.rng import PURPOSE_VOL, NoiseStream, refine_increments, PURPOSE_BRIDGE
+from avgvar.rng import PURPOSE_VOL, NoiseStream, PURPOSE_BRIDGE
+from bridge import refine_increments
 
 SEED = 20240601
 

@@ -1,8 +1,8 @@
 import numpy as np
 from numpy.random import Generator, Philox
 
-from avgvar.rng import (PURPOSE_ASSET, PURPOSE_VOL, NoiseStream,
-                        refine_increments)
+from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
+from bridge import refine_increments
 
 
 def test_streams_are_reproducible_and_order_independent():

@@ -7,7 +7,8 @@ from avgvar import (CIRParams, CIRPathBatch, NonPositiveDenominator, make_grid,
                     cir_paths_from_increments, simulate_cir_paths, validate_cir)
 from avgvar.reference import (cir_weight_triple_sum, i_triple_sum, psi_matrix,
                               _suffix_trapezoid_weights)
-from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream, refine_increments
+from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
+from bridge import refine_increments
 from avgvar.weights_cir import (cir_kernel, log_phi_nodes, q_constant,
                                 skorokhod_weight_cir)
 
