@@ -15,9 +15,9 @@ import numpy as np
 
 from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
                     simulate_ou_paths, validate_ou)
-from avgvar.reference import g_double_sum, ou_weight_double_sum
+from avgvar.reference import ou_weight_double_sum
 from avgvar.rng import PURPOSE_VOL, NoiseStream
-from avgvar.weights_ou import denominator_g, eta_nodes, skorokhod_weight_ou
+from avgvar.weights_ou import skorokhod_weight_ou
 
 SEED = 11
 
@@ -29,10 +29,11 @@ grid = make_grid(1.0, 64)
 # --- Part 1: one path, factorized vs brute force -------------------------
 batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
 nu, nup = batch.nu, batch.nu_prime
-wb = skorokhod_weight_ou(batch, model.params)
+p = model.params
+wb = skorokhod_weight_ou(batch, p)
 
-G = denominator_g(nu, grid, model.params.alpha)[0]
-eta = eta_nodes(nu, grid, model.params.alpha, model.params.k, np.array([G]))[0]
+G = wb.G[0]
+eta = (p.alpha * p.T / p.k) * np.exp(-p.alpha * grid.t) * nu[0] / G
 print("one OU path at n = 64:")
 print(f"  averaged variance F = {batch.avg_variance[0]:.5f}")
 print(f"  denominator G       = {G:.6e}  (positive on every valid path)")
@@ -40,12 +41,11 @@ print(f"  eta range           = [{eta.min():.2f}, {eta.max():.2f}]")
 print(f"  weight delta        = {wb.delta[0]:+.4f} "
       f"(ito {wb.term_ito[0]:+.4f} - trace {wb.term_trace[0]:+.4f})")
 
-g_ref = g_double_sum(nu[0], grid, model.params.alpha)
-ito_ref, trace_ref, _ = ou_weight_double_sum(nu[0], nup[0], batch.ito_prefix[0],
-                                             grid, model.params.alpha,
-                                             model.params.k)
+ito_ref, trace_ref, g_ref = ou_weight_double_sum(nu[0], nup[0], batch.dW[0],
+                                                 grid, p.alpha, p.k)
 print(f"  brute-force check   : |G - G_ref|/G = {abs(G - g_ref) / g_ref:.2e}, "
-      f"|ito - ref|/|ref| = {abs(wb.term_ito[0] - ito_ref) / abs(ito_ref):.2e}")
+      f"|ito - ref|/|ref| = {abs(wb.term_ito[0] - ito_ref) / abs(ito_ref):.2e}, "
+      f"|trace - ref|/|ref| = {abs(wb.term_trace[0] - trace_ref) / abs(trace_ref):.2e}")
 
 # --- Part 2: reproducibility ---------------------------------------------
 runs = [run_ensemble(model, grid, 3000, SEED, threads=t) for t in (1, 2, 4)]

@@ -22,7 +22,8 @@ false for pricing-only CIR setups.
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
-E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE);
+E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE,
+and E_INVALID_THREADS for a --threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG);
 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
 ``[avgvar]`` progress lines, E_CONFIG and E_FAILURE_BUDGET to stderr.
@@ -299,7 +300,8 @@ def build_parser():
             sp.add_argument("--config", required=True, help="path to JSON config")
             sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (never changes output bytes)")
+                        help="worker threads, at least 1 (never changes output "
+                             "bytes); below 1 exits 2 with E_INVALID_THREADS")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
 
     sp = sub.add_parser("validate", help="validate a config; exit 0 iff usable")
@@ -315,6 +317,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "validate" and args.threads < 1:
+            raise ValidationError([("E_INVALID_THREADS",
+                                    f"--threads must be >= 1, got {args.threads}")])
         if args.command == "selfcheck":
             return cmd_selfcheck(args)
         spec = parse_config(load_config(args.config), args.command,

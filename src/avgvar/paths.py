@@ -61,10 +61,8 @@ def make_grid(T, n_steps):
 
 @dataclass
 class OUPathBatch:
-    """A batch of OU driver paths with the integrals the weights consume.
+    """A batch of OU driver paths with the node values the weight consumes.
 
-    ``ito_prefix[p, j]`` is the left-point sum of e^{alpha t_i} dW_i over
-    i < j, i.e. the discretized Ito integral of e^{alpha h} up to t_j.
     sigma and its derivatives are evaluated once per batch and reduced at
     once to ``avg_variance``, ``vol_ok`` and the weight's node values
     ``nu`` and ``nu_prime``; the batch keeps no sigma array.
@@ -75,7 +73,6 @@ class OUPathBatch:
     dW: np.ndarray            # (P, n)
     states: np.ndarray        # (P, n+1) Y values
     avg_variance: np.ndarray  # (P,) trapezoid of sigma^2(Y) / T
-    ito_prefix: np.ndarray    # (P, n+1)
     vol_ok: np.ndarray        # (P,) sigma' > 0 and sigma >= c at every node
     nu: np.ndarray            # (P, n+1) sigma * sigma' at the nodes
     nu_prime: np.ndarray      # (P, n+1) sigma'^2 + sigma * sigma'' at the nodes
@@ -133,10 +130,6 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
     nu = sig * sig_p
     del sig, sig_p, sig_pp
 
-    exp_ah = np.exp(p.alpha * grid.t[:n])
-    ito_prefix = np.zeros((dW.shape[0], n + 1))
-    np.cumsum(exp_ah * dW, axis=1, out=ito_prefix[:, 1:])
-
     if path_indices is None:
         path_indices = np.arange(dW.shape[0])
     return OUPathBatch(
@@ -145,7 +138,6 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
         dW=dW,
         states=y,
         avg_variance=avg_variance,
-        ito_prefix=ito_prefix,
         vol_ok=vol_ok,
         nu=nu,
         nu_prime=nu_prime,

@@ -93,8 +93,12 @@ def dh_eta_double_sum(nu_vals, nu_prime_vals, grid, alpha, k, h_index, t_index):
     return scale * np.exp(-alpha * ti) * (first - f[t_index] * corr / G**2)
 
 
-def ou_weight_double_sum(nu_vals, nu_prime_vals, ito_prefix, grid, alpha, k):
-    """Direct evaluation of both OU weight terms for one path."""
+def ou_weight_double_sum(nu_vals, nu_prime_vals, dW, grid, alpha, k):
+    """Direct evaluation of both OU weight terms (and G) for one path.
+
+    The Ito term integrates eta against the left-point prefix
+    sum_{i<j} e^{a t_i} dW_i at every node t_j, built here from ``dW``.
+    """
     f = np.asarray(nu_vals, dtype=float)
     g = np.asarray(nu_prime_vals, dtype=float)
     w = grid.trapezoid_weights
@@ -105,8 +109,10 @@ def ou_weight_double_sum(nu_vals, nu_prime_vals, ito_prefix, grid, alpha, k):
     G = (w * f) @ K @ (w * f)
     scale = alpha * grid.T / k
 
+    ito_prefix = np.zeros(n1)
+    ito_prefix[1:] = np.cumsum(np.exp(alpha * t[:-1]) * np.asarray(dW, dtype=float))
     eta = scale * np.exp(-alpha * t) * f / G
-    term_ito = float(np.sum(w * eta * np.asarray(ito_prefix)))
+    term_ito = float(np.sum(w * eta * ito_prefix))
 
     # D[l, i] from the unreduced chain rule (k carried by D_h Y), then the
     # double trapezoid.

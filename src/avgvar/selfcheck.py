@@ -24,14 +24,16 @@ from .ensemble import run_ensemble, summarize
 from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
 from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
-from .reference import (c_double_sum, cir_weight_triple_sum, g_double_sum,
-                        ou_weight_double_sum)
+from .reference import cir_weight_triple_sum, ou_weight_double_sum
 from .rng import NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN, PURPOSE_VOL, NoiseStream
 from .weights_cir import cir_kernel, log_phi_nodes, skorokhod_weight_cir
-from .weights_ou import c_of_h, denominator_g, skorokhod_weight_ou
+from .weights_ou import skorokhod_weight_ou
 
 SEED = 20240601
 OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+# fast decay: e^{2 alpha t} spans 87 decades, where a cancelling OU trace
+# term would lose its digits
+OU_FAST_DECAY = OUParams(alpha=100.0, k=5.0, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 CIR_REFERENCE = CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 REFERENCE_VOL = (0.1, 0.1)  # (c, m)
 MODELS = ("ou", "cir")
@@ -309,26 +311,24 @@ def positivity_guards(ctx):
 @criterion("kernel_oracles")
 def kernel_oracles(ctx):
     """Factorized kernels and weight terms against the brute-force direct
-    sums of reference.py, within 1e-8 relative."""
+    sums of reference.py, within 1e-8 relative: OU at the reference model
+    and at a fast-decaying one, and CIR."""
     grid = make_grid(1.0, ORACLE_STEPS)
     stream = NoiseStream(ctx.seed, PURPOSE_VOL)
     idx = np.arange(ORACLE_PATHS)
-    ou, cir = ctx.models["ou"], ctx.models["cir"]
-    alpha, errs = ou.params.alpha, []
+    fast = validate_ou(OU_FAST_DECAY, reference_vol_family(*REFERENCE_VOL))
+    errs = []
 
-    ob = simulate_ou_paths(ou, grid, stream, idx)
-    g_fast = denominator_g(ob.nu, grid, alpha)
-    c_fast = c_of_h(ob.nu, ob.nu_prime, grid, alpha)
-    wb = skorokhod_weight_ou(ob, ou.params)
-    for p in idx:
-        nu, nup = ob.nu[p], ob.nu_prime[p]
-        c_ref = c_double_sum(nu, nup, grid, alpha)
-        ito_ref, trace_ref, _ = ou_weight_double_sum(nu, nup, ob.ito_prefix[p], grid,
-                                                     alpha, ou.params.k)
-        errs += [_rel(g_fast[p], g_double_sum(nu, grid, alpha)),
-                 np.max(np.abs(c_fast[p] - c_ref)) / np.max(np.abs(c_ref)),
-                 _rel(wb.term_ito[p], ito_ref), _rel(wb.term_trace[p], trace_ref)]
+    for ou in (ctx.models["ou"], fast):
+        ob = simulate_ou_paths(ou, grid, stream, idx)
+        wb = skorokhod_weight_ou(ob, ou.params)
+        for p in idx:
+            ito_ref, trace_ref, g_ref = ou_weight_double_sum(
+                ob.nu[p], ob.nu_prime[p], ob.dW[p], grid, ou.params.alpha, ou.params.k)
+            errs += [_rel(wb.G[p], g_ref), _rel(wb.term_ito[p], ito_ref),
+                     _rel(wb.term_trace[p], trace_ref)]
 
+    cir = ctx.models["cir"]
     cb = simulate_cir_paths(cir, grid, stream, idx)
     kern = cir_kernel(cb, cir.params)
     wcb = skorokhod_weight_cir(cb, cir.params, kern)

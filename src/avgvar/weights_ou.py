@@ -9,7 +9,8 @@ Writing nu = sigma * sigma', the weight evaluates per path as
 
     eta_t = (a T / k) e^{-a t} nu(Y_t) / G,
 
-    G = int_0^T int_0^T [e^{-a|t1-t2|} - e^{-a(t1+t2)}] nu(Y_t1) nu(Y_t2) dt1 dt2,
+    G = int_0^T int_0^T K(t1, t2) nu(Y_t1) nu(Y_t2) dt1 dt2,
+    K(t1, t2) = e^{-a|t1-t2|} - e^{-a(t1+t2)},
 
 and the stochastic derivative of eta is, by the chain rule with
 D_h Y_t = k e^{-a(t-h)} 1{h<t},
@@ -17,24 +18,42 @@ D_h Y_t = k e^{-a(t-h)} 1{h<t},
     D_h eta_t = a T e^{-a t} [ e^{-a(t-h)} 1{h<t} nu'(Y_t) / G
                                 - nu(Y_t) 2 e^{a h} C(h) / G^2 ],
 
-    C(h) = int_0^T int_h^T K(t1,t2) nu(Y_t1) e^{-a t2} nu'(Y_t2) dt2 dt1,
+    C(h) = int_0^T int_h^T K(t1,t2) nu(Y_t1) e^{-a t2} nu'(Y_t2) dt2 dt1
 
-where K is the bracketed kernel (the two symmetric correction terms of the
-raw chain-rule expression collapse into 2 e^{a h} C(h) because K(t1,t2) is
-symmetric). Note the prefactor a T: the factor k from D_h Y_t cancels the
-1/k in eta. A pathwise finite-difference check of d eta / d(dW) pins this
-scale. K is the covariance kernel (times 2a) of an OU process started at
-0, hence positive semidefinite: G > 0 on every path with nu > 0.
+(the two symmetric correction terms of the raw chain-rule expression
+collapse into 2 e^{a h} C(h) because K is symmetric). The factor k of
+D_h Y_t cancels the 1/k in eta. K is the covariance kernel (times 2a) of an
+OU process started at 0, hence positive semidefinite: G > 0 on every path
+with nu > 0.
 
-Everything here is evaluated in O(n) per path via prefix/suffix sums that
-reproduce, term by term, the trapezoid / masked-sum quadratures of the
-brute-force double sums in ``reference``:
+The quadratures are those of the brute-force double sums in ``reference``:
+trapezoid dt-integrals over all nodes, left-point dW-integrals (strict
+i < j), indicator integrals masked to the strict index range, and inner
+dh-integrals over [0, t] by the trapezoid on the truncated node range.
 
-  * dt-integrals: trapezoid over all nodes,
-  * dW-integrals: left-point masked sums (strict i < j),
-  * indicator integrals like int_h^T: global trapezoid weights masked to
-    the strict index range (the integrand is zero at the boundary node),
-  * inner dh-integrals over [0, t]: trapezoid on the truncated node range.
+Per path they reduce to running sums along the node axis. With the
+trapezoid weights w, wf = w nu, E = e^{-a t}, A = e^{a t} and q = e^{2 a t}:
+
+  * one strict suffix, v_j = sum_{i>j} wf_i E_i, kept as Av = A v;
+  * one prefix, kappa_j = sum_i K(t_i, t_j) wf_i
+                        = E_j (sum_{i<=j} wf_i A_i - s_sep) + Av_j,
+    with s_sep = sum_i wf_i E_i, and then G = sum_j wf_j kappa_j;
+  * the Ito term by Abel summation: sum_j wf_j E_j sum_{i<j} A_i dW_i
+    = sum_i dW_i Av_i, so term_ito = (a T / k) / G * sum_i dW_i Av_i;
+  * the trace term. Swapping the inner dh-trapezoid and the C(h) suffix
+    with the outer sum over t gives trace2 = sum_j s_j Q_j, where
+    s_j = w_j E_j nu'_j kappa_j, Q_j = sum_{l<j} q_l beta_l, and beta_l is
+    the inner-trapezoid mass dt E_l (Av_l + wf_l / 2) for l >= 1 and
+    dt v_0 / 2 for l = 0. With the deterministic R1_i, the [0, t_i]
+    trapezoid of e^{2 a h} with its top node zeroed by the strict
+    indicator, trace1 = sum_i nu'_i w_i E_i^2 R1_i and
+
+        term_trace = a T (trace1 / G - 2 trace2 / G^2).
+
+Q is a prefix sum of nonnegative terms, and neither C(h) nor the trapezoid
+of e^{2 a h} C(h) is formed. C(h) as a total minus a prefix, scaled by
+e^{2 a h}, lost most of its digits at large alpha (10% of the trace term at
+alpha = 100, n = 64).
 
 nu and nu' at the nodes come with the path batch (``batch.nu`` and
 ``batch.nu_prime``): the simulator evaluates sigma, sigma' and sigma'' in
@@ -43,7 +62,7 @@ volatility function.
 
 Unlike the CIR kernel (whose exponent grows with the random path and is
 therefore kept in ratio form), the exponentials here are the deterministic
-e^{+-a t} and e^{2 a h}: they stay in float64 range for a T up to ~350.
+e^{+-a t} and e^{2 a t}: they stay in float64 range for a T up to ~350.
 Beyond that the per-path guards flag nonfinite weights and the ensemble
 aborts loudly rather than returning garbage.
 """
@@ -69,133 +88,70 @@ class OUWeightBatch:
     bad: np.ndarray         # (P,) bool
 
 
-def denominator_g(nu_vals, grid, alpha):
-    """The double-integral denominator G, factorized to O(n) per path.
-
-    Splitting K into the |t1-t2| part and the separable e^{-a(t1+t2)} part,
-    the symmetric double sum reduces to one prefix sweep:
-
-        sum_{i,j} w_i w_j e^{-a|ti-tj|} f_i f_j
-            = 2 sum_j w_j f_j e^{-a tj} (sum_{i<j} w_i f_i e^{a ti})
-              + sum_i w_i^2 f_i^2.
-    """
-    f = np.atleast_2d(nu_vals)
-    w = grid.trapezoid_weights
-    t = grid.t
-    E = np.exp(-alpha * t)
-    A = np.exp(alpha * t)
-
-    wf = w * f
-    u_excl = np.zeros_like(f)
-    np.cumsum(wf[:, :-1] * A[:-1], axis=1, out=u_excl[:, 1:])
-    s_sep = np.einsum("pj,j->p", wf, E)
-    first = 2.0 * np.sum(wf * E * u_excl, axis=1) + np.sum((wf * f) * w, axis=1)
-    return first - s_sep**2
-
-
-def eta_nodes(nu_vals, grid, alpha, k, G):
-    """eta_t = (a T / k) e^{-a t} nu(Y_t) / G at every node."""
-    f = np.atleast_2d(nu_vals)
-    G = np.atleast_1d(G)
-    scale = alpha * grid.T / k
-    return scale * np.exp(-alpha * grid.t) * f / G[:, None]
-
-
-def c_of_h(nu_vals, nu_prime_vals, grid, alpha):
-    """C(h) at every node, O(n) per path.
-
-    By Fubini the h-cut only restricts the t2 variable, so with
-    kappa(t2) = int_0^T K(t1, t2) nu(Y_t1) dt1 one suffix sweep gives
-    C(h) = int_h^T e^{-a t2} nu'(Y_t2) kappa(t2) dt2. kappa itself comes
-    from one forward and one backward prefix sum. Both sweeps run in place,
-    so at most three whole arrays are live besides the inputs.
-    """
-    f = np.atleast_2d(nu_vals)
-    g = np.atleast_2d(nu_prime_vals)
-    w = grid.trapezoid_weights
-    t = grid.t
-    E = np.exp(-alpha * t)
-    A = np.exp(alpha * t)
-
-    wf = w * f
-    kappa = wf * A
-    np.cumsum(kappa, axis=1, out=kappa)  # u_incl, becomes kappa
-    # v[:, j] = wf_{j+1} E_{j+1}, so the reversed in-place cumsum reads each
-    # element before it writes it and yields the strict suffix v_excl
-    v = np.empty_like(kappa)
-    np.multiply(wf[:, 1:], E[1:], out=v[:, :-1])
-    v[:, -1] = 0.0
-    s_sep = np.einsum("pj,j->p", wf, E)
-    del wf
-    np.cumsum(v[:, ::-1], axis=1, out=v[:, ::-1])
-    kappa *= E
-    v *= A
-    kappa += v  # E u_incl + A v_excl
-    np.multiply(E, s_sep[:, None], out=v)
-    kappa -= v
-
-    np.multiply(w * E, g, out=v)
-    kappa *= v  # s = w E g kappa
-    del v
-    np.cumsum(kappa, axis=1, out=kappa)
-    # masked suffix: C[l] = sum_{j>l} s_j, C[n] = 0
-    return np.subtract(kappa[:, -1:].copy(), kappa, out=kappa)
-
-
 def skorokhod_weight_ou(batch, params):
     """Compute the per-path Skorokhod weight for a batch of OU paths.
 
-    The trace term integrates e^{a h} D_h eta_t over the lower triangle
-    h <= t; substituting the two pieces of D_h eta_t gives, per node t_i,
-
-        X_i = a T e^{-a ti} [ (g_i / G) e^{-a ti} R1_i
-                               - (2 f_i / G^2) R2_i ],
-
-    with R1 the [0, t_i]-trapezoid of e^{2 a h} (top node zeroed by the
-    strict indicator) and R2 the [0, t_i]-trapezoid of e^{2 a h} C(h); both
-    are rolling prefix expressions, so the whole weight is O(n) per path.
+    Every term comes from the running sums of the module docstring, built
+    in place in three (P, n+1) buffers: wf (later q beta and Q), Av, and
+    kappa (later s).
     """
     alpha, k = params.alpha, params.k
     grid = batch.grid
     w = grid.trapezoid_weights
     t = grid.t
     dt = grid.dt
+    E = np.exp(-alpha * t)
+    A = np.exp(alpha * t)
+    g = batch.nu_prime
 
-    f, g = batch.nu, batch.nu_prime
-    G = denominator_g(f, grid, alpha)
+    wf = w * batch.nu
+    s_sep = np.einsum("pj,j->p", wf, E)
+    # av[:, j] = wf_{j+1} E_{j+1}, so the reversed in-place cumsum reads each
+    # element before it writes it and yields the strict suffix v
+    av = np.empty_like(wf)
+    np.multiply(wf[:, 1:], E[1:], out=av[:, :-1])
+    av[:, -1] = 0.0
+    np.cumsum(av[:, ::-1], axis=1, out=av[:, ::-1])
+    av *= A  # column 0 is v_0 itself, as A_0 = 1
+    ito_sum = np.einsum("pi,pi->p", batch.dW, av[:, :-1])
+
+    kappa = wf * A
+    np.cumsum(kappa, axis=1, out=kappa)
+    kappa -= s_sep[:, None]
+    kappa *= E
+    kappa += av
+    G = np.einsum("pj,pj->p", wf, kappa)
     bad = ~(G > 0) | ~np.isfinite(G)
     G_safe = np.where(bad, 1.0, G)
 
-    eta = eta_nodes(f, grid, alpha, k, G_safe)
-    term_ito = np.sum(w * eta * batch.ito_prefix, axis=1)
-    del eta
+    # q_l beta_l = dt A_l (Av_l + wf_l / 2) for l >= 1, as q_l E_l = A_l,
+    # and dt v_0 / 2 at l = 0; its inclusive prefix in place, so column
+    # j - 1 holds Q_j
+    wf *= 0.5
+    wf += av
+    wf *= dt * A
+    wf[:, 0] = 0.5 * dt * av[:, 0]
+    del av
+    np.cumsum(wf, axis=1, out=wf)
+    kappa *= g
+    kappa *= w * E  # s
+    trace2 = np.einsum("pj,pj->p", kappa[:, 1:], wf[:, :-1])
+    del wf, kappa
 
-    C = c_of_h(f, g, grid, alpha)
-
-    q_nodes = np.exp(2.0 * alpha * t)
-    # interior prefix sums over l = 1 .. i-1
+    # interior prefix sums of q over l = 1 .. i-1
+    q = np.exp(2.0 * alpha * t)
     cum_q = np.zeros_like(t)
-    np.cumsum(q_nodes[1:-1], out=cum_q[2:])
+    np.cumsum(q[1:-1], out=cum_q[2:])
     r1 = np.zeros_like(t)
     r1[1:] = 0.5 * dt + dt * cum_q[1:]
+    trace1 = np.einsum("pj,j->p", g, w * E * E * r1)
 
-    qc = q_nodes * C
-    del C
-    cum_qc = np.zeros_like(qc)
-    np.cumsum(qc[:, 1:-1], axis=1, out=cum_qc[:, 2:])
-    r2 = np.zeros_like(qc)
-    r2[:, 1:] = 0.5 * dt * qc[:, :1] + dt * cum_qc[:, 1:] + 0.5 * dt * qc[:, 1:]
-    del qc, cum_qc
-
-    E = np.exp(-alpha * t)
     scale = alpha * grid.T  # k of D_h Y cancels the 1/k of eta
-    inner = scale * E * ((g / G_safe[:, None]) * E * r1
-                         - (2.0 * f / G_safe[:, None] ** 2) * r2)
-    term_trace = np.einsum("pj,j->p", inner, w)
+    term_ito = (scale / k) * ito_sum / G_safe
+    term_trace = scale * (trace1 / G_safe - 2.0 * trace2 / G_safe**2)
 
     delta = term_ito - term_trace
     bad |= ~np.isfinite(delta)
     delta = np.where(bad, np.nan, delta)
     return OUWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
                          G=G, bad=bad)
-

@@ -144,6 +144,23 @@ def test_malformed_config_fails_before_simulating(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", ["density", "price", "selfcheck"])
+def test_threads_below_one_fail_before_simulating(tmp_path, capsys, monkeypatch,
+                                                  command, threads):
+    def no_run(*args, **kwargs):
+        raise AssertionError("work started before --threads was rejected")
+    monkeypatch.setattr(cli, "run_ensemble", no_run)
+    monkeypatch.setattr(cli, "run_battery", no_run)
+    argv = [command, "--threads", threads]
+    if command != "selfcheck":
+        argv += ["--config", write_config(tmp_path)]
+    assert cli.main(argv) == 2
+    assert (f"E_INVALID_THREADS --threads must be >= 1, got {threads}"
+            in capsys.readouterr().out.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
 def test_density_validation_failure_writes_nothing(tmp_path):
     cfg = write_config(tmp_path, **cir_overrides(k=1.2))
     assert cli.main(["density", "--config", cfg]) == 2

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from avgvar import (NonPositiveDenominator, make_grid, ou_paths_from_increments,
-                    simulate_ou_paths)
+from avgvar import (NonPositiveDenominator, OUParams, make_grid,
+                    ou_paths_from_increments, simulate_ou_paths, validate_ou)
 from avgvar.reference import (c_double_sum, dh_eta_double_sum, g_double_sum,
                               ou_weight_double_sum, psi_closed_form)
 from avgvar.rng import PURPOSE_VOL, NoiseStream
-from avgvar.weights_ou import c_of_h, denominator_g, eta_nodes, skorokhod_weight_ou
+from avgvar.weights_ou import skorokhod_weight_ou
+from ou_three_kernel import c_of_h, eta_nodes, weight_terms
 
 SEED = 20240601
 
@@ -49,35 +51,29 @@ def dh_eta_matrix(nu_vals, nu_prime_vals, grid, alpha, k, G, C):
     return scale * E[None, :] * (term1 - term2)
 
 
-def c_of_h_out_of_place(nu_vals, nu_prime_vals, grid, alpha):
-    """Oracle: C(h) with every intermediate a fresh whole array.
-
-    The same operands and operations in the same order as the in-place
-    ``c_of_h``, so the two must agree bit for bit.
-    """
-    f = np.atleast_2d(nu_vals)
-    g = np.atleast_2d(nu_prime_vals)
-    w = grid.trapezoid_weights
-    t = grid.t
-    E = np.exp(-alpha * t)
-    A = np.exp(alpha * t)
-
-    wf = w * f
-    u_incl = np.cumsum(wf * A, axis=1)
-    v_excl = np.zeros_like(f)
-    np.cumsum((wf * E)[:, :0:-1], axis=1, out=v_excl[:, -2::-1])
-    s_sep = np.einsum("pj,j->p", wf, E)
-    kappa = E * u_incl + A * v_excl - E * s_sep[:, None]
-
-    s = w * E * g * kappa
-    prefix = np.cumsum(s, axis=1)
-    return prefix[:, -1:] - prefix
+def _ou_model(alpha, vol):
+    """An OU model with k = 0.5 sqrt(alpha), the reference one at alpha = 1."""
+    return validate_ou(OUParams(alpha=alpha, k=0.5 * math.sqrt(alpha), y0=0.0,
+                                s0=100.0, r=0.05, mu=0.05, T=1.0), vol)
 
 
-def test_flat_nu_matches_closed_form():
+def _fixed_batch(ou_model, grid, n_paths=5):
+    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
+                             np.arange(n_paths))
+
+
+def _weight_with_nu(ou_model, grid, nu):
+    """The weight of simulated paths whose node values nu are replaced (and
+    nu' zeroed); G depends on nu alone."""
+    batch = dataclasses.replace(_fixed_batch(ou_model, grid, n_paths=nu.shape[0]),
+                                nu=nu, nu_prime=np.zeros_like(nu))
+    return skorokhod_weight_ou(batch, ou_model.params)
+
+
+def test_flat_nu_matches_closed_form(ou_model):
     assert psi_closed_form(1.0, 1.0) == pytest.approx(G_FLAT_UNIT, rel=1e-14)
     grid = make_grid(1.0, 2048)
-    g_trap = denominator_g(np.ones((1, 2049)), grid, 1.0)[0]
+    g_trap = _weight_with_nu(ou_model, grid, np.ones((1, 2049))).G[0]
     assert g_trap == pytest.approx(G_FLAT_UNIT, rel=1e-4)
     # independent route: plain Riemann double sum on midpoints
     mid = (np.arange(2048) + 0.5) / 2048
@@ -86,27 +82,25 @@ def test_flat_nu_matches_closed_form():
     assert riemann == pytest.approx(G_FLAT_UNIT, rel=1e-4)
 
 
-def test_zero_nu_gives_zero_g():
-    grid = make_grid(1.0, 64)
-    g = denominator_g(np.zeros((1, 65)), grid, 1.0)
-    assert g[0] == 0.0
+def test_zero_nu_gives_zero_g(ou_model, grid64):
+    wb = _weight_with_nu(ou_model, grid64, np.zeros((1, 65)))
+    assert wb.G[0] == 0.0
+    assert wb.bad[0] and np.isnan(wb.delta[0])
     with pytest.raises(NonPositiveDenominator):
-        require_positive_g(g)
+        require_positive_g(wb.G)
 
 
 def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
-    batch = simulate_ou_paths(ou_model, grid64, NoiseStream(SEED, PURPOSE_VOL),
-                              np.arange(4))
-    nu = batch.nu
-    g1 = denominator_g(nu, grid64, 1.0)
-    g2 = denominator_g(2.0 * nu, grid64, 1.0)
+    nu = _fixed_batch(ou_model, grid64, n_paths=4).nu
+    g1 = _weight_with_nu(ou_model, grid64, nu).G
+    g2 = _weight_with_nu(ou_model, grid64, 2.0 * nu).G
     assert np.array_equal(g2, 4.0 * g1)  # powers of two: exact in float
 
 
-def test_eta_flat_nu_profile():
+def test_eta_flat_nu_profile(ou_model):
     grid = make_grid(1.0, 2048)
     nu = np.ones((1, 2049))
-    g = denominator_g(nu, grid, 1.0)
+    g = _weight_with_nu(ou_model, grid, nu).G
     eta = eta_nodes(nu, grid, 1.0, 0.5, g)
     # (alpha T / k) e^{-t} / G = 2 e^{-t} / G with the recomputed G
     assert eta[0, 0] == pytest.approx(2.0 / G_FLAT_UNIT, rel=1e-4)
@@ -115,15 +109,11 @@ def test_eta_flat_nu_profile():
     assert np.all(eta > 0)
 
 
-def _fixed_batch(ou_model, grid, n_paths=5):
-    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                             np.arange(n_paths))
-
-
 def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
+    """The weight's G, and the C(h) of the three-kernel oracle."""
     batch = _fixed_batch(ou_model, grid64)
     nu, nup = batch.nu, batch.nu_prime
-    g_fast = denominator_g(nu, grid64, 1.0)
+    g_fast = skorokhod_weight_ou(batch, ou_model.params).G
     c_fast = c_of_h(nu, nup, grid64, 1.0)
     for p in range(5):
         g_ref = g_double_sum(nu[p], grid64, 1.0)
@@ -133,17 +123,23 @@ def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
         assert np.max(np.abs(c_fast[p] - c_ref)) / scale < 1e-12
 
 
-@pytest.mark.parametrize("n_steps,n_paths", [(64, 5), (512, 300)])
-def test_in_place_c_of_h_matches_out_of_place_bit_for_bit(ou_model, n_steps, n_paths):
-    grid = make_grid(1.0, n_steps)
-    batch = _fixed_batch(ou_model, grid, n_paths=n_paths)
-    nu, nup = batch.nu, batch.nu_prime
-    nu_before, nup_before = nu.copy(), nup.copy()
-    C = c_of_h(nu, nup, grid, 1.0)
-    assert np.array_equal(C, c_of_h_out_of_place(nu, nup, grid, 1.0))
-    assert np.all(C[:, -1] == 0.0)
-    # the sweeps run in their own buffers, never in the inputs
-    assert np.array_equal(nu, nu_before) and np.array_equal(nup, nup_before)
+@pytest.mark.parametrize("alpha", [0.05, 1.0])
+def test_weight_matches_three_kernel_route(alpha, ref_vol):
+    """Where C(h) as a total minus a prefix keeps its digits (small alpha),
+    the running sums agree with the route through G, eta and C(h)."""
+    model = _ou_model(alpha, ref_vol)
+    batch = _fixed_batch(model, make_grid(1.0, 512), n_paths=300)
+    nu_before, nup_before = batch.nu.copy(), batch.nu_prime.copy()
+    wb = skorokhod_weight_ou(batch, model.params)
+    ito, trace, G = weight_terms(batch, model.params)
+    size = np.abs(ito) + np.abs(trace)
+    assert np.max(np.abs(wb.term_ito - ito) / size) <= 1e-12
+    assert np.max(np.abs(wb.term_trace - trace) / size) <= 1e-12
+    assert np.max(np.abs(wb.delta - (ito - trace)) / size) <= 1e-12
+    assert np.max(np.abs(wb.G - G) / G) <= 1e-12
+    # the sums run in their own buffers, never in the inputs
+    assert np.array_equal(batch.nu, nu_before)
+    assert np.array_equal(batch.nu_prime, nup_before)
 
 
 def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
@@ -152,8 +148,8 @@ def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
     p = ou_model.params
     rng = np.random.default_rng(1)
     for pth in range(2):
-        G = denominator_g(nu[[pth]], grid64, p.alpha)[0]
-        C = c_of_h(nu[[pth]], nup[[pth]], grid64, p.alpha)[0]
+        G = g_double_sum(nu[pth], grid64, p.alpha)
+        C = c_double_sum(nu[pth], nup[pth], grid64, p.alpha)
         D = dh_eta_matrix(nu[pth], nup[pth], grid64, p.alpha, p.k, G, C)
         scale = np.max(np.abs(D))
         for _ in range(20):
@@ -167,21 +163,23 @@ def test_dh_eta_indicator_zone(ou_model, grid64):
     # with the correction frozen to zero (C == 0), D_h eta_t vanishes for h >= t
     batch = _fixed_batch(ou_model, grid64, n_paths=1)
     nu, nup = batch.nu, batch.nu_prime
-    G = denominator_g(nu, grid64, 1.0)[0]
+    G = g_double_sum(nu[0], grid64, 1.0)
     D = dh_eta_matrix(nu[0], nup[0], grid64, 1.0, 0.5, G, np.zeros(65))
     upper = np.triu_indices(65)  # l >= i
     assert np.all(D[upper[0], upper[1]][upper[0] >= upper[1]] == 0.0)
     assert np.any(D != 0.0)
 
 
-def test_weight_terms_match_brute_force(ou_model, grid64):
-    batch = _fixed_batch(ou_model, grid64)
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 30.0, 100.0])
+def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
+    model = _ou_model(alpha, ref_vol)
+    batch = _fixed_batch(model, grid64)
     nu, nup = batch.nu, batch.nu_prime
-    wb = skorokhod_weight_ou(batch, ou_model.params)
+    wb = skorokhod_weight_ou(batch, model.params)
     assert not wb.bad.any()
     for p in range(5):
         ito_ref, trace_ref, g_ref = ou_weight_double_sum(
-            nu[p], nup[p], batch.ito_prefix[p], grid64, 1.0, 0.5)
+            nu[p], nup[p], batch.dW[p], grid64, alpha, model.params.k)
         assert abs(wb.term_ito[p] - ito_ref) / abs(ito_ref) < 1e-12
         assert abs(wb.term_trace[p] - trace_ref) / abs(trace_ref) < 1e-12
         assert abs(wb.G[p] - g_ref) / g_ref < 1e-12
@@ -197,13 +195,12 @@ def test_dh_eta_matches_pathwise_finite_differences(ou_model):
 
     def eta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        nu = b.nu
-        G = denominator_g(nu, grid, p.alpha)
-        return eta_nodes(nu, grid, p.alpha, p.k, G)[0]
+        G = skorokhod_weight_ou(b, p).G
+        return eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
 
     nu, nup = batch.nu, batch.nu_prime
-    G = denominator_g(nu, grid, p.alpha)[0]
-    C = c_of_h(nu, nup, grid, p.alpha)[0]
+    G = g_double_sum(nu[0], grid, p.alpha)
+    C = c_double_sum(nu[0], nup[0], grid, p.alpha)
     D = dh_eta_matrix(nu[0], nup[0], grid, p.alpha, p.k, G, C)
 
     eps = 1e-5
@@ -236,9 +233,8 @@ def test_weight_matches_discrete_divergence(ou_model):
 
     def zeta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        nu = b.nu
-        G = denominator_g(nu, grid, p.alpha)
-        eta = eta_nodes(nu, grid, p.alpha, p.k, G)[0]
+        G = skorokhod_weight_ou(b, p).G
+        eta = eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
         out = np.empty(n + 1)
         for l in range(n + 1):
             w_l = np.full(n + 1, grid.dt)
