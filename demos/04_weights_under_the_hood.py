@@ -32,7 +32,7 @@ nu, nup = batch.nu, batch.nu_prime
 p = model.params
 wb = skorokhod_weight_ou(batch, p)
 
-G = wb.G[0]
+G = wb.denominator[0]
 eta = (p.alpha * p.T / p.k) * np.exp(-p.alpha * grid.t) * nu[0] / G
 print("one OU path at n = 64:")
 print(f"  averaged variance F = {batch.avg_variance[0]:.5f}")

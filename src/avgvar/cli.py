@@ -54,8 +54,8 @@ from .selfcheck import SEED, format_table, run_battery
 DEFAULT_DENSITY_STEPS = 512
 DEFAULT_PRICING_STEPS = 256
 LOW_SAMPLE_THRESHOLD = 1000
-# above this alpha*dt the OU weight's bias in mean(F delta), about
-# 12 alpha dt, reaches 0.12 (README, "Grid resolution")
+# above this alpha*dt the OU weight's bias in mean(F delta), measured at
+# 5 to 26 alpha dt, reaches 0.05 to 0.26 (README, "Grid resolution" table)
 ALPHA_DT_THRESHOLD = 0.01
 
 EXIT_OK = 0
@@ -229,7 +229,7 @@ def _density_stage(spec, threads):
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
         print(f"W_ALPHA_DT alpha*dt={_fmt(rate * result.grid.dt)} > {ALPHA_DT_THRESHOLD}; "
-              "the OU weight is biased by about 12*alpha*dt in mean(F*delta)")
+              "the OU weight is biased in mean(F*delta); see README, Grid resolution")
     if spec.n_paths < LOW_SAMPLE_THRESHOLD:
         print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")

@@ -55,7 +55,7 @@ def summarize(values):
 class EnsembleResult:
     avg_variance: np.ndarray    # (N,)
     weight: np.ndarray | None   # (N,) NaN on failed paths
-    denominator: np.ndarray | None  # (N,) G or I
+    denominator: np.ndarray | None  # (N,) the weight's denominator, G or I
     terminal_state: np.ndarray | None
     terminal_asset: np.ndarray | None
     failed: np.ndarray          # (N,) bool
@@ -78,12 +78,13 @@ class EnsembleResult:
         return self.avg_variance[m], w
 
 
-def _model_tag(model):
-    if isinstance(model, ValidatedOUModel):
-        return "ou"
-    if isinstance(model, ValidatedCIRModel):
-        return "cir"
-    raise TypeError(f"not a validated model: {model!r}")
+# the simulator and weight of each model, looked up by name when an
+# ensemble starts, so that a rebinding of these module globals (a tracer, a
+# test double) is the one that runs
+_DRIVERS = {
+    ValidatedOUModel: lambda: (_paths.simulate_ou_paths, skorokhod_weight_ou),
+    ValidatedCIRModel: lambda: (_paths.simulate_cir_paths, skorokhod_weight_cir),
+}
 
 
 def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
@@ -96,7 +97,10 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     independent asset stream (used by the plain-MC pricer and the
     martingale diagnostic).
     """
-    tag = _model_tag(model)
+    drivers = _DRIVERS.get(type(model))
+    if drivers is None:
+        raise TypeError(f"not a validated model: {model!r}")
+    simulate, skorokhod_weight = drivers()
     n_paths = int(n_paths)
     if n_paths < 1:
         raise EmptyEnsemble("n_paths must be >= 1")
@@ -114,26 +118,14 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         # streams are stateful, so each chunk task builds its own; values
         # depend only on (seed, namespace, purpose, path index)
         vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace=namespace)
-        if tag == "ou":
-            batch = _paths.simulate_ou_paths(model, grid, vol_stream, idx,
-                                             antithetic=antithetic)
-            bad = ~batch.vol_ok
-            if compute_weights:
-                wb = skorokhod_weight_ou(batch, model.params)
-                weight[idx] = wb.delta
-                denom[idx] = wb.G
-                bad |= wb.bad
-        else:
-            batch = _paths.simulate_cir_paths(model, grid, vol_stream, idx,
-                                              antithetic=antithetic)
-            bad = batch.floored_steps > _paths.FLOOR_RATE_LIMIT * grid.n_steps
-            if compute_weights:
-                wb = skorokhod_weight_cir(batch, model.params)
-                weight[idx] = wb.delta
-                denom[idx] = wb.I
-                bad |= wb.bad
+        batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic)
+        failed[idx] = batch.bad
+        if compute_weights:
+            wb = skorokhod_weight(batch, model.params)
+            weight[idx] = wb.delta
+            denom[idx] = wb.denominator
+            failed[idx] |= wb.bad
         avg_variance[idx] = batch.avg_variance
-        failed[idx] = bad
         if collect_terminal:
             terminal_state[idx] = batch.states[:, -1]
         if collect_asset:

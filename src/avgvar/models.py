@@ -33,9 +33,8 @@ class VolFunctionSpec:
     """Volatility function sigma with its first two derivatives.
 
     ``lower_bound_c`` witnesses sigma(x) >= c > 0 and ``growth_scale`` /
-    ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The products
-    nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' are what the
-    density kernels actually consume.
+    ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The density kernels
+    consume the products nu and nu' of ``nu_terms``.
 
     ``evaluate(x)`` returns (sigma, sigma', sigma'') at x. The path
     simulator calls it once per batch of states. A spec may pass ``joint``,
@@ -59,13 +58,13 @@ class VolFunctionSpec:
         return tuple(np.asarray(f(x), dtype=float)
                      for f in (self.sigma, self.sigma_prime, self.sigma_second))
 
-    def nu(self, x):
-        sig, sig_p, _ = self.evaluate(x)
-        return sig * sig_p
 
-    def nu_prime(self, x):
-        sig, sig_p, sig_pp = self.evaluate(x)
-        return sig_p ** 2 + sig * sig_pp
+def nu_terms(sig, sig_p, sig_pp):
+    """nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' from the
+    values of ``VolFunctionSpec.evaluate``."""
+    nu_prime = sig_p**2
+    nu_prime += sig * sig_pp
+    return sig * sig_p, nu_prime
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,8 @@ class ValidatedOUModel:
 
     @property
     def grid_bias_rate(self):
-        """alpha: the OU weight's bias in mean(F delta) grows like 12 alpha dt."""
+        """alpha: the OU weight's bias in mean(F delta) grows with alpha dt
+        (README, "Grid resolution")."""
         return self.params.alpha
 
 
@@ -186,9 +186,8 @@ def _check_vol_on_grid(vol, violations):
     """Sample the (A2)-style constraints on the probe grid."""
     x = PROBE_GRID
     try:
-        sig, sig_p, _ = vol.evaluate(x)
-        nu = vol.nu(x)
-        nu_p = vol.nu_prime(x)
+        sig, sig_p, sig_pp = vol.evaluate(x)
+        nu, nu_p = nu_terms(sig, sig_p, sig_pp)
     except Exception as exc:  # a vol spec that cannot be evaluated is invalid
         violations.append(("E_VOL_EVAL", f"volatility function raised on probe grid: {exc!r}"))
         return

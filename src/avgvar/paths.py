@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGrid
+from .models import nu_terms
 
 Z_FLOOR = 1e-12
 FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
@@ -64,8 +65,8 @@ class OUPathBatch:
     """A batch of OU driver paths with the node values the weight consumes.
 
     sigma and its derivatives are evaluated once per batch and reduced at
-    once to ``avg_variance``, ``vol_ok`` and the weight's node values
-    ``nu`` and ``nu_prime``; the batch keeps no sigma array.
+    once to ``avg_variance``, the per-path guard ``bad`` and the weight's
+    node values ``nu`` and ``nu_prime``; the batch keeps no sigma array.
     """
 
     grid: TimeGrid
@@ -73,7 +74,7 @@ class OUPathBatch:
     dW: np.ndarray            # (P, n)
     states: np.ndarray        # (P, n+1) Y values
     avg_variance: np.ndarray  # (P,) trapezoid of sigma^2(Y) / T
-    vol_ok: np.ndarray        # (P,) sigma' > 0 and sigma >= c at every node
+    bad: np.ndarray           # (P,) sigma' > 0 or sigma >= c fails at some node
     nu: np.ndarray            # (P, n+1) sigma * sigma' at the nodes
     nu_prime: np.ndarray      # (P, n+1) sigma'^2 + sigma * sigma'' at the nodes
 
@@ -87,6 +88,8 @@ class CIRPathBatch:
     the weight module because it depends on the model constant q. The
     simulator stores dW, states and recip_integral as transposed views of
     time-major (n+1, P) buffers, which the weight sweeps step row by row.
+    ``bad`` flags paths whose floored steps exceed the budget
+    FLOOR_RATE_LIMIT * n.
     """
 
     grid: TimeGrid
@@ -96,6 +99,7 @@ class CIRPathBatch:
     avg_variance: np.ndarray   # (P,) trapezoid of Z / T
     recip_integral: np.ndarray # (P, n+1)
     floored_steps: np.ndarray  # (P,) count of steps clipped at the floor
+    bad: np.ndarray            # (P,) bool
 
 
 def ou_paths_from_increments(model, grid, dW, path_indices=None):
@@ -124,10 +128,8 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
     sig, sig_p, sig_pp = model.vol.evaluate(y)
     avg_variance = np.einsum("pj,j->p", sig**2, grid.trapezoid_weights) / grid.T
     # re-assert the volatility assumptions at every visited state
-    vol_ok = ((sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))).all(axis=1)
-    nu_prime = sig_p**2
-    nu_prime += sig * sig_pp
-    nu = sig * sig_p
+    bad = ~((sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))).all(axis=1)
+    nu, nu_prime = nu_terms(sig, sig_p, sig_pp)
     del sig, sig_p, sig_pp
 
     if path_indices is None:
@@ -138,7 +140,7 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
         dW=dW,
         states=y,
         avg_variance=avg_variance,
-        vol_ok=vol_ok,
+        bad=bad,
         nu=nu,
         nu_prime=nu_prime,
     )
@@ -160,8 +162,8 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
 
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(max(Z_i, 0)) dW_i, then floored at
     Z_FLOOR. In the validated regime (k^2 < 2b, and 6k^2 < b for density
-    work) the floor is essentially never hit; per-path floored-step counts
-    are reported so the ensemble can enforce the FloorSaturation budget.
+    work) the floor is essentially never hit; a path that is floored on
+    more than FLOOR_RATE_LIMIT of its steps is flagged ``bad``.
 
     ``dW`` has one row per path. The recursion steps the rows of time-major
     (n, P) and (n+1, P) buffers, and the batch's fields are transposed
@@ -201,6 +203,7 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
         avg_variance=avg_variance,
         recip_integral=recip.T,
         floored_steps=floored,
+        bad=floored > FLOOR_RATE_LIMIT * n,
     )
 
 

@@ -8,7 +8,10 @@ the trajectory's averaged volatility sig_bar:
     d1 = (ln s0 - ln K + (r + sig_bar^2/2) T) / (sig_bar sqrt(T)),
     d2 = d1 - sig_bar sqrt(T),
 
-with the sig_bar -> 0 limit (s0 e^{rT} - K)^+ taken by continuity. Three
+with the sig_bar -> 0 limit (s0 e^{rT} - K)^+ taken by continuity. In the
+money it is evaluated by put-call parity as s0 e^{rT} - K plus the put
+K Phi(-d2) - s0 e^{rT} Phi(-d1), so that the rounding of two Phi values
+near 1 never swamps the vega. Three
 estimators of the unconditional price must agree:
 
   * mixing:    discounted average of E(sig_bar) over simulated trajectories,
@@ -57,6 +60,12 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
     Returns (inner, discounted): ``inner`` is the undiscounted conditional
     expectation E(sig_bar), ``discounted`` is e^{-rT} inner. Vectorized in
     sigma_bar; sigma_bar = 0 and K = 0 handled by their limits.
+
+    ``inner`` is the intrinsic value (s0 e^{rT} - K)^+ plus the
+    out-of-the-money option (the call, or in the money the put), taken from
+    the Phi tails and floored at 0. It is therefore never below the
+    no-arbitrage bound, and it does not decrease in sigma_bar where the
+    option value is resolved in float64.
     """
     sig = np.asarray(sigma_bar, dtype=float)
     scalar = sig.ndim == 0
@@ -69,7 +78,8 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
     if strike <= 0:
         inner[:] = fwd
     else:
-        inner[~live] = max(fwd - strike, 0.0)
+        intrinsic = max(fwd - strike, 0.0)
+        inner[~live] = intrinsic
         if np.any(live):
             tl = total[live]
             # subnormal total vol may overflow d to +-inf; Phi saturates to
@@ -77,24 +87,40 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
             with np.errstate(over="ignore"):
                 d1 = (math.log(s0 / strike) + r * T) / tl + 0.5 * tl
                 d2 = d1 - tl
-            inner[live] = fwd * _phi(d1) - strike * _phi(d2)
+            if fwd > strike:
+                otm = strike * _phi(-d2) - fwd * _phi(-d1)
+            else:
+                otm = fwd * _phi(d1) - strike * _phi(d2)
+            # deep out of the money the difference can round below 0
+            inner[live] = intrinsic + np.maximum(otm, 0.0)
     disc = math.exp(-r * T) * inner
     if scalar:
         return float(inner[0]), float(disc[0])
     return inner, disc
 
 
+def _mc_estimate(method, terms, empty_message):
+    """The sample mean of ``terms`` with its standard error and 95% interval;
+    raises EmptyEnsemble with ``empty_message`` when there is no term."""
+    terms = np.atleast_1d(terms)
+    if terms.size == 0:
+        raise EmptyEnsemble(empty_message)
+    if terms.size == 1 or terms.min() == terms.max():
+        # a single term or a constant sample is its own mean, with no spread;
+        # the pairwise sum of equal values rounds unless their low bits are 0
+        value, se = float(terms[0]), 0.0
+    else:
+        value = float(np.mean(terms))
+        se = float(terms.std(ddof=1) / math.sqrt(terms.size))
+    return PriceEstimate(method=method, value=value, std_error=se,
+                         ci95=(value - 1.96 * se, value + 1.96 * se))
+
+
 def price_mixing(sigma_bar_samples, strike, s0, r, T):
     """Mixing estimator: discounted mean of the conditional prices."""
-    sig = np.asarray(sigma_bar_samples, dtype=float)
-    if sig.size == 0:
-        raise EmptyEnsemble("mixing pricer needs at least one sigma_bar sample")
-    _, disc = bs_conditional(sig, strike, s0, r, T)
-    disc = np.atleast_1d(disc)
-    value = float(np.mean(disc))
-    se = float(disc.std(ddof=1) / math.sqrt(disc.size)) if disc.size > 1 else 0.0
-    return PriceEstimate(method="mixing_mc", value=value, std_error=se,
-                         ci95=(value - 1.96 * se, value + 1.96 * se))
+    _, disc = bs_conditional(sigma_bar_samples, strike, s0, r, T)
+    return _mc_estimate("mixing_mc", disc,
+                        "mixing pricer needs at least one sigma_bar sample")
 
 
 def price_from_density(density, strike, s0, r, T, min_mass=0.9,
@@ -138,11 +164,10 @@ def price_from_density(density, strike, s0, r, T, min_mass=0.9,
         if terms.size > 1 and ss_w > 0:
             beta = float(np.sum((terms - terms.mean()) * w_c)) / ss_w
             terms = terms - beta * w
-        value = float(np.mean(terms))
-        se = float(terms.std(ddof=1) / math.sqrt(terms.size)) if terms.size > 1 else 0.0
-    else:
-        value = float(np.sum(wq * payoff * density.p_hat))
-        se = float(np.sqrt(np.sum((wq * payoff * density.se) ** 2)))
+        return _mc_estimate("density_quadrature", terms,
+                            "density quadrature needs at least one weighted sample")
+    value = float(np.sum(wq * payoff * density.p_hat))
+    se = float(np.sqrt(np.sum((wq * payoff * density.se) ** 2)))
     return PriceEstimate(method="density_quadrature", value=value, std_error=se,
                          ci95=(value - 1.96 * se, value + 1.96 * se))
 
@@ -150,20 +175,12 @@ def price_from_density(density, strike, s0, r, T, min_mass=0.9,
 def price_plain_mc(terminal_prices, strike, r, T):
     """Plain Monte Carlo: discounted mean of (S_T - K)^+."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    if s_t.size == 0:
-        raise EmptyEnsemble("plain MC pricer needs at least one terminal price")
-    disc_payoff = math.exp(-r * T) * np.maximum(s_t - strike, 0.0)
-    value = float(np.mean(disc_payoff))
-    se = float(disc_payoff.std(ddof=1) / math.sqrt(s_t.size)) if s_t.size > 1 else 0.0
-    return PriceEstimate(method="plain_mc", value=value, std_error=se,
-                         ci95=(value - 1.96 * se, value + 1.96 * se))
+    return _mc_estimate("plain_mc", math.exp(-r * T) * np.maximum(s_t - strike, 0.0),
+                        "plain MC pricer needs at least one terminal price")
 
 
 def martingale_check(terminal_prices, s0, r, T):
     """Summary of e^{-rT} S_T; its mean must sit within noise of s0."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    disc = math.exp(-r * T) * s_t
-    value = float(np.mean(disc))
-    se = float(disc.std(ddof=1) / math.sqrt(s_t.size)) if s_t.size > 1 else 0.0
-    return PriceEstimate(method="martingale_check", value=value, std_error=se,
-                         ci95=(value - 1.96 * se, value + 1.96 * se))
+    return _mc_estimate("martingale_check", math.exp(-r * T) * s_t,
+                        "martingale check needs at least one terminal price")

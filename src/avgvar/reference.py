@@ -6,23 +6,10 @@ directly: O(n^2) for the OU double integrals, O(n^3) for the CIR triple
 integral. On a common path the two routes must agree to roundoff; the self
 check and the acceptance suite enforce < 1e-8 relative on fixed paths.
 
-Intended for small n (tests use n = 64). Also houses the closed forms used
-as frozen oracle values:
-
-    psi_closed_form(x, a) = int_0^x int_0^x [e^{-a|u-v|} - e^{-a(u+v)}] du dv
-                          = (4 e^{-a x} - e^{-2 a x} + 2 a x - 3) / a^2,
-
-derived from int int e^{-a|u-v|} = 2 (a x - 1 + e^{-a x}) / a^2 and
-int int e^{-a(u+v)} = (1 - e^{-a x})^2 / a^2, and confirmed against a
-direct Riemann double sum.
+Intended for small n (tests use n = 64).
 """
 
 import numpy as np
-
-
-def psi_closed_form(x, alpha):
-    a = alpha
-    return (4.0 * np.exp(-a * x) - np.exp(-2.0 * a * x) + 2.0 * a * x - 3.0) / a**2
 
 
 def _k_matrix(t, alpha):
@@ -38,59 +25,6 @@ def _inner_trapezoid_weights(n_nodes, dt, m):
         w[: m + 1] = dt
         w[0] = w[m] = 0.5 * dt
     return w
-
-
-def g_double_sum(nu_vals, grid, alpha):
-    """Direct O(n^2) evaluation of the denominator G for one path."""
-    f = np.asarray(nu_vals, dtype=float)
-    w = grid.trapezoid_weights
-    K = _k_matrix(grid.t, alpha)
-    return float((w * f) @ K @ (w * f))
-
-
-def c_double_sum(nu_vals, nu_prime_vals, grid, alpha):
-    """Direct evaluation of C(h) at every node: for each l the t2 sum is
-    masked to j2 > l with global trapezoid weights (the strict-indicator
-    convention shared with the factorized route)."""
-    f = np.asarray(nu_vals, dtype=float)
-    g = np.asarray(nu_prime_vals, dtype=float)
-    w = grid.trapezoid_weights
-    t = grid.t
-    K = _k_matrix(t, alpha)
-    m_vals = np.exp(-alpha * t) * g
-    left = (w * f) @ K  # sum over t1 for each t2
-    out = np.empty(t.size)
-    for l in range(t.size):
-        mask = np.zeros(t.size)
-        mask[l + 1:] = 1.0
-        out[l] = np.sum(left * w * m_vals * mask)
-    return out
-
-
-def dh_eta_double_sum(nu_vals, nu_prime_vals, grid, alpha, k, h_index, t_index):
-    """D_h eta_t at one (h, t) node pair from the raw chain-rule expression.
-
-    Uses D_h Y_t = k e^{-a(t-h)} 1{h<t} explicitly and keeps the two
-    symmetric correction summands separate instead of folding them into
-    2 e^{a h} C(h), so it exercises a different algebraic route than the
-    production code.
-    """
-    f = np.asarray(nu_vals, dtype=float)
-    g = np.asarray(nu_prime_vals, dtype=float)
-    w = grid.trapezoid_weights
-    t = grid.t
-    K = _k_matrix(t, alpha)
-    G = (w * f) @ K @ (w * f)
-
-    h = t[h_index]
-    # D_h Y at the t2 nodes times nu': k e^{-a(t-h)} 1{h<t} nu'(Y_t)
-    dy_nu = k * np.where(t > h, np.exp(-alpha * (t - h)), 0.0) * g
-    corr = (w * f) @ K @ (w * dy_nu) + (w * dy_nu) @ K @ (w * f)
-
-    ti = t[t_index]
-    first = k * np.exp(-alpha * (ti - h)) * g[t_index] / G if ti > h else 0.0
-    scale = alpha * grid.T / k
-    return scale * np.exp(-alpha * ti) * (first - f[t_index] * corr / G**2)
 
 
 def ou_weight_double_sum(nu_vals, nu_prime_vals, dW, grid, alpha, k):

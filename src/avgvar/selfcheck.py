@@ -325,7 +325,7 @@ def kernel_oracles(ctx):
         for p in idx:
             ito_ref, trace_ref, g_ref = ou_weight_double_sum(
                 ob.nu[p], ob.nu_prime[p], ob.dW[p], grid, ou.params.alpha, ou.params.k)
-            errs += [_rel(wb.G[p], g_ref), _rel(wb.term_ito[p], ito_ref),
+            errs += [_rel(wb.denominator[p], g_ref), _rel(wb.term_ito[p], ito_ref),
                      _rel(wb.term_trace[p], trace_ref)]
 
     cir = ctx.models["cir"]

@@ -89,14 +89,18 @@ class CIRKernelBatch:
 
 @dataclass
 class CIRWeightBatch:
-    """delta = term_ito - term_trace - term_dphi + term_denom, exactly."""
+    """delta = term_ito - term_trace - term_dphi + term_denom, exactly.
+
+    ``denominator`` is I. ``bad`` flags paths whose denominator failed the
+    positivity guard or whose delta is not finite; their delta is NaN.
+    """
 
     delta: np.ndarray       # (P,)
     term_ito: np.ndarray    # (P,) A
     term_trace: np.ndarray  # (P,) B
     term_dphi: np.ndarray   # (P,) C2
     term_denom: np.ndarray  # (P,) C3
-    I: np.ndarray           # (P,)
+    denominator: np.ndarray # (P,) I
     bad: np.ndarray         # (P,) bool
 
 
@@ -260,4 +264,4 @@ def skorokhod_weight_cir(batch, params, kernel=None):
     delta = np.where(bad, np.nan, delta)
     return CIRWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
                           term_dphi=term_dphi, term_denom=term_denom,
-                          I=kernel.I, bad=bad)
+                          denominator=kernel.I, bad=bad)

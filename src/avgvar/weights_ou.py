@@ -76,15 +76,16 @@ import numpy as np
 class OUWeightBatch:
     """Per-path weights with their diagnostic components.
 
-    delta = term_ito - term_trace holds exactly by construction. ``bad``
-    flags paths whose denominator failed the positivity guard; their delta
-    is NaN and they must be excluded (and counted) by the caller.
+    delta = term_ito - term_trace holds exactly by construction.
+    ``denominator`` is G. ``bad`` flags paths whose denominator failed the
+    positivity guard or whose delta is not finite; their delta is NaN and
+    they must be excluded (and counted) by the caller.
     """
 
     delta: np.ndarray       # (P,)
     term_ito: np.ndarray    # (P,)
     term_trace: np.ndarray  # (P,)
-    G: np.ndarray           # (P,)
+    denominator: np.ndarray # (P,) G
     bad: np.ndarray         # (P,) bool
 
 
@@ -154,4 +155,4 @@ def skorokhod_weight_ou(batch, params):
     bad |= ~np.isfinite(delta)
     delta = np.where(bad, np.nan, delta)
     return OUWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
-                         G=G, bad=bad)
+                         denominator=G, bad=bad)

@@ -4,10 +4,23 @@ This is the route the fused weight in ``avgvar.weights_ou`` replaced, kept
 as an oracle: the same quadratures, factorized kernel by kernel. It forms
 C(h) as a total minus a prefix and then scales it by e^{2 a h}, which
 cancels at large alpha, so it is a reference at small alpha only (the
-brute-force double sums of ``avgvar.reference`` hold at every alpha).
+brute-force double sums hold at every alpha).
+
+The kernels also have brute-force O(n^2) evaluations here, on the
+materialized K matrix of ``avgvar.reference``, and G for flat nu has a
+closed form, used as a frozen oracle value:
+
+    psi_closed_form(x, a) = int_0^x int_0^x [e^{-a|u-v|} - e^{-a(u+v)}] du dv
+                          = (4 e^{-a x} - e^{-2 a x} + 2 a x - 3) / a^2,
+
+derived from int int e^{-a|u-v|} = 2 (a x - 1 + e^{-a x}) / a^2 and
+int int e^{-a(u+v)} = (1 - e^{-a x})^2 / a^2, and confirmed against a
+direct Riemann double sum.
 """
 
 import numpy as np
+
+from avgvar.reference import _k_matrix
 
 
 def denominator_g(nu_vals, grid, alpha):
@@ -96,3 +109,61 @@ def weight_terms(batch, params):
     inner = alpha * grid.T * E * ((g / G[:, None]) * E * r1
                                   - (2.0 * f / G[:, None] ** 2) * r2)
     return term_ito, np.einsum("pj,j->p", inner, w), G
+
+
+def psi_closed_form(x, alpha):
+    a = alpha
+    return (4.0 * np.exp(-a * x) - np.exp(-2.0 * a * x) + 2.0 * a * x - 3.0) / a**2
+
+
+def g_double_sum(nu_vals, grid, alpha):
+    """Direct O(n^2) evaluation of the denominator G for one path."""
+    f = np.asarray(nu_vals, dtype=float)
+    w = grid.trapezoid_weights
+    K = _k_matrix(grid.t, alpha)
+    return float((w * f) @ K @ (w * f))
+
+
+def c_double_sum(nu_vals, nu_prime_vals, grid, alpha):
+    """Direct evaluation of C(h) at every node: for each l the t2 sum is
+    masked to j2 > l with global trapezoid weights (the strict-indicator
+    convention shared with the factorized route)."""
+    f = np.asarray(nu_vals, dtype=float)
+    g = np.asarray(nu_prime_vals, dtype=float)
+    w = grid.trapezoid_weights
+    t = grid.t
+    K = _k_matrix(t, alpha)
+    m_vals = np.exp(-alpha * t) * g
+    left = (w * f) @ K  # sum over t1 for each t2
+    out = np.empty(t.size)
+    for l in range(t.size):
+        mask = np.zeros(t.size)
+        mask[l + 1:] = 1.0
+        out[l] = np.sum(left * w * m_vals * mask)
+    return out
+
+
+def dh_eta_double_sum(nu_vals, nu_prime_vals, grid, alpha, k, h_index, t_index):
+    """D_h eta_t at one (h, t) node pair from the raw chain-rule expression.
+
+    Uses D_h Y_t = k e^{-a(t-h)} 1{h<t} explicitly and keeps the two
+    symmetric correction summands separate instead of folding them into
+    2 e^{a h} C(h), so it exercises a different algebraic route than the
+    production code.
+    """
+    f = np.asarray(nu_vals, dtype=float)
+    g = np.asarray(nu_prime_vals, dtype=float)
+    w = grid.trapezoid_weights
+    t = grid.t
+    K = _k_matrix(t, alpha)
+    G = (w * f) @ K @ (w * f)
+
+    h = t[h_index]
+    # D_h Y at the t2 nodes times nu': k e^{-a(t-h)} 1{h<t} nu'(Y_t)
+    dy_nu = k * np.where(t > h, np.exp(-alpha * (t - h)), 0.0) * g
+    corr = (w * f) @ K @ (w * dy_nu) + (w * dy_nu) @ K @ (w * f)
+
+    ti = t[t_index]
+    first = k * np.exp(-alpha * (ti - h)) * g[t_index] / G if ti > h else 0.0
+    scale = alpha * grid.T / k
+    return scale * np.exp(-alpha * ti) * (first - f[t_index] * corr / G**2)

@@ -106,7 +106,7 @@ def test_density_warns_when_alpha_dt_exceeds_threshold(tmp_path, capsys, n_steps
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("W_ALPHA_DT ")]
     assert lines == (["W_ALPHA_DT alpha*dt=0.015625 > 0.01; the OU weight is biased "
-                      "by about 12*alpha*dt in mean(F*delta)"] if warned else [])
+                      "in mean(F*delta); see README, Grid resolution"] if warned else [])
 
 
 MALFORMED = {

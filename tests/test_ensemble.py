@@ -99,7 +99,7 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
         n = batch.states.shape[0]
         nan = np.full(n, np.nan)
         return OUWeightBatch(delta=nan, term_ito=nan, term_trace=nan,
-                             G=np.full(n, -1.0), bad=np.ones(n, dtype=bool))
+                             denominator=np.full(n, -1.0), bad=np.ones(n, dtype=bool))
 
     monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", all_bad)
     with pytest.raises(FailureBudgetExceeded):

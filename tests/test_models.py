@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from avgvar import (CIRParams, OUParams, ValidationError, VolFunctionSpec,
                     make_grid, reference_vol_family, run_ensemble,
                     simulate_ou_paths, validate_cir, validate_ou)
-from avgvar.models import PROBE_GRID
+from avgvar.models import PROBE_GRID, nu_terms
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 
 SEED = 20240601
@@ -72,8 +72,9 @@ def test_reference_family_closed_forms(ref_vol):
     assert ref_vol.sigma(0.0) == pytest.approx(0.2, abs=1e-15)
     assert ref_vol.sigma_prime(0.0) == pytest.approx(0.1, abs=1e-15)
     assert ref_vol.sigma_second(0.0) == pytest.approx(0.1, abs=1e-15)
-    assert ref_vol.nu(0.0) == pytest.approx(0.02, abs=1e-15)
-    assert ref_vol.nu_prime(0.0) == pytest.approx(0.03, abs=1e-15)
+    nu, nu_prime = nu_terms(*ref_vol.evaluate(0.0))
+    assert nu == pytest.approx(0.02, abs=1e-15)
+    assert nu_prime == pytest.approx(0.03, abs=1e-15)
     assert ref_vol.sigma_prime(1.0) == pytest.approx(0.1 * (1 + 1 / math.sqrt(2)),
                                                      rel=1e-12)
 
@@ -90,8 +91,9 @@ def test_derivatives_match_finite_differences(ref_vol, rng):
     h = 1e-6
     fd_prime = (ref_vol.sigma(x + h) - ref_vol.sigma(x - h)) / (2 * h)
     assert np.allclose(ref_vol.sigma_prime(x), fd_prime, rtol=1e-6)
-    fd_nu_prime = (ref_vol.nu(x + h) - ref_vol.nu(x - h)) / (2 * h)
-    assert np.allclose(ref_vol.nu_prime(x), fd_nu_prime, rtol=1e-6)
+    fd_nu_prime = (nu_terms(*ref_vol.evaluate(x + h))[0]
+                   - nu_terms(*ref_vol.evaluate(x - h))[0]) / (2 * h)
+    assert np.allclose(nu_terms(*ref_vol.evaluate(x))[1], fd_nu_prime, rtol=1e-6)
 
 
 def test_sigma_prime_positive_on_probe(ref_vol):
@@ -134,7 +136,7 @@ def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
         with np.errstate(divide="ignore"):
             got = vol.evaluate(x)
             want = [f(x) for f in oracle]
-            nu, nu_prime = vol.nu(x), vol.nu_prime(x)
+            nu, nu_prime = nu_terms(*got)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert np.array_equal(nu, want[0] * want[1])

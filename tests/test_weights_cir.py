@@ -42,7 +42,7 @@ def _flat_z_batch(z0, grid):
                         dW=np.zeros((1, n)), states=np.full((1, n + 1), z0),
                         avg_variance=np.array([z0]),
                         recip_integral=r[None, :],
-                        floored_steps=np.array([0]))
+                        floored_steps=np.array([0]), bad=np.array([False]))
 
 
 def test_q_constant(cir_model):

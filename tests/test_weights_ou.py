@@ -6,11 +6,11 @@ import pytest
 
 from avgvar import (NonPositiveDenominator, OUParams, make_grid,
                     ou_paths_from_increments, simulate_ou_paths, validate_ou)
-from avgvar.reference import (c_double_sum, dh_eta_double_sum, g_double_sum,
-                              ou_weight_double_sum, psi_closed_form)
+from avgvar.reference import ou_weight_double_sum
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
-from ou_three_kernel import c_of_h, eta_nodes, weight_terms
+from ou_three_kernel import (c_double_sum, c_of_h, dh_eta_double_sum, eta_nodes,
+                             g_double_sum, psi_closed_form, weight_terms)
 
 SEED = 20240601
 
@@ -73,7 +73,7 @@ def _weight_with_nu(ou_model, grid, nu):
 def test_flat_nu_matches_closed_form(ou_model):
     assert psi_closed_form(1.0, 1.0) == pytest.approx(G_FLAT_UNIT, rel=1e-14)
     grid = make_grid(1.0, 2048)
-    g_trap = _weight_with_nu(ou_model, grid, np.ones((1, 2049))).G[0]
+    g_trap = _weight_with_nu(ou_model, grid, np.ones((1, 2049))).denominator[0]
     assert g_trap == pytest.approx(G_FLAT_UNIT, rel=1e-4)
     # independent route: plain Riemann double sum on midpoints
     mid = (np.arange(2048) + 0.5) / 2048
@@ -84,23 +84,23 @@ def test_flat_nu_matches_closed_form(ou_model):
 
 def test_zero_nu_gives_zero_g(ou_model, grid64):
     wb = _weight_with_nu(ou_model, grid64, np.zeros((1, 65)))
-    assert wb.G[0] == 0.0
+    assert wb.denominator[0] == 0.0
     assert wb.bad[0] and np.isnan(wb.delta[0])
     with pytest.raises(NonPositiveDenominator):
-        require_positive_g(wb.G)
+        require_positive_g(wb.denominator)
 
 
 def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
     nu = _fixed_batch(ou_model, grid64, n_paths=4).nu
-    g1 = _weight_with_nu(ou_model, grid64, nu).G
-    g2 = _weight_with_nu(ou_model, grid64, 2.0 * nu).G
+    g1 = _weight_with_nu(ou_model, grid64, nu).denominator
+    g2 = _weight_with_nu(ou_model, grid64, 2.0 * nu).denominator
     assert np.array_equal(g2, 4.0 * g1)  # powers of two: exact in float
 
 
 def test_eta_flat_nu_profile(ou_model):
     grid = make_grid(1.0, 2048)
     nu = np.ones((1, 2049))
-    g = _weight_with_nu(ou_model, grid, nu).G
+    g = _weight_with_nu(ou_model, grid, nu).denominator
     eta = eta_nodes(nu, grid, 1.0, 0.5, g)
     # (alpha T / k) e^{-t} / G = 2 e^{-t} / G with the recomputed G
     assert eta[0, 0] == pytest.approx(2.0 / G_FLAT_UNIT, rel=1e-4)
@@ -113,7 +113,7 @@ def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
     """The weight's G, and the C(h) of the three-kernel oracle."""
     batch = _fixed_batch(ou_model, grid64)
     nu, nup = batch.nu, batch.nu_prime
-    g_fast = skorokhod_weight_ou(batch, ou_model.params).G
+    g_fast = skorokhod_weight_ou(batch, ou_model.params).denominator
     c_fast = c_of_h(nu, nup, grid64, 1.0)
     for p in range(5):
         g_ref = g_double_sum(nu[p], grid64, 1.0)
@@ -136,7 +136,7 @@ def test_weight_matches_three_kernel_route(alpha, ref_vol):
     assert np.max(np.abs(wb.term_ito - ito) / size) <= 1e-12
     assert np.max(np.abs(wb.term_trace - trace) / size) <= 1e-12
     assert np.max(np.abs(wb.delta - (ito - trace)) / size) <= 1e-12
-    assert np.max(np.abs(wb.G - G) / G) <= 1e-12
+    assert np.max(np.abs(wb.denominator - G) / G) <= 1e-12
     # the sums run in their own buffers, never in the inputs
     assert np.array_equal(batch.nu, nu_before)
     assert np.array_equal(batch.nu_prime, nup_before)
@@ -182,7 +182,7 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
             nu[p], nup[p], batch.dW[p], grid64, alpha, model.params.k)
         assert abs(wb.term_ito[p] - ito_ref) / abs(ito_ref) < 1e-12
         assert abs(wb.term_trace[p] - trace_ref) / abs(trace_ref) < 1e-12
-        assert abs(wb.G[p] - g_ref) / g_ref < 1e-12
+        assert abs(wb.denominator[p] - g_ref) / g_ref < 1e-12
         assert wb.delta[p] == wb.term_ito[p] - wb.term_trace[p]
 
 
@@ -195,7 +195,7 @@ def test_dh_eta_matches_pathwise_finite_differences(ou_model):
 
     def eta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        G = skorokhod_weight_ou(b, p).G
+        G = skorokhod_weight_ou(b, p).denominator
         return eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
 
     nu, nup = batch.nu, batch.nu_prime
@@ -233,7 +233,7 @@ def test_weight_matches_discrete_divergence(ou_model):
 
     def zeta_of(dW):
         b = ou_paths_from_increments(ou_model, grid, dW[None, :])
-        G = skorokhod_weight_ou(b, p).G
+        G = skorokhod_weight_ou(b, p).denominator
         eta = eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
         out = np.empty(n + 1)
         for l in range(n + 1):
