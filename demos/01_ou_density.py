@@ -14,8 +14,8 @@ mass, zero-mean weights, the duality statistic E[F delta] = 1).
 """
 
 from avgvar import (OUParams, auto_grid, kde_density, make_grid,
-                    malliavin_density, reference_vol_family, run_ensemble,
-                    summarize, validate_ou)
+                    malliavin_density, mc_estimate, reference_vol_family,
+                    run_ensemble, validate_ou)
 from avgvar.ensemble import duality_statistic
 
 N_PATHS = 10000
@@ -33,8 +33,8 @@ f, d = res.valid_samples()
 print(f"  failures: {res.n_failures}, averaged variance in "
       f"[{f.min():.4f}, {f.max():.4f}]")
 
-w = summarize(d)
-print(f"  mean weight      : {w.mean:+.4f} +- {w.se:.4f}  (should be ~0)")
+w = mc_estimate(d)
+print(f"  mean weight      : {w.value:+.4f} +- {w.std_error:.4f}  (should be ~0)")
 print(f"  duality E[F d]   : {duality_statistic(res):.4f}          (should be ~1)")
 
 x = auto_grid(f, points=41, lower_bound=model.density_lower_bound)

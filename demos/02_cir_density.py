@@ -12,7 +12,7 @@ estimates.
 """
 
 from avgvar import (CIRParams, auto_grid, kde_density, make_grid,
-                    malliavin_density, run_ensemble, summarize, validate_cir)
+                    malliavin_density, mc_estimate, run_ensemble, validate_cir)
 from avgvar.ensemble import duality_statistic
 
 N_PATHS = 10000
@@ -29,8 +29,8 @@ res = run_ensemble(model, make_grid(model.params.T, N_STEPS), N_PATHS, SEED,
                    threads=2)
 f, d = res.valid_samples()
 
-w = summarize(d)
-print(f"  mean weight      : {w.mean:+.4f} +- {w.se:.4f}  (should be ~0)")
+w = mc_estimate(d)
+print(f"  mean weight      : {w.value:+.4f} +- {w.std_error:.4f}  (should be ~0)")
 print(f"  duality E[F d]   : {duality_statistic(res):.4f}          (should be ~1)")
 
 x = auto_grid(f, points=41)

@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 
 from .density import (DensityEstimate, auto_grid, kde_density,
                       malliavin_density, winsorize_weights)
-from .ensemble import EnsembleResult, Summary, duality_statistic, run_ensemble, summarize
+from .ensemble import EnsembleResult, duality_statistic, run_ensemble
 from .errors import (AvgVarError, ConfigError, EmptyEnsemble,
-                     FailureBudgetExceeded, FloorSaturation, GridTooCoarse,
-                     InvalidGrid, NonPositiveDenominator, TooFewSamples,
-                     ValidationError)
+                     FailureBudgetExceeded, GridTooCoarse, InvalidGrid,
+                     TooFewSamples, ValidationError)
 from .models import (CIRParams, Contract, OUParams, ValidatedCIRModel,
                      ValidatedOUModel, VolFunctionSpec, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
 from .paths import (CIRPathBatch, OUPathBatch, TimeGrid, cir_paths_from_increments,
                     make_grid, ou_paths_from_increments, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
-from .pricing import (PriceEstimate, bs_conditional, martingale_check,
+from .pricing import (PriceEstimate, bs_conditional, martingale_check, mc_estimate,
                       price_from_density, price_mixing, price_plain_mc)
 from .rng import NoiseStream
 from .weights_cir import (CIRKernelBatch, CIRWeightBatch, cir_kernel,

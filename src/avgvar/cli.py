@@ -24,9 +24,11 @@ Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
 E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE,
 and E_INVALID_THREADS for a --threads below 1);
-3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG);
+3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),
+or outputs that cannot be written (E_OUTPUT);
 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
-``[avgvar]`` progress lines, E_CONFIG and E_FAILURE_BUDGET to stderr.
+``[avgvar]`` progress lines, E_CONFIG, E_OUTPUT and E_FAILURE_BUDGET to
+stderr.
 Nothing is written unless the parse succeeds. Outputs are byte-stable
 across reruns and --threads values; floats have 17 significant digits.
 """
@@ -43,7 +45,7 @@ import numpy as np
 from . import __version__, pricing
 from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid, kde_density,
                       malliavin_density, winsorize_weights)
-from .ensemble import duality_statistic, run_ensemble
+from .ensemble import check_threads, duality_statistic, run_ensemble
 from .errors import ConfigError, FailureBudgetExceeded, ValidationError
 from .models import (CIRParams, Contract, OUParams, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
@@ -317,9 +319,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "validate" and args.threads < 1:
-            raise ValidationError([("E_INVALID_THREADS",
-                                    f"--threads must be >= 1, got {args.threads}")])
+        if args.command != "validate":
+            check_threads(args.threads)
         if args.command == "selfcheck":
             return cmd_selfcheck(args)
         spec = parse_config(load_config(args.config), args.command,
@@ -330,6 +331,9 @@ def main(argv=None):
         return (cmd_density if args.command == "density" else cmd_price)(spec, args.threads)
     except ConfigError as exc:
         print(f"E_CONFIG {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:  # load_config reports read errors as ConfigError
+        print(f"E_OUTPUT cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
         for code, msg in exc.violations:

@@ -10,9 +10,10 @@ Two independent routes to the same density:
     O(h^2) but an assumption-light cross-check.
 
 Agreement of the two within combined error bars is one of the package's
-acceptance gates. Standard errors for both use 10-block splitting: the
-ensemble is cut into contiguous blocks, the estimator evaluated per block,
-and the SE taken across blocks (same bandwidth everywhere for the KDE).
+acceptance gates. Both take their standard errors from ``_block_se``, by
+10-block splitting: the ensemble is cut into contiguous blocks, the
+estimator evaluated per block, and the SE taken across blocks (same
+bandwidth everywhere for the KDE).
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import EmptyEnsemble, GridTooCoarse, TooFewSamples
 N_SE_BLOCKS = 10
 MIN_GRID_POINTS = 21
 KDE_MIN_SAMPLES = 100
+SILVERMAN_FACTOR = 1.06  # KDE bandwidth 1.06 sigma N^(-1/5)
 
 
 @dataclass
@@ -52,18 +54,12 @@ def auto_grid(samples, points=41, lower_bound=None):
     return np.linspace(lo, hi, int(points))
 
 
-def _block_se(term_matrix):
-    """SE across N_SE_BLOCKS contiguous blocks of the per-sample terms.
-
-    term_matrix has shape (N, n_grid); returns per-grid-point SEs, or NaN
-    when there are fewer samples than blocks (SE undefined).
-    """
-    n = term_matrix.shape[0]
-    if n < N_SE_BLOCKS:
-        return np.full(term_matrix.shape[1], np.nan)
+def _block_se(n, block_mean):
+    """Per-grid-point SE of an estimate over n >= N_SE_BLOCKS samples: the
+    spread of its values on N_SE_BLOCKS contiguous blocks, where
+    ``block_mean(lo, hi)`` is the estimate on samples lo..hi-1."""
     edges = np.linspace(0, n, N_SE_BLOCKS + 1).astype(int)
-    block_means = np.stack([term_matrix[lo:hi].mean(axis=0)
-                            for lo, hi in zip(edges[:-1], edges[1:])])
+    block_means = np.stack([block_mean(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
     return block_means.std(axis=0, ddof=1) / np.sqrt(N_SE_BLOCKS)
 
 
@@ -71,7 +67,8 @@ def malliavin_density(avg_variance, weights, x_grid):
     """p_hat(x) = mean_i 1{F_i > x} w_i with block standard errors.
 
     The indicator is strict, matching the representation's tail form; ties
-    have probability zero for continuous F.
+    have probability zero for continuous F. The SE is NaN (undefined) with
+    fewer samples than SE blocks.
     """
     f = np.asarray(avg_variance, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -83,13 +80,16 @@ def malliavin_density(avg_variance, weights, x_grid):
 
     terms = (f[:, None] > x[None, :]) * w[:, None]
     p_hat = terms.mean(axis=0)
-    se = _block_se(terms)
+    if f.size < N_SE_BLOCKS:
+        se = np.full(x.size, np.nan)
+    else:
+        se = _block_se(f.size, lambda lo, hi: terms[lo:hi].mean(axis=0))
     mass = float(np.trapezoid(p_hat, x))
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
                            normalization=mass, method="malliavin")
 
 
-def kde_density(samples, x_grid, bandwidth=None):
+def kde_density(samples, x_grid):
     """Gaussian KDE on the grid with Silverman bandwidth and block SEs.
 
     A degenerate sample (zero spread) falls back to a narrow fixed
@@ -99,22 +99,23 @@ def kde_density(samples, x_grid, bandwidth=None):
     x = np.asarray(x_grid, dtype=float)
     if s.size < KDE_MIN_SAMPLES:
         raise TooFewSamples(f"KDE needs >= {KDE_MIN_SAMPLES} samples, got {s.size}")
-    h = bandwidth if bandwidth is not None else 1.06 * s.std(ddof=1) * s.size**-0.2
+    h = SILVERMAN_FACTOR * s.std(ddof=1) * s.size**-0.2
     if not h > 0:
         h = 1e-3 * max(abs(float(s[0])), 1.0)
 
     norm = 1.0 / (h * np.sqrt(2.0 * np.pi))
-    # chunk over samples to bound the (N, n_grid) kernel matrix
     total = np.zeros(x.size)
-    edges = np.linspace(0, s.size, N_SE_BLOCKS + 1).astype(int)
-    block_means = np.empty((N_SE_BLOCKS, x.size))
-    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+
+    def block_mean(lo, hi):
+        # one SE block at a time bounds the (N, n_grid) kernel matrix; the
+        # block sums add up to the full-sample estimate
         u = (x[None, :] - s[lo:hi, None]) / h
         kmat = norm * np.exp(-0.5 * u * u)
-        block_means[b] = kmat.mean(axis=0)
-        total += kmat.sum(axis=0)
+        total[:] += kmat.sum(axis=0)
+        return kmat.mean(axis=0)
+
+    se = _block_se(s.size, block_mean)
     p_hat = total / s.size
-    se = block_means.std(axis=0, ddof=1) / np.sqrt(N_SE_BLOCKS)
     mass = float(np.trapezoid(p_hat, x))
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
                            normalization=mass, method="kde")

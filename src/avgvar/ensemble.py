@@ -8,21 +8,23 @@ value -- threads only decide who computes which chunk. Reductions use
 numpy's pairwise summation on arrays assembled in path order, so means are
 bit-stable too (and exactly zero for exactly-cancelling inputs).
 
-Failed paths (guard violations: nonpositive denominator, nonfinite weight,
-floor saturation, a volatility-assumption breach at a visited state) are
-counted and reported, never silently dropped; more than 0.1% failures
-aborts the ensemble.
+``run_ensemble`` is the one place that decides whether a path fails. A
+path fails when its batch flags it (a volatility-assumption breach at a
+visited OU state, or a CIR path floored on too many steps) or, when weights
+are computed, when the weight's denominator (G or I) is not a positive
+finite number or delta is not finite. The weight functions run with
+floating-point warnings off and flag nothing themselves. A failed path
+gets a NaN weight, is counted and reported, and is never silently dropped;
+more than 0.1% failures aborts the ensemble.
 """
 
-import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import paths as _paths
-from .errors import EmptyEnsemble, FailureBudgetExceeded
+from .errors import EmptyEnsemble, FailureBudgetExceeded, ValidationError
 from .models import ValidatedCIRModel, ValidatedOUModel
 from .rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 from .weights_cir import skorokhod_weight_cir
@@ -30,25 +32,6 @@ from .weights_ou import skorokhod_weight_ou
 
 CHUNK = 2048
 FAILURE_BUDGET = 1e-3
-
-
-@dataclass
-class Summary:
-    mean: float
-    se: float | None   # None when undefined (single sample)
-    ci95: tuple | None
-
-
-def summarize(values):
-    """Mean, standard error, and 95% interval of a sample vector."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise EmptyEnsemble("summarize() needs at least one value")
-    mean = float(np.mean(v))
-    if v.size == 1:
-        return Summary(mean=mean, se=None, ci95=None)
-    se = float(v.std(ddof=1) / math.sqrt(v.size))
-    return Summary(mean=mean, se=se, ci95=(mean - 1.96 * se, mean + 1.96 * se))
 
 
 @dataclass
@@ -87,19 +70,27 @@ _DRIVERS = {
 }
 
 
+def check_threads(threads):
+    """Raise E_INVALID_THREADS unless ``threads`` is an integer >= 1."""
+    if not isinstance(threads, int) or threads < 1:
+        raise ValidationError([("E_INVALID_THREADS",
+                                f"--threads must be >= 1, got {threads}")])
+
+
 def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                  antithetic=False, compute_weights=True,
                  collect_terminal=False, collect_asset=False):
     """Simulate n_paths volatility paths and (optionally) their weights.
 
-    Output is bit-identical for any ``threads`` value. ``collect_asset``
-    additionally draws one terminal asset price per path from the
-    independent asset stream (used by the plain-MC pricer and the
-    martingale diagnostic).
+    Output is bit-identical for any ``threads`` value, which must be an
+    integer >= 1. ``collect_asset`` additionally draws one terminal asset
+    price per path from the independent asset stream (used by the plain-MC
+    pricer and the martingale diagnostic).
     """
     drivers = _DRIVERS.get(type(model))
     if drivers is None:
         raise TypeError(f"not a validated model: {model!r}")
+    check_threads(threads)
     simulate, skorokhod_weight = drivers()
     n_paths = int(n_paths)
     if n_paths < 1:
@@ -119,12 +110,16 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         # depend only on (seed, namespace, purpose, path index)
         vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace=namespace)
         batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic)
-        failed[idx] = batch.bad
+        bad = batch.bad
         if compute_weights:
-            wb = skorokhod_weight(batch, model.params)
-            weight[idx] = wb.delta
-            denom[idx] = wb.denominator
-            failed[idx] |= wb.bad
+            # a failed path may divide by zero or overflow; it is set NaN here
+            with np.errstate(all="ignore"):
+                wb = skorokhod_weight(batch, model.params)
+            den = wb.denominator
+            bad = bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
+            weight[idx] = np.where(bad, np.nan, wb.delta)
+            denom[idx] = den
+        failed[idx] = bad
         avg_variance[idx] = batch.avg_variance
         if collect_terminal:
             terminal_state[idx] = batch.states[:, -1]
@@ -135,7 +130,6 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                 antithetic=antithetic)
 
     starts = range(0, n_paths, CHUNK)
-    threads = threads or os.cpu_count() or 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, starts))

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Validation problems carry machine-readable codes (``E_*``) so the CLI can
-print one line per violation and scripts can grep for them.
+print one line per violation and scripts can grep for them. A path that
+fails at run time raises nothing of its own: ``run_ensemble`` flags it, and
+only more failures than the budget end in ``FailureBudgetExceeded``.
 """
 
 
@@ -29,19 +31,6 @@ class ValidationError(AvgVarError):
 
 class InvalidGrid(AvgVarError):
     """Time grid is unusable (nonpositive horizon or fewer than 2 steps)."""
-
-
-class NonPositiveDenominator(AvgVarError):
-    """A weight denominator (G or I) came out <= 0 on a path.
-
-    Theory guarantees strict positivity for validated models, so this signals
-    either a hypothesis violation or catastrophic cancellation; the affected
-    path is aborted and reported.
-    """
-
-
-class FloorSaturation(AvgVarError):
-    """More than 0.1% of CIR steps hit the positivity floor (grid too coarse)."""
 
 
 class EmptyEnsemble(AvgVarError):

@@ -19,6 +19,9 @@ estimators of the unconditional price must agree:
     Malliavin density of the averaged variance,
   * plain MC:  discounted average payoff of simulated terminal prices.
 
+Each estimate is a sample mean with its standard error and 95% interval,
+all built by ``mc_estimate``, the package's one such estimator.
+
 Phi is evaluated elementwise through the standard library's complementary
 error function (absolute error below 1e-15). ``_phi`` is a module attribute
 on purpose: the self-check battery's fault-injection test monkeypatches it
@@ -31,8 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import MIN_GRID_POINTS
 from .errors import EmptyEnsemble, GridTooCoarse, NegativeMassWarning
 
+MIN_MASS = 0.9  # density mass below which price_from_density warns
 _SQRT2 = math.sqrt(2.0)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -44,9 +49,9 @@ def _phi(x):
 
 @dataclass
 class PriceEstimate:
-    method: str       # density_quadrature | mixing_mc | plain_mc
+    method: str       # density_quadrature | mixing_mc | plain_mc | martingale_check | mean
     value: float
-    std_error: float  # 0 for deterministic quadrature of a fixed density
+    std_error: float  # 0 for a single or constant sample
     ci95: tuple
 
     def overlaps(self, other):
@@ -99,7 +104,7 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
     return inner, disc
 
 
-def _mc_estimate(method, terms, empty_message):
+def mc_estimate(terms, method="mean", empty_message="no sample to average"):
     """The sample mean of ``terms`` with its standard error and 95% interval;
     raises EmptyEnsemble with ``empty_message`` when there is no term."""
     terms = np.atleast_1d(terms)
@@ -119,33 +124,31 @@ def _mc_estimate(method, terms, empty_message):
 def price_mixing(sigma_bar_samples, strike, s0, r, T):
     """Mixing estimator: discounted mean of the conditional prices."""
     _, disc = bs_conditional(sigma_bar_samples, strike, s0, r, T)
-    return _mc_estimate("mixing_mc", disc,
-                        "mixing pricer needs at least one sigma_bar sample")
+    return mc_estimate(disc, "mixing_mc",
+                       "mixing pricer needs at least one sigma_bar sample")
 
 
-def price_from_density(density, strike, s0, r, T, min_mass=0.9,
-                       samples=None, weights=None):
-    """Quadrature of the conditional price against a density of averaged variance.
+def price_from_density(density, strike, s0, r, T, *, samples, weights):
+    """Quadrature of the conditional price against a Malliavin density of
+    averaged variance, given the ensemble behind it (``samples``, ``weights``).
 
-    The integrand at grid point x uses sig_bar = sqrt(x). When the ensemble
-    behind a Malliavin density is passed in (``samples``, ``weights``), the
-    quadrature is evaluated in its per-path form: it is algebraically a
-    sample mean of terms w_i * Q(F_i) with Q the payoff-weighted measure of
-    the grid below F_i. That form gives the exact standard error and admits
-    a free variance reduction: the weights have zero expectation, so
+    The integrand at grid point x uses sig_bar = sqrt(x). The quadrature is
+    evaluated in its per-path form: it is algebraically a sample mean of
+    terms w_i * Q(F_i) with Q the payoff-weighted measure of the grid below
+    F_i. That form gives the exact standard error (neighbouring grid points
+    share every path, so the per-point density SEs cannot be combined) and
+    admits a free variance reduction: the weights have zero expectation, so
     subtracting beta * w_i with the regression coefficient
     beta = Cov(term, w) / Var(w) leaves the estimator's mean untouched
     (up to O(1/N) from estimating beta) while shrinking its noise several
-    fold. Without the ensemble the SE falls back to propagating the
-    per-point density SEs as if independent, which understates it
-    (neighbouring grid points share every path).
+    fold.
     """
     x = np.asarray(density.x_grid, dtype=float)
-    if x.size < 21:
-        raise GridTooCoarse(f"density grid has {x.size} points; need >= 21")
-    if density.normalization < min_mass:
+    if x.size < MIN_GRID_POINTS:
+        raise GridTooCoarse(f"density grid has {x.size} points; need >= {MIN_GRID_POINTS}")
+    if density.normalization < MIN_MASS:
         warnings.warn(
-            f"density mass {density.normalization:.3f} < {min_mass}; "
+            f"density mass {density.normalization:.3f} < {MIN_MASS}; "
             "estimate too noisy to price from", NegativeMassWarning)
     _, payoff = bs_conditional(np.sqrt(np.maximum(x, 0.0)), strike, s0, r, T)
 
@@ -155,32 +158,27 @@ def price_from_density(density, strike, s0, r, T, min_mass=0.9,
     wq[0] = 0.5 * (x[1] - x[0])
     wq[-1] = 0.5 * (x[-1] - x[-2])
 
-    if samples is not None and weights is not None:
-        f = np.asarray(samples, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        terms = w * np.einsum("px,x->p", f[:, None] > x[None, :], wq * payoff)
-        w_c = w - w.mean()
-        ss_w = float(np.sum(w_c * w_c))
-        if terms.size > 1 and ss_w > 0:
-            beta = float(np.sum((terms - terms.mean()) * w_c)) / ss_w
-            terms = terms - beta * w
-        return _mc_estimate("density_quadrature", terms,
-                            "density quadrature needs at least one weighted sample")
-    value = float(np.sum(wq * payoff * density.p_hat))
-    se = float(np.sqrt(np.sum((wq * payoff * density.se) ** 2)))
-    return PriceEstimate(method="density_quadrature", value=value, std_error=se,
-                         ci95=(value - 1.96 * se, value + 1.96 * se))
+    f = np.asarray(samples, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    terms = w * np.einsum("px,x->p", f[:, None] > x[None, :], wq * payoff)
+    w_c = w - w.mean()
+    ss_w = float(np.sum(w_c * w_c))
+    if terms.size > 1 and ss_w > 0:
+        beta = float(np.sum((terms - terms.mean()) * w_c)) / ss_w
+        terms = terms - beta * w
+    return mc_estimate(terms, "density_quadrature",
+                       "density quadrature needs at least one weighted sample")
 
 
 def price_plain_mc(terminal_prices, strike, r, T):
     """Plain Monte Carlo: discounted mean of (S_T - K)^+."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    return _mc_estimate("plain_mc", math.exp(-r * T) * np.maximum(s_t - strike, 0.0),
-                        "plain MC pricer needs at least one terminal price")
+    return mc_estimate(math.exp(-r * T) * np.maximum(s_t - strike, 0.0), "plain_mc",
+                       "plain MC pricer needs at least one terminal price")
 
 
 def martingale_check(terminal_prices, s0, r, T):
-    """Summary of e^{-rT} S_T; its mean must sit within noise of s0."""
+    """Mean of e^{-rT} S_T with its SE; it must sit within noise of s0."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    return _mc_estimate("martingale_check", math.exp(-r * T) * s_t,
-                        "martingale check needs at least one terminal price")
+    return mc_estimate(math.exp(-r * T) * s_t, "martingale_check",
+                       "martingale check needs at least one terminal price")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pricing
 from .density import auto_grid, kde_density, malliavin_density
-from .ensemble import run_ensemble, summarize
+from .ensemble import run_ensemble
 from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
 from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
@@ -137,9 +137,9 @@ def criterion(*rows):
 
 
 def _zcheck(ctx, values, target=0.0):
-    s = summarize(np.asarray(values) - target)
-    z = abs(s.mean) / s.se if s.se else math.inf
-    return z < ctx.scale.z, f"mean {s.mean + target:+.5f} target {target:+.5f} z={z:.2f}"
+    s = pricing.mc_estimate(np.asarray(values) - target)
+    z = abs(s.value) / s.std_error if s.std_error else math.inf
+    return z < ctx.scale.z, f"mean {s.value + target:+.5f} target {target:+.5f} z={z:.2f}"
 
 
 def _rel(value, ref):
@@ -238,7 +238,8 @@ def density_cdf_consistency(ctx):
             int_terms = partial[np.searchsorted(u, f)] * d
             emp_terms = ((f > x) & ~(f > top)).astype(float)
             gap = abs(int_terms.mean() - emp_terms.mean())
-            tol = ctx.scale.z * (summarize(int_terms).se + summarize(emp_terms).se)
+            tol = ctx.scale.z * (pricing.mc_estimate(int_terms).std_error
+                                 + pricing.mc_estimate(emp_terms).std_error)
             worst = max(worst, gap / tol)
         rows.append((worst < 1.0, f"worst gap/tolerance over "
                      f"{len(ctx.scale.survival_percentiles)} probes {worst:.2f}"))

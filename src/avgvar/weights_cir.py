@@ -46,7 +46,10 @@ for dW integrals. The factorized denominator
     I = 2 sum_j w_j sqrt(Z_j) Atil_j + sum_i w_i^2 Z_i Fhat_i,
     Atil_j = sum_{i<j} w_i sqrt(Z_i) psi_{ti,tj} Fhat_i,
 
-reproduces the brute-force triple sum in ``reference`` exactly.
+reproduces the brute-force triple sum in ``reference`` exactly. Neither
+function here decides a failure: a path with I <= 0 gets whatever the
+division gives, and ``run_ensemble`` alone flags the path and sets its
+weight to NaN.
 
 Layout: every recursion is a sweep over the rows of time-major (n+1, P)
 buffers, one row of P paths per node, so each step reads and writes
@@ -84,15 +87,13 @@ class CIRKernelBatch:
     f_hat: np.ndarray          # (P, n+1)
     ito_psi_prefix: np.ndarray # (P,)  sum_j w_j sqrt(Z_j) P(t_j) phi(t_j)
     I: np.ndarray              # (P,)
-    bad: np.ndarray            # (P,) bool
 
 
 @dataclass
 class CIRWeightBatch:
     """delta = term_ito - term_trace - term_dphi + term_denom, exactly.
 
-    ``denominator`` is I. ``bad`` flags paths whose denominator failed the
-    positivity guard or whose delta is not finite; their delta is NaN.
+    ``denominator`` is I.
     """
 
     delta: np.ndarray       # (P,)
@@ -101,7 +102,6 @@ class CIRWeightBatch:
     term_dphi: np.ndarray   # (P,) C2
     term_denom: np.ndarray  # (P,) C3
     denominator: np.ndarray # (P,) I
-    bad: np.ndarray         # (P,) bool
 
 
 def q_constant(params):
@@ -170,10 +170,8 @@ def cir_kernel(batch, params):
         tmp *= s * s
         np.add(tmp, 0.5 * dt, out=f_hat[j + 1])
 
-    I = 2.0 * i_cross + i_diag
-    bad = ~(I > 0) | ~np.isfinite(I)
     return CIRKernelBatch(q=q, psi_step=psi_step.T, f_hat=f_hat.T, ito_psi_prefix=ito,
-                          I=I, bad=bad)
+                          I=2.0 * i_cross + i_diag)
 
 
 def skorokhod_weight_cir(batch, params, kernel=None):
@@ -253,15 +251,11 @@ def skorokhod_weight_cir(batch, params, kernel=None):
         hu, hu_next = hu_next, hu
         hsz_next = hsz
 
-    I_safe = np.where(kernel.bad, 1.0, kernel.I)
-    term_ito = (T / k) * kernel.ito_psi_prefix / I_safe
-    term_trace = 0.5 * T * np.einsum("jp,j->p", f_hat, w) / I_safe
-    term_dphi = q * T * c2 / I_safe
-    term_denom = T * c3 / I_safe**2
-
-    delta = term_ito - term_trace - term_dphi + term_denom
-    bad = kernel.bad | ~np.isfinite(delta)
-    delta = np.where(bad, np.nan, delta)
-    return CIRWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
-                          term_dphi=term_dphi, term_denom=term_denom,
-                          denominator=kernel.I, bad=bad)
+    I = kernel.I
+    term_ito = (T / k) * kernel.ito_psi_prefix / I
+    term_trace = 0.5 * T * np.einsum("jp,j->p", f_hat, w) / I
+    term_dphi = q * T * c2 / I
+    term_denom = T * c3 / I**2
+    return CIRWeightBatch(delta=term_ito - term_trace - term_dphi + term_denom,
+                          term_ito=term_ito, term_trace=term_trace,
+                          term_dphi=term_dphi, term_denom=term_denom, denominator=I)

@@ -63,8 +63,12 @@ volatility function.
 Unlike the CIR kernel (whose exponent grows with the random path and is
 therefore kept in ratio form), the exponentials here are the deterministic
 e^{+-a t} and e^{2 a t}: they stay in float64 range for a T up to ~350.
-Beyond that the per-path guards flag nonfinite weights and the ensemble
-aborts loudly rather than returning garbage.
+Beyond that the weights come out nonfinite, and the ensemble fails those
+paths and aborts loudly rather than returning garbage.
+
+This module decides no failure: a path with G <= 0 gets whatever the
+division gives, and ``run_ensemble`` alone flags the path and sets its
+weight to NaN.
 """
 
 from dataclasses import dataclass
@@ -77,16 +81,13 @@ class OUWeightBatch:
     """Per-path weights with their diagnostic components.
 
     delta = term_ito - term_trace holds exactly by construction.
-    ``denominator`` is G. ``bad`` flags paths whose denominator failed the
-    positivity guard or whose delta is not finite; their delta is NaN and
-    they must be excluded (and counted) by the caller.
+    ``denominator`` is G.
     """
 
     delta: np.ndarray       # (P,)
     term_ito: np.ndarray    # (P,)
     term_trace: np.ndarray  # (P,)
     denominator: np.ndarray # (P,) G
-    bad: np.ndarray         # (P,) bool
 
 
 def skorokhod_weight_ou(batch, params):
@@ -122,8 +123,6 @@ def skorokhod_weight_ou(batch, params):
     kappa *= E
     kappa += av
     G = np.einsum("pj,pj->p", wf, kappa)
-    bad = ~(G > 0) | ~np.isfinite(G)
-    G_safe = np.where(bad, 1.0, G)
 
     # q_l beta_l = dt A_l (Av_l + wf_l / 2) for l >= 1, as q_l E_l = A_l,
     # and dt v_0 / 2 at l = 0; its inclusive prefix in place, so column
@@ -148,11 +147,7 @@ def skorokhod_weight_ou(batch, params):
     trace1 = np.einsum("pj,j->p", g, w * E * E * r1)
 
     scale = alpha * grid.T  # k of D_h Y cancels the 1/k of eta
-    term_ito = (scale / k) * ito_sum / G_safe
-    term_trace = scale * (trace1 / G_safe - 2.0 * trace2 / G_safe**2)
-
-    delta = term_ito - term_trace
-    bad |= ~np.isfinite(delta)
-    delta = np.where(bad, np.nan, delta)
-    return OUWeightBatch(delta=delta, term_ito=term_ito, term_trace=term_trace,
-                         denominator=G, bad=bad)
+    term_ito = (scale / k) * ito_sum / G
+    term_trace = scale * (trace1 / G - 2.0 * trace2 / G**2)
+    return OUWeightBatch(delta=term_ito - term_trace, term_ito=term_ito,
+                         term_trace=term_trace, denominator=G)

@@ -83,6 +83,22 @@ def test_non_numeric_param_is_io_error(tmp_path):
     assert cli.main(["validate", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("command", ["density", "price"])
+@pytest.mark.parametrize("via", ["config", "--out"])
+def test_output_directory_that_is_a_file_is_io_error(tmp_path, capsys, command, via):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if via == "config":
+        argv = ["--config", write_config(tmp_path, output={"directory": str(taken)})]
+    else:
+        argv = ["--config", write_config(tmp_path), "--out", str(taken)]
+    assert cli.main([command, *argv]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("E_")]
+    assert len(errors) == 1 and errors[0].startswith("E_OUTPUT cannot write outputs: ")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_density_command_writes_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["density", "--config", cfg, "--threads", "2"]) == 0

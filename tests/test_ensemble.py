@@ -1,56 +1,67 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import avgvar.cli as cli
 import avgvar.ensemble as ens_mod
 from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
-                    VolFunctionSpec, make_grid, run_ensemble, summarize,
-                    validate_ou)
+                    ValidationError, VolFunctionSpec, make_grid, mc_estimate,
+                    run_ensemble, validate_ou)
 from avgvar.ensemble import duality_statistic
 
 SEED = 20240601
 
 
+# the ensemble's samples are summarized by the package's one Monte Carlo
+# estimator, pricing.mc_estimate
 def test_summarize_constant():
-    s = summarize([1.0, 1.0, 1.0])
-    assert s.mean == 1.0
-    assert s.se == 0.0
+    s = mc_estimate([1.0, 1.0, 1.0])
+    assert s.value == 1.0
+    assert s.std_error == 0.0
     assert s.ci95 == (1.0, 1.0)
 
 
 def test_summarize_two_values():
-    s = summarize([0.0, 2.0])
-    assert s.mean == 1.0
-    assert s.se == pytest.approx(1.0, rel=1e-15)
+    s = mc_estimate([0.0, 2.0])
+    assert s.value == 1.0
+    assert s.std_error == pytest.approx(1.0, rel=1e-15)
     assert s.ci95[0] == pytest.approx(-0.96, abs=1e-12)
     assert s.ci95[1] == pytest.approx(2.96, abs=1e-12)
 
 
-def test_summarize_single_sample_has_no_se():
-    s = summarize([3.5])
-    assert s.mean == 3.5
-    assert s.se is None
-    assert s.ci95 is None
+def test_summarize_single_sample_has_zero_se():
+    s = mc_estimate([3.5])
+    assert s.value == 3.5
+    assert s.std_error == 0.0
+    assert s.ci95 == (3.5, 3.5)
 
 
 def test_summarize_empty_raises():
     with pytest.raises(EmptyEnsemble):
-        summarize([])
+        mc_estimate([])
 
 
 def test_alternating_mean_is_exactly_zero():
     v = np.empty(10**6)
     v[0::2] = 1.0
     v[1::2] = -1.0
-    assert summarize(v).mean == 0.0
+    assert mc_estimate(v).value == 0.0
 
 
 def test_single_path_ensemble(ou_model):
     res = run_ensemble(ou_model, make_grid(1.0, 32), 1, SEED)
     assert res.n_paths == 1
     assert res.weight.shape == (1,)
-    assert summarize(res.avg_variance).se is None
+    assert mc_estimate(res.avg_variance).std_error == 0.0
+
+
+@pytest.mark.parametrize("threads", [0, -1, None, 1.5])
+def test_threads_below_one_are_rejected(ou_model, threads):
+    with pytest.raises(ValidationError) as info:
+        run_ensemble(ou_model, make_grid(1.0, 32), 10, SEED, threads=threads)
+    assert [code for code, _ in info.value.violations] == ["E_INVALID_THREADS"]
 
 
 def test_thread_counts_do_not_change_a_byte(ou_model, cir_model):
@@ -97,27 +108,34 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
 
     def all_bad(batch, params):
         n = batch.states.shape[0]
-        nan = np.full(n, np.nan)
-        return OUWeightBatch(delta=nan, term_ito=nan, term_trace=nan,
-                             denominator=np.full(n, -1.0), bad=np.ones(n, dtype=bool))
+        one = np.ones(n)
+        return OUWeightBatch(delta=one, term_ito=one, term_trace=0 * one,
+                             denominator=-one)
 
     monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", all_bad)
     with pytest.raises(FailureBudgetExceeded):
         run_ensemble(ou_model, make_grid(1.0, 32), 500, SEED)
 
 
-def test_failed_paths_below_budget_are_reported(ou_model, monkeypatch):
-    from avgvar.weights_ou import skorokhod_weight_ou as real_weight
-
+def _fail_path_zero(real_weight, fault):
+    """The real weight, with path 0 broken by ``fault``."""
     def one_bad(batch, params):
         wb = real_weight(batch, params)
         if 0 in batch.path_indices:
             row = int(np.where(batch.path_indices == 0)[0][0])
-            wb.bad[row] = True
-            wb.delta[row] = np.nan
+            array, value = {"nan_delta": (wb.delta, np.nan), "inf_delta": (wb.delta, np.inf),
+                            "zero_denominator": (wb.denominator, 0.0),
+                            "nan_denominator": (wb.denominator, np.nan),
+                            "inf_denominator": (wb.denominator, np.inf)}[fault]
+            array[row] = value
         return wb
+    return one_bad
 
-    monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", one_bad)
+
+def test_failed_paths_below_budget_are_reported(ou_model, monkeypatch):
+    from avgvar.weights_ou import skorokhod_weight_ou as real_weight
+
+    monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", _fail_path_zero(real_weight, "nan_delta"))
     res = run_ensemble(ou_model, make_grid(1.0, 32), 2000, SEED)
     assert res.n_failures == 1
     f, w = res.valid_samples()
@@ -125,7 +143,18 @@ def test_failed_paths_below_budget_are_reported(ou_model, monkeypatch):
     assert np.all(np.isfinite(w))
 
 
-def _flat_above_ten_model(y0):
+@pytest.mark.parametrize("fault", ["inf_delta", "zero_denominator", "nan_denominator",
+                                   "inf_denominator"])
+def test_each_guard_fails_the_path_with_a_nan_weight(ou_model, monkeypatch, fault):
+    from avgvar.weights_ou import skorokhod_weight_ou as real_weight
+
+    monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", _fail_path_zero(real_weight, fault))
+    res = run_ensemble(ou_model, make_grid(1.0, 32), 2000, SEED)
+    assert res.n_failures == 1 and res.failed[0]
+    assert np.isnan(res.weight[0]) and np.all(np.isfinite(res.weight[1:]))
+
+
+def _flat_above_ten_vol():
     """sigma = 0.3 + 0.1 atan(min(x, 10)): valid on the probe grid [-10, 10],
     but sigma' = 0 at every x > 10."""
     def sigma(x):
@@ -137,11 +166,14 @@ def _flat_above_ten_model(y0):
     def sigma_second(x):
         return np.where(x > 10.0, 0.0, -0.2 * x / (1.0 + x * x) ** 2)
 
-    vol = VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime,
-                          sigma_second=sigma_second, lower_bound_c=0.1,
-                          growth_scale=0.5, growth_power=0)
-    return validate_ou(OUParams(alpha=1.0, k=0.5, y0=y0, s0=100.0,
-                                r=0.05, mu=0.05, T=1.0), vol)
+    return VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime,
+                           sigma_second=sigma_second, lower_bound_c=0.1,
+                           growth_scale=0.5, growth_power=0)
+
+
+def _flat_above_ten_model(y0, k=0.5):
+    return validate_ou(OUParams(alpha=1.0, k=k, y0=y0, s0=100.0,
+                                r=0.05, mu=0.05, T=1.0), _flat_above_ten_vol())
 
 
 @pytest.mark.parametrize("compute_weights", [True, False])
@@ -154,6 +186,36 @@ def test_visited_state_guard_fails_paths_outside_the_probe_grid(compute_weights)
     res = run_ensemble(_flat_above_ten_model(0.0), grid, 500, SEED,
                        compute_weights=compute_weights)
     assert res.n_failures == 0
+
+
+def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
+    """At k = 4 a few paths wander above 10, where sigma' = 0: the batch
+    flags them, and their weight is NaN both in the ensemble result and in
+    weights.csv, though the weight formula gives them a finite value."""
+    grid = make_grid(1.0, 32)
+    res = run_ensemble(_flat_above_ten_model(0.0, k=4.0), grid, 20000, SEED)
+    assert 0 < res.n_failures <= ens_mod.FAILURE_BUDGET * res.n_paths
+    assert np.array_equal(np.isnan(res.weight), res.failed)
+
+    results = []
+
+    def keep_result(*args, **kwargs):
+        results.append(run_ensemble(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "reference_vol_family", lambda c, m: _flat_above_ten_vol())
+    monkeypatch.setattr(cli, "run_ensemble", keep_result)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "ou", "params": {"alpha": 1.0, "k": 4.0, "y0": 0.0, "s0": 100.0,
+                                  "r": 0.05, "mu": 0.05, "T": 1.0},
+        "grid": {"n_steps": 32}, "ensemble": {"n_paths": 20000, "seed": SEED},
+        "output": {"directory": str(tmp_path / "out")}}))
+    assert cli.main(["density", "--config", str(cfg), "--threads", "1"]) == 0
+    written = np.genfromtxt(tmp_path / "out" / "weights.csv", delimiter=",", names=True)
+    (failed,) = [r.failed for r in results]
+    assert failed.any()
+    assert np.array_equal(np.isnan(written["weight"]), failed)
 
 
 @pytest.mark.parametrize("model_name,budget", [("ou_model", 7.5), ("cir_model", 8.5)])

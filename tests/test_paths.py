@@ -6,31 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from avgvar import (FloorSaturation, InvalidGrid, OUParams, ValidatedOUModel,
+from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUModel,
                     CIRParams, ValidatedCIRModel, make_grid,
-                    ou_paths_from_increments, sample_terminal_asset,
+                    ou_paths_from_increments, run_ensemble, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
 from avgvar.paths import FLOOR_RATE_LIMIT
 from avgvar.rng import PURPOSE_VOL, NoiseStream, PURPOSE_BRIDGE
 from bridge import refine_increments
 
 SEED = 20240601
-
-
-def require_floor_budget(batch):
-    """Raise FloorSaturation if any path floored more than 0.1% of its steps.
-
-    The strict single-batch form of the ensemble's per-path floor guard,
-    which marks such paths failed instead of raising.
-    """
-    limit = FLOOR_RATE_LIMIT * batch.grid.n_steps
-    over = batch.floored_steps > limit
-    if np.any(over):
-        worst = int(batch.floored_steps.max())
-        raise FloorSaturation(
-            f"{int(over.sum())} path(s) floored more than {FLOOR_RATE_LIMIT:.1%} "
-            f"of steps (worst {worst}/{batch.grid.n_steps}); grid too coarse")
-    return batch
 
 
 def ito_prefix_sums(dW, integrand_nodes):
@@ -128,7 +112,7 @@ def test_cir_never_floors_in_reference_regime(cir_model):
     assert np.all(batch.states > 0)
     # R_t nondecreasing
     assert np.all(np.diff(batch.recip_integral, axis=1) >= 0)
-    require_floor_budget(batch)  # must not raise
+    assert not batch.bad.any()
 
 
 def test_floor_saturation_raises_on_coarse_grid():
@@ -138,8 +122,11 @@ def test_floor_saturation_raises_on_coarse_grid():
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(64))
-    with pytest.raises(FloorSaturation):
-        require_floor_budget(batch)
+    over = batch.floored_steps > FLOOR_RATE_LIMIT * grid.n_steps
+    assert over.any() and np.array_equal(batch.bad, over)
+    # the ensemble fails the flagged paths, beyond its 0.1% budget here
+    with pytest.raises(FailureBudgetExceeded, match=rf"^{over.sum()} of 64 paths failed"):
+        run_ensemble(model, grid, 64, SEED, compute_weights=False)
 
 
 def test_ou_avg_variance_above_lower_bound(ou_model):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel,
-                    bs_conditional, make_grid, martingale_check,
+                    bs_conditional, make_grid, malliavin_density, martingale_check,
                     price_from_density, price_mixing, price_plain_mc,
                     sample_terminal_asset, simulate_ou_paths)
-from avgvar.density import DensityEstimate
 from avgvar.errors import NegativeMassWarning
 from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 
@@ -102,23 +101,24 @@ def test_mixing_empty_raises():
 
 
 def test_point_mass_density_prices_like_bs():
-    # a synthetic single-bin density of mass 1 concentrated at x = 0.04
+    # a density of mass 1 concentrated at x = 0.04: one sample above the
+    # grid whose weight is the inverse grid width
     half = 1e-9
     x = np.linspace(0.04 - half, 0.04 + half, 21)
-    p = np.full(21, 1.0 / (2 * half))
-    dens = DensityEstimate(x_grid=x, p_hat=p, se=np.zeros(21),
-                           normalization=1.0, method="malliavin")
-    est = price_from_density(dens, 100.0, 100.0, 0.05, 1.0)
+    f, w = np.array([1.0]), np.array([1.0 / (2 * half)])
+    dens = malliavin_density(f, w, x)
+    est = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
     _, disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
     assert est.value == pytest.approx(disc, abs=1e-6)
 
 
 def test_low_mass_density_warns():
+    # p = 1 on [0.01, 0.09]: mass 0.08
     x = np.linspace(0.01, 0.09, 21)
-    dens = DensityEstimate(x_grid=x, p_hat=np.full(21, 1.0), se=np.zeros(21),
-                           normalization=0.08, method="malliavin")
+    f, w = np.array([1.0]), np.array([1.0])
+    dens = malliavin_density(f, w, x)
     with pytest.warns(NegativeMassWarning):
-        price_from_density(dens, 100.0, 100.0, 0.05, 1.0)
+        price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
 
 
 def test_plain_mc_zero_strike_recovers_spot(ou_model):

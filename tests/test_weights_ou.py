@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from avgvar import (NonPositiveDenominator, OUParams, make_grid,
-                    ou_paths_from_increments, simulate_ou_paths, validate_ou)
+from avgvar import (OUParams, make_grid, ou_paths_from_increments,
+                    simulate_ou_paths, validate_ou)
 from avgvar.reference import ou_weight_double_sum
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
@@ -18,17 +18,6 @@ SEED = 20240601
 # recomputed symbolically; equals 4x the constant printed in the source
 # derivation chain, which slips a factor in an intermediate rescaling.
 G_FLAT_UNIT = 2.0 / math.e - (1.0 - 1.0 / math.e) ** 2
-
-
-def require_positive_g(G):
-    """Raise NonPositiveDenominator unless every G is strictly positive."""
-    G = np.atleast_1d(G)
-    if not np.all(np.isfinite(G)) or np.any(G <= 0):
-        worst = float(np.nanmin(G))
-        raise NonPositiveDenominator(
-            f"denominator G must be > 0 on every path (min {worst!r}); "
-            "hypothesis violation or catastrophic cancellation")
-    return G
 
 
 def dh_eta_matrix(nu_vals, nu_prime_vals, grid, alpha, k, G, C):
@@ -83,11 +72,11 @@ def test_flat_nu_matches_closed_form(ou_model):
 
 
 def test_zero_nu_gives_zero_g(ou_model, grid64):
-    wb = _weight_with_nu(ou_model, grid64, np.zeros((1, 65)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wb = _weight_with_nu(ou_model, grid64, np.zeros((1, 65)))
     assert wb.denominator[0] == 0.0
-    assert wb.bad[0] and np.isnan(wb.delta[0])
-    with pytest.raises(NonPositiveDenominator):
-        require_positive_g(wb.denominator)
+    # 0 / 0: the weight flags nothing itself, run_ensemble fails the path on G
+    assert np.isnan(wb.delta[0])
 
 
 def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
@@ -176,7 +165,7 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     batch = _fixed_batch(model, grid64)
     nu, nup = batch.nu, batch.nu_prime
     wb = skorokhod_weight_ou(batch, model.params)
-    assert not wb.bad.any()
+    assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
         ito_ref, trace_ref, g_ref = ou_weight_double_sum(
             nu[p], nup[p], batch.dW[p], grid64, alpha, model.params.k)
@@ -267,7 +256,7 @@ def test_duality_small_ensemble(ou_model):
         idx = np.arange(lo, min(lo + 2048, 8000))
         b = simulate_ou_paths(ou_model, grid, stream, idx)
         wb = skorokhod_weight_ou(b, ou_model.params)
-        assert not wb.bad.any()
+        assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
         f[idx] = b.avg_variance
         d[idx] = wb.delta
     for stat in (d, f * d - 1.0, f * f * d - 2.0 * f, np.sin(f) * d - np.cos(f)):
