@@ -3,10 +3,14 @@
 Paths are processed in fixed-size chunks; each chunk's output lands in a
 preallocated slice indexed by path number, and every per-path quantity
 depends only on (seed, namespace, purpose, path index) through the
-counter-based streams. Worker count therefore cannot change any output
-value -- threads only decide who computes which chunk. Reductions use
-numpy's pairwise summation on arrays assembled in path order, so means are
-bit-stable too (and exactly zero for exactly-cancelling inputs).
+counter-based streams. Worker w of ``threads`` runs chunks w, w + threads,
+w + 2 threads, ... with its own streams and one ``Workspace`` of whole
+chunk buffers, created once per ensemble and reused by each of its chunks,
+so a warmed worker allocates no whole array and the peak memory is the
+workspaces, whatever the allocator does. Worker count cannot change any
+output value -- threads only decide who computes which chunk. Reductions
+use numpy's pairwise summation on arrays assembled in path order, so means
+are bit-stable too (and exactly zero for exactly-cancelling inputs).
 
 ``run_ensemble`` is the one place that decides whether a path fails. A
 path fails when its batch flags it (a volatility-assumption breach at a
@@ -29,6 +33,7 @@ from .models import ValidatedCIRModel, ValidatedOUModel
 from .rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
+from .workspace import Workspace
 
 CHUNK = 2048
 FAILURE_BUDGET = 1e-3
@@ -103,39 +108,42 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     terminal_asset = np.empty(n_paths) if collect_asset else None
     failed = np.zeros(n_paths, dtype=bool)
 
-    def work(lo):
-        hi = min(lo + CHUNK, n_paths)
-        idx = np.arange(lo, hi)
-        # streams are stateful, so each chunk task builds its own; values
-        # depend only on (seed, namespace, purpose, path index)
-        vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace=namespace)
-        batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic)
-        bad = batch.bad
-        if compute_weights:
-            # a failed path may divide by zero or overflow; it is set NaN here
-            with np.errstate(all="ignore"):
-                wb = skorokhod_weight(batch, model.params)
-            den = wb.denominator
-            bad = bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
-            weight[idx] = np.where(bad, np.nan, wb.delta)
-            denom[idx] = den
-        failed[idx] = bad
-        avg_variance[idx] = batch.avg_variance
-        if collect_terminal:
-            terminal_state[idx] = batch.states[:, -1]
-        if collect_asset:
-            asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace=namespace)
-            terminal_asset[idx] = _paths.sample_terminal_asset(
-                batch.avg_variance, model.params, asset_stream, idx,
-                antithetic=antithetic)
-
+    size = min(CHUNK, n_paths) * (grid.n_steps + 1)
     starts = range(0, n_paths, CHUNK)
+
+    def work(worker):
+        # each worker owns its streams (they are stateful) and one workspace,
+        # reused by every chunk it runs; values depend only on (seed,
+        # namespace, purpose, path index)
+        ws = Workspace(size)
+        vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace=namespace)
+        asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace=namespace)
+        for lo in starts[worker::threads]:
+            idx = np.arange(lo, min(lo + CHUNK, n_paths))
+            batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws)
+            bad = batch.bad
+            if compute_weights:
+                # a failed path may divide by zero or overflow; it is set NaN here
+                with np.errstate(all="ignore"):
+                    wb = skorokhod_weight(batch, model.params, ws=ws)
+                den = wb.denominator
+                bad = bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
+                weight[idx] = np.where(bad, np.nan, wb.delta)
+                denom[idx] = den
+            failed[idx] = bad
+            avg_variance[idx] = batch.avg_variance
+            if collect_terminal:
+                terminal_state[idx] = batch.states[:, -1]
+            if collect_asset:
+                terminal_asset[idx] = _paths.sample_terminal_asset(
+                    batch.avg_variance, model.params, asset_stream, idx,
+                    antithetic=antithetic)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
+            list(pool.map(work, range(threads)))
     else:
-        for lo in starts:
-            work(lo)
+        work(0)
 
     result = EnsembleResult(avg_variance=avg_variance,
                             weight=weight, denominator=denom,

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .workspace import take
 
 PROBE_GRID = np.linspace(-10.0, 10.0, 1001)
 
@@ -36,11 +37,13 @@ class VolFunctionSpec:
     ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The density kernels
     consume the products nu and nu' of ``nu_terms``.
 
-    ``evaluate(x)`` returns (sigma, sigma', sigma'') at x. The path
-    simulator calls it once per batch of states. A spec may pass ``joint``,
-    a callable returning the triple in one pass (the reference family does,
-    sharing its intermediates); without it, ``evaluate`` calls the three
-    callables in turn.
+    ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x. The path
+    simulator calls it once per batch of states, with its chunk workspace
+    ``ws`` (``avgvar.workspace``). A spec may pass ``joint(x, ws)``, a
+    callable returning the triple in one pass (the reference family does,
+    sharing its intermediates and taking its arrays from ``ws``); without
+    it, ``evaluate`` calls the three callables in turn and returns fresh
+    arrays of the shape of x.
     """
 
     sigma: Callable
@@ -52,19 +55,29 @@ class VolFunctionSpec:
     name: str = "custom"
     joint: Callable | None = None
 
-    def evaluate(self, x):
+    def evaluate(self, x, ws=None):
         if self.joint is not None:
-            return self.joint(x)
-        return tuple(np.asarray(f(x), dtype=float)
+            return self.joint(x, ws)
+        return tuple(np.array(np.broadcast_to(f(x), np.shape(x)), dtype=float)
                      for f in (self.sigma, self.sigma_prime, self.sigma_second))
 
 
-def nu_terms(sig, sig_p, sig_pp):
+def nu_terms(sig, sig_p, sig_pp, ws=None):
     """nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' from the
-    values of ``VolFunctionSpec.evaluate``."""
-    nu_prime = sig_p**2
-    nu_prime += sig * sig_pp
-    return sig * sig_p, nu_prime
+    values of ``VolFunctionSpec.evaluate``.
+
+    With a workspace the three arrays are the chunk's own and are spent:
+    nu and nu' overwrite sigma and sigma' in place, and sigma'' is scratch.
+    Without one, the inputs are left as they are.
+    """
+    if ws is None:
+        sig, sig_p, sig_pp = (np.array(a, dtype=float)
+                              for a in np.broadcast_arrays(sig, sig_p, sig_pp))
+    sig_pp *= sig
+    np.multiply(sig, sig_p, out=sig)
+    np.multiply(sig_p, sig_p, out=sig_p)
+    sig_p += sig_pp
+    return sig, sig_p
 
 
 @dataclass(frozen=True)
@@ -142,21 +155,21 @@ def reference_vol_family(c, m):
     c = float(c)
     m = float(m)
 
-    def joint(x):
+    def joint(x, ws=None):
         # one sqrt, one mask and one s - x for all three; the operations
         # run in place on four buffers, each with the operands and order of
         # the closed forms, so the values match them bit for bit
         x = np.asarray(x, dtype=float)
         shape = x.shape
         x = np.atleast_1d(x)
-        pos = x >= 0
-        s = x * x
+        pos = np.greater_equal(x, 0, out=take(ws, "tmp2", x.shape, bool))
+        s = np.multiply(x, x, out=take(ws, "tmp1", x.shape))
         s += 1.0
         np.sqrt(s, out=s)
-        up = x + s
-        d = s - x
+        up = np.add(x, s, out=take(ws, "tmp0", x.shape))
+        d = np.subtract(s, x, out=take(ws, "sigma_prime", x.shape))
         # sigma = c + m * (x + s  if x >= 0 else  1 / (s - x))
-        sigma = np.divide(1.0, d)
+        sigma = np.divide(1.0, d, out=take(ws, "sigma", x.shape))
         np.copyto(sigma, up, where=pos)
         sigma *= m
         sigma += c

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidGrid
 from .models import nu_terms
+from .workspace import take
 
 Z_FLOOR = 1e-12
 FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
@@ -102,34 +103,38 @@ class CIRPathBatch:
     bad: np.ndarray            # (P,) bool
 
 
-def ou_paths_from_increments(model, grid, dW, path_indices=None):
+def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     """Build OU paths from given driver increments (one row per path).
 
     The exact transition consumes xi = dW / sqrt(dt), so a path is a pure
     function of its increments; used directly by the simulator and by the
-    Brownian-bridge refinement tests.
+    Brownian-bridge refinement tests. With a workspace ``ws`` every whole
+    array comes from it.
     """
     p = model.params
     n = grid.n_steps
     dt = grid.dt
     dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    xi = dW / np.sqrt(dt)
+    xi = np.divide(dW, np.sqrt(dt), out=take(ws, "tmp0", dW.shape))
 
     decay = np.exp(-p.alpha * dt)
     step_sd = p.k * np.sqrt((1.0 - np.exp(-2.0 * p.alpha * dt)) / (2.0 * p.alpha))
 
-    y = np.empty((xi.shape[0], n + 1))
+    y = take(ws, "states", (xi.shape[0], n + 1))
     y[:, 0] = p.y0
     for j in range(n):
         y[:, j + 1] = y[:, j] * decay + step_sd * xi[:, j]
     del xi
 
     # one volatility pass, reduced at once to what the guard and weight use
-    sig, sig_p, sig_pp = model.vol.evaluate(y)
-    avg_variance = np.einsum("pj,j->p", sig**2, grid.trapezoid_weights) / grid.T
+    sig, sig_p, sig_pp = model.vol.evaluate(y, ws)
+    sq = np.multiply(sig, sig, out=take(ws, "tmp0", y.shape))
+    avg_variance = np.einsum("pj,j->p", sq, grid.trapezoid_weights) / grid.T
     # re-assert the volatility assumptions at every visited state
-    bad = ~((sig_p > 0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12))).all(axis=1)
-    nu, nu_prime = nu_terms(sig, sig_p, sig_pp)
+    mask = take(ws, "tmp2", y.shape, bool)
+    ok = np.greater(sig_p, 0, out=mask).all(axis=1)
+    ok &= np.greater_equal(sig, model.vol.lower_bound_c * (1.0 - 1e-12), out=mask).all(axis=1)
+    nu, nu_prime = nu_terms(sig, sig_p, sig_pp, ws)
     del sig, sig_p, sig_pp
 
     if path_indices is None:
@@ -140,24 +145,26 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None):
         dW=dW,
         states=y,
         avg_variance=avg_variance,
-        bad=bad,
+        bad=~ok,
         nu=nu,
         nu_prime=nu_prime,
     )
 
 
-def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False):
+def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None):
     """Simulate OU driver paths by their exact transition.
 
     With k = 0 the recursion degenerates to the deterministic decay
     Y_{t_i} = y0 e^{-alpha t_i} exactly.
     """
-    dW = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
+    shape = (len(path_indices), grid.n_steps)
+    dW = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic,
+                              out=take(ws, "dW", shape))
     np.multiply(dW, np.sqrt(grid.dt), out=dW)  # the normals become dW in place
-    return ou_paths_from_increments(model, grid, dW, path_indices=path_indices)
+    return ou_paths_from_increments(model, grid, dW, path_indices=path_indices, ws=ws)
 
 
-def cir_paths_from_increments(model, grid, dW, path_indices=None):
+def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     """Build CIR paths from given driver increments by full-truncation Euler.
 
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(max(Z_i, 0)) dW_i, then floored at
@@ -168,15 +175,17 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
     ``dW`` has one row per path. The recursion steps the rows of time-major
     (n, P) and (n+1, P) buffers, and the batch's fields are transposed
     views of them; a ``dW`` that is already such a view is not copied.
+    With a workspace ``ws`` the states and the 1/Z prefix come from it.
     """
     p = model.params
     n = grid.n_steps
     dt = grid.dt
     dW = np.ascontiguousarray(np.atleast_2d(np.asarray(dW, dtype=float)).T)
 
-    z = np.empty((n + 1, dW.shape[1]))
+    z = take(ws, "states", (n + 1, dW.shape[1]))
     z[0] = p.z0
-    recip = np.zeros_like(z)
+    recip = take(ws, "recip", z.shape)
+    recip[0] = 0.0
     inv_z = 1.0 / z[0]
     floored = np.zeros(dW.shape[1], dtype=np.int64)
     for j in range(n):
@@ -207,12 +216,14 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None):
     )
 
 
-def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False):
+def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None):
     """Simulate CIR variance paths (full-truncation Euler; see
     cir_paths_from_increments)."""
-    xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic)
-    dW = np.multiply(xi.T, np.sqrt(grid.dt), order="C")  # time-major
-    return cir_paths_from_increments(model, grid, dW.T, path_indices=path_indices)
+    n = grid.n_steps
+    xi = stream.normal_matrix(path_indices, n, antithetic=antithetic,
+                              out=take(ws, "tmp0", (len(path_indices), n)))
+    dW = np.multiply(xi.T, np.sqrt(grid.dt), out=take(ws, "dW", xi.T.shape))  # time-major
+    return cir_paths_from_increments(model, grid, dW.T, path_indices=path_indices, ws=ws)
 
 
 def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic=False):

@@ -72,15 +72,17 @@ class NoiseStream:
         self._rewind(int(path_index))
         return self._gen.standard_normal(int(count))
 
-    def normal_matrix(self, path_indices, count, antithetic=False):
-        """Stack per-path draws into a (len(path_indices), count) matrix.
+    def normal_matrix(self, path_indices, count, antithetic=False, out=None):
+        """Stack per-path draws into a (len(path_indices), count) matrix,
+        written into ``out`` when given.
 
         With ``antithetic=True`` odd path indices return the negated draws of
         their even partner (index - 1), giving exact antithetic pairs while
         keeping the per-path addressing scheme intact.
         """
         path_indices = np.asarray(path_indices, dtype=np.int64)
-        out = np.empty((path_indices.size, count))
+        if out is None:
+            out = np.empty((path_indices.size, count))
         for row, idx in enumerate(path_indices):
             if antithetic and idx % 2 == 1:
                 out[row] = -self.normals(idx - 1, count)

@@ -67,6 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import take
+
 
 @dataclass
 class CIRKernelBatch:
@@ -109,9 +111,13 @@ def q_constant(params):
     return 0.5 * params.b - params.k**2 / 8.0
 
 
-def log_phi_nodes(batch, q):
-    """log phi(t_i) = -t_i / 2 - q R_i per node."""
-    return -0.5 * batch.grid.t[None, :] - q * batch.recip_integral
+def log_phi_nodes(batch, q, ws=None):
+    """log phi(t_i) = -t_i / 2 - q R_i per node, as the (P, n+1) view of a
+    time-major buffer (slot tmp0 of a workspace ``ws``)."""
+    recip = _time_major(batch.recip_integral)
+    log_phi = np.multiply(recip, q, out=take(ws, "tmp0", recip.shape))
+    np.subtract(-0.5 * batch.grid.t[:, None], log_phi, out=log_phi)
+    return log_phi.T
 
 
 def _time_major(a):
@@ -120,13 +126,14 @@ def _time_major(a):
     return np.ascontiguousarray(a.T)
 
 
-def cir_kernel(batch, params):
+def cir_kernel(batch, params, ws=None):
     """Assemble kernel state and the denominator I for a batch of CIR paths.
 
     One forward sweep over time-major rows builds f_hat and folds the strict
     prefix Atil_j and the Ito prefix into their per-path sums as it goes.
     log phi is formed whole only to take its one-step ratios psi_step, and
-    is released before the sweep.
+    is released before the sweep. With a workspace ``ws`` the whole arrays
+    are its slots tmp0 (log phi), psi, sqrt_z and f_hat.
     """
     grid = batch.grid
     dt = grid.dt
@@ -135,16 +142,18 @@ def cir_kernel(batch, params):
     n = grid.n_steps
 
     q = q_constant(params)
-    log_phi = _time_major(log_phi_nodes(batch, q))
-    psi_step = np.diff(log_phi, axis=0)
+    log_phi = _time_major(log_phi_nodes(batch, q, ws))
+    psi_step = np.subtract(log_phi[1:], log_phi[:-1],
+                           out=take(ws, "psi", (n, log_phi.shape[1])))
     del log_phi
     np.exp(psi_step, out=psi_step)
 
     z = _time_major(batch.states)
     dW = _time_major(batch.dW)
-    sqrt_z = np.sqrt(z)
+    sqrt_z = np.sqrt(z, out=take(ws, "sqrt_z", z.shape))
     P = z.shape[1]
-    f_hat = np.zeros((n + 1, P))
+    f_hat = take(ws, "f_hat", z.shape)
+    f_hat[0] = 0.0
     a_excl = np.zeros(P)  # strict prefix Atil_j, pairs with the diagonal term of I
     p_hat = np.zeros(P)   # P(t_j) phi(t_j)
     i_cross = np.zeros(P)  # sum_j w_j sqrt(Z_j) Atil_j
@@ -174,16 +183,18 @@ def cir_kernel(batch, params):
                           I=2.0 * i_cross + i_diag)
 
 
-def skorokhod_weight_cir(batch, params, kernel=None):
+def skorokhod_weight_cir(batch, params, kernel=None, ws=None):
     """Per-path Skorokhod weight delta = A - B - C2 + C3 (see module docstring).
 
     A forward sweep over time-major rows builds abar (kept whole, it becomes
     rho) and reduces W2 into C2; one backward sweep carries Jhat, the suffix
     trapezoids of sqrt(Z) rho and Jhat^2, and S1..S3 as running rows and
-    reduces them into C3.
+    reduces them into C3. With a workspace ``ws`` the kernel takes its
+    arrays from it, and sqrt(Z), Z^{-3/2} and abar are its slots sqrt_z,
+    tmp0 and dW: only the kernel reads the batch's dW, so it is spent here.
     """
     if kernel is None:
-        kernel = cir_kernel(batch, params)
+        kernel = cir_kernel(batch, params, ws)
     grid = batch.grid
     h = 0.5 * grid.dt
     w = grid.trapezoid_weights
@@ -194,12 +205,13 @@ def skorokhod_weight_cir(batch, params, kernel=None):
     f_hat = _time_major(kernel.f_hat)
 
     z = _time_major(batch.states)
-    sqrt_z = np.sqrt(z)
-    z_m32 = z**-1.5
+    sqrt_z = np.sqrt(z, out=take(ws, "sqrt_z", z.shape))
+    z_m32 = np.power(z, -1.5, out=take(ws, "tmp0", z.shape))
     P = z.shape[1]
 
     # forward psi-shifted closed trapezoids: abar whole, W2 reduced into C2
-    abar = np.zeros((n + 1, P))
+    abar = take(ws, "dW", z.shape)
+    abar[0] = 0.0
     w2 = np.zeros(P)
     c2 = np.zeros(P)
     ha_prev = h * (sqrt_z[0] * f_hat[0])

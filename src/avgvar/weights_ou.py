@@ -75,6 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workspace import take
+
 
 @dataclass
 class OUWeightBatch:
@@ -90,12 +92,13 @@ class OUWeightBatch:
     denominator: np.ndarray # (P,) G
 
 
-def skorokhod_weight_ou(batch, params):
+def skorokhod_weight_ou(batch, params, ws=None):
     """Compute the per-path Skorokhod weight for a batch of OU paths.
 
     Every term comes from the running sums of the module docstring, built
     in place in three (P, n+1) buffers: wf (later q beta and Q), Av, and
-    kappa (later s).
+    kappa (later s). With a workspace ``ws`` they are its slots tmp0, tmp1
+    and tmp2.
     """
     alpha, k = params.alpha, params.k
     grid = batch.grid
@@ -106,18 +109,19 @@ def skorokhod_weight_ou(batch, params):
     A = np.exp(alpha * t)
     g = batch.nu_prime
 
-    wf = w * batch.nu
+    shape = batch.nu.shape
+    wf = np.multiply(w, batch.nu, out=take(ws, "tmp0", shape))
     s_sep = np.einsum("pj,j->p", wf, E)
     # av[:, j] = wf_{j+1} E_{j+1}, so the reversed in-place cumsum reads each
     # element before it writes it and yields the strict suffix v
-    av = np.empty_like(wf)
+    av = take(ws, "tmp1", shape)
     np.multiply(wf[:, 1:], E[1:], out=av[:, :-1])
     av[:, -1] = 0.0
     np.cumsum(av[:, ::-1], axis=1, out=av[:, ::-1])
     av *= A  # column 0 is v_0 itself, as A_0 = 1
     ito_sum = np.einsum("pi,pi->p", batch.dW, av[:, :-1])
 
-    kappa = wf * A
+    kappa = np.multiply(wf, A, out=take(ws, "tmp2", shape))
     np.cumsum(kappa, axis=1, out=kappa)
     kappa -= s_sep[:, None]
     kappa *= E

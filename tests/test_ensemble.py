@@ -6,6 +6,7 @@ import pytest
 
 import avgvar.cli as cli
 import avgvar.ensemble as ens_mod
+import avgvar.paths as paths_mod
 from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
                     ValidationError, VolFunctionSpec, make_grid, mc_estimate,
                     run_ensemble, validate_ou)
@@ -106,7 +107,7 @@ def test_no_failures_on_reference_models(ou_model, cir_model):
 def test_failure_budget_enforced(ou_model, monkeypatch):
     from avgvar.weights_ou import OUWeightBatch
 
-    def all_bad(batch, params):
+    def all_bad(batch, params, ws=None):
         n = batch.states.shape[0]
         one = np.ones(n)
         return OUWeightBatch(delta=one, term_ito=one, term_trace=0 * one,
@@ -119,8 +120,8 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
 
 def _fail_path_zero(real_weight, fault):
     """The real weight, with path 0 broken by ``fault``."""
-    def one_bad(batch, params):
-        wb = real_weight(batch, params)
+    def one_bad(batch, params, ws=None):
+        wb = real_weight(batch, params, ws=ws)
         if 0 in batch.path_indices:
             row = int(np.where(batch.path_indices == 0)[0][0])
             array, value = {"nan_delta": (wb.delta, np.nan), "inf_delta": (wb.delta, np.inf),
@@ -218,13 +219,14 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
     assert np.array_equal(np.isnan(written["weight"]), failed)
 
 
-@pytest.mark.parametrize("model_name,budget", [("ou_model", 7.5), ("cir_model", 8.5)])
+@pytest.mark.parametrize("model_name,budget", [("ou_model", 7.1), ("cir_model", 7.1)])
 def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
-    """The traced peak of one 2048-path chunk at n=512, in whole (P, n+1)
-    float64 arrays. The OU chunk holds dW, Y, nu and nu' and the weight's
-    three running-sum buffers (about 7.0); the CIR kernel drops log phi
-    once psi_step is formed, and F is summed on the time-major states
-    without a path-major copy."""
+    """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
+    whole (P, n+1) float64 arrays. It is the worker's seven-slot workspace:
+    for OU dW, Y, sigma and sigma' (which become nu and nu') and three
+    scratch slots that end as the weight's running sums; for CIR dW (then
+    abar), Z, the 1/Z prefix, psi_step, sqrt(Z), f_hat and one scratch slot
+    (the normals, then log phi, then Z^{-3/2})."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK
@@ -237,3 +239,31 @@ def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
         tracemalloc.stop()
     whole = n_paths * (grid.n_steps + 1) * 8
     assert peak <= budget * whole, peak / whole
+
+
+@pytest.mark.parametrize("model_name,simulator", [("ou_model", "simulate_ou_paths"),
+                                                  ("cir_model", "simulate_cir_paths")])
+def test_warm_chunk_allocates_no_whole_array(model_name, simulator, request, monkeypatch):
+    """The second of three chunks runs on the workspace the first warmed:
+    from its start to the start of the third, the traced memory rises by
+    less than half of one whole (P, n+1) array."""
+    model = request.getfixturevalue(model_name)
+    grid = make_grid(1.0, 512)
+    real = getattr(paths_mod, simulator)
+    marks = []  # (current, peak since the previous mark) at each chunk start
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paths_mod, simulator, marked)
+    tracemalloc.start()
+    try:
+        run_ensemble(model, grid, 3 * ens_mod.CHUNK, SEED)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 3
+    whole = ens_mod.CHUNK * (grid.n_steps + 1) * 8
+    rise = marks[2][1] - marks[1][0]
+    assert rise < 0.5 * whole, rise / whole
