@@ -5,10 +5,11 @@ weight terms, and a check of the factorized computation against the
 brute-force double sums (they implement the same quadrature, so agreement
 is at roundoff).
 
-Part 2 demonstrates the counter-based noise design: every path owns a
-Philox stream addressed by (seed, namespace, purpose, path index), so an
-ensemble gives byte-identical results for any worker count, and any single
-path can be reproduced in isolation.
+Part 2 demonstrates the counter-based noise design: a path's normals are
+its row of one Philox draw per 256-path block, addressed by (seed,
+namespace, purpose, path index), so an ensemble gives byte-identical
+results for any worker count, and any single path can be reproduced in
+isolation.
 """
 
 import numpy as np

@@ -35,7 +35,7 @@ from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
 from .workspace import Workspace
 
-CHUNK = 2048
+CHUNK = 2048  # a multiple of rng.BLOCK, so a chunk draws whole noise blocks
 FAILURE_BUDGET = 1e-3
 
 

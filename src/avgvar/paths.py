@@ -103,30 +103,23 @@ class CIRPathBatch:
     bad: np.ndarray            # (P,) bool
 
 
-def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
-    """Build OU paths from given driver increments (one row per path).
-
-    The exact transition consumes xi = dW / sqrt(dt), so a path is a pure
-    function of its increments; used directly by the simulator and by the
-    Brownian-bridge refinement tests. With a workspace ``ws`` every whole
-    array comes from it.
-    """
+def _ou_states(model, grid, xi, ws):
+    """Y at the nodes by the exact transition, stepped on the normals xi."""
     p = model.params
-    n = grid.n_steps
     dt = grid.dt
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    xi = np.divide(dW, np.sqrt(dt), out=take(ws, "tmp0", dW.shape))
-
     decay = np.exp(-p.alpha * dt)
     step_sd = p.k * np.sqrt((1.0 - np.exp(-2.0 * p.alpha * dt)) / (2.0 * p.alpha))
 
-    y = take(ws, "states", (xi.shape[0], n + 1))
+    y = take(ws, "states", (xi.shape[0], grid.n_steps + 1))
     y[:, 0] = p.y0
-    for j in range(n):
+    for j in range(grid.n_steps):
         y[:, j + 1] = y[:, j] * decay + step_sd * xi[:, j]
-    del xi
+    return y
 
-    # one volatility pass, reduced at once to what the guard and weight use
+
+def _ou_batch(model, grid, y, dW, path_indices, ws):
+    """The batch of paths Y with increments dW, after one volatility pass
+    reduced at once to what the guard and the weight use."""
     sig, sig_p, sig_pp = model.vol.evaluate(y, ws)
     sq = np.multiply(sig, sig, out=take(ws, "tmp0", y.shape))
     avg_variance = np.einsum("pj,j->p", sq, grid.trapezoid_weights) / grid.T
@@ -135,7 +128,6 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     ok = np.greater(sig_p, 0, out=mask).all(axis=1)
     ok &= np.greater_equal(sig, model.vol.lower_bound_c * (1.0 - 1e-12), out=mask).all(axis=1)
     nu, nu_prime = nu_terms(sig, sig_p, sig_pp, ws)
-    del sig, sig_p, sig_pp
 
     if path_indices is None:
         path_indices = np.arange(dW.shape[0])
@@ -151,17 +143,31 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     )
 
 
+def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
+    """Build OU paths from given driver increments (one row per path).
+
+    The exact transition consumes xi = dW / sqrt(dt), so a path is a pure
+    function of its increments; used by the Brownian-bridge refinement
+    tests. With a workspace ``ws`` every whole array but xi comes from it.
+    """
+    dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    y = _ou_states(model, grid, dW / np.sqrt(grid.dt), ws)
+    return _ou_batch(model, grid, y, dW, path_indices, ws)
+
+
 def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None):
     """Simulate OU driver paths by their exact transition.
 
-    With k = 0 the recursion degenerates to the deterministic decay
-    Y_{t_i} = y0 e^{-alpha t_i} exactly.
+    Y steps on the normals as drawn, and their buffer is then scaled in
+    place to dW = xi sqrt(dt). With k = 0 the recursion degenerates to the
+    deterministic decay Y_{t_i} = y0 e^{-alpha t_i} exactly.
     """
     shape = (len(path_indices), grid.n_steps)
-    dW = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic,
+    xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic,
                               out=take(ws, "dW", shape))
-    np.multiply(dW, np.sqrt(grid.dt), out=dW)  # the normals become dW in place
-    return ou_paths_from_increments(model, grid, dW, path_indices=path_indices, ws=ws)
+    y = _ou_states(model, grid, xi, ws)
+    dW = np.multiply(xi, np.sqrt(grid.dt), out=xi)
+    return _ou_batch(model, grid, y, dW, path_indices, ws)
 
 
 def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):

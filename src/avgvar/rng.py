@@ -1,12 +1,18 @@
 """Counter-based noise streams for reproducible parallel simulation.
 
-Every path owns an independent Philox stream addressed by
-(global seed, namespace, purpose, path_index): the seed and the
-namespace/purpose tags form the 128-bit Philox key, and the path index is
-placed in the high words of the 256-bit counter. A path therefore always
-sees the same normals no matter which worker draws them, in what order, or
+Paths are addressed in blocks of BLOCK = 256. The global seed and the
+namespace/purpose tags form the 128-bit Philox key; the block index
+``path // BLOCK`` is placed in counter word 2 of the 256-bit counter, and
+the block's stream is drawn as one (BLOCK, count) matrix of standard
+normals whose row ``path % BLOCK`` belongs to the path. A path's normals
+are therefore a pure function of (seed, namespace, purpose, path index,
+count): they do not depend on which worker draws them, in what order, or
 how the ensemble is chunked -- the property the reproducibility tests
-(byte-identical output for any --threads value) rely on.
+(byte-identical output for any --threads value) rely on. One stream rewind
+serves 256 paths, and BLOCK divides the ensemble's chunk size, so a chunk
+draws whole blocks straight into its own rows. Rows of one block drawn with
+different counts share the block's stream, so each (namespace, purpose)
+is drawn with one count per ensemble.
 
 Purpose tags keep logically distinct draws from colliding:
 
@@ -31,14 +37,18 @@ NAMESPACE_MIXING = 1
 NAMESPACE_PLAIN = 2
 NAMESPACE_MOMENTS = 3
 
+BLOCK = 256
+
 _MASK64 = (1 << 64) - 1
 
 
 class NoiseStream:
-    """Per-path standard-normal streams under one (seed, namespace, purpose) key.
+    """Block-addressed standard-normal streams under one (seed, namespace,
+    purpose) key.
 
-    ``normals(path_index, count)`` is a pure function of its arguments and
-    the key: re-requesting a path's draws always returns the same values.
+    ``normal_matrix(path_indices, count)`` is a pure function of its
+    arguments and the key: re-requesting a path's draws always returns the
+    same values.
     """
 
     def __init__(self, seed, purpose, namespace=0):
@@ -52,13 +62,14 @@ class NoiseStream:
         self._bg = Philox(key=self._key)
         self._gen = Generator(self._bg)
 
-    def _rewind(self, path_index):
-        # Placing the path index in counter word 2 gives each path 2^128
-        # private blocks; a path never consumes more than a few thousand.
+    def _rewind(self, block):
+        # Placing the block index in counter word 2 leaves words 0 and 1,
+        # 2^128 Philox blocks, to each 256-path block; one draw of
+        # 256 * count normals uses about 64 * count of them.
         self._bg.state = {
             "bit_generator": "Philox",
             "state": {
-                "counter": np.array([0, 0, path_index, 0], dtype=np.uint64),
+                "counter": np.array([0, 0, block, 0], dtype=np.uint64),
                 "key": self._key,
             },
             "buffer": np.zeros(4, dtype=np.uint64),
@@ -67,25 +78,41 @@ class NoiseStream:
             "uinteger": 0,
         }
 
-    def normals(self, path_index, count):
-        """Standard normals for one path, independent of any other call."""
-        self._rewind(int(path_index))
-        return self._gen.standard_normal(int(count))
-
     def normal_matrix(self, path_indices, count, antithetic=False, out=None):
-        """Stack per-path draws into a (len(path_indices), count) matrix,
-        written into ``out`` when given.
+        """A (len(path_indices), count) matrix whose row i holds the normals
+        of path ``path_indices[i]``, written into ``out`` when given.
 
-        With ``antithetic=True`` odd path indices return the negated draws of
-        their even partner (index - 1), giving exact antithetic pairs while
-        keeping the per-path addressing scheme intact.
+        Each block the request touches is rewound once. A whole block that
+        fills consecutive rows in path order is drawn straight into them;
+        otherwise the block's rows are drawn up to the last one needed, and
+        the requested ones are copied out. With ``antithetic=True`` an odd
+        path returns the negated normals of its even partner (index - 1),
+        which lies in the same block.
         """
-        path_indices = np.asarray(path_indices, dtype=np.int64)
+        idx = np.asarray(path_indices, dtype=np.int64).reshape(-1)
+        count = int(count)
         if out is None:
-            out = np.empty((path_indices.size, count))
-        for row, idx in enumerate(path_indices):
-            if antithetic and idx % 2 == 1:
-                out[row] = -self.normals(idx - 1, count)
-            else:
-                out[row] = self.normals(idx, count)
+            out = np.empty((idx.size, count))
+        if idx.size == 0:
+            return out
+        odd = (idx % 2 == 1) if antithetic else np.zeros(idx.size, dtype=bool)
+        src = idx - odd  # the path whose row is read
+        block = src // BLOCK
+        order = np.argsort(block, kind="stable")
+        for at in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
+            b = int(block[at[0]])
+            self._rewind(b)
+            lo = at[0]
+            first = b * BLOCK
+            if at.size == BLOCK and np.array_equal(idx[lo:lo + BLOCK],
+                                                   np.arange(first, first + BLOCK)):
+                rows = out[lo:lo + BLOCK]
+                self._gen.standard_normal(out=rows)
+                if antithetic:
+                    np.negative(rows[0::2], out=rows[1::2])
+                continue
+            drawn = self._gen.standard_normal((int(src[at].max()) - first + 1, count))
+            out[at] = drawn[src[at] - first]
+            flip = at[odd[at]]
+            out[flip] = -out[flip]
         return out

@@ -14,9 +14,8 @@ that an earlier stage has finished with. The slots, in the order a chunk
 fills them:
 
     OU    dW          the normals, scaled in place to the batch's dW
-          tmp0        xi = dW / sqrt(dt), then sigma pass scratch, then
-                      the weight's wf
           states      Y, the batch's states
+          tmp0        sigma pass scratch, then the weight's wf
           tmp1        sigma'' (spent by nu_terms), then the weight's av
           sigma       sigma, overwritten by the batch's nu
           sigma_prime sigma', overwritten by the batch's nu'

@@ -243,6 +243,28 @@ def test_price_outputs_bit_identical_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("model", ["ou", "cir"])
+def test_outputs_bit_identical_across_worker_splits(tmp_path, model, antithetic):
+    # 2 * 2048 + 300 paths: the last chunk holds one whole 256-path noise
+    # block and part of another, and 1, 2 and 3 workers split the three
+    # chunks differently
+    overrides = cir_overrides() if model == "cir" else {}
+    cfg = write_config(tmp_path, **overrides,
+                       ensemble={"n_paths": 2 * 2048 + 300, "seed": 13,
+                                 "antithetic": antithetic},
+                       grid={"n_steps": 64, "pricing_n_steps": 64})
+    outs = []
+    for threads in ("1", "2", "3"):
+        out_dir = tmp_path / f"run{threads}"
+        for command in ("density", "price"):
+            assert cli.main([command, "--config", cfg, "--threads", threads,
+                             "--out", str(out_dir)]) == 0
+        outs.append(b"".join((out_dir / name).read_bytes()
+                             for name in ("density.csv", "weights.csv", "prices.csv")))
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_price_zero_strike_recovers_spot(tmp_path):
     cfg = write_config(tmp_path, contract={"strike": 0.0},
                        ensemble={"n_paths": 2000, "seed": 5})

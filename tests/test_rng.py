@@ -1,49 +1,76 @@
 import numpy as np
 from numpy.random import Generator, Philox
 
-from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
+from avgvar.rng import BLOCK, PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 from bridge import refine_increments
 
 
-def test_streams_are_reproducible_and_order_independent():
-    s = NoiseStream(123, PURPOSE_VOL)
-    a = s.normals(5, 64)
-    _ = s.normals(9, 64)
-    _ = s.normals(0, 8)
-    assert np.array_equal(s.normals(5, 64), a)
+def _block(key, block, count):
+    """Block ``block`` of the stream under ``key``, drawn from a fresh Philox."""
+    counter = np.array([0, 0, block, 0], dtype=np.uint64)
+    return Generator(Philox(counter=counter, key=key)).standard_normal((BLOCK, count))
 
 
 def test_streams_match_fresh_counter_construction():
+    # row r of block b is row r of one (BLOCK, count) draw at counter [0, 0, b, 0]
     s = NoiseStream(123, PURPOSE_VOL, namespace=2)
-    a = s.normals(7, 16)
     key = np.array([123, (2 << 8) | PURPOSE_VOL], dtype=np.uint64)
-    fresh = Generator(Philox(counter=np.array([0, 0, 7, 0], dtype=np.uint64), key=key))
-    assert np.array_equal(a, fresh.standard_normal(16))
+    idx = np.array([7, 255, 256, 300, 3 * BLOCK + 17])
+    m = s.normal_matrix(idx, 16)
+    for row, path in zip(m, idx):
+        assert np.array_equal(row, _block(key, path // BLOCK, 16)[path % BLOCK])
+    whole = s.normal_matrix(np.arange(BLOCK, 2 * BLOCK), 16)
+    assert np.array_equal(whole, _block(key, 1, 16))
+
+
+def test_streams_are_reproducible_and_order_independent():
+    # any index set returns the rows of one contiguous draw: permuted,
+    # non-contiguous, crossing blocks, a partial tail, or a repeated path
+    s = NoiseStream(123, PURPOSE_VOL)
+    n_paths = 3 * BLOCK + 40
+    full = s.normal_matrix(np.arange(n_paths), 24)
+    rng = np.random.default_rng(0)
+    for idx in (rng.permutation(n_paths),
+                np.arange(1, n_paths, 7),
+                np.arange(BLOCK - 5, 2 * BLOCK + 5),
+                np.arange(3 * BLOCK, n_paths),
+                np.array([n_paths - 1, 0, 5, 5, BLOCK])):
+        assert np.array_equal(s.normal_matrix(idx, 24), full[idx])
+    out = np.empty((n_paths, 24))
+    assert s.normal_matrix(np.arange(n_paths), 24, out=out) is out
+    assert np.array_equal(out, full)
 
 
 def test_distinct_paths_purposes_namespaces_differ():
-    base = NoiseStream(1, PURPOSE_VOL).normals(0, 32)
-    assert not np.array_equal(base, NoiseStream(1, PURPOSE_VOL).normals(1, 32))
-    assert not np.array_equal(base, NoiseStream(1, PURPOSE_ASSET).normals(0, 32))
-    assert not np.array_equal(base, NoiseStream(1, PURPOSE_VOL, namespace=1).normals(0, 32))
-    assert not np.array_equal(base, NoiseStream(2, PURPOSE_VOL).normals(0, 32))
+    def draw(seed, purpose=PURPOSE_VOL, namespace=0, path=0):
+        return NoiseStream(seed, purpose, namespace=namespace).normal_matrix([path], 32)[0]
+
+    base = draw(1)
+    assert not np.array_equal(base, draw(1, path=1))
+    assert not np.array_equal(base, draw(1, path=BLOCK))
+    assert not np.array_equal(base, draw(1, purpose=PURPOSE_ASSET))
+    assert not np.array_equal(base, draw(1, namespace=1))
+    assert not np.array_equal(base, draw(2))
 
 
 def test_antithetic_pairs_negate():
     s = NoiseStream(11, PURPOSE_VOL)
-    m = s.normal_matrix([0, 1, 2, 3], 16, antithetic=True)
-    assert np.array_equal(m[1], -m[0])
-    assert np.array_equal(m[3], -m[2])
-    plain = s.normal_matrix([0, 2], 16)
-    assert np.array_equal(m[0], plain[0])
-    assert np.array_equal(m[2], plain[1])
+    plain = s.normal_matrix(np.arange(2 * BLOCK), 16)
+    # whole blocks, drawn straight into place, and a set that crosses the
+    # block boundary in pieces
+    for idx in (np.arange(2 * BLOCK), np.arange(BLOCK - 4, BLOCK + 4),
+                np.array([BLOCK + 1, BLOCK - 1, 3, 0])):
+        m = s.normal_matrix(idx, 16, antithetic=True)
+        partner = idx - idx % 2
+        sign = np.where(idx % 2 == 1, -1.0, 1.0)[:, None]
+        assert np.array_equal(m, sign * plain[partner])
 
 
 def test_bridge_refinement_preserves_coarse_increments():
     s = NoiseStream(5, PURPOSE_VOL)
-    dW = s.normals(0, 128) * np.sqrt(1.0 / 128)
-    z = s.normals(1, 128)
-    fine = refine_increments(dW, 1.0 / 128, z)
+    xi = s.normal_matrix([0, 1], 128)
+    dW = xi[0] * np.sqrt(1.0 / 128)
+    fine = refine_increments(dW, 1.0 / 128, xi[1])
     assert fine.shape == (256,)
     # pairwise sums reproduce the coarse increments to roundoff
     assert np.allclose(fine[0::2] + fine[1::2], dW, rtol=0, atol=1e-16)
