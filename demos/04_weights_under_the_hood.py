@@ -34,7 +34,7 @@ p = model.params
 wb = skorokhod_weight_ou(batch, p)
 
 G = wb.denominator[0]
-eta = (p.alpha * p.T / p.k) * np.exp(-p.alpha * grid.t) * nu[0] / G
+eta = (p.alpha * p.T / p.k) * np.exp(-p.alpha * grid.t) * nu[:, 0] / G
 print("one OU path at n = 64:")
 print(f"  averaged variance F = {batch.avg_variance[0]:.5f}")
 print(f"  denominator G       = {G:.6e}  (positive on every valid path)")
@@ -42,7 +42,7 @@ print(f"  eta range           = [{eta.min():.2f}, {eta.max():.2f}]")
 print(f"  weight delta        = {wb.delta[0]:+.4f} "
       f"(ito {wb.term_ito[0]:+.4f} - trace {wb.term_trace[0]:+.4f})")
 
-ito_ref, trace_ref, g_ref = ou_weight_double_sum(nu[0], nup[0], batch.dW[0],
+ito_ref, trace_ref, g_ref = ou_weight_double_sum(nu[:, 0], nup[:, 0], batch.dW[:, 0],
                                                  grid, p.alpha, p.k)
 print(f"  brute-force check   : |G - G_ref|/G = {abs(G - g_ref) / g_ref:.2e}, "
       f"|ito - ref|/|ref| = {abs(wb.term_ito[0] - ito_ref) / abs(ito_ref):.2e}, "
@@ -54,13 +54,13 @@ same = all(r.weight.tobytes() == runs[0].weight.tobytes() for r in runs)
 print(f"\nensemble of 3000 paths with 1 / 2 / 4 threads: "
       f"{'byte-identical' if same else 'MISMATCH'}")
 
-# a single path reproduced standalone, long after the ensemble ran: the
-# noise is identical by construction; derived reductions (dot products)
-# agree to one ulp, since BLAS summation order varies with batch shape
+# a single path reproduced standalone, long after the ensemble ran: its
+# noise is its row of the block draw, and every per-path sum adds in node
+# order whatever the batch width, so the path alone gives the ensemble's
+# F and weight exactly
 lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [1234])
-again = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [1234])
-full = run_ensemble(model, grid, 3000, SEED, threads=4)
-assert np.array_equal(lone.dW, again.dW) and np.array_equal(lone.states, again.states)
-gap = abs(lone.avg_variance[0] - full.avg_variance[1234])
-print(f"path 1234 standalone: same noise and states on every recomputation; "
-      f"avg_variance matches the ensemble's to {gap:.1e} (reduction-order ulp)")
+lone_weight = skorokhod_weight_ou(lone, p).delta
+full = runs[-1]
+assert lone.avg_variance.tobytes() == full.avg_variance[1234:1235].tobytes()
+assert lone_weight.tobytes() == full.weight[1234:1235].tobytes()
+print("path 1234 standalone: avg_variance and weight equal the ensemble's exactly")

@@ -133,7 +133,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             failed[idx] = bad
             avg_variance[idx] = batch.avg_variance
             if collect_terminal:
-                terminal_state[idx] = batch.states[:, -1]
+                terminal_state[idx] = batch.states[-1]
             if collect_asset:
                 terminal_asset[idx] = _paths.sample_terminal_asset(
                     batch.avg_variance, model.params, asset_stream, idx,

@@ -131,7 +131,8 @@ class ValidatedCIRModel:
 
     # the averaged CIR variance has no positive lower bound
     density_lower_bound = None
-    # the CIR weight shows no comparable grid bias
+    # no alpha*dt warning, though the CIR weight is biased on coarse grids
+    # too (README, "Grid resolution"; ROADMAP item 1)
     grid_bias_rate = None
 
 

@@ -325,7 +325,7 @@ def kernel_oracles(ctx):
         wb = skorokhod_weight_ou(ob, ou.params)
         for p in idx:
             ito_ref, trace_ref, g_ref = ou_weight_double_sum(
-                ob.nu[p], ob.nu_prime[p], ob.dW[p], grid, ou.params.alpha, ou.params.k)
+                ob.nu[:, p], ob.nu_prime[:, p], ob.dW[:, p], grid, ou.params.alpha, ou.params.k)
             errs += [_rel(wb.denominator[p], g_ref), _rel(wb.term_ito[p], ito_ref),
                      _rel(wb.term_trace[p], trace_ref)]
 
@@ -335,7 +335,7 @@ def kernel_oracles(ctx):
     wcb = skorokhod_weight_cir(cb, cir.params, kern)
     log_phi = log_phi_nodes(cb, kern.q)
     for p in idx:
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[p], log_phi[p], cb.dW[p],
+        a, b, c2, c3, i_ref = cir_weight_triple_sum(cb.states[:, p], log_phi[:, p], cb.dW[:, p],
                                                     grid, cir.params)
         errs += [_rel(kern.I[p], i_ref), _rel(wcb.term_ito[p], a), _rel(wcb.term_trace[p], b),
                  _rel(wcb.term_dphi[p], c2), _rel(wcb.term_denom[p], c3)]

@@ -51,22 +51,20 @@ function here decides a failure: a path with I <= 0 gets whatever the
 division gives, and ``run_ensemble`` alone flags the path and sets its
 weight to NaN.
 
-Layout: every recursion is a sweep over the rows of time-major (n+1, P)
-buffers, one row of P paths per node, so each step reads and writes
-contiguous memory. A quantity that is only reduced is folded into the
-sweep that produces it and carried as a running row: Atil into I, the Ito
-prefix into A, W2 into C2, and Jhat, S1, S2, S3 with the suffix trapezoids
-of sqrt(Z) rho and Jhat^2 into C3. Besides sqrt(Z) and Z^{-3/2}, only
-psi_step, Fhat and rho (built in place from abar) are held whole; log phi
-is dropped as soon as psi_step is formed from it. The (P, n+1) fields of
-the batches are transposed views of those buffers. The trapezoid sum of
-Fhat in B is a running sum down the rows (einsum, not a BLAS product).
+Layout: every recursion sweeps the rows of the batch's time-major arrays
+(``avgvar.paths``), and a quantity that is only reduced is carried as a
+running row in the sweep that produces it: Atil into I, the Ito prefix
+into A, W2 into C2, and Jhat, S1, S2, S3 with the suffix trapezoids of
+sqrt(Z) rho and Jhat^2 into C3. Only sqrt(Z), Z^{-3/2}, psi_step, Fhat and
+rho (built in place from abar) are held whole; log phi is dropped once
+psi_step is formed from it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import node_sum
 from .workspace import take
 
 
@@ -80,13 +78,13 @@ class CIRKernelBatch:
     recomputes it. The psi-weighted Ito prefix P(t) phi(t) =
     int_0^t psi_{h,t} dW_h is only needed in term A, so the sweep that builds
     it reduces it at once: ``ito_psi_prefix`` is the per-path trapezoid sum
-    of sqrt(Z_t) P(t) phi(t). The (P, n+1) fields are transposed views of
-    time-major (n+1, P) buffers.
+    of sqrt(Z_t) P(t) phi(t).
     """
 
     q: float
-    psi_step: np.ndarray       # (P, n)  one-step ratios psi_{t_j, t_{j+1}}
-    f_hat: np.ndarray          # (P, n+1)
+    psi_step: np.ndarray       # (n, P)  one-step ratios psi_{t_j, t_{j+1}}
+    f_hat: np.ndarray          # (n+1, P)
+    sqrt_z: np.ndarray         # (n+1, P)  sqrt(Z), which the weight reuses
     ito_psi_prefix: np.ndarray # (P,)  sum_j w_j sqrt(Z_j) P(t_j) phi(t_j)
     I: np.ndarray              # (P,)
 
@@ -112,18 +110,11 @@ def q_constant(params):
 
 
 def log_phi_nodes(batch, q, ws=None):
-    """log phi(t_i) = -t_i / 2 - q R_i per node, as the (P, n+1) view of a
-    time-major buffer (slot tmp0 of a workspace ``ws``)."""
-    recip = _time_major(batch.recip_integral)
+    """log phi(t_i) = -t_i / 2 - q R_i per node, as a time-major (n+1, P)
+    array (slot tmp0 of a workspace ``ws``)."""
+    recip = batch.recip_integral
     log_phi = np.multiply(recip, q, out=take(ws, "tmp0", recip.shape))
-    np.subtract(-0.5 * batch.grid.t[:, None], log_phi, out=log_phi)
-    return log_phi.T
-
-
-def _time_major(a):
-    """The C-ordered (n+1, P) form of a (P, n+1) field; no copy when the
-    field is already a transposed view of such a buffer."""
-    return np.ascontiguousarray(a.T)
+    return np.subtract(-0.5 * batch.grid.t[:, None], log_phi, out=log_phi)
 
 
 def cir_kernel(batch, params, ws=None):
@@ -142,14 +133,14 @@ def cir_kernel(batch, params, ws=None):
     n = grid.n_steps
 
     q = q_constant(params)
-    log_phi = _time_major(log_phi_nodes(batch, q, ws))
+    log_phi = log_phi_nodes(batch, q, ws)
     psi_step = np.subtract(log_phi[1:], log_phi[:-1],
                            out=take(ws, "psi", (n, log_phi.shape[1])))
     del log_phi
     np.exp(psi_step, out=psi_step)
 
-    z = _time_major(batch.states)
-    dW = _time_major(batch.dW)
+    z = batch.states
+    dW = batch.dW
     sqrt_z = np.sqrt(z, out=take(ws, "sqrt_z", z.shape))
     P = z.shape[1]
     f_hat = take(ws, "f_hat", z.shape)
@@ -179,8 +170,8 @@ def cir_kernel(batch, params, ws=None):
         tmp *= s * s
         np.add(tmp, 0.5 * dt, out=f_hat[j + 1])
 
-    return CIRKernelBatch(q=q, psi_step=psi_step.T, f_hat=f_hat.T, ito_psi_prefix=ito,
-                          I=2.0 * i_cross + i_diag)
+    return CIRKernelBatch(q=q, psi_step=psi_step, f_hat=f_hat, sqrt_z=sqrt_z,
+                          ito_psi_prefix=ito, I=2.0 * i_cross + i_diag)
 
 
 def skorokhod_weight_cir(batch, params, kernel=None, ws=None):
@@ -189,9 +180,10 @@ def skorokhod_weight_cir(batch, params, kernel=None, ws=None):
     A forward sweep over time-major rows builds abar (kept whole, it becomes
     rho) and reduces W2 into C2; one backward sweep carries Jhat, the suffix
     trapezoids of sqrt(Z) rho and Jhat^2, and S1..S3 as running rows and
-    reduces them into C3. With a workspace ``ws`` the kernel takes its
-    arrays from it, and sqrt(Z), Z^{-3/2} and abar are its slots sqrt_z,
-    tmp0 and dW: only the kernel reads the batch's dW, so it is spent here.
+    reduces them into C3. sqrt(Z) is the kernel's. With a workspace ``ws``
+    the kernel takes its arrays from it, and Z^{-3/2} and abar are its
+    slots tmp0 and dW: only the kernel reads the batch's dW, so it is spent
+    here.
     """
     if kernel is None:
         kernel = cir_kernel(batch, params, ws)
@@ -201,16 +193,14 @@ def skorokhod_weight_cir(batch, params, kernel=None, ws=None):
     n = grid.n_steps
     T, k = params.T, params.k
     q = kernel.q
-    psi = _time_major(kernel.psi_step)
-    f_hat = _time_major(kernel.f_hat)
-
-    z = _time_major(batch.states)
-    sqrt_z = np.sqrt(z, out=take(ws, "sqrt_z", z.shape))
-    z_m32 = np.power(z, -1.5, out=take(ws, "tmp0", z.shape))
-    P = z.shape[1]
+    psi = kernel.psi_step
+    f_hat = kernel.f_hat
+    sqrt_z = kernel.sqrt_z
+    z_m32 = np.power(batch.states, -1.5, out=take(ws, "tmp0", sqrt_z.shape))
+    P = sqrt_z.shape[1]
 
     # forward psi-shifted closed trapezoids: abar whole, W2 reduced into C2
-    abar = take(ws, "dW", z.shape)
+    abar = take(ws, "dW", sqrt_z.shape)
     abar[0] = 0.0
     w2 = np.zeros(P)
     c2 = np.zeros(P)
@@ -265,7 +255,7 @@ def skorokhod_weight_cir(batch, params, kernel=None, ws=None):
 
     I = kernel.I
     term_ito = (T / k) * kernel.ito_psi_prefix / I
-    term_trace = 0.5 * T * np.einsum("jp,j->p", f_hat, w) / I
+    term_trace = 0.5 * T * node_sum(f_hat, w) / I
     term_dphi = q * T * c2 / I
     term_denom = T * c3 / I**2
     return CIRWeightBatch(delta=term_ito - term_trace - term_dphi + term_denom,

@@ -75,6 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import node_sum
 from .workspace import take
 
 
@@ -92,13 +93,20 @@ class OUWeightBatch:
     denominator: np.ndarray # (P,) G
 
 
+def _running_sum(a, reverse=False):
+    """Inclusive prefix sums down the rows of a time-major array, in place,
+    or suffix sums with ``reverse``; a cumsum along axis 0 would stride."""
+    for j in range(len(a) - 2, -1, -1) if reverse else range(1, len(a)):
+        np.add(a[j + 1 if reverse else j - 1], a[j], out=a[j])
+
+
 def skorokhod_weight_ou(batch, params, ws=None):
     """Compute the per-path Skorokhod weight for a batch of OU paths.
 
     Every term comes from the running sums of the module docstring, built
-    in place in three (P, n+1) buffers: wf (later q beta and Q), Av, and
-    kappa (later s). With a workspace ``ws`` they are its slots tmp0, tmp1
-    and tmp2.
+    in place in three time-major (n+1, P) buffers: wf (later q beta and
+    Q), Av, and kappa (later s). With a workspace ``ws`` they are its slots
+    tmp0, tmp1 and tmp2.
     """
     alpha, k = params.alpha, params.k
     grid = batch.grid
@@ -110,36 +118,36 @@ def skorokhod_weight_ou(batch, params, ws=None):
     g = batch.nu_prime
 
     shape = batch.nu.shape
-    wf = np.multiply(w, batch.nu, out=take(ws, "tmp0", shape))
-    s_sep = np.einsum("pj,j->p", wf, E)
-    # av[:, j] = wf_{j+1} E_{j+1}, so the reversed in-place cumsum reads each
-    # element before it writes it and yields the strict suffix v
+    wf = np.multiply(w[:, None], batch.nu, out=take(ws, "tmp0", shape))
+    s_sep = node_sum(wf, E)
+    # av[j] = wf_{j+1} E_{j+1}, so the suffix sum from the end yields the
+    # strict suffix v
     av = take(ws, "tmp1", shape)
-    np.multiply(wf[:, 1:], E[1:], out=av[:, :-1])
-    av[:, -1] = 0.0
-    np.cumsum(av[:, ::-1], axis=1, out=av[:, ::-1])
-    av *= A  # column 0 is v_0 itself, as A_0 = 1
-    ito_sum = np.einsum("pi,pi->p", batch.dW, av[:, :-1])
+    np.multiply(wf[1:], E[1:, None], out=av[:-1])
+    av[-1] = 0.0
+    _running_sum(av, reverse=True)
+    av *= A[:, None]  # row 0 is v_0 itself, as A_0 = 1
+    ito_sum = node_sum(batch.dW, av[:-1])
 
-    kappa = np.multiply(wf, A, out=take(ws, "tmp2", shape))
-    np.cumsum(kappa, axis=1, out=kappa)
-    kappa -= s_sep[:, None]
-    kappa *= E
+    kappa = np.multiply(wf, A[:, None], out=take(ws, "tmp2", shape))
+    _running_sum(kappa)
+    kappa -= s_sep
+    kappa *= E[:, None]
     kappa += av
-    G = np.einsum("pj,pj->p", wf, kappa)
+    G = node_sum(wf, kappa)
 
     # q_l beta_l = dt A_l (Av_l + wf_l / 2) for l >= 1, as q_l E_l = A_l,
-    # and dt v_0 / 2 at l = 0; its inclusive prefix in place, so column
-    # j - 1 holds Q_j
+    # and dt v_0 / 2 at l = 0; its inclusive prefix in place, so row j - 1
+    # holds Q_j
     wf *= 0.5
     wf += av
-    wf *= dt * A
-    wf[:, 0] = 0.5 * dt * av[:, 0]
+    wf *= (dt * A)[:, None]
+    wf[0] = 0.5 * dt * av[0]
     del av
-    np.cumsum(wf, axis=1, out=wf)
+    _running_sum(wf)
     kappa *= g
-    kappa *= w * E  # s
-    trace2 = np.einsum("pj,pj->p", kappa[:, 1:], wf[:, :-1])
+    kappa *= (w * E)[:, None]  # s
+    trace2 = node_sum(kappa[1:], wf[:-1])
     del wf, kappa
 
     # interior prefix sums of q over l = 1 .. i-1
@@ -148,7 +156,7 @@ def skorokhod_weight_ou(batch, params, ws=None):
     np.cumsum(q[1:-1], out=cum_q[2:])
     r1 = np.zeros_like(t)
     r1[1:] = 0.5 * dt + dt * cum_q[1:]
-    trace1 = np.einsum("pj,j->p", g, w * E * E * r1)
+    trace1 = node_sum(g, w * E * E * r1)
 
     scale = alpha * grid.T  # k of D_h Y cancels the 1/k of eta
     term_ito = (scale / k) * ito_sum / G

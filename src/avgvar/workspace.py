@@ -10,25 +10,25 @@ slot name, so a chunk run on a warmed workspace allocates no whole array
 and the peak is the workspace itself.
 
 A slot is storage, not a quantity: a later stage of a chunk takes a slot
-that an earlier stage has finished with. The slots, in the order a chunk
-fills them:
+that an earlier stage has finished with. Every array but the normals as
+drawn is time-major. The slots, in the order a chunk fills them:
 
-    OU    dW          the normals, scaled in place to the batch's dW
-          states      Y, the batch's states
-          tmp0        sigma pass scratch, then the weight's wf
+    both  tmp0        the normals as drawn, one row per path
+          dW          the normals transposed (OU: as drawn, then scaled in
+                      place to dW; CIR: times sqrt(dt)), the batch's dW
+          states      Y or Z, the batch's states
+    OU    tmp0        sigma pass scratch, then the weight's wf
           tmp1        sigma'' (spent by nu_terms), then the weight's av
           sigma       sigma, overwritten by the batch's nu
           sigma_prime sigma', overwritten by the batch's nu'
           tmp2        the guard's mask, then the weight's kappa
-    CIR   tmp0        the normals, then log phi, then Z^{-3/2}
-          dW          time-major dW, the batch's dW, then the weight's
-                      abar (completed in place to rho): only the kernel
-                      reads dW
-          states      Z, the batch's states
-          recip       the batch's recip_integral
+    CIR   recip       the batch's recip_integral
+          tmp0        log phi, then Z^{-3/2}
           psi         the kernel's psi_step
-          sqrt_z      sqrt(Z), in the kernel and again in the weight
+          sqrt_z      the kernel's sqrt(Z), which the weight reuses
           f_hat       the kernel's f_hat
+          dW          the weight's abar (completed in place to rho): only
+                      the kernel reads the batch's dW
 
 So a worker holds seven whole arrays for either model. A batch whose
 arrays live in a workspace is spent once the next chunk starts (a CIR

@@ -86,11 +86,11 @@ def weight_terms(batch, params):
     alpha, k = params.alpha, params.k
     grid = batch.grid
     w, t, dt = grid.trapezoid_weights, grid.t, grid.dt
-    f, g = batch.nu, batch.nu_prime
+    f, g = batch.nu.T, batch.nu_prime.T
 
     G = denominator_g(f, grid, alpha)
     ito_prefix = np.zeros_like(f)
-    np.cumsum(np.exp(alpha * t[:-1]) * batch.dW, axis=1, out=ito_prefix[:, 1:])
+    np.cumsum(np.exp(alpha * t[:-1]) * batch.dW.T, axis=1, out=ito_prefix[:, 1:])
     term_ito = np.sum(w * eta_nodes(f, grid, alpha, k, G) * ito_prefix, axis=1)
 
     q = np.exp(2.0 * alpha * t)

@@ -21,6 +21,7 @@ def test_weights_under_the_hood_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "brute-force check" in out
     assert "byte-identical" in out and "MISMATCH" not in out
+    assert "path 1234 standalone: avg_variance and weight equal the ensemble's exactly" in out
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

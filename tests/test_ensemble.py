@@ -11,6 +11,7 @@ from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
                     ValidationError, VolFunctionSpec, make_grid, mc_estimate,
                     run_ensemble, validate_ou)
 from avgvar.ensemble import duality_statistic
+from avgvar.rng import PURPOSE_VOL, NoiseStream
 
 SEED = 20240601
 
@@ -85,6 +86,31 @@ def test_rerun_reproduces_bit_exactly(cir_model):
     assert a.weight.tobytes() != c.weight.tobytes()
 
 
+@pytest.mark.parametrize("model_name", ["ou_model", "cir_model"])
+def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
+    """A path simulated and weighed alone, inside a 3-path batch and inside
+    a full chunk gives the same bytes, and so does the last path of an
+    ensemble whose final chunk holds one path or two."""
+    model = request.getfixturevalue(model_name)
+    simulate, weigh = ens_mod._DRIVERS[type(model)]()
+    grid = make_grid(1.0, 512)
+    stream = NoiseStream(SEED, PURPOSE_VOL)
+
+    def path_bytes(indices, column):
+        batch = simulate(model, grid, stream, indices)
+        wb = weigh(batch, model.params)
+        return [a.tobytes() for a in (batch.avg_variance[column], batch.states[:, column],
+                                      wb.delta[column], wb.denominator[column])]
+
+    alone = path_bytes([3], 0)
+    assert path_bytes([2, 3, 4], 1) == alone
+    assert path_bytes(np.arange(ens_mod.CHUNK), 3) == alone
+
+    one, two = (run_ensemble(model, grid, n, SEED) for n in (2049, 2050))
+    for field in ("avg_variance", "weight", "denominator"):
+        assert getattr(one, field)[2048].tobytes() == getattr(two, field)[2048].tobytes()
+
+
 def test_antithetic_pairs_share_variance_reduction(ou_model):
     grid = make_grid(1.0, 64)
     res = run_ensemble(ou_model, grid, 2000, SEED, antithetic=True,
@@ -108,7 +134,7 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
     from avgvar.weights_ou import OUWeightBatch
 
     def all_bad(batch, params, ws=None):
-        n = batch.states.shape[0]
+        n = batch.states.shape[1]
         one = np.ones(n)
         return OUWeightBatch(delta=one, term_ito=one, term_trace=0 * one,
                              denominator=-one)

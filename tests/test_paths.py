@@ -55,14 +55,14 @@ def test_noiseless_ou_is_exact_decay(ref_vol):
     model = ValidatedOUModel(params=params, vol=ref_vol)
     grid = make_grid(1.0, 32)
     batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
-    assert np.allclose(batch.states[0], 2.0 * np.exp(-1.3 * grid.t), rtol=1e-14)
+    assert np.allclose(batch.states[:, 0], 2.0 * np.exp(-1.3 * grid.t), rtol=1e-14)
 
 
 def test_ou_terminal_moments(ou_model):
     grid = make_grid(1.0, 64)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     batch = simulate_ou_paths(ou_model, grid, stream, np.arange(40000))
-    y_t = batch.states[:, -1]
+    y_t = batch.states[-1]
     p = ou_model.params
     mean_target = p.y0 * math.exp(-p.alpha * p.T)
     var_target = p.k**2 / (2 * p.alpha) * (1 - math.exp(-2 * p.alpha * p.T))
@@ -77,7 +77,7 @@ def test_ou_distribution_invariant_to_grid(ou_model):
     coarse = simulate_ou_paths(ou_model, make_grid(1.0, 16), stream, np.arange(20000))
     fine = simulate_ou_paths(ou_model, make_grid(1.0, 512), stream,
                              np.arange(20000, 40000))
-    stat = ks_2samp(coarse.states[:, -1], fine.states[:, -1])
+    stat = ks_2samp(coarse.states[-1], fine.states[-1])
     assert stat.pvalue > 0.01
 
 
@@ -87,14 +87,14 @@ def test_noiseless_cir_matches_ode(cir_model, ref_vol):
     grid = make_grid(1.0, 4096)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     exact = 1.0 + (3.0 - 1.0) * np.exp(-grid.t)
-    assert np.max(np.abs(batch.states[0] - exact) / exact) < 1e-3
+    assert np.max(np.abs(batch.states[:, 0] - exact) / exact) < 1e-3
 
 
 def test_cir_terminal_moments(cir_model):
     grid = make_grid(1.0, 256)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     batch = simulate_cir_paths(cir_model, grid, stream, np.arange(40000))
-    z_t = batch.states[:, -1]
+    z_t = batch.states[-1]
     c = cir_model.params
     mean_target = c.z0 * math.exp(-c.T) + c.b * (1 - math.exp(-c.T))
     var_target = (c.z0 * c.k**2 * (math.exp(-c.T) - math.exp(-2 * c.T))
@@ -111,7 +111,7 @@ def test_cir_never_floors_in_reference_regime(cir_model):
     assert int(batch.floored_steps.sum()) == 0
     assert np.all(batch.states > 0)
     # R_t nondecreasing
-    assert np.all(np.diff(batch.recip_integral, axis=1) >= 0)
+    assert np.all(np.diff(batch.recip_integral, axis=0) >= 0)
     assert not batch.bad.any()
 
 
@@ -150,7 +150,7 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
         batch = simulate_cir_paths(model, grid, stream, np.arange(512))
         integrand = batch.states
     w = grid.trapezoid_weights
-    exact = np.array([math.fsum(w * row) for row in integrand]) / grid.T
+    exact = np.array([math.fsum(w * row) for row in integrand.T]) / grid.T
     assert np.max(np.abs(batch.avg_variance - exact) / exact) <= 1e-14
 
 
@@ -236,13 +236,13 @@ def test_avg_variance_converges_under_bridge_refinement(ou_model):
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
     dW = stream.normal_matrix(np.arange(100), n0) * np.sqrt(1.0 / n0)
-    coarse = ou_paths_from_increments(ou_model, make_grid(1.0, n0), dW)
+    coarse = ou_paths_from_increments(ou_model, make_grid(1.0, n0), dW.T)
     fine_dW = dW
     n = n0
     for level in range(3):  # 512 -> 4096
         z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(100), n)
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
-    fine = ou_paths_from_increments(ou_model, make_grid(1.0, n), fine_dW)
+    fine = ou_paths_from_increments(ou_model, make_grid(1.0, n), fine_dW.T)
     gap = np.abs(coarse.avg_variance - fine.avg_variance)
     assert gap.mean() < 5e-3

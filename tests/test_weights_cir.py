@@ -29,9 +29,9 @@ def _flat_z_batch(z0, grid):
     n = grid.n_steps
     r = grid.t / z0
     return CIRPathBatch(grid=grid, path_indices=np.array([0]),
-                        dW=np.zeros((1, n)), states=np.full((1, n + 1), z0),
+                        dW=np.zeros((n, 1)), states=np.full((n + 1, 1), z0),
                         avg_variance=np.array([z0]),
-                        recip_integral=r[None, :],
+                        recip_integral=r[:, None],
                         floored_steps=np.array([0]), bad=np.array([False]))
 
 
@@ -45,7 +45,7 @@ def test_flat_z_log_phi_is_linear(cir_model):
     q = q_constant(cir_model.params)
     lp = log_phi_nodes(batch, q)
     expected = -(0.5 + q / 2.0) * grid.t
-    assert np.allclose(lp[0], expected, rtol=1e-14)
+    assert np.allclose(lp[:, 0], expected, rtol=1e-14)
 
 
 def test_flat_z_f_integral_closed_form(cir_model):
@@ -55,7 +55,7 @@ def test_flat_z_f_integral_closed_form(cir_model):
     kern = cir_kernel(batch, cir_model.params)
     gamma = 0.5 + q_constant(cir_model.params)
     closed = (math.exp(2 * gamma) - 1.0) / (2.0 * gamma)
-    f_impl = math.exp(-2.0 * log_phi_nodes(batch, kern.q)[0, -1]) * kern.f_hat[0, -1]
+    f_impl = math.exp(-2.0 * log_phi_nodes(batch, kern.q)[-1, 0]) * kern.f_hat[-1, 0]
     assert f_impl == pytest.approx(closed, rel=1e-4)
     # independent Riemann cross-check of the same integral
     mid = (np.arange(4096) + 0.5) / 4096
@@ -74,7 +74,7 @@ def test_psi_bounds_and_cocycle(cir_model):
     for _ in range(50):
         pth = int(rng.integers(0, 4))
         h, s, t = sorted(rng.integers(0, 257, size=3))
-        lp = log_phi[pth]
+        lp = log_phi[:, pth]
         lhs = psi_pair(lp, h, t)
         rhs = psi_pair(lp, h, s) * psi_pair(lp, s, t)
         assert abs(lhs - rhs) < 1e-12
@@ -86,7 +86,7 @@ def test_psi_matrix_agrees_with_psi_pair(cir_model):
     grid = make_grid(1.0, 64)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     kern = cir_kernel(batch, cir_model.params)
-    lp = log_phi_nodes(batch, kern.q)[0]
+    lp = log_phi_nodes(batch, kern.q)[:, 0]
     mat = psi_matrix(lp)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -100,9 +100,9 @@ def test_i_scaling_is_exactly_quadratic(cir_model):
     grid = make_grid(1.0, 32)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     kern = cir_kernel(batch, cir_model.params)
-    lp = log_phi_nodes(batch, kern.q)[0]
-    base = i_triple_sum(batch.states[0], lp, grid)
-    scaled = i_triple_sum(4.0 * batch.states[0], lp, grid)
+    lp = log_phi_nodes(batch, kern.q)[:, 0]
+    base = i_triple_sum(batch.states[:, 0], lp, grid)
+    scaled = i_triple_sum(4.0 * batch.states[:, 0], lp, grid)
     assert scaled == pytest.approx(4.0 * base, rel=1e-14)
 
 
@@ -118,7 +118,7 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_decay):
     log_phi = log_phi_nodes(batch, kern.q)
     for p in range(5):
         a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[p], log_phi[p], batch.dW[p], grid, model.params)
+            batch.states[:, p], log_phi[:, p], batch.dW[:, p], grid, model.params)
         assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
         assert abs(wb.term_ito[p] - a) / abs(a) < 1e-8
         assert abs(wb.term_trace[p] - b) / abs(b) < 1e-8
@@ -148,10 +148,10 @@ def test_weight_matches_discrete_divergence(cir_model):
     p = cir_model.params
 
     def zeta_of(dW):
-        b = cir_paths_from_increments(cir_model, grid, dW[None, :])
+        b = cir_paths_from_increments(cir_model, grid, dW[:, None])
         kern = cir_kernel(b, p)
-        psi = psi_matrix(log_phi_nodes(b, kern.q)[0])
-        sqrt_z = np.sqrt(b.states[0])
+        psi = psi_matrix(log_phi_nodes(b, kern.q)[:, 0])
+        sqrt_z = np.sqrt(b.states[:, 0])
         out = np.empty(n + 1)
         for j in range(n + 1):
             w_suf = _suffix_trapezoid_weights(n + 1, grid.dt, j)
@@ -160,7 +160,7 @@ def test_weight_matches_discrete_divergence(cir_model):
 
     eps = 1e-6
     for pth in range(2):
-        dW0 = batch.dW[pth]
+        dW0 = batch.dW[:, pth]
         zeta = zeta_of(dW0)
         ito = float(np.sum(zeta[:n] * dW0))
         trace = 0.0
@@ -213,7 +213,7 @@ def test_kernel_survives_extreme_log_phi_range():
     assert np.all(kern.I > 0) and np.all(np.isfinite(kern.I))
     for p in range(2):
         a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[p], log_phi[p], batch.dW[p], grid, params)
+            batch.states[:, p], log_phi[:, p], batch.dW[:, p], grid, params)
         assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
         assert abs(wb.term_denom[p] - c3) / abs(c3) < 1e-8
 
@@ -224,7 +224,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
     stream = NoiseStream(SEED, PURPOSE_VOL)
     n_paths = 200
     dW = stream.normal_matrix(np.arange(n_paths), n0) * math.sqrt(1.0 / n0)
-    coarse = cir_paths_from_increments(cir_model, make_grid(1.0, n0), dW)
+    coarse = cir_paths_from_increments(cir_model, make_grid(1.0, n0), dW.T)
     w_coarse = skorokhod_weight_cir(coarse, cir_model.params)
 
     fine_dW = dW
@@ -233,7 +233,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
         z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), n)
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
-    fine = cir_paths_from_increments(cir_model, make_grid(1.0, n), fine_dW)
+    fine = cir_paths_from_increments(cir_model, make_grid(1.0, n), fine_dW.T)
     w_fine = skorokhod_weight_cir(fine, cir_model.params)
 
     gap = np.abs(w_coarse.delta - w_fine.delta)

@@ -54,7 +54,7 @@ def _fixed_batch(ou_model, grid, n_paths=5):
 def _weight_with_nu(ou_model, grid, nu):
     """The weight of simulated paths whose node values nu are replaced (and
     nu' zeroed); G depends on nu alone."""
-    batch = dataclasses.replace(_fixed_batch(ou_model, grid, n_paths=nu.shape[0]),
+    batch = dataclasses.replace(_fixed_batch(ou_model, grid, n_paths=nu.shape[1]),
                                 nu=nu, nu_prime=np.zeros_like(nu))
     return skorokhod_weight_ou(batch, ou_model.params)
 
@@ -62,7 +62,7 @@ def _weight_with_nu(ou_model, grid, nu):
 def test_flat_nu_matches_closed_form(ou_model):
     assert psi_closed_form(1.0, 1.0) == pytest.approx(G_FLAT_UNIT, rel=1e-14)
     grid = make_grid(1.0, 2048)
-    g_trap = _weight_with_nu(ou_model, grid, np.ones((1, 2049))).denominator[0]
+    g_trap = _weight_with_nu(ou_model, grid, np.ones((2049, 1))).denominator[0]
     assert g_trap == pytest.approx(G_FLAT_UNIT, rel=1e-4)
     # independent route: plain Riemann double sum on midpoints
     mid = (np.arange(2048) + 0.5) / 2048
@@ -73,7 +73,7 @@ def test_flat_nu_matches_closed_form(ou_model):
 
 def test_zero_nu_gives_zero_g(ou_model, grid64):
     with np.errstate(divide="ignore", invalid="ignore"):
-        wb = _weight_with_nu(ou_model, grid64, np.zeros((1, 65)))
+        wb = _weight_with_nu(ou_model, grid64, np.zeros((65, 1)))
     assert wb.denominator[0] == 0.0
     # 0 / 0: the weight flags nothing itself, run_ensemble fails the path on G
     assert np.isnan(wb.delta[0])
@@ -88,9 +88,9 @@ def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
 
 def test_eta_flat_nu_profile(ou_model):
     grid = make_grid(1.0, 2048)
-    nu = np.ones((1, 2049))
+    nu = np.ones((2049, 1))
     g = _weight_with_nu(ou_model, grid, nu).denominator
-    eta = eta_nodes(nu, grid, 1.0, 0.5, g)
+    eta = eta_nodes(nu.T, grid, 1.0, 0.5, g)
     # (alpha T / k) e^{-t} / G = 2 e^{-t} / G with the recomputed G
     assert eta[0, 0] == pytest.approx(2.0 / G_FLAT_UNIT, rel=1e-4)
     assert eta[0, -1] == pytest.approx(2.0 * math.exp(-1.0) / G_FLAT_UNIT, rel=1e-4)
@@ -103,11 +103,11 @@ def test_factorized_g_and_c_match_brute_force(ou_model, grid64):
     batch = _fixed_batch(ou_model, grid64)
     nu, nup = batch.nu, batch.nu_prime
     g_fast = skorokhod_weight_ou(batch, ou_model.params).denominator
-    c_fast = c_of_h(nu, nup, grid64, 1.0)
+    c_fast = c_of_h(nu.T, nup.T, grid64, 1.0)
     for p in range(5):
-        g_ref = g_double_sum(nu[p], grid64, 1.0)
+        g_ref = g_double_sum(nu[:, p], grid64, 1.0)
         assert abs(g_fast[p] - g_ref) / g_ref < 1e-12
-        c_ref = c_double_sum(nu[p], nup[p], grid64, 1.0)
+        c_ref = c_double_sum(nu[:, p], nup[:, p], grid64, 1.0)
         scale = np.max(np.abs(c_ref))
         assert np.max(np.abs(c_fast[p] - c_ref)) / scale < 1e-12
 
@@ -137,14 +137,14 @@ def test_dh_eta_matches_two_term_brute_force(ou_model, grid64):
     p = ou_model.params
     rng = np.random.default_rng(1)
     for pth in range(2):
-        G = g_double_sum(nu[pth], grid64, p.alpha)
-        C = c_double_sum(nu[pth], nup[pth], grid64, p.alpha)
-        D = dh_eta_matrix(nu[pth], nup[pth], grid64, p.alpha, p.k, G, C)
+        G = g_double_sum(nu[:, pth], grid64, p.alpha)
+        C = c_double_sum(nu[:, pth], nup[:, pth], grid64, p.alpha)
+        D = dh_eta_matrix(nu[:, pth], nup[:, pth], grid64, p.alpha, p.k, G, C)
         scale = np.max(np.abs(D))
         for _ in range(20):
             l = int(rng.integers(0, 65))
             i = int(rng.integers(0, 65))
-            d_ref = dh_eta_double_sum(nu[pth], nup[pth], grid64, p.alpha, p.k, l, i)
+            d_ref = dh_eta_double_sum(nu[:, pth], nup[:, pth], grid64, p.alpha, p.k, l, i)
             assert abs(D[l, i] - d_ref) <= 1e-10 * max(abs(d_ref), scale)
 
 
@@ -152,8 +152,8 @@ def test_dh_eta_indicator_zone(ou_model, grid64):
     # with the correction frozen to zero (C == 0), D_h eta_t vanishes for h >= t
     batch = _fixed_batch(ou_model, grid64, n_paths=1)
     nu, nup = batch.nu, batch.nu_prime
-    G = g_double_sum(nu[0], grid64, 1.0)
-    D = dh_eta_matrix(nu[0], nup[0], grid64, 1.0, 0.5, G, np.zeros(65))
+    G = g_double_sum(nu[:, 0], grid64, 1.0)
+    D = dh_eta_matrix(nu[:, 0], nup[:, 0], grid64, 1.0, 0.5, G, np.zeros(65))
     upper = np.triu_indices(65)  # l >= i
     assert np.all(D[upper[0], upper[1]][upper[0] >= upper[1]] == 0.0)
     assert np.any(D != 0.0)
@@ -168,7 +168,7 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
         ito_ref, trace_ref, g_ref = ou_weight_double_sum(
-            nu[p], nup[p], batch.dW[p], grid64, alpha, model.params.k)
+            nu[:, p], nup[:, p], batch.dW[:, p], grid64, alpha, model.params.k)
         assert abs(wb.term_ito[p] - ito_ref) / abs(ito_ref) < 1e-12
         assert abs(wb.term_trace[p] - trace_ref) / abs(trace_ref) < 1e-12
         assert abs(wb.denominator[p] - g_ref) / g_ref < 1e-12
@@ -180,17 +180,17 @@ def test_dh_eta_matches_pathwise_finite_differences(ou_model):
     grid = make_grid(1.0, 128)
     p = ou_model.params
     batch = _fixed_batch(ou_model, grid, n_paths=1)
-    dW0 = batch.dW[0]
+    dW0 = batch.dW[:, 0]
 
     def eta_of(dW):
-        b = ou_paths_from_increments(ou_model, grid, dW[None, :])
+        b = ou_paths_from_increments(ou_model, grid, dW[:, None])
         G = skorokhod_weight_ou(b, p).denominator
-        return eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
+        return eta_nodes(b.nu.T, grid, p.alpha, p.k, G)[0]
 
     nu, nup = batch.nu, batch.nu_prime
-    G = g_double_sum(nu[0], grid, p.alpha)
-    C = c_double_sum(nu[0], nup[0], grid, p.alpha)
-    D = dh_eta_matrix(nu[0], nup[0], grid, p.alpha, p.k, G, C)
+    G = g_double_sum(nu[:, 0], grid, p.alpha)
+    C = c_double_sum(nu[:, 0], nup[:, 0], grid, p.alpha)
+    D = dh_eta_matrix(nu[:, 0], nup[:, 0], grid, p.alpha, p.k, G, C)
 
     eps = 1e-5
     for l, i in [(10, 90), (40, 127), (70, 20), (0, 64)]:
@@ -221,9 +221,9 @@ def test_weight_matches_discrete_divergence(ou_model):
     w_suffix[-1] = 0.5 * grid.dt
 
     def zeta_of(dW):
-        b = ou_paths_from_increments(ou_model, grid, dW[None, :])
+        b = ou_paths_from_increments(ou_model, grid, dW[:, None])
         G = skorokhod_weight_ou(b, p).denominator
-        eta = eta_nodes(b.nu, grid, p.alpha, p.k, G)[0]
+        eta = eta_nodes(b.nu.T, grid, p.alpha, p.k, G)[0]
         out = np.empty(n + 1)
         for l in range(n + 1):
             w_l = np.full(n + 1, grid.dt)
@@ -234,7 +234,7 @@ def test_weight_matches_discrete_divergence(ou_model):
 
     eps = 1e-6
     for pth in range(2):
-        dW0 = batch.dW[pth]
+        dW0 = batch.dW[:, pth]
         zeta = zeta_of(dW0)
         ito = float(np.sum(zeta[:n] * dW0))
         trace = 0.0
