@@ -6,7 +6,7 @@ F = (1/T) int sigma^2(Y_s) ds, so its density p(x) is the object of
 interest. We estimate it two independent ways on one simulated ensemble:
 
   * the Skorokhod-weight representation p(x) = E[1{F > x} delta], whose
-    per-path weight delta comes from the kernel machinery in avgvar, and
+    per-path weight delta is the exact divergence computed in avgvar, and
   * a plain Gaussian KDE of the F samples,
 
 and print them side by side with the built-in diagnostics (normalization

@@ -2,13 +2,11 @@
 
 Here the variance follows dZ = (b - Z) dt + k sqrt(Z) dW~ with the Feller
 condition k^2 < 2b, and density work additionally needs 6 k^2 < b (the
-weight kernels involve inverse moments of Z). The weight is heavier than
-in the OU case: the kernel psi_{h,t} = exp{-(t-h)/2 - q int_h^t ds/Z}
-couples every pair of times through the path of 1/Z, and the Skorokhod
-integral picks up trace corrections from the stochastic derivative of both
-the kernel and its normalizing triple integral. All of that is inside
-avgvar; this script just runs the ensemble and compares the two density
-estimates.
+paper's weight involves inverse moments of Z). The weight comes from the
+same engine as in the OU case, but the Euler step of Z is not linear in
+Z, so its second derivatives add the terms the OU weight does not have.
+All of that is inside avgvar; this script just runs the ensemble and
+compares the two density estimates.
 """
 
 from avgvar import (CIRParams, auto_grid, kde_density, make_grid,

@@ -1,9 +1,14 @@
 """A look inside the density weights, and why runs are exactly repeatable.
 
-Part 1 dissects one OU path: the kernel eta, the denominator G, the two
-weight terms, and a check of the factorized computation against the
-brute-force double sums (they implement the same quadrature, so agreement
-is at roundoff).
+Part 1 takes one OU path apart. Its weight is the divergence of
+u = g / |g|^2 over the step normals xi, with g the gradient and H the
+Hessian of the trapezoid average F_n:
+
+    delta = (g . xi - tr H) / |g|^2 + 2 g^T H g / |g|^4.
+
+The package gets the four sums from one backward and one forward running
+sum per path; the dense oracle in avgvar.reference builds g and H whole
+and must agree to roundoff (the brute-force check).
 
 Part 2 demonstrates the counter-based noise design: a path's normals are
 its row of one Philox draw per 256-path block, addressed by (seed,
@@ -12,11 +17,9 @@ results for any worker count, and any single path can be reproduced in
 isolation.
 """
 
-import numpy as np
-
 from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
                     simulate_ou_paths, validate_ou)
-from avgvar.reference import ou_weight_double_sum
+from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
 
@@ -27,26 +30,22 @@ model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
                              r=0.05, mu=0.05, T=1.0), vol)
 grid = make_grid(1.0, 64)
 
-# --- Part 1: one path, factorized vs brute force -------------------------
+# --- Part 1: one path, running sums vs the dense gradient and Hessian -----
 batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
-nu, nup = batch.nu, batch.nu_prime
 p = model.params
 wb = skorokhod_weight_ou(batch, p)
-
-G = wb.denominator[0]
-eta = (p.alpha * p.T / p.k) * np.exp(-p.alpha * grid.t) * nu[:, 0] / G
+sums = (wb.g_xi[0], wb.trace_h[0], wb.hessian_gg[0], wb.denominator[0])
 print("one OU path at n = 64:")
 print(f"  averaged variance F = {batch.avg_variance[0]:.5f}")
-print(f"  denominator G       = {G:.6e}  (positive on every valid path)")
-print(f"  eta range           = [{eta.min():.2f}, {eta.max():.2f}]")
+for name, value in zip(("g . xi", "tr H", "g^T H g", "|g|^2"), sums):
+    print(f"  {name:<19} = {value:+.6e}")
 print(f"  weight delta        = {wb.delta[0]:+.4f} "
-      f"(ito {wb.term_ito[0]:+.4f} - trace {wb.term_trace[0]:+.4f})")
+      f"((g.xi - tr H) / |g|^2 {(sums[0] - sums[1]) / sums[3]:+.4f}, "
+      f"2 g^T H g / |g|^4 {2 * sums[2] / sums[3] ** 2:+.4f})")
 
-ito_ref, trace_ref, g_ref = ou_weight_double_sum(nu[:, 0], nup[:, 0], batch.dW[:, 0],
-                                                 grid, p.alpha, p.k)
-print(f"  brute-force check   : |G - G_ref|/G = {abs(G - g_ref) / g_ref:.2e}, "
-      f"|ito - ref|/|ref| = {abs(wb.term_ito[0] - ito_ref) / abs(ito_ref):.2e}, "
-      f"|trace - ref|/|ref| = {abs(wb.term_trace[0] - trace_ref) / abs(trace_ref):.2e}")
+ref = dense_weight(model, grid, batch.states[:, 0], batch.dW[:, 0])
+worst = max(abs(a - b) / abs(b) for a, b in zip(sums + (wb.delta[0],), ref))
+print(f"  brute-force check   : largest relative gap to the dense oracle {worst:.2e}")
 
 # --- Part 2: reproducibility ---------------------------------------------
 runs = [run_ensemble(model, grid, 3000, SEED, threads=t) for t in (1, 2, 4)]

@@ -27,8 +27,8 @@ from .paths import (CIRPathBatch, OUPathBatch, TimeGrid, cir_paths_from_incremen
 from .pricing import (PriceEstimate, bs_conditional, martingale_check, mc_estimate,
                       price_from_density, price_mixing, price_plain_mc)
 from .rng import NoiseStream
-from .weights_cir import (CIRKernelBatch, CIRWeightBatch, cir_kernel,
-                          skorokhod_weight_cir)
-from .weights_ou import OUWeightBatch, skorokhod_weight_ou
+from .weights import WeightBatch
+from .weights_cir import cir_kernel, skorokhod_weight_cir
+from .weights_ou import skorokhod_weight_ou
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -56,8 +56,9 @@ from .selfcheck import SEED, format_table, run_battery
 DEFAULT_DENSITY_STEPS = 512
 DEFAULT_PRICING_STEPS = 256
 LOW_SAMPLE_THRESHOLD = 1000
-# above this alpha*dt the OU weight's bias in mean(F delta), measured at
-# 5 to 26 alpha dt, reaches 0.05 to 0.26 (README, "Grid resolution" table)
+# above this alpha*dt the trapezoid F_n resolves the OU driver's decay time
+# 1/alpha with fewer than 100 steps, and its law moves measurably against a
+# fine grid's (README, "Grid resolution"); the weight is exact for F_n at any dt
 ALPHA_DT_THRESHOLD = 0.01
 
 EXIT_OK = 0
@@ -231,7 +232,7 @@ def _density_stage(spec, threads):
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
         print(f"W_ALPHA_DT alpha*dt={_fmt(rate * result.grid.dt)} > {ALPHA_DT_THRESHOLD}; "
-              "the OU weight is biased in mean(F*delta); see README, Grid resolution")
+              "the trapezoid F_n is coarse against 1/alpha; see README, Grid resolution")
     if spec.n_paths < LOW_SAMPLE_THRESHOLD:
         print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")

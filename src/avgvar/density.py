@@ -89,6 +89,14 @@ def malliavin_density(avg_variance, weights, x_grid):
                            normalization=mass, method="malliavin")
 
 
+def kde_bandwidth(samples):
+    """The KDE's bandwidth 1.06 sigma N^(-1/5), or a narrow fixed one for a
+    sample without spread."""
+    s = np.asarray(samples, dtype=float)
+    h = SILVERMAN_FACTOR * s.std(ddof=1) * s.size**-0.2
+    return h if h > 0 else 1e-3 * max(abs(float(s[0])), 1.0)
+
+
 def kde_density(samples, x_grid):
     """Gaussian KDE on the grid with Silverman bandwidth and block SEs.
 
@@ -99,9 +107,7 @@ def kde_density(samples, x_grid):
     x = np.asarray(x_grid, dtype=float)
     if s.size < KDE_MIN_SAMPLES:
         raise TooFewSamples(f"KDE needs >= {KDE_MIN_SAMPLES} samples, got {s.size}")
-    h = SILVERMAN_FACTOR * s.std(ddof=1) * s.size**-0.2
-    if not h > 0:
-        h = 1e-3 * max(abs(float(s[0])), 1.0)
+    h = kde_bandwidth(s)
 
     norm = 1.0 / (h * np.sqrt(2.0 * np.pi))
     total = np.zeros(x.size)

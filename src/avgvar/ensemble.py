@@ -13,10 +13,12 @@ use numpy's pairwise summation on arrays assembled in path order, so means
 are bit-stable too (and exactly zero for exactly-cancelling inputs).
 
 ``run_ensemble`` is the one place that decides whether a path fails. A
-path fails when its batch flags it (a volatility-assumption breach at a
-visited OU state, or a CIR path floored on too many steps) or, when weights
-are computed, when the weight's denominator (G or I) is not a positive
-finite number or delta is not finite. The weight functions run with
+path fails when its batch flags it ``bad`` (a volatility-assumption breach
+at a visited OU state, or a CIR path floored on too many steps) or, when
+weights are computed, when it took a step where the scheme has no
+derivative (``kinked``: a floored CIR step), when the weight's denominator
+|grad F_n|^2 is not a positive finite number or when delta is not
+finite. The weight functions run with
 floating-point warnings off and flag nothing themselves. A failed path
 gets a NaN weight, is counted and reported, and is never silently dropped;
 more than 0.1% failures aborts the ensemble.
@@ -43,7 +45,7 @@ FAILURE_BUDGET = 1e-3
 class EnsembleResult:
     avg_variance: np.ndarray    # (N,)
     weight: np.ndarray | None   # (N,) NaN on failed paths
-    denominator: np.ndarray | None  # (N,) the weight's denominator, G or I
+    denominator: np.ndarray | None  # (N,) the weight's denominator |grad F_n|^2
     terminal_state: np.ndarray | None
     terminal_asset: np.ndarray | None
     failed: np.ndarray          # (N,) bool
@@ -127,7 +129,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                 with np.errstate(all="ignore"):
                     wb = skorokhod_weight(batch, model.params, ws=ws)
                 den = wb.denominator
-                bad = bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
+                bad = (bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
+                       | ~np.isfinite(wb.delta))
                 weight[idx] = np.where(bad, np.nan, wb.delta)
                 denom[idx] = den
             failed[idx] = bad

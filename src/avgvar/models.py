@@ -34,8 +34,9 @@ class VolFunctionSpec:
     """Volatility function sigma with its first two derivatives.
 
     ``lower_bound_c`` witnesses sigma(x) >= c > 0 and ``growth_scale`` /
-    ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The density kernels
-    consume the products nu and nu' of ``nu_terms``.
+    ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The OU weight
+    consumes the products nu and nu' of ``nu_terms``: f = sigma^2 has
+    f' = 2 nu and f'' = 2 nu'.
 
     ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x. The path
     simulator calls it once per batch of states, with its chunk workspace
@@ -119,8 +120,9 @@ class ValidatedOUModel:
 
     @property
     def grid_bias_rate(self):
-        """alpha: the OU weight's bias in mean(F delta) grows with alpha dt
-        (README, "Grid resolution")."""
+        """alpha: the trapezoid F_n stands further from the continuous F as
+        alpha dt grows, though the weight is exact for F_n at any dt (README,
+        "Grid resolution")."""
         return self.params.alpha
 
 
@@ -131,8 +133,8 @@ class ValidatedCIRModel:
 
     # the averaged CIR variance has no positive lower bound
     density_lower_bound = None
-    # no alpha*dt warning, though the CIR weight is biased on coarse grids
-    # too (README, "Grid resolution"; ROADMAP item 1)
+    # no alpha*dt warning: the CIR model has no decay rate that outruns the
+    # grid, and the weight is exact for F_n at any dt (README, "Grid resolution")
     grid_bias_rate = None
 
 

@@ -1,23 +1,22 @@
 """Path simulation on a uniform grid, vectorized across paths.
 
-Conventions used throughout the package (the weight kernels depend on them):
+Conventions used throughout the package (the weights depend on them):
 
-  * dt-integrals are trapezoid sums over the grid nodes,
-  * dW-integrals are left-point (Ito) sums over the step increments,
+  * dt-integrals are trapezoid sums over the grid nodes, so the averaged
+    variance is F_n = sum_j w_j f(Y_j) / T,
   * the stored volatility-driver increment is dW_i = xi_i * sqrt(dt) where
-    xi_i are the same standard normals that drive the state recursion.
+    xi_i are the same standard normals that drive the state recursion, and
+    the weights differentiate the scheme with respect to them.
 
 The OU driver uses its exact Gaussian transition
 
     Y_{i+1} = Y_i e^{-a dt} + k sqrt((1 - e^{-2 a dt}) / (2 a)) xi_i,
 
-so the law of the path at the nodes has no discretization bias; the O(dt)
-mismatch between the exact transition and left-point Ito sums downstream
-vanishes under grid refinement. The CIR variance uses full-truncation Euler
-with a positivity floor, the standard weakly convergent positive-preserving
-scheme; exact noncentral-chi^2 sampling is of no use here because the
-weight kernels need the pathwise integral of 1/Z on the grid. The floor
-keeps Z > 0, so full truncation's max(Z, 0) is a no-op and is not taken.
+so the law of the path at the nodes has no discretization bias. The CIR
+variance uses full-truncation Euler with a positivity floor, the standard
+weakly convergent positive-preserving scheme, whose step the weight
+differentiates. The floor keeps Z > 0, so full truncation's max(Z, 0) is
+a no-op and is not taken.
 
 Layout: both models keep a chunk of P paths time-major, as C-contiguous
 (n, P) and (n+1, P) arrays (``PathBatch``) whose rows the recursions, the
@@ -81,6 +80,7 @@ class PathBatch:
     states: np.ndarray        # (n+1, P) Y (OU) or Z (CIR) at the nodes
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
+    kinked: np.ndarray        # (P,) a step of the path has no derivative, so no weight
 
 
 @dataclass
@@ -95,12 +95,10 @@ class OUPathBatch(PathBatch):
 
 @dataclass
 class CIRPathBatch(PathBatch):
-    """CIR variance paths, Z floored at Z_FLOOR. ``recip_integral[j, p]``
-    is the trapezoid prefix of 1/Z up to t_j (the R_t the psi kernel
-    needs). ``bad`` flags paths whose floored steps exceed the budget
-    FLOOR_RATE_LIMIT * n."""
+    """CIR variance paths, Z floored at Z_FLOOR. ``bad`` flags paths whose
+    floored steps exceed the budget FLOOR_RATE_LIMIT * n, and ``kinked``
+    paths with any floored step, where the scheme has no derivative."""
 
-    recip_integral: np.ndarray # (n+1, P)
     floored_steps: np.ndarray  # (P,) count of steps clipped at the floor
 
 
@@ -128,12 +126,18 @@ def _draw_increments(stream, grid, path_indices, antithetic, ws, scale):
     return dW
 
 
+def ou_step(params, dt):
+    """(decay, step_sd) of the exact OU transition over one step dt."""
+    decay = np.exp(-params.alpha * dt)
+    step_sd = params.k * np.sqrt((1.0 - np.exp(-2.0 * params.alpha * dt))
+                                 / (2.0 * params.alpha))
+    return decay, step_sd
+
+
 def _ou_states(model, grid, xi, ws):
     """Y at the nodes by the exact transition, stepped on the (n, P) normals xi."""
     p = model.params
-    dt = grid.dt
-    decay = np.exp(-p.alpha * dt)
-    step_sd = p.k * np.sqrt((1.0 - np.exp(-2.0 * p.alpha * dt)) / (2.0 * p.alpha))
+    decay, step_sd = ou_step(p, grid.dt)
 
     y = take(ws, "states", (grid.n_steps + 1, xi.shape[1]))
     y[0] = p.y0
@@ -158,7 +162,7 @@ def _ou_batch(model, grid, y, dW, path_indices, ws):
         path_indices = np.arange(dW.shape[1])
     return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
                        dW=dW, states=y, avg_variance=avg_variance, bad=~ok,
-                       nu=nu, nu_prime=nu_prime)
+                       kinked=np.zeros(y.shape[1], dtype=bool), nu=nu, nu_prime=nu_prime)
 
 
 def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
@@ -192,8 +196,8 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     Z_FLOOR, so every Z_i > 0 and the max(Z_i, 0) of full truncation is the
     identity. In the validated regime (k^2 < 2b, and 6k^2 < b for density
     work) the floor is essentially never hit; a path floored on more than
-    FLOOR_RATE_LIMIT of its steps is flagged ``bad``. With a workspace
-    ``ws`` the states and the 1/Z prefix come from it.
+    FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one floored on
+    any step ``kinked``. With a workspace ``ws`` the states come from it.
     """
     p = model.params
     n = grid.n_steps
@@ -202,9 +206,6 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
 
     z = take(ws, "states", (n + 1, dW.shape[1]))
     z[0] = p.z0
-    recip = take(ws, "recip", z.shape)
-    recip[0] = 0.0
-    inv_z = 1.0 / z[0]
     floored = np.zeros(dW.shape[1], dtype=np.int64)
     for j in range(n):
         zj = z[j]
@@ -213,15 +214,12 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
         floored += hit
         np.copyto(znext, Z_FLOOR, where=hit)
         z[j + 1] = znext
-        inv_next = 1.0 / znext
-        np.add(recip[j], 0.5 * dt * (inv_z + inv_next), out=recip[j + 1])
-        inv_z = inv_next
 
     if path_indices is None:
         path_indices = np.arange(dW.shape[1])
     return CIRPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
                         dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
-                        bad=floored > FLOOR_RATE_LIMIT * n, recip_integral=recip,
+                        bad=floored > FLOOR_RATE_LIMIT * n, kinked=floored > 0,
                         floored_steps=floored)
 
 

@@ -17,24 +17,22 @@ drawn is time-major. The slots, in the order a chunk fills them:
           dW          the normals transposed (OU: as drawn, then scaled in
                       place to dW; CIR: times sqrt(dt)), the batch's dW
           states      Y or Z, the batch's states
-    OU    tmp0        sigma pass scratch, then the weight's wf
-          tmp1        sigma'' (spent by nu_terms), then the weight's av
+    OU    tmp0        sigma pass scratch, then the weight's gradient, then
+                      its tangent V
+          tmp1        sigma'' (spent by nu_terms)
           sigma       sigma, overwritten by the batch's nu
           sigma_prime sigma', overwritten by the batch's nu'
-          tmp2        the guard's mask, then the weight's kappa
-    CIR   recip       the batch's recip_integral
-          tmp0        log phi, then Z^{-3/2}
-          psi         the kernel's psi_step
-          sqrt_z      the kernel's sqrt(Z), which the weight reuses
-          f_hat       the kernel's f_hat
-          dW          the weight's abar (completed in place to rho): only
-                      the kernel reads the batch's dW
+          tmp2        the guard's mask
+    CIR   sqrt_z      Phi_xi, then Phi_xi^2
+          phi_zxi     k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
+          phi_z       Phi_z
+          tmp0        Phi_zz
+          lam         the weight's adjoint, then g, then Phi_xi g
 
 So a worker holds seven whole arrays for either model. A batch whose
-arrays live in a workspace is spent once the next chunk starts (a CIR
-batch's dW once its weight has run). Every function that takes ``ws`` also
-runs with ``ws=None``, and then allocates fresh arrays as a direct call
-expects.
+arrays live in a workspace is spent once the next chunk starts. Every
+function that takes ``ws`` also runs with ``ws=None``, and then allocates
+fresh arrays as a direct call expects.
 """
 
 import math

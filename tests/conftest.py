@@ -3,6 +3,7 @@ import pytest
 
 from avgvar import (CIRParams, OUParams, make_grid, reference_vol_family,
                     validate_cir, validate_ou)
+from avgvar.selfcheck import CIR_FAST_DECAY
 
 SEED = 20240601
 
@@ -22,6 +23,13 @@ def ou_model(ref_vol):
 def cir_model():
     return validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
                                   r=0.05, mu=0.05, T=1.0), density_mode=True)
+
+
+@pytest.fixture(scope="session")
+def fast_cir():
+    """Fast mean reversion over a long horizon (b=20, k=1.5, z0=0.5, T=2):
+    one Euler step on an 8-step grid moves Z a quarter of the way to b."""
+    return validate_cir(CIR_FAST_DECAY, density_mode=True)
 
 
 @pytest.fixture(scope="session")

@@ -121,8 +121,8 @@ def test_density_warns_when_alpha_dt_exceeds_threshold(tmp_path, capsys, n_steps
     assert cli.main(["density", "--config", cfg]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("W_ALPHA_DT ")]
-    assert lines == (["W_ALPHA_DT alpha*dt=0.015625 > 0.01; the OU weight is biased "
-                      "in mean(F*delta); see README, Grid resolution"] if warned else [])
+    assert lines == (["W_ALPHA_DT alpha*dt=0.015625 > 0.01; the trapezoid F_n is coarse "
+                      "against 1/alpha; see README, Grid resolution"] if warned else [])
 
 
 MALFORMED = {

@@ -131,13 +131,13 @@ def test_no_failures_on_reference_models(ou_model, cir_model):
 
 
 def test_failure_budget_enforced(ou_model, monkeypatch):
-    from avgvar.weights_ou import OUWeightBatch
+    from avgvar.weights import WeightBatch
 
     def all_bad(batch, params, ws=None):
         n = batch.states.shape[1]
         one = np.ones(n)
-        return OUWeightBatch(delta=one, term_ito=one, term_trace=0 * one,
-                             denominator=-one)
+        return WeightBatch(delta=one, denominator=-one, g_xi=one, trace_h=0 * one,
+                           hessian_gg=0 * one)
 
     monkeypatch.setattr(ens_mod, "skorokhod_weight_ou", all_bad)
     with pytest.raises(FailureBudgetExceeded):
@@ -179,6 +179,22 @@ def test_each_guard_fails_the_path_with_a_nan_weight(ou_model, monkeypatch, faul
     res = run_ensemble(ou_model, make_grid(1.0, 32), 2000, SEED)
     assert res.n_failures == 1 and res.failed[0]
     assert np.isnan(res.weight[0]) and np.all(np.isfinite(res.weight[1:]))
+
+
+def test_weighted_path_with_a_floored_step_fails():
+    """The CIR step has no derivative where it is floored. Of these 2048
+    paths at n = 1024, path 576 is floored on one step, within the
+    unweighted budget FLOOR_RATE_LIMIT * n: it fails, with a NaN weight,
+    only when weights are computed."""
+    from avgvar import CIRParams, validate_cir
+    model = validate_cir(CIRParams(b=0.05, k=0.2, z0=0.05, s0=100.0, r=0.05, mu=0.05, T=1.0))
+    grid = make_grid(1.0, 1024)
+    plain = run_ensemble(model, grid, 2048, 21, compute_weights=False)
+    assert plain.n_failures == 0
+    weighted = run_ensemble(model, grid, 2048, 21)
+    assert np.flatnonzero(weighted.failed).tolist() == [576]
+    assert np.isnan(weighted.weight[576]) and np.all(np.isfinite(np.delete(weighted.weight, 576)))
+    assert weighted.avg_variance.tobytes() == plain.avg_variance.tobytes()
 
 
 def _flat_above_ten_vol():
@@ -250,9 +266,9 @@ def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's seven-slot workspace:
     for OU dW, Y, sigma and sigma' (which become nu and nu') and three
-    scratch slots that end as the weight's running sums; for CIR dW (then
-    abar), Z, the 1/Z prefix, psi_step, sqrt(Z), f_hat and one scratch slot
-    (the normals, then log phi, then Z^{-3/2})."""
+    scratch slots, one of which ends as the weight's gradient; for CIR dW,
+    Z, the normals (then Phi_zz), the three other step derivatives and the
+    weight's gradient."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK

@@ -5,7 +5,8 @@ product, so a `(P, n+1) @ (n+1,)` reduction costs about twice its wall
 time in CPU, and ``--threads`` would stop being the program's only source
 of parallelism. Reductions are ``np.einsum`` without ``optimize`` (numpy's
 own loops) or running sums in the sweeps. ``reference.py`` holds the
-brute-force O(n^2) oracles for the tests and is exempt.
+dense gradient-and-Hessian oracle of the self check, for n <= 64, and is
+exempt.
 """
 
 import ast

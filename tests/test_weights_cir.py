@@ -3,20 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from avgvar import (CIRParams, CIRPathBatch, make_grid, cir_paths_from_increments,
+from avgvar import (CIRParams, cir_paths_from_increments, make_grid,
                     simulate_cir_paths, validate_cir)
-from avgvar.reference import (cir_weight_triple_sum, i_triple_sum, psi_matrix,
-                              _suffix_trapezoid_weights)
+from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
+from avgvar.weights_cir import cir_kernel, skorokhod_weight_cir
 from bridge import refine_increments
-from avgvar.weights_cir import (cir_kernel, log_phi_nodes, q_constant,
-                                skorokhod_weight_cir)
+from paper_weight import (_inner_trapezoid_weights, i_triple_sum, log_phi, psi_matrix,
+                          q_constant)
+from test_weights import discrete_divergence
 
 SEED = 20240601
-
-# fast mean reversion over a long horizon: on a 64-step grid the one-step
-# ratios psi_step go down to about 0.62, far from the psi ~ 1 of the demo model
-FAST_DECAY = CIRParams(b=20.0, k=1.5, z0=0.5, s0=100.0, r=0.05, mu=0.05, T=2.0)
 
 
 def psi_pair(log_phi_row, h_index, t_index):
@@ -24,15 +21,8 @@ def psi_pair(log_phi_row, h_index, t_index):
     return float(np.exp(log_phi_row[t_index] - log_phi_row[h_index]))
 
 
-def _flat_z_batch(z0, grid):
-    """Frozen Z == z0 on the grid (for closed-form kernel checks)."""
-    n = grid.n_steps
-    r = grid.t / z0
-    return CIRPathBatch(grid=grid, path_indices=np.array([0]),
-                        dW=np.zeros((n, 1)), states=np.full((n + 1, 1), z0),
-                        avg_variance=np.array([z0]),
-                        recip_integral=r[:, None],
-                        floored_steps=np.array([0]), bad=np.array([False]))
+# the paper's kernel psi_{h,t} = phi(t) / phi(h), which the paper's weight
+# in paper_weight.py is built from
 
 
 def test_q_constant(cir_model):
@@ -41,22 +31,21 @@ def test_q_constant(cir_model):
 
 def test_flat_z_log_phi_is_linear(cir_model):
     grid = make_grid(1.0, 64)
-    batch = _flat_z_batch(2.0, grid)
+    lp = log_phi(np.full(65, 2.0), grid, cir_model.params)
     q = q_constant(cir_model.params)
-    lp = log_phi_nodes(batch, q)
-    expected = -(0.5 + q / 2.0) * grid.t
-    assert np.allclose(lp[:, 0], expected, rtol=1e-14)
+    assert np.allclose(lp, -(0.5 + q / 2.0) * grid.t, rtol=1e-14)
 
 
 def test_flat_z_f_integral_closed_form(cir_model):
-    """F(1) = (e^{2 gamma} - 1) / (2 gamma) with gamma = 1/2 + q for Z == 1."""
+    """F(1) = int_0^1 phi(h)^{-2} dh = (e^{2 gamma} - 1) / (2 gamma) with
+    gamma = 1/2 + q for Z == 1, by the paper's inner trapezoid of psi^2."""
     grid = make_grid(1.0, 4096)
-    batch = _flat_z_batch(1.0, grid)
-    kern = cir_kernel(batch, cir_model.params)
+    lp = log_phi(np.ones(4097), grid, cir_model.params)
+    psi_sq = np.exp(2.0 * (lp[-1] - lp))
+    f_hat = np.sum(_inner_trapezoid_weights(4097, grid.dt, 4096) * psi_sq)
     gamma = 0.5 + q_constant(cir_model.params)
     closed = (math.exp(2 * gamma) - 1.0) / (2.0 * gamma)
-    f_impl = math.exp(-2.0 * log_phi_nodes(batch, kern.q)[-1, 0]) * kern.f_hat[-1, 0]
-    assert f_impl == pytest.approx(closed, rel=1e-4)
+    assert math.exp(-2.0 * lp[-1]) * f_hat == pytest.approx(closed, rel=1e-4)
     # independent Riemann cross-check of the same integral
     mid = (np.arange(4096) + 0.5) / 4096
     riemann = float(np.exp(2 * gamma * mid).sum() / 4096)
@@ -67,14 +56,11 @@ def test_psi_bounds_and_cocycle(cir_model):
     grid = make_grid(1.0, 256)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(4))
-    kern = cir_kernel(batch, cir_model.params)
-    assert np.all(kern.psi_step <= 1.0 + 1e-15)
-    log_phi = log_phi_nodes(batch, kern.q)
     rng = np.random.default_rng(0)
     for _ in range(50):
         pth = int(rng.integers(0, 4))
         h, s, t = sorted(rng.integers(0, 257, size=3))
-        lp = log_phi[:, pth]
+        lp = log_phi(batch.states[:, pth], grid, cir_model.params)
         lhs = psi_pair(lp, h, t)
         rhs = psi_pair(lp, h, s) * psi_pair(lp, s, t)
         assert abs(lhs - rhs) < 1e-12
@@ -85,8 +71,7 @@ def test_psi_bounds_and_cocycle(cir_model):
 def test_psi_matrix_agrees_with_psi_pair(cir_model):
     grid = make_grid(1.0, 64)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
-    kern = cir_kernel(batch, cir_model.params)
-    lp = log_phi_nodes(batch, kern.q)[:, 0]
+    lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     mat = psi_matrix(lp)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -96,81 +81,61 @@ def test_psi_matrix_agrees_with_psi_pair(cir_model):
 
 def test_i_scaling_is_exactly_quadratic(cir_model):
     # multiplying the integrand factor g = sqrt(Z) phi by a constant a
-    # multiplies I by a^2 exactly; realized by scaling Z with psi frozen
+    # multiplies the paper's I by a^2 exactly; realized by scaling Z with psi frozen
     grid = make_grid(1.0, 32)
     batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
-    kern = cir_kernel(batch, cir_model.params)
-    lp = log_phi_nodes(batch, kern.q)[:, 0]
+    lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     base = i_triple_sum(batch.states[:, 0], lp, grid)
     scaled = i_triple_sum(4.0 * batch.states[:, 0], lp, grid)
     assert scaled == pytest.approx(4.0 * base, rel=1e-14)
 
 
+# the weight of the scheme: its step derivatives and the O(n) sweeps
+
+
 @pytest.mark.parametrize("fast_decay", [False, True], ids=["demo", "fast_decay"])
-def test_kernel_and_weight_match_brute_force(cir_model, fast_decay):
-    model = validate_cir(FAST_DECAY, density_mode=True) if fast_decay else cir_model
+def test_kernel_and_weight_match_brute_force(cir_model, fast_cir, fast_decay):
+    """cir_kernel's step derivatives against their closed forms, and the
+    sweeps' sums against the dense gradient and Hessian of F_n."""
+    model = fast_cir if fast_decay else cir_model
     grid = make_grid(model.params.T, 64)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(5))
-    kern = cir_kernel(batch, model.params)
-    wb = skorokhod_weight_cir(batch, model.params, kern)
+    k, dt, z, dW = model.params.k, grid.dt, batch.states[:-1], batch.dW
+    expected = (1.0 - dt + k * dW / (2.0 * np.sqrt(z)), k * np.sqrt(z * dt),
+                -k * dW / (4.0 * z**1.5), k * math.sqrt(dt) / (2.0 * np.sqrt(z)))
+    for got, want in zip(cir_kernel(batch, model.params), expected):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    wb = skorokhod_weight_cir(batch, model.params)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
-    log_phi = log_phi_nodes(batch, kern.q)
     for p in range(5):
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[:, p], log_phi[:, p], batch.dW[:, p], grid, model.params)
-        assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
-        assert abs(wb.term_ito[p] - a) / abs(a) < 1e-8
-        assert abs(wb.term_trace[p] - b) / abs(b) < 1e-8
-        assert abs(wb.term_dphi[p] - c2) / abs(c2) < 1e-8
-        assert abs(wb.term_denom[p] - c3) / abs(c3) < 1e-8
-        assert wb.delta[p] == (wb.term_ito[p] - wb.term_trace[p]
-                               - wb.term_dphi[p] + wb.term_denom[p])
+        ref = dense_weight(model, grid, batch.states[:, p], batch.dW[:, p])
+        got = (wb.g_xi[p], wb.trace_h[p], wb.hessian_gg[p], wb.denominator[p], wb.delta[p])
+        for a, b in zip(got, ref):
+            assert abs(a - b) / abs(b) < 1e-8
 
 
 def test_positive_i_on_simulated_paths(cir_model):
+    """The denominator |grad F_n|^2 is positive and finite on every path."""
     grid = make_grid(1.0, 256)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     for lo in range(0, 10000, 2048):
         idx = np.arange(lo, min(lo + 2048, 10000))
         batch = simulate_cir_paths(cir_model, grid, stream, idx)
-        kern = cir_kernel(batch, cir_model.params)
-        assert np.all(kern.I > 0) and np.all(np.isfinite(kern.I))
+        den = skorokhod_weight_cir(batch, cir_model.params).denominator
+        assert np.all(den > 0) and np.all(np.isfinite(den))
 
 
-def test_weight_matches_discrete_divergence(cir_model):
-    """Full-weight validation against the finite-dimensional divergence."""
-    n = 64
-    grid = make_grid(1.0, n)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                               np.arange(2))
-    wb = skorokhod_weight_cir(batch, cir_model.params)
-    p = cir_model.params
-
-    def zeta_of(dW):
-        b = cir_paths_from_increments(cir_model, grid, dW[:, None])
-        kern = cir_kernel(b, p)
-        psi = psi_matrix(log_phi_nodes(b, kern.q)[:, 0])
-        sqrt_z = np.sqrt(b.states[:, 0])
-        out = np.empty(n + 1)
-        for j in range(n + 1):
-            w_suf = _suffix_trapezoid_weights(n + 1, grid.dt, j)
-            out[j] = np.sum(w_suf * sqrt_z * psi[j, :])
-        return (p.T / p.k) * out / kern.I[0]
-
-    eps = 1e-6
-    for pth in range(2):
-        dW0 = batch.dW[:, pth]
-        zeta = zeta_of(dW0)
-        ito = float(np.sum(zeta[:n] * dW0))
-        trace = 0.0
-        for l in range(n):
-            up, down = dW0.copy(), dW0.copy()
-            up[l] += eps
-            down[l] -= eps
-            trace += (zeta_of(up)[l] - zeta_of(down)[l]) / (2 * eps)
-        div = ito - grid.dt * trace
-        assert wb.delta[pth] == pytest.approx(div, rel=0.05)
+def test_weight_matches_discrete_divergence(cir_model, fast_cir):
+    """delta is the divergence of grad F_n / |grad F_n|^2 over the step
+    normals, to roundoff, on both models."""
+    for model in (cir_model, fast_cir):
+        grid = make_grid(model.params.T, 64)
+        batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), np.arange(2))
+        wb = skorokhod_weight_cir(batch, model.params)
+        for p in range(2):
+            div = discrete_divergence(model, grid, batch.states[:, p], batch.dW[:, p])
+            assert wb.delta[p] == pytest.approx(div, rel=1e-8)
 
 
 def test_duality_small_ensemble(cir_model):
@@ -194,28 +159,22 @@ def test_duality_small_ensemble(cir_model):
 
 
 def test_kernel_survives_extreme_log_phi_range():
-    """Tiny z0 over a long horizon drives q*R into the hundreds: raw
-    exp(-2 log phi) would overflow float64 by hundreds of orders of
-    magnitude, but the ratio-form recursions must stay finite and keep
-    agreeing with the (equally ratio-safe) brute-force twins."""
-    from avgvar import CIRParams, validate_cir
+    """Tiny z0 over a long horizon drives q*R into the hundreds, where the
+    paper's exp(-2 log phi) would overflow float64 by hundreds of orders of
+    magnitude; the scheme's step derivatives stay finite, and the sweeps
+    keep agreeing with the dense oracle."""
     params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, mu=0.05, T=30.0)
     model = validate_cir(params, density_mode=True)
     grid = make_grid(30.0, 64)
-    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL),
-                               np.arange(2))
-    kern = cir_kernel(batch, params)
-    log_phi = log_phi_nodes(batch, kern.q)
-    assert -2.0 * log_phi.min() > 709  # naive arithmetic would overflow
-    wb = skorokhod_weight_cir(batch, params, kern)
+    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), np.arange(2))
+    assert not batch.kinked.any()
+    assert -2.0 * min(log_phi(batch.states[:, p], grid, params).min() for p in range(2)) > 709
+    wb = skorokhod_weight_cir(batch, params)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
-    assert np.all(np.isfinite(wb.delta))
-    assert np.all(kern.I > 0) and np.all(np.isfinite(kern.I))
     for p in range(2):
-        a, b, c2, c3, i_ref = cir_weight_triple_sum(
-            batch.states[:, p], log_phi[:, p], batch.dW[:, p], grid, params)
-        assert abs(kern.I[p] - i_ref) / i_ref < 1e-8
-        assert abs(wb.term_denom[p] - c3) / abs(c3) < 1e-8
+        ref = dense_weight(model, grid, batch.states[:, p], batch.dW[:, p])
+        assert abs(wb.denominator[p] - ref[3]) / ref[3] < 1e-8
+        assert abs(wb.delta[p] - ref[4]) / abs(ref[4]) < 1e-8
 
 
 def test_weight_stable_under_bridge_refinement(cir_model):
