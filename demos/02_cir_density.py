@@ -11,7 +11,6 @@ compares the two density estimates.
 
 from avgvar import (CIRParams, auto_grid, kde_density, make_grid,
                     malliavin_density, mc_estimate, run_ensemble, validate_cir)
-from avgvar.ensemble import duality_statistic
 
 N_PATHS = 10000
 N_STEPS = 256
@@ -29,7 +28,8 @@ f, d = res.valid_samples()
 
 w = mc_estimate(d)
 print(f"  mean weight      : {w.value:+.4f} +- {w.std_error:.4f}  (should be ~0)")
-print(f"  duality E[F d]   : {duality_statistic(res):.4f}          (should be ~1)")
+fd = mc_estimate(f * d)
+print(f"  duality E[F d]   : {fd.value:+.4f} +- {fd.std_error:.4f}  (should be ~1)")
 
 x = auto_grid(f, points=41)
 mall = malliavin_density(f, d, x)

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .density import (DensityEstimate, auto_grid, kde_density,
                       malliavin_density, winsorize_weights)
-from .ensemble import EnsembleResult, duality_statistic, run_ensemble
+from .ensemble import EnsembleResult, run_ensemble
 from .errors import (AvgVarError, ConfigError, EmptyEnsemble,
                      FailureBudgetExceeded, GridTooCoarse, InvalidGrid,
                      TooFewSamples, ValidationError)

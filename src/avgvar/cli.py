@@ -23,14 +23,16 @@ false for pricing-only CIR setups.
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
 E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE,
-and E_INVALID_THREADS for a --threads below 1);
+E_INVALID_SEED for a seed outside [0, 2^64), and E_INVALID_THREADS for a
+--threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),
 or outputs that cannot be written (E_OUTPUT);
 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
 ``[avgvar]`` progress lines, E_CONFIG, E_OUTPUT and E_FAILURE_BUDGET to
 stderr.
 Nothing is written unless the parse succeeds. Outputs are byte-stable
-across reruns and --threads values; floats have 17 significant digits.
+across reruns and --threads values; floats have 17 significant digits, and
+JSON outputs write a non-finite value (NaN) as null.
 """
 
 import argparse
@@ -45,7 +47,7 @@ import numpy as np
 from . import __version__, pricing
 from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid, kde_density,
                       malliavin_density, winsorize_weights)
-from .ensemble import check_threads, duality_statistic, run_ensemble
+from .ensemble import check_seed, check_threads, run_ensemble
 from .errors import ConfigError, FailureBudgetExceeded, ValidationError
 from .models import (CIRParams, Contract, OUParams, reference_vol_family,
                      validate_cir, validate_contract, validate_ou)
@@ -169,7 +171,8 @@ def parse_config(raw, command, seed=None, out=None):
     n_paths = _get(raw, "ensemble.n_paths", int, _REQUIRED if has_run else None)
     check(n_paths is None or n_paths >= 1, "E_EMPTY_ENSEMBLE",
           f"n_paths must be >= 1, got {n_paths}")
-    config_seed = _get(raw, "ensemble.seed", int, 0)
+    seed = _get(raw, "ensemble.seed", int, 0) if seed is None else seed
+    validated(check_seed, seed)
     quantile = _get(raw, "ensemble.winsorize_quantile", float, 1e-4)
     if not _get(raw, "ensemble.winsorize", bool, False):
         quantile = None
@@ -195,7 +198,7 @@ def parse_config(raw, command, seed=None, out=None):
     if violations:
         raise ValidationError(violations)
     return RunSpec(model=model, contract=contract, n_paths=n_paths,
-                   seed=config_seed if seed is None else seed,
+                   seed=seed,
                    antithetic=_get(raw, "ensemble.antithetic", bool, False),
                    winsorize_quantile=quantile,
                    density_steps=steps[0], pricing_steps=steps[1],
@@ -213,7 +216,10 @@ def _write_rows(spec, name, header, rows):
                       for row in rows)
             fh.write("\n".join(lines) + "\n")
         else:
-            json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
+            # JSON has no NaN; a non-finite value is written as null
+            json.dump([{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for key, v in zip(header, row)} for row in rows],
+                      fh, indent=1, allow_nan=False)
             fh.write("\n")
     return path
 
@@ -258,8 +264,9 @@ def cmd_density(spec, threads):
                             result.weight, result.denominator))
     print(f"[avgvar] wrote {path1} and {path2} ({result.n_failures} failed "
           f"paths of {result.n_paths})", file=sys.stderr)
+    duality = pricing.mc_estimate(f_samples * result.valid_samples()[1]).value
     print(f"summary normalization={_fmt(dens.normalization)} mean_weight="
-          f"{_fmt(np.mean(weights))} duality={_fmt(duality_statistic(result))}")
+          f"{_fmt(pricing.mc_estimate(weights).value)} duality={_fmt(duality)}")
     return EXIT_OK
 
 
@@ -285,7 +292,9 @@ def cmd_price(spec, threads):
 
 
 def cmd_selfcheck(args):
-    rows = run_battery(seed=SEED if args.seed is None else args.seed, threads=args.threads)
+    seed = SEED if args.seed is None else args.seed
+    check_seed(seed)
+    rows = run_battery(seed=seed, threads=args.threads)
     print(format_table(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_SELFCHECK
 
@@ -305,7 +314,7 @@ def build_parser():
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads, at least 1 (never changes output "
                              "bytes); below 1 exits 2 with E_INVALID_THREADS")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
+        sp.add_argument("--seed", type=int, default=None, help="seed override, in [0, 2^64)")
 
     sp = sub.add_parser("validate", help="validate a config; exit 0 iff usable")
     sp.add_argument("--config", required=True)

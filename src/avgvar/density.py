@@ -10,10 +10,9 @@ Two independent routes to the same density:
     O(h^2) but an assumption-light cross-check.
 
 Agreement of the two within combined error bars is one of the package's
-acceptance gates. Both take their standard errors from ``_block_se``, by
-10-block splitting: the ensemble is cut into contiguous blocks, the
-estimator evaluated per block, and the SE taken across blocks (same
-bandwidth everywhere for the KDE).
+acceptance gates. Both are sample means of per-path terms, one column per
+grid point, and take their values and standard errors from ``mean_and_se``,
+the core of the package's one Monte Carlo estimator ``pricing.mc_estimate``.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import EmptyEnsemble, GridTooCoarse, TooFewSamples
 
-N_SE_BLOCKS = 10
 MIN_GRID_POINTS = 21
 KDE_MIN_SAMPLES = 100
 SILVERMAN_FACTOR = 1.06  # KDE bandwidth 1.06 sigma N^(-1/5)
@@ -54,21 +52,24 @@ def auto_grid(samples, points=41, lower_bound=None):
     return np.linspace(lo, hi, int(points))
 
 
-def _block_se(n, block_mean):
-    """Per-grid-point SE of an estimate over n >= N_SE_BLOCKS samples: the
-    spread of its values on N_SE_BLOCKS contiguous blocks, where
-    ``block_mean(lo, hi)`` is the estimate on samples lo..hi-1."""
-    edges = np.linspace(0, n, N_SE_BLOCKS + 1).astype(int)
-    block_means = np.stack([block_mean(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
-    return block_means.std(axis=0, ddof=1) / np.sqrt(N_SE_BLOCKS)
+def mean_and_se(terms):
+    """Means over axis 0 of the per-path ``terms`` and their standard errors
+    std(ddof=1) / sqrt(N). A single row or a constant column is its own mean,
+    with SE 0: the sum of equal values rounds unless their low bits are 0."""
+    n = terms.shape[0]
+    constant = terms.min(axis=0) == terms.max(axis=0)
+    first = terms[0] + 0.0  # a copy, with -0.0 (0 times a negative weight) read as 0.0
+    if n == 1 or np.all(constant):
+        return first, np.zeros(terms.shape[1:])
+    return (np.where(constant, first, terms.mean(axis=0)),
+            np.where(constant, 0.0, terms.std(axis=0, ddof=1) / np.sqrt(n)))
 
 
 def malliavin_density(avg_variance, weights, x_grid):
-    """p_hat(x) = mean_i 1{F_i > x} w_i with block standard errors.
+    """p_hat(x) = mean_i 1{F_i > x} w_i with per-path standard errors.
 
     The indicator is strict, matching the representation's tail form; ties
-    have probability zero for continuous F. The SE is NaN (undefined) with
-    fewer samples than SE blocks.
+    have probability zero for continuous F.
     """
     f = np.asarray(avg_variance, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -78,15 +79,9 @@ def malliavin_density(avg_variance, weights, x_grid):
     if x.size < MIN_GRID_POINTS:
         raise GridTooCoarse(f"density grid needs >= {MIN_GRID_POINTS} points, got {x.size}")
 
-    terms = (f[:, None] > x[None, :]) * w[:, None]
-    p_hat = terms.mean(axis=0)
-    if f.size < N_SE_BLOCKS:
-        se = np.full(x.size, np.nan)
-    else:
-        se = _block_se(f.size, lambda lo, hi: terms[lo:hi].mean(axis=0))
-    mass = float(np.trapezoid(p_hat, x))
+    p_hat, se = mean_and_se((f[:, None] > x[None, :]) * w[:, None])
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
-                           normalization=mass, method="malliavin")
+                           normalization=float(np.trapezoid(p_hat, x)), method="malliavin")
 
 
 def kde_bandwidth(samples):
@@ -98,7 +93,7 @@ def kde_bandwidth(samples):
 
 
 def kde_density(samples, x_grid):
-    """Gaussian KDE on the grid with Silverman bandwidth and block SEs.
+    """Gaussian KDE on the grid with Silverman bandwidth and per-path SEs.
 
     A degenerate sample (zero spread) falls back to a narrow fixed
     bandwidth so the estimate is a unit-mass spike at the common value.
@@ -109,22 +104,16 @@ def kde_density(samples, x_grid):
         raise TooFewSamples(f"KDE needs >= {KDE_MIN_SAMPLES} samples, got {s.size}")
     h = kde_bandwidth(s)
 
-    norm = 1.0 / (h * np.sqrt(2.0 * np.pi))
-    total = np.zeros(x.size)
-
-    def block_mean(lo, hi):
-        # one SE block at a time bounds the (N, n_grid) kernel matrix; the
-        # block sums add up to the full-sample estimate
-        u = (x[None, :] - s[lo:hi, None]) / h
-        kmat = norm * np.exp(-0.5 * u * u)
-        total[:] += kmat.sum(axis=0)
-        return kmat.mean(axis=0)
-
-    se = _block_se(s.size, block_mean)
-    p_hat = total / s.size
-    mass = float(np.trapezoid(p_hat, x))
+    # built in place, so that the kernel matrix is the one (N, n_grid) array
+    kmat = np.subtract(x[None, :], s[:, None])
+    kmat /= h
+    kmat *= kmat
+    kmat *= -0.5
+    np.exp(kmat, out=kmat)
+    kmat *= 1.0 / (h * np.sqrt(2.0 * np.pi))
+    p_hat, se = mean_and_se(kmat)
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
-                           normalization=mass, method="kde")
+                           normalization=float(np.trapezoid(p_hat, x)), method="kde")
 
 
 def winsorize_weights(weights, quantile=1e-4):

@@ -18,12 +18,13 @@ at a visited OU state, or a CIR path floored on too many steps) or, when
 weights are computed, when it took a step where the scheme has no
 derivative (``kinked``: a floored CIR step), when the weight's denominator
 |grad F_n|^2 is not a positive finite number or when delta is not
-finite. The weight functions run with
-floating-point warnings off and flag nothing themselves. A failed path
+finite. The simulator and the weight run with floating-point warnings
+off, and the weight functions flag nothing themselves. A failed path
 gets a NaN weight, is counted and reported, and is never silently dropped;
 more than 0.1% failures aborts the ensemble.
 """
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -84,20 +85,29 @@ def check_threads(threads):
                                 f"--threads must be >= 1, got {threads}")])
 
 
+def check_seed(seed):
+    """Raise E_INVALID_SEED unless ``seed`` fits the noise key's 64 bits."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValidationError([("E_INVALID_SEED",
+                                f"seed must be an integer in [0, 2^64), got {seed}")])
+
+
 def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                  antithetic=False, compute_weights=True,
                  collect_terminal=False, collect_asset=False):
     """Simulate n_paths volatility paths and (optionally) their weights.
 
     Output is bit-identical for any ``threads`` value, which must be an
-    integer >= 1. ``collect_asset`` additionally draws one terminal asset
-    price per path from the independent asset stream (used by the plain-MC
-    pricer and the martingale diagnostic).
+    integer >= 1; ``seed`` must be an integer in [0, 2^64). ``collect_asset``
+    additionally draws one terminal asset price per path from the
+    independent asset stream (used by the plain-MC pricer and the
+    martingale diagnostic).
     """
     drivers = _DRIVERS.get(type(model))
     if drivers is None:
         raise TypeError(f"not a validated model: {model!r}")
     check_threads(threads)
+    check_seed(seed)
     simulate, skorokhod_weight = drivers()
     n_paths = int(n_paths)
     if n_paths < 1:
@@ -122,12 +132,13 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace=namespace)
         for lo in starts[worker::threads]:
             idx = np.arange(lo, min(lo + CHUNK, n_paths))
-            batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws)
+            # a failing path may overflow or turn NaN; the guards below flag it
+            with np.errstate(all="ignore"):
+                batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws)
+                if compute_weights:
+                    wb = skorokhod_weight(batch, model.params, ws=ws)
             bad = batch.bad
             if compute_weights:
-                # a failed path may divide by zero or overflow; it is set NaN here
-                with np.errstate(all="ignore"):
-                    wb = skorokhod_weight(batch, model.params, ws=ws)
                 den = wb.denominator
                 bad = (bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
                        | ~np.isfinite(wb.delta))
@@ -159,10 +170,3 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             f"(budget {FAILURE_BUDGET:.1%})")
     return result
 
-
-def duality_statistic(result):
-    """mean(F * delta) over valid paths; should be 1 within noise."""
-    f, w = result.valid_samples()
-    if w is None or f.size == 0:
-        return float("nan")
-    return float(np.mean(f * w))

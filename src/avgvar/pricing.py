@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import MIN_GRID_POINTS
+from .density import MIN_GRID_POINTS, mean_and_se
 from .errors import EmptyEnsemble, GridTooCoarse, NegativeMassWarning
 
 MIN_MASS = 0.9  # density mass below which price_from_density warns
@@ -50,7 +50,7 @@ def _phi(x):
 @dataclass
 class PriceEstimate:
     method: str       # density_quadrature | mixing_mc | plain_mc | martingale_check | mean
-    value: float
+    value: float      # an (m,) array for an (N, m) array of terms, as is std_error
     std_error: float  # 0 for a single or constant sample
     ci95: tuple
 
@@ -105,18 +105,15 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
 
 
 def mc_estimate(terms, method="mean", empty_message="no sample to average"):
-    """The sample mean of ``terms`` with its standard error and 95% interval;
-    raises EmptyEnsemble with ``empty_message`` when there is no term."""
+    """The mean over axis 0 of ``terms`` with its standard error (by
+    ``density.mean_and_se``) and 95% interval, as floats for a vector and
+    (m,) arrays for (N, m) terms; EmptyEnsemble(``empty_message``) if N = 0."""
     terms = np.atleast_1d(terms)
-    if terms.size == 0:
+    if terms.shape[0] == 0:
         raise EmptyEnsemble(empty_message)
-    if terms.size == 1 or terms.min() == terms.max():
-        # a single term or a constant sample is its own mean, with no spread;
-        # the pairwise sum of equal values rounds unless their low bits are 0
-        value, se = float(terms[0]), 0.0
-    else:
-        value = float(np.mean(terms))
-        se = float(terms.std(ddof=1) / math.sqrt(terms.size))
+    value, se = mean_and_se(terms)
+    if terms.ndim == 1:
+        value, se = float(value), float(se)
     return PriceEstimate(method=method, value=value, std_error=se,
                          ci95=(value - 1.96 * se, value + 1.96 * se))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pricing
-from .density import _block_se, auto_grid, kde_bandwidth, kde_density, malliavin_density
+from .density import auto_grid, kde_bandwidth, kde_density, malliavin_density
 from .ensemble import run_ensemble
 from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
@@ -222,11 +222,11 @@ def density_vs_kde(ctx):
     for tag in MODELS:
         _, f, d, dens = ctx.weighted(tag)
         kde = kde_density(f, dens.x_grid)
-        terms = pricing._phi((f[:, None] - dens.x_grid) / kde_bandwidth(f)) * d[:, None]
-        se = _block_se(f.size, lambda lo, hi: terms[lo:hi].mean(axis=0))
+        smooth = pricing.mc_estimate(
+            pricing._phi((f[:, None] - dens.x_grid) / kde_bandwidth(f)) * d[:, None])
         inner = ctx.scale.kde_interior
-        gap = np.abs(terms.mean(axis=0) - kde.p_hat)[inner]
-        tol = ctx.scale.z * (se + kde.se)[inner]
+        gap = np.abs(smooth.value - kde.p_hat)[inner]
+        tol = ctx.scale.z * (smooth.std_error + kde.se)[inner]
         rows.append((bool(np.all(gap <= tol)), f"worst gap/tolerance {np.max(gap / tol):.2f}"))
     return rows
 
@@ -257,9 +257,9 @@ def density_cdf_consistency(ctx):
             np.cumsum(partial, out=partial)
             int_terms = partial[np.searchsorted(u, f)] * d
             emp_terms = ((f > x) & ~(f > top)).astype(float)
-            gap = abs(int_terms.mean() - emp_terms.mean())
-            tol = ctx.scale.z * (pricing.mc_estimate(int_terms).std_error
-                                 + pricing.mc_estimate(emp_terms).std_error)
+            dens_est, emp_est = (pricing.mc_estimate(t) for t in (int_terms, emp_terms))
+            gap = abs(dens_est.value - emp_est.value)
+            tol = ctx.scale.z * (dens_est.std_error + emp_est.std_error)
             worst = max(worst, gap / tol)
         rows.append((worst < 1.0, f"worst gap/tolerance over "
                      f"{len(ctx.scale.survival_percentiles)} probes {worst:.2f}"))

@@ -177,6 +177,33 @@ def test_threads_below_one_fail_before_simulating(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+@pytest.mark.parametrize("command", ["density", "price", "selfcheck"])
+def test_seed_outside_the_key_range_fails_before_simulating(tmp_path, capsys, monkeypatch,
+                                                            command, seed):
+    """--seed 2^64 + 1 would draw the noise of seed 1, and -1 that of 2^64 - 1."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("work started before --seed was rejected")
+    monkeypatch.setattr(cli, "run_ensemble", no_run)
+    monkeypatch.setattr(cli, "run_battery", no_run)
+    argv = [command, "--seed", seed]
+    if command != "selfcheck":
+        argv += ["--config", write_config(tmp_path)]
+    assert cli.main(argv) == 2
+    assert (f"E_INVALID_SEED seed must be an integer in [0, 2^64), got {seed}"
+            in capsys.readouterr().out.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_config_seed_outside_the_key_range_is_a_violation(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, ensemble={"n_paths": 600, "seed": seed})
+    for command in ("validate", "density"):
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().out.startswith("E_INVALID_SEED ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_density_validation_failure_writes_nothing(tmp_path):
     cfg = write_config(tmp_path, **cir_overrides(k=1.2))
     assert cli.main(["density", "--config", cfg]) == 2
@@ -208,6 +235,25 @@ def test_density_json_format(tmp_path):
     rows = json.loads((tmp_path / "j" / "density.json").read_text())
     assert len(rows) == 41
     assert set(rows[0]) == {"x", "p_malliavin", "se_malliavin", "p_kde", "se_kde"}
+
+
+def no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_outputs_are_strict_json_with_null_for_nan(tmp_path):
+    """At 50 paths the KDE columns are NaN; JSON has no NaN, so they are null."""
+    out = tmp_path / "j"
+    cfg = write_config(tmp_path, ensemble={"n_paths": 50, "seed": 3},
+                       output={"directory": str(out), "format": "json"})
+    for command in ("density", "price"):
+        assert cli.main([command, "--config", cfg]) == 0
+    for name in ("density", "weights", "prices"):
+        rows = json.loads((out / f"{name}.json").read_text(), parse_constant=no_constant)
+        assert rows, name
+    density = json.loads((out / "density.json").read_text())
+    assert all(row["p_kde"] is None and row["se_kde"] is None for row in density)
+    assert all(isinstance(row["p_malliavin"], float) for row in density)
 
 
 def test_price_command(tmp_path, capsys):

@@ -1,9 +1,9 @@
 """The demos run against the current package API.
 
-A demo reaches into the weight's internals, so a renamed or removed helper
-would break it without breaking any other test. Demo 04 runs in under a
-second and writes no files. Demos 01-03 simulate tens of thousands of
-paths, so for them only the names they import from avgvar are checked.
+A demo reaches into the weight's internals or reads the package's
+estimates by name, so a renamed or removed helper would break it without
+breaking any other test. Each demo runs end to end in about a second and
+writes no files.
 """
 
 import ast
@@ -16,9 +16,27 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
+def run_demo(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("demo", ["01_ou_density.py", "02_cir_density.py"])
+def test_density_demo_runs(demo, capsys):
+    out = run_demo(demo, capsys)
+    for line in ("mean weight", "duality E[F d]", "normalization", "p_malliavin"):
+        assert line in out, line
+
+
+def test_price_three_ways_demo_runs(capsys):
+    out = run_demo("03_price_three_ways.py", capsys)
+    for method in ("density_quadrature", "mixing_mc", "plain_mc", "martingale_check"):
+        assert out.count(method) == 2, method
+    assert out.count("pairwise CI overlap:") == 2
+
+
 def test_weights_under_the_hood_demo_runs(capsys):
-    runpy.run_path(str(DEMOS / "04_weights_under_the_hood.py"), run_name="__main__")
-    out = capsys.readouterr().out
+    out = run_demo("04_weights_under_the_hood.py", capsys)
     assert "brute-force check" in out
     assert "byte-identical" in out and "MISMATCH" not in out
     assert "path 1234 standalone: avg_variance and weight equal the ensemble's exactly" in out

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+import avgvar.pricing as pricing
+import avgvar.selfcheck as selfcheck
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
                     kde_density, malliavin_density, winsorize_weights)
+from avgvar.density import kde_bandwidth
 
 SEED = 20240601
 
@@ -58,12 +62,72 @@ def test_malliavin_density_known_construction():
     assert np.all(est.se > 0)
 
 
+def synthetic_pairs(seed, n):
+    """F ~ Exp(1) with delta = 1 + Z: E[1{F > x} delta] = e^{-x}, the density."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(size=n), 1.0 + rng.standard_normal(n)
+
+
+def per_path_se(terms):
+    return np.array([np.std(col, ddof=1) for col in terms.T]) / math.sqrt(terms.shape[0])
+
+
+def smoothed_density_se(monkeypatch, f, d, x):
+    """The SE of the Malliavin density smoothed by the KDE's kernel, as the
+    self check's Malliavin-vs-KDE criterion computes it on (f, d)."""
+    ctx = selfcheck.CheckContext(selfcheck.QUICK)
+    for tag in selfcheck.MODELS:
+        ctx._cache[("weighted", tag)] = (None, f, d, malliavin_density(f, d, x))
+    seen, real = [], pricing.mc_estimate
+
+    def spy(terms, *args, **kwargs):
+        seen.append(real(terms, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(pricing, "mc_estimate", spy)
+    selfcheck.density_vs_kde(ctx)
+    assert len(seen) == len(selfcheck.MODELS)
+    return seen[0].std_error
+
+
+def test_density_standard_errors_are_per_path(monkeypatch):
+    """se_malliavin, se_kde and the self check's smoothed-density SE are
+    std(terms, ddof=1) / sqrt(N) of their per-path terms."""
+    f, d = synthetic_pairs(SEED, 3000)
+    x = np.linspace(0.05, 3.0, 41)
+    h = kde_bandwidth(f)
+    u = (x[None, :] - f[:, None]) / h
+    expected = {
+        "malliavin": ((f[:, None] > x) * d[:, None], malliavin_density(f, d, x).se),
+        "kde": (np.exp(-0.5 * u * u) / (h * math.sqrt(2 * math.pi)), kde_density(f, x).se),
+        "smoothed": (ndtr(-u) * d[:, None], smoothed_density_se(monkeypatch, f, d, x)),
+    }
+    for name, (terms, se) in expected.items():
+        assert np.all(se > 0), name
+        np.testing.assert_allclose(se, per_path_se(terms), rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_density_standard_errors_are_stable_across_seeds():
+    """Over 40 seeds the SE at a mid-grid point varies by a few percent
+    (a 10-block SE, with 9 degrees of freedom, varies by about 24%)."""
+    x = np.linspace(0.05, 3.0, 41)
+    ses = {"malliavin": [], "kde": []}
+    for seed in range(40):
+        f, d = synthetic_pairs(seed, 4000)
+        ses["malliavin"].append(malliavin_density(f, d, x).se[20])
+        ses["kde"].append(kde_density(f, x).se[20])
+    for name, values in ses.items():
+        values = np.array(values)
+        assert values.std(ddof=1) / values.mean() < 0.08, name
+
+
 def test_malliavin_density_tail_is_exactly_zero():
     f = np.array([0.1, 0.2, 0.3] * 50)
     w = np.ones(150)
     x = np.linspace(0.35, 0.9, 21)
     est = malliavin_density(f, w, x)
     assert np.all(est.p_hat == 0.0)
+    assert np.all(est.se == 0.0)
 
 
 def test_malliavin_density_permutation_invariant():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import avgvar.paths as paths_mod
 from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
                     ValidationError, VolFunctionSpec, make_grid, mc_estimate,
                     run_ensemble, validate_ou)
-from avgvar.ensemble import duality_statistic
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 
 SEED = 20240601
@@ -45,6 +45,27 @@ def test_summarize_empty_raises():
         mc_estimate([])
 
 
+def test_columns_reduce_by_the_vector_rule(rng):
+    """An (N, m) array gives one value and SE per column, as each column
+    alone would; a constant column is its own value, with SE 0."""
+    terms = np.column_stack([rng.normal(size=500), np.full(500, 0.1),
+                             rng.exponential(size=500), np.zeros(500)])
+    terms[::2, 3] = -0.0
+    est = mc_estimate(terms)
+    assert est.value.shape == est.std_error.shape == (4,)
+    for j in range(4):
+        col = mc_estimate(terms[:, j])
+        assert est.value[j] == pytest.approx(col.value, rel=1e-12, abs=0.0)
+        assert est.std_error[j] == pytest.approx(col.std_error, rel=1e-12, abs=0.0)
+        assert est.ci95[0][j] == pytest.approx(col.ci95[0], rel=1e-12, abs=0.0)
+    assert est.value[1] == 0.1 and est.std_error[1] == 0.0
+    assert est.value[3] == 0.0 and not np.signbit(est.value[3])
+    assert est.std_error[0] == pytest.approx(terms[:, 0].std(ddof=1) / np.sqrt(500),
+                                             rel=1e-12)
+    one = mc_estimate(terms[:1])
+    assert np.array_equal(one.value, terms[0]) and np.all(one.std_error == 0.0)
+
+
 def test_alternating_mean_is_exactly_zero():
     v = np.empty(10**6)
     v[0::2] = 1.0
@@ -57,6 +78,35 @@ def test_single_path_ensemble(ou_model):
     assert res.n_paths == 1
     assert res.weight.shape == (1,)
     assert mc_estimate(res.avg_variance).std_error == 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0, "1"])
+def test_seeds_outside_the_key_range_are_rejected(ou_model, seed):
+    """The noise key holds a 64-bit seed, so 2^64 + 1 would alias 1."""
+    with pytest.raises(ValidationError) as info:
+        run_ensemble(ou_model, make_grid(1.0, 32), 10, seed)
+    assert [code for code, _ in info.value.violations] == ["E_INVALID_SEED"]
+
+
+def test_seed_range_ends_are_accepted(ou_model):
+    grid = make_grid(1.0, 32)
+    low, high = (run_ensemble(ou_model, grid, 10, seed) for seed in (0, 2**64 - 1))
+    assert low.weight.tobytes() != high.weight.tobytes()
+
+
+@pytest.mark.parametrize("params", [{"y0": 1e300}, {"k": 1e300}])
+@pytest.mark.parametrize("compute_weights", [True, False])
+def test_runaway_paths_fail_without_float_warnings(ref_vol, params, compute_weights):
+    """Validation accepts a start or a diffusion that sends Y out to 1e300;
+    the overflow of such a path is flagged by the guards, and nothing on
+    the way warns."""
+    model = validate_ou(OUParams(**{"alpha": 1.0, "k": 0.5, "y0": 0.0, "s0": 100.0,
+                                    "r": 0.05, "mu": 0.05, "T": 1.0, **params}), ref_vol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FailureBudgetExceeded):
+            run_ensemble(model, make_grid(1.0, 32), 500, SEED,
+                         compute_weights=compute_weights)
 
 
 @pytest.mark.parametrize("threads", [0, -1, None, 1.5])
@@ -126,8 +176,8 @@ def test_no_failures_on_reference_models(ou_model, cir_model):
         res = run_ensemble(model, grid, 5000, SEED)
         assert res.n_failures == 0
         assert np.all(res.denominator > 0)
-        stat = duality_statistic(res)
-        assert 0.5 < stat < 1.5
+        f, w = res.valid_samples()
+        assert 0.5 < mc_estimate(f * w).value < 1.5
 
 
 def test_failure_budget_enforced(ou_model, monkeypatch):
