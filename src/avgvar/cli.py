@@ -42,18 +42,25 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+# No chunk calls BLAS (tests/test_no_blas.py), and OpenBLAS would start one
+# thread per core when numpy loads; it reads this only then, so it is set
+# before the first numpy import. A value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, pricing
-from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid, kde_density,
-                      malliavin_density, winsorize_weights)
-from .ensemble import check_seed, check_threads, run_ensemble
-from .errors import ConfigError, FailureBudgetExceeded, ValidationError
-from .models import (CIRParams, Contract, OUParams, reference_vol_family,
-                     validate_cir, validate_contract, validate_ou)
-from .paths import make_grid
-from .rng import NAMESPACE_DENSITY, NAMESPACE_MIXING, NAMESPACE_PLAIN
-from .selfcheck import SEED, format_table, run_battery
+import numpy as np  # noqa: E402
+
+from . import __version__, pricing  # noqa: E402
+from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid,  # noqa: E402
+                      kde_density, malliavin_density, winsorize_weights)
+from .ensemble import check_threads, run_ensemble  # noqa: E402
+from .errors import ConfigError, FailureBudgetExceeded, ValidationError  # noqa: E402
+from .models import (CIRParams, Contract, OUParams,  # noqa: E402
+                     reference_vol_family, validate_cir, validate_contract,
+                     validate_ou)
+from .paths import make_grid  # noqa: E402
+from .rng import (NAMESPACE_DENSITY, NAMESPACE_MIXING, NAMESPACE_PLAIN,  # noqa: E402
+                  check_seed)
+from .selfcheck import SEED, format_table, run_battery  # noqa: E402
 
 DEFAULT_DENSITY_STEPS = 512
 DEFAULT_PRICING_STEPS = 256

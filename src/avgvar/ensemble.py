@@ -24,8 +24,6 @@ gets a NaN weight, is counted and reported, and is never silently dropped;
 more than 0.1% failures aborts the ensemble.
 """
 
-import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ import numpy as np
 from . import paths as _paths
 from .errors import EmptyEnsemble, FailureBudgetExceeded, ValidationError
 from .models import ValidatedCIRModel, ValidatedOUModel
-from .rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
+from .rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream, check_seed
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
 from .workspace import Workspace
@@ -83,13 +81,6 @@ def check_threads(threads):
     if not isinstance(threads, int) or threads < 1:
         raise ValidationError([("E_INVALID_THREADS",
                                 f"--threads must be >= 1, got {threads}")])
-
-
-def check_seed(seed):
-    """Raise E_INVALID_SEED unless ``seed`` fits the noise key's 64 bits."""
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValidationError([("E_INVALID_SEED",
-                                f"seed must be an integer in [0, 2^64), got {seed}")])
 
 
 def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
@@ -154,6 +145,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                     antithetic=antithetic)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(threads)))
     else:

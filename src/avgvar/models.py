@@ -159,27 +159,40 @@ def reference_vol_family(c, m):
     m = float(m)
 
     def joint(x, ws=None):
-        # one sqrt, one mask and one s - x for all three; the operations
-        # run in place on four buffers, each with the operands and order of
-        # the closed forms, so the values match them bit for bit
+        # one sqrt, one mask and one a = |x| + s for all three (a is x + s
+        # for x >= 0 and s - x for x < 0, exactly); the operations run in
+        # place on five buffers, each with the operands and order of the
+        # closed forms, so the values match them bit for bit
         x = np.asarray(x, dtype=float)
         shape = x.shape
         x = np.atleast_1d(x)
-        pos = np.greater_equal(x, 0, out=take(ws, "tmp2", x.shape, bool))
+        neg = np.less(x, 0, out=take(ws, "tmp2", x.shape, bool))
         s = np.multiply(x, x, out=take(ws, "tmp1", x.shape))
         s += 1.0
         np.sqrt(s, out=s)
-        up = np.add(x, s, out=take(ws, "tmp0", x.shape))
-        d = np.subtract(s, x, out=take(ws, "sigma_prime", x.shape))
+        a = np.abs(x, out=take(ws, "tmp0", x.shape))
+        a += s
+        # The branches are chosen by an integer select on the bits,
+        # r = p ^ ((q ^ p) * neg), not by a masked copy or divide: the sign
+        # of the states changes at random from one element to the next, and
+        # masked loops mispredict on that pattern.
+        a_bits = a.view(np.int64)
         # sigma = c + m * (x + s  if x >= 0 else  1 / (s - x))
-        sigma = np.divide(1.0, d, out=take(ws, "sigma", x.shape))
-        np.copyto(sigma, up, where=pos)
+        sigma = np.divide(1.0, a, out=take(ws, "sigma", x.shape))
+        sigma_bits = sigma.view(np.int64)
+        sigma_bits ^= a_bits
+        sigma_bits *= neg
+        sigma_bits ^= a_bits
         sigma *= m
         sigma += c
-        # sigma' = m * ((s + x) / s  if x >= 0 else  1 / (s (s - x)))
-        d *= s
-        sigma_prime = np.divide(1.0, d, out=d)
-        np.divide(up, s, out=sigma_prime, where=pos)
+        # sigma' = m * ((x + s) / s  if x >= 0 else  1 / (s (s - x)))
+        sigma_prime = np.divide(a, s, out=take(ws, "sigma_prime", x.shape))
+        sigma_prime_bits = sigma_prime.view(np.int64)
+        a *= s
+        np.divide(1.0, a, out=a)
+        a_bits ^= sigma_prime_bits
+        a_bits *= neg
+        sigma_prime_bits ^= a_bits
         sigma_prime *= m
         # sigma'' = m / s^3
         sigma_second = np.power(s, 3, out=s)

@@ -25,8 +25,11 @@ Namespaces separate independent ensembles that share a seed (e.g. the
 mixing and plain-MC pricers must not reuse the same volatility paths).
 """
 
+import numbers
+
 import numpy as np
-from numpy.random import Generator, Philox
+
+from .errors import ValidationError
 
 PURPOSE_VOL = 0
 PURPOSE_ASSET = 1
@@ -42,17 +45,30 @@ BLOCK = 256
 _MASK64 = (1 << 64) - 1
 
 
+def check_seed(seed):
+    """Raise E_INVALID_SEED unless ``seed`` fits the noise key's 64 bits."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValidationError([("E_INVALID_SEED",
+                                f"seed must be an integer in [0, 2^64), got {seed}")])
+
+
 class NoiseStream:
     """Block-addressed standard-normal streams under one (seed, namespace,
     purpose) key.
 
     ``normal_matrix(path_indices, count)`` is a pure function of its
     arguments and the key: re-requesting a path's draws always returns the
-    same values.
+    same values. A seed outside [0, 2^64) raises E_INVALID_SEED; it would
+    otherwise alias a seed inside the range.
     """
 
     def __init__(self, seed, purpose, namespace=0):
-        self.seed = int(seed) & _MASK64
+        # numpy.random is imported by the first stream, not with the
+        # package, so a command that draws nothing never loads it
+        from numpy.random import Generator, Philox
+
+        check_seed(seed)
+        self.seed = int(seed)
         self.purpose = int(purpose)
         self.namespace = int(namespace)
         self._key = np.array(

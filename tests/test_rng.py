@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from numpy.random import Generator, Philox
 
+from avgvar.errors import ValidationError
 from avgvar.rng import BLOCK, PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 from bridge import refine_increments
 
@@ -51,6 +53,14 @@ def test_distinct_paths_purposes_namespaces_differ():
     assert not np.array_equal(base, draw(1, purpose=PURPOSE_ASSET))
     assert not np.array_equal(base, draw(1, namespace=1))
     assert not np.array_equal(base, draw(2))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seed_outside_the_key_range_is_rejected(seed):
+    # masked to 64 bits, -1 would draw the noise of 2^64 - 1 and 2^64 + 1 that of 1
+    with pytest.raises(ValidationError) as info:
+        NoiseStream(seed, PURPOSE_VOL)
+    assert [code for code, _ in info.value.violations] == ["E_INVALID_SEED"]
 
 
 def test_antithetic_pairs_negate():
