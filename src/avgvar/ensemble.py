@@ -125,7 +125,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             idx = np.arange(lo, min(lo + CHUNK, n_paths))
             # a failing path may overflow or turn NaN; the guards below flag it
             with np.errstate(all="ignore"):
-                batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws)
+                batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws,
+                                 compute_weights=compute_weights)
                 if compute_weights:
                     wb = skorokhod_weight(batch, model.params, ws=ws)
             bad = batch.bad

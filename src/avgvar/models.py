@@ -38,13 +38,18 @@ class VolFunctionSpec:
     consumes the products nu and nu' of ``nu_terms``: f = sigma^2 has
     f' = 2 nu and f'' = 2 nu'.
 
-    ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x. The path
-    simulator calls it once per batch of states, with its chunk workspace
-    ``ws`` (``avgvar.workspace``). A spec may pass ``joint(x, ws)``, a
-    callable returning the triple in one pass (the reference family does,
-    sharing its intermediates and taking its arrays from ``ws``); without
-    it, ``evaluate`` calls the three callables in turn and returns fresh
-    arrays of the shape of x.
+    ``evaluate(x, ws, order)`` returns (sigma, sigma') at x for order 1
+    and (sigma, sigma', sigma'') for order 2, the default. The OU path pass
+    calls it once per tile of states (``paths.TILE_ROWS`` node rows), with
+    order 1 when no weight is computed, and with a workspace ``ws`` of
+    tile-sized slots (``avgvar.workspace``). A spec may pass
+    ``joint(x, ws, order)``, a callable returning the tuple in one pass;
+    the reference family does, sharing its intermediates, taking its
+    arrays from ``ws`` and stopping after sigma' at order 1. The pass
+    reuses slots tmp0 and tmp2 once ``joint`` returns, so it returns none
+    of its arrays there. Without ``joint``, ``evaluate`` calls the first
+    ``order + 1`` of the three callables in turn and returns fresh arrays
+    of the shape of x.
     """
 
     sigma: Callable
@@ -56,29 +61,30 @@ class VolFunctionSpec:
     name: str = "custom"
     joint: Callable | None = None
 
-    def evaluate(self, x, ws=None):
+    def evaluate(self, x, ws=None, order=2):
         if self.joint is not None:
-            return self.joint(x, ws)
+            return self.joint(x, ws, order)
         return tuple(np.array(np.broadcast_to(f(x), np.shape(x)), dtype=float)
-                     for f in (self.sigma, self.sigma_prime, self.sigma_second))
+                     for f in (self.sigma, self.sigma_prime, self.sigma_second)[:order + 1])
 
 
-def nu_terms(sig, sig_p, sig_pp, ws=None):
+def nu_terms(sig, sig_p, sig_pp, out=None):
     """nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' from the
     values of ``VolFunctionSpec.evaluate``.
 
-    With a workspace the three arrays are the chunk's own and are spent:
-    nu and nu' overwrite sigma and sigma' in place, and sigma'' is scratch.
-    Without one, the inputs are left as they are.
+    With ``out``, a pair of arrays of their shape, nu and nu' are written
+    there and sigma'' is spent as scratch. Without it, the inputs are left
+    as they are and nu and nu' are fresh arrays.
     """
-    if ws is None:
-        sig, sig_p, sig_pp = (np.array(a, dtype=float)
-                              for a in np.broadcast_arrays(sig, sig_p, sig_pp))
+    if out is None:
+        sig_pp = np.array(np.broadcast_arrays(sig, sig_p, sig_pp)[2], dtype=float)
+        out = (np.empty(sig_pp.shape), np.empty(sig_pp.shape))
+    nu, nu_prime = out
     sig_pp *= sig
-    np.multiply(sig, sig_p, out=sig)
-    np.multiply(sig_p, sig_p, out=sig_p)
-    sig_p += sig_pp
-    return sig, sig_p
+    np.multiply(sig, sig_p, out=nu)
+    np.multiply(sig_p, sig_p, out=nu_prime)
+    nu_prime += sig_pp
+    return nu, nu_prime
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def reference_vol_family(c, m):
     c = float(c)
     m = float(m)
 
-    def joint(x, ws=None):
+    def joint(x, ws=None, order=2):
         # one sqrt, one mask and one a = |x| + s for all three (a is x + s
         # for x >= 0 and s - x for x < 0, exactly); the operations run in
         # place on five buffers, each with the operands and order of the
@@ -194,6 +200,8 @@ def reference_vol_family(c, m):
         a_bits *= neg
         sigma_prime_bits ^= a_bits
         sigma_prime *= m
+        if order < 2:
+            return sigma.reshape(shape), sigma_prime.reshape(shape)
         # sigma'' = m / s^3
         sigma_second = np.power(s, 3, out=s)
         np.divide(m, sigma_second, out=sigma_second)

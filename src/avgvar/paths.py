@@ -21,8 +21,12 @@ a no-op and is not taken.
 Layout: both models keep a chunk of P paths time-major, as C-contiguous
 (n, P) and (n+1, P) arrays (``PathBatch``) whose rows the recursions, the
 weights and their sweeps step. The normals, drawn one row per path, are
-transposed once. Every per-path sum over the nodes is ``node_sum``, so a
-path's values do not depend on how many paths share its batch.
+transposed one 256-path noise block at a time. The OU pass then runs
+once over tiles of TILE_ROWS node rows: each tile is stepped, evaluated,
+summed into F and guarded while it is in cache, and only the states, dW
+and, with weights, nu and nu' are whole arrays. Every per-path sum over
+the nodes adds in node order as ``node_sum`` does, so a path's values do
+not depend on how many paths share its batch.
 """
 
 from dataclasses import dataclass
@@ -32,10 +36,13 @@ import numpy as np
 from .errors import InvalidGrid
 from .models import nu_terms
 from .rng import BLOCK
-from .workspace import take
+from .workspace import take, tiles
 
 Z_FLOOR = 1e-12
 FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
+# node rows per tile of the OU pass: a tile's handful of (TILE_ROWS, 2048)
+# arrays stays in a 2 MB L2 cache
+TILE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,13 @@ class PathBatch:
 
 @dataclass
 class OUPathBatch(PathBatch):
-    """OU driver paths. sigma, sigma' and sigma'' are evaluated once per
-    batch and reduced at once to ``avg_variance``, the guard ``bad``
-    (sigma' > 0 or sigma >= c fails at some node), ``nu`` and ``nu_prime``."""
+    """OU driver paths. sigma and sigma' (and sigma'' for the weight) are
+    evaluated once per tile of nodes and reduced at once to
+    ``avg_variance``, the guard ``bad`` (sigma' > 0 or sigma >= c fails at
+    some node) and, when weights are computed, ``nu`` and ``nu_prime``."""
 
-    nu: np.ndarray            # (n+1, P) sigma * sigma' at the nodes
-    nu_prime: np.ndarray      # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
+    nu: np.ndarray | None        # (n+1, P) sigma * sigma' at the nodes
+    nu_prime: np.ndarray | None  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
 
 
 @dataclass
@@ -115,14 +123,16 @@ def node_sum(a, b):
 
 
 def _draw_increments(stream, grid, path_indices, antithetic, ws, scale):
-    """The chunk's normals, drawn one row per path into slot tmp0, times
-    ``scale`` and transposed into slot dW one noise block at a time, which
-    stays in cache (half the time of one whole strided copy)."""
-    xi = stream.normal_matrix(path_indices, grid.n_steps, antithetic=antithetic,
-                              out=take(ws, "tmp0", (len(path_indices), grid.n_steps)))
-    dW = take(ws, "dW", xi.T.shape)
-    for lo in range(0, len(xi), BLOCK):
-        np.multiply(xi[lo:lo + BLOCK].T, scale, out=dW[:, lo:lo + BLOCK])
+    """The chunk's normals times ``scale``, time-major in slot dW. Each
+    256-path noise block is drawn one row per path into the head of slot
+    tmp0 and transposed into dW while it is in cache."""
+    n = grid.n_steps
+    dW = take(ws, "dW", (n, len(path_indices)))
+    block = take(ws, "tmp0", (min(BLOCK, dW.shape[1]), n))
+    for lo in range(0, dW.shape[1], BLOCK):
+        xi = stream.normal_matrix(path_indices[lo:lo + BLOCK], n, antithetic=antithetic,
+                                  out=block[:dW.shape[1] - lo])
+        np.multiply(xi.T, scale, out=dW[:, lo:lo + BLOCK])
     return dW
 
 
@@ -134,35 +144,59 @@ def ou_step(params, dt):
     return decay, step_sd
 
 
-def _ou_states(model, grid, xi, ws):
-    """Y at the nodes by the exact transition, stepped on the (n, P) normals xi."""
+def _ou_batch(model, grid, xi, dW, path_indices, ws, compute_weights):
+    """The batch of paths Y stepped on the (n, P) normals xi, with
+    increments dW, from one pass over tiles of TILE_ROWS node rows. Per
+    tile, Y steps by the exact transition and xi's rows are then scaled in
+    place by sqrt(dt); sigma and sigma' (and sigma'' with weights) are
+    evaluated on the tile's states with its slots from a tile-sized
+    workspace; sigma^2 w_j is added to F row by row, in the node order of
+    ``node_sum``; the guard is applied; and with weights nu and nu' are
+    written into the batch's whole arrays, slots sigma and sigma_prime."""
     p = model.params
+    vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
-
-    y = take(ws, "states", (grid.n_steps + 1, xi.shape[1]))
+    floor = vol.lower_bound_c * (1.0 - 1e-12)
+    w = grid.trapezoid_weights
+    sqrt_dt = np.sqrt(grid.dt)
+    n, P = xi.shape
+    y = take(ws, "states", (n + 1, P))
+    nu = nu_prime = None
+    if compute_weights:
+        nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
+    tw = tiles(ws, TILE_ROWS * P)
+    total = np.zeros(P)
+    ok = np.ones(P, dtype=bool)
     y[0] = p.y0
-    for j in range(grid.n_steps):
-        y[j + 1] = y[j] * decay + step_sd * xi[j]
-    return y
+    for lo in range(0, n + 1, TILE_ROWS):
+        hi = min(lo + TILE_ROWS, n + 1)
+        first = max(lo, 1)
+        shock = np.multiply(xi[first - 1:hi - 1], step_sd, out=tw.take("tmp0", (hi - first, P)))
+        for j in range(first, hi):
+            np.multiply(y[j - 1], decay, out=y[j])
+            y[j] += shock[j - first]
+        xi[first - 1:hi - 1] *= sqrt_dt
 
-
-def _ou_batch(model, grid, y, dW, path_indices, ws):
-    """The batch of paths Y with increments dW, after one volatility pass
-    reduced at once to what the guard and the weight use."""
-    sig, sig_p, sig_pp = model.vol.evaluate(y, ws)
-    sq = np.multiply(sig, sig, out=take(ws, "tmp0", y.shape))
-    avg_variance = node_sum(sq, grid.trapezoid_weights) / grid.T
-    # re-assert the volatility assumptions at every visited state
-    mask = take(ws, "tmp2", y.shape, bool)
-    ok = np.greater(sig_p, 0, out=mask).all(axis=0)
-    ok &= np.greater_equal(sig, model.vol.lower_bound_c * (1.0 - 1e-12), out=mask).all(axis=0)
-    nu, nu_prime = nu_terms(sig, sig_p, sig_pp, ws)
+        tile = y[lo:hi]
+        values = vol.evaluate(tile, tw, 2 if compute_weights else 1)
+        sig, sig_p = values[:2]
+        # the volatility function has finished with its scratch slots tmp0 and tmp2
+        sq = np.multiply(sig, sig, out=tw.take("tmp0", tile.shape))
+        sq *= w[lo:hi, None]
+        for row in sq:
+            total += row
+        # re-assert the volatility assumptions at every visited state
+        mask = np.greater(sig_p, 0, out=tw.take("tmp2", tile.shape, bool))
+        ok &= mask.all(axis=0)
+        ok &= np.greater_equal(sig, floor, out=mask).all(axis=0)
+        if compute_weights:
+            nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
 
     if path_indices is None:
-        path_indices = np.arange(dW.shape[1])
+        path_indices = np.arange(P)
     return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
-                       dW=dW, states=y, avg_variance=avg_variance, bad=~ok,
-                       kinked=np.zeros(y.shape[1], dtype=bool), nu=nu, nu_prime=nu_prime)
+                       dW=dW, states=y, avg_variance=total / grid.T, bad=~ok,
+                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime)
 
 
 def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
@@ -173,21 +207,21 @@ def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
     tests. With a workspace ``ws`` every whole array but xi comes from it.
     """
     dW = np.ascontiguousarray(dW, dtype=float)
-    y = _ou_states(model, grid, dW / np.sqrt(grid.dt), ws)
-    return _ou_batch(model, grid, y, dW, path_indices, ws)
+    return _ou_batch(model, grid, dW / np.sqrt(grid.dt), dW, path_indices, ws, True)
 
 
-def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None):
+def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
+                      compute_weights=True):
     """Simulate OU driver paths by their exact transition.
 
-    Y steps on the normals as drawn, and their buffer is then scaled in
-    place to dW = xi sqrt(dt). With k = 0 the recursion degenerates to the
-    deterministic decay Y_{t_i} = y0 e^{-alpha t_i} exactly.
+    Y steps on the normals as drawn, and their buffer is scaled in place to
+    dW = xi sqrt(dt) as the pass goes. With k = 0 the recursion degenerates
+    to the deterministic decay Y_{t_i} = y0 e^{-alpha t_i} exactly. Without
+    ``compute_weights`` the batch has no nu and nu', and sigma'' is never
+    evaluated.
     """
     xi = _draw_increments(stream, grid, path_indices, antithetic, ws, 1.0)
-    y = _ou_states(model, grid, xi, ws)
-    dW = np.multiply(xi, np.sqrt(grid.dt), out=xi)
-    return _ou_batch(model, grid, y, dW, path_indices, ws)
+    return _ou_batch(model, grid, xi, xi, path_indices, ws, compute_weights)
 
 
 def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
@@ -223,9 +257,11 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
                         floored_steps=floored)
 
 
-def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None):
+def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
+                       compute_weights=True):
     """Simulate CIR variance paths (full-truncation Euler; see
-    cir_paths_from_increments)."""
+    cir_paths_from_increments). The paths are the same whether or not
+    weights are computed (``compute_weights``)."""
     dW = _draw_increments(stream, grid, path_indices, antithetic, ws, np.sqrt(grid.dt))
     return cir_paths_from_increments(model, grid, dW, path_indices=path_indices, ws=ws)
 

@@ -77,10 +77,11 @@ def _gradient(lam, phi_y, phi_xi, dW, dt):
 
 def linear_weight(grid, fp, fpp, phi_y, phi_xi, dW, df=1.0, ws=None):
     """The weight of a linear scheme with constant Phi_y and Phi_xi, where
-    f' = df * fp and f'' = df * fpp at the nodes. The gradient, then
-    V / Phi_xi in place over it, run in slot tmp0 of a workspace ``ws``."""
+    f' = df * fp and f'' = df * fpp at the nodes. With a workspace ``ws``
+    the batch's fp is spent: the adjoint, the gradient and then V / Phi_xi
+    run in place over it. Without one, fp is left as it is."""
     c = df * grid.trapezoid_weights / grid.T
-    lam = np.multiply(fp, c[:, None], out=take(ws, "tmp0", fp.shape))
+    lam = np.multiply(fp, c[:, None], out=None if ws is None else fp)
     g_xi, g_sq = _gradient(lam, phi_y, phi_xi, dW, grid.dt)
     lam[0] = 0.0
     for j in range(1, len(lam)):

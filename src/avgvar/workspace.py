@@ -13,26 +13,36 @@ A slot is storage, not a quantity: a later stage of a chunk takes a slot
 that an earlier stage has finished with. Every array but the normals as
 drawn is time-major. The slots, in the order a chunk fills them:
 
-    both  tmp0        the normals as drawn, one row per path
+    both  tmp0        one 256-path block of normals as drawn, one row per
+                      path, at its head
           dW          the normals transposed (OU: as drawn, then scaled in
-                      place to dW; CIR: times sqrt(dt)), the batch's dW
+                      place to dW a tile at a time; CIR: times sqrt(dt)),
+                      the batch's dW
           states      Y or Z, the batch's states
-    OU    tmp0        sigma pass scratch, then the weight's gradient, then
-                      its tangent V
-          tmp1        sigma'' (spent by nu_terms)
-          sigma       sigma, overwritten by the batch's nu
-          sigma_prime sigma', overwritten by the batch's nu'
-          tmp2        the guard's mask
+    OU    sigma       the batch's nu, only when weights are computed; the
+                      weight's adjoint, gradient and then tangent V, in place
+          sigma_prime the batch's nu', only when weights are computed
     CIR   sqrt_z      Phi_xi, then Phi_xi^2
           phi_zxi     k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
           phi_z       Phi_z
           tmp0        Phi_zz
           lam         the weight's adjoint, then g, then Phi_xi g
 
-So a worker holds seven whole arrays for either model. A batch whose
-arrays live in a workspace is spent once the next chunk starts. Every
-function that takes ``ws`` also runs with ``ws=None``, and then allocates
-fresh arrays as a direct call expects.
+The OU pass works on one tile of node rows at a time, and takes the
+tile's arrays from a second workspace of tile-sized slots (``tiles``):
+
+    tile  tmp0        the step shocks step_sd xi, then the volatility
+                      function's scratch, then sigma^2 w_j
+          tmp1        sigma'' (spent by nu_terms)
+          tmp2        the volatility function's mask, then the guard's
+          sigma       sigma
+          sigma_prime sigma'
+
+So an OU worker touches four whole arrays with weights and two without,
+besides one block of tmp0 and the tiles, and a CIR worker seven. A batch
+whose arrays live in a workspace is spent once the next chunk starts.
+Every function that takes ``ws`` also runs with ``ws=None``, and then
+allocates fresh arrays as a direct call expects.
 """
 
 import math
@@ -47,6 +57,7 @@ class Workspace:
     def __init__(self, size):
         self.nbytes = int(size) * np.dtype(float).itemsize
         self._slots = {}
+        self._tiles = None
 
     def take(self, name, shape, dtype=float):
         """Slot ``name`` as a C-contiguous array of ``shape`` and ``dtype``.
@@ -57,9 +68,23 @@ class Workspace:
         dtype = np.dtype(dtype)
         return slot[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
 
+    def tiles(self, size):
+        """A workspace of ``size``-element slots kept by this one for a pass
+        over tiles of a chunk, made again only when a larger one is asked."""
+        if self._tiles is None or self._tiles.nbytes < size * np.dtype(float).itemsize:
+            self._tiles = Workspace(size)
+        return self._tiles
+
 
 def take(ws, name, shape, dtype=float):
     """``ws.take(name, shape, dtype)``, or a fresh array without a workspace."""
     if ws is None:
         return np.empty(shape, dtype)
     return ws.take(name, shape, dtype)
+
+
+def tiles(ws, size):
+    """``ws.tiles(size)``, or a fresh workspace of that slot size without one."""
+    if ws is None:
+        return Workspace(size)
+    return ws.tiles(size)

@@ -8,7 +8,7 @@ import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
                     kde_density, malliavin_density, winsorize_weights)
-from avgvar.density import kde_bandwidth
+from avgvar.density import kde_bandwidth, quantiles
 
 SEED = 20240601
 
@@ -173,3 +173,25 @@ def test_winsorize_clips_at_quantiles():
     assert clipped.max() < 1e9
     assert clipped.min() > -1e9
     assert np.all(np.sort(clipped) >= np.quantile(w, 1e-3) - 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 8192])
+@pytest.mark.parametrize("kind", ["normal", "ties", "infinite", "integer"])
+def test_quantiles_match_numpy_bit_for_bit(n, kind):
+    """The written-out linear interpolation gives numpy's own percentiles
+    and quantiles, byte for byte, at the fractions the package asks for
+    and at the ends."""
+    rng = np.random.default_rng(n)
+    values = {"normal": rng.normal(size=n), "ties": np.round(rng.normal(size=n), 1),
+              "infinite": np.concatenate([[np.inf, -np.inf], rng.normal(size=n)]),
+              "integer": rng.integers(-5, 5, size=n)}[kind]
+    with np.errstate(invalid="ignore"):
+        pct = quantiles(values, [1.0 / 100, 99.0 / 100])
+        assert pct.tobytes() == np.array([np.percentile(values, 1.0),
+                                          np.percentile(values, 99.0)]).tobytes()
+        for q in ([1e-4, 1.0 - 1e-4], [0.0, 0.5, 1.0], [0.3]):
+            assert quantiles(values, q).tobytes() == np.quantile(values, q).tobytes()
+
+
+def test_quantiles_of_values_with_a_nan_are_nan():
+    assert np.isnan(quantiles(np.array([1.0, np.nan, 2.0]), [0.01, 0.99])).all()

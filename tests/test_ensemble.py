@@ -281,6 +281,27 @@ def test_visited_state_guard_fails_paths_outside_the_probe_grid(compute_weights)
     assert res.n_failures == 0
 
 
+def test_vol_guard_flags_the_same_paths_with_and_without_weights():
+    """The guard is decided by the path pass alone: at k = 4 the same paths
+    wander above 10 whether or not sigma'' and the weights are computed."""
+    grid = make_grid(1.0, 32)
+    weighted, bare = (run_ensemble(_flat_above_ten_model(0.0, k=4.0), grid, 20000, SEED,
+                                   compute_weights=cw) for cw in (True, False))
+    assert bare.n_failures > 0
+    assert np.array_equal(weighted.failed, bare.failed)
+    assert weighted.avg_variance.tobytes() == bare.avg_variance.tobytes()
+
+
+def test_weight_free_ou_ensemble_matches_the_weighted_one(ou_model):
+    grid = make_grid(1.0, 512)
+    weighted, bare = (run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK + 300, SEED,
+                                   compute_weights=cw, collect_terminal=True)
+                      for cw in (True, False))
+    assert bare.weight is None and bare.denominator is None
+    for field in ("avg_variance", "failed", "terminal_state"):
+        assert getattr(weighted, field).tobytes() == getattr(bare, field).tobytes()
+
+
 def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
     """At k = 4 a few paths wander above 10, where sigma' = 0: the batch
     flags them, and their weight is NaN both in the ensemble result and in
@@ -311,21 +332,24 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
     assert np.array_equal(np.isnan(written["weight"]), failed)
 
 
-@pytest.mark.parametrize("model_name,budget", [("ou_model", 7.1), ("cir_model", 7.1)])
-def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
+@pytest.mark.parametrize("model_name,compute_weights,budget", [
+    pytest.param("ou_model", True, 5.25, id="ou_model-5.25"),
+    pytest.param("ou_model", False, 3.25, id="ou_model-weight_free-3.25"),
+    pytest.param("cir_model", True, 7.1, id="cir_model-7.1")])
+def test_chunk_peak_memory_stays_in_budget(model_name, compute_weights, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
-    whole (P, n+1) float64 arrays. It is the worker's seven-slot workspace:
-    for OU dW, Y, sigma and sigma' (which become nu and nu') and three
-    scratch slots, one of which ends as the weight's gradient; for CIR dW,
-    Z, the normals (then Phi_zz), the three other step derivatives and the
-    weight's gradient."""
+    whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
+    dW, Y, nu and nu' (without weights, dW and Y alone), slot tmp0 (of
+    which one 256-path block of normals is touched) and the tile-sized
+    slots of the pass; for CIR dW, Z, the normals (then Phi_zz), the
+    three other step derivatives and the weight's gradient."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK
-    run_ensemble(model, grid, n_paths, SEED)  # first-call allocations
+    run_ensemble(model, grid, n_paths, SEED, compute_weights=compute_weights)  # first-call allocations
     tracemalloc.start()
     try:
-        run_ensemble(model, grid, n_paths, SEED)
+        run_ensemble(model, grid, n_paths, SEED, compute_weights=compute_weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,9 +10,11 @@ from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUMod
                     CIRParams, ValidatedCIRModel, make_grid,
                     ou_paths_from_increments, run_ensemble, sample_terminal_asset,
                     simulate_cir_paths, simulate_ou_paths)
-from avgvar.paths import FLOOR_RATE_LIMIT
+from avgvar.paths import FLOOR_RATE_LIMIT, TILE_ROWS, node_sum, ou_step
 from avgvar.rng import PURPOSE_VOL, NoiseStream, PURPOSE_BRIDGE
 from bridge import refine_increments
+from test_ensemble import _flat_above_ten_model
+from test_models import oracle_family
 
 SEED = 20240601
 
@@ -150,6 +152,48 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
     w = grid.trapezoid_weights
     exact = np.array([math.fsum(w * row) for row in integrand.T]) / grid.T
     assert np.max(np.abs(batch.avg_variance - exact) / exact) <= 1e-14
+
+
+@pytest.mark.parametrize("vol", ["reference", "flat_above_ten"])
+@pytest.mark.parametrize("width", [1, 3, 2048 + 300])
+@pytest.mark.parametrize("n", [2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 512])
+def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n):
+    """The OU pass steps, evaluates, sums and guards one tile of node rows
+    at a time. Its states, dW, F, guard, nu and nu' equal, bit for bit,
+    the whole-array recursion, the one-formula-each volatility functions,
+    ``node_sum`` and the guard over all nodes at once, with and without
+    weights, on grids that end inside, at and just past a tile. The
+    flat-above-ten function (sigma' = 0 above 10) fails paths at k = 4."""
+    if vol == "reference":
+        model, formulas = ou_model, oracle_family(0.1, 0.1)
+    else:
+        model = _flat_above_ten_model(9.0, k=4.0)
+        formulas = (model.vol.sigma, model.vol.sigma_prime, model.vol.sigma_second)
+    grid = make_grid(1.0, n)
+    stream = NoiseStream(SEED, PURPOSE_VOL)
+    idx = np.arange(width)
+    weighted = simulate_ou_paths(model, grid, stream, idx)
+    bare = simulate_ou_paths(model, grid, stream, idx, compute_weights=False)
+
+    xi = stream.normal_matrix(idx, n).T
+    decay, step_sd = ou_step(model.params, grid.dt)
+    y = np.empty((n + 1, width))
+    y[0] = model.params.y0
+    for j in range(n):
+        y[j + 1] = y[j] * decay + step_sd * xi[j]
+    sig, sig_p, sig_pp = (f(y) for f in formulas)
+    avg_variance = node_sum(sig * sig, grid.trapezoid_weights) / grid.T
+    ok = (sig_p > 0).all(axis=0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12)).all(axis=0)
+    if vol == "flat_above_ten" and width > 3:
+        assert 0 < (~ok).sum() < width
+    for batch in (weighted, bare):
+        assert batch.states.tobytes() == y.tobytes()
+        assert batch.dW.tobytes() == (xi * np.sqrt(grid.dt)).tobytes()
+        assert batch.avg_variance.tobytes() == avg_variance.tobytes()
+        assert np.array_equal(batch.bad, ~ok)
+    assert weighted.nu.tobytes() == (sig * sig_p).tobytes()
+    assert weighted.nu_prime.tobytes() == (sig_p**2 + sig * sig_pp).tobytes()
+    assert bare.nu is None and bare.nu_prime is None
 
 
 def test_ito_prefix_zero_and_brownian():

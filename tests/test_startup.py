@@ -2,11 +2,12 @@
 
 Every ``avgvar`` command starts a fresh interpreter and pays for what it
 imports, so ``import avgvar`` loads no numpy, ``validate`` loads neither
-numpy.random nor concurrent.futures, and ``avgvar.cli`` caps OpenBLAS at
-one thread before numpy starts it. This test session has long since
+numpy.random nor concurrent.futures, ``density`` does not load numpy.ma,
+and ``avgvar.cli`` caps OpenBLAS at one thread before numpy starts it. This test session has long since
 imported all of these, so each check runs in a fresh interpreter.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -65,6 +66,22 @@ def test_validate_loads_no_random_generator_or_thread_pool(config):
                      "print(code, [m for m in ('numpy.random', 'concurrent.futures')\n"
                      "             if m in sys.modules])")
     assert out == ["VALID", "0", "[]"]
+
+
+def test_density_does_not_load_numpy_ma(tmp_path):
+    """numpy's percentile imports numpy.ma on its first call (about 10 ms);
+    the density grid's percentiles go around it."""
+    config = json.loads((ROOT / "demos" / "config_ou.json").read_text())
+    config["ensemble"]["n_paths"] = 300
+    config["grid"]["n_steps"] = 32
+    config["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = run_python("import sys\n"
+                     "import avgvar.cli as cli\n"
+                     f"code = cli.main(['density', '--config', {str(path)!r}])\n"
+                     "print(code, 'numpy.ma' in sys.modules)")
+    assert out[-2:] == ["0", "False"]
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
