@@ -20,8 +20,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "density": ("DensityEstimate", "auto_grid", "kde_density", "malliavin_density",
-                "winsorize_weights"),
+    "density": ("DensityEstimate", "auto_grid", "kde_density", "malliavin_density"),
     "ensemble": ("EnsembleResult", "run_ensemble"),
     "errors": ("AvgVarError", "ConfigError", "EmptyEnsemble", "FailureBudgetExceeded",
                "GridTooCoarse", "InvalidGrid", "TooFewSamples", "ValidationError"),

@@ -8,23 +8,22 @@ Configs are JSON documents::
                  "s0": 100.0, "r": 0.05, "mu": 0.05, "T": 1.0},
       "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},   # OU only
       "grid": {"n_steps": 512, "pricing_n_steps": 256},          # optional
-      "ensemble": {"n_paths": 50000, "seed": 1, "antithetic": false,
-                   "winsorize": false, "winsorize_quantile": 1e-4},
+      "ensemble": {"n_paths": 50000, "seed": 1, "antithetic": false},
       "contract": {"strike": 100.0},
       "density": {"x_grid": "auto"},          # or {"min":..,"max":..,"points":..}
       "output": {"directory": "out", "format": "csv"}            # csv | json
     }
 
 CIR configs put {"b":..,"k":..,"z0":..} in params instead. Every command
-parses the whole config into one RunSpec before anything runs; ``validate``
-also accepts a model-only config and honours a top-level "density_mode":
-false for pricing-only CIR setups.
+parses the whole config into one RunSpec before anything runs, so
+``validate`` accepts exactly what ``density`` and ``price`` can run, and a
+model-only config besides. Keys the parser does not read are ignored, but
+"ensemble.winsorize": true is E_CONFIG: weights are never clipped.
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
-E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_WINSORIZE,
-E_INVALID_SEED for a seed outside [0, 2^64), and E_INVALID_THREADS for a
---threads below 1);
+E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_SEED for a
+seed outside [0, 2^64), and E_INVALID_THREADS for a --threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),
 or outputs that cannot be written (E_OUTPUT);
 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
@@ -51,7 +50,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__, pricing  # noqa: E402
 from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid,  # noqa: E402
-                      kde_density, malliavin_density, winsorize_weights)
+                      kde_density, malliavin_density)
 from .ensemble import check_threads, run_ensemble  # noqa: E402
 from .errors import ConfigError, FailureBudgetExceeded, ValidationError  # noqa: E402
 from .models import (CIRParams, Contract, OUParams,  # noqa: E402
@@ -88,7 +87,6 @@ class RunSpec:
     n_paths: int | None          # None when the config has no ensemble
     seed: int
     antithetic: bool
-    winsorize_quantile: float | None  # None: weights are used unclipped
     density_steps: int
     pricing_steps: int
     x_grid: tuple | None         # (min, max, points); None: auto grid
@@ -153,8 +151,6 @@ def parse_config(raw, command, seed=None, out=None):
     def num(key, default=_REQUIRED):
         return _get(raw, f"params.{key}", float, default)
 
-    # density and price always need the density hypotheses
-    density_mode = _get(raw, "density_mode", bool, True) or command != "validate"
     kind = _get(raw, "model", str, choices=("ou", "cir"))
     common = {"s0": num("s0"), "r": num("r"), "T": num("T")}
     common["mu"] = num("mu", common["r"])
@@ -166,7 +162,8 @@ def parse_config(raw, command, seed=None, out=None):
         model = None if vol is None else validated(validate_ou, p, vol)
     else:
         p = CIRParams(b=num("b"), k=num("k"), z0=num("z0"), **common)
-        model = validated(validate_cir, p, density_mode)
+        # every command checks the density hypotheses: density and price need them
+        model = validated(validate_cir, p, True)
 
     contract = None
     if "contract" in raw or command == "price":
@@ -180,11 +177,9 @@ def parse_config(raw, command, seed=None, out=None):
           f"n_paths must be >= 1, got {n_paths}")
     seed = _get(raw, "ensemble.seed", int, 0) if seed is None else seed
     validated(check_seed, seed)
-    quantile = _get(raw, "ensemble.winsorize_quantile", float, 1e-4)
-    if not _get(raw, "ensemble.winsorize", bool, False):
-        quantile = None
-    check(quantile is None or 0.0 <= quantile < 0.5, "E_INVALID_WINSORIZE",
-          f"winsorize_quantile must be in [0, 0.5), got {quantile}")
+    if _get(raw, "ensemble.winsorize", bool, False):
+        raise ConfigError("ensemble.winsorize is no longer supported: weights are "
+                          "never clipped, so E[delta] = 0 holds exactly")
     steps = (_get(raw, "grid.n_steps", int, DEFAULT_DENSITY_STEPS),
              _get(raw, "grid.pricing_n_steps", int, DEFAULT_PRICING_STEPS))
     check(min(steps) >= 2, "E_INVALID_GRID",
@@ -207,7 +202,6 @@ def parse_config(raw, command, seed=None, out=None):
     return RunSpec(model=model, contract=contract, n_paths=n_paths,
                    seed=seed,
                    antithetic=_get(raw, "ensemble.antithetic", bool, False),
-                   winsorize_quantile=quantile,
                    density_steps=steps[0], pricing_steps=steps[1],
                    x_grid=x_grid, out_dir=out or directory, fmt=fmt)
 
@@ -239,8 +233,8 @@ def _ensemble(spec, label, steps, namespace, threads, **options):
 
 
 def _density_stage(spec, threads):
-    """Density ensemble -> valid samples -> optional winsorize -> x-grid ->
-    Malliavin density; returns the ensemble, F samples, weights and density."""
+    """Density ensemble -> valid samples -> x-grid -> Malliavin density;
+    returns the ensemble, F samples, weights and density."""
     result = _ensemble(spec, "density", spec.density_steps, NAMESPACE_DENSITY, threads)
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
@@ -250,8 +244,6 @@ def _density_stage(spec, threads):
         print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")
     f_samples, weights = result.valid_samples()
-    if spec.winsorize_quantile is not None:
-        weights = winsorize_weights(weights, spec.winsorize_quantile)
     x_grid = (auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
               if spec.x_grid is None else np.linspace(*spec.x_grid))
     print(f"[avgvar] estimating density on [{x_grid[0]:.6g}, {x_grid[-1]:.6g}] "
@@ -271,7 +263,7 @@ def cmd_density(spec, threads):
                             result.weight, result.denominator))
     print(f"[avgvar] wrote {path1} and {path2} ({result.n_failures} failed "
           f"paths of {result.n_paths})", file=sys.stderr)
-    duality = pricing.mc_estimate(f_samples * result.valid_samples()[1]).value
+    duality = pricing.mc_estimate(f_samples * weights).value
     print(f"summary normalization={_fmt(dens.normalization)} mean_weight="
           f"{_fmt(pricing.mc_estimate(weights).value)} duality={_fmt(duality)}")
     return EXIT_OK

@@ -143,16 +143,3 @@ def kde_density(samples, x_grid):
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
                            normalization=float(np.trapezoid(p_hat, x)), method="kde")
 
-
-def winsorize_weights(weights, quantile=1e-4):
-    """Clip weights to their [q, 1-q] empirical quantiles (optional guard).
-
-    The theory guarantees finite second moments, not small ones; this is a
-    variance safeguard, off by default everywhere.
-    """
-    w = np.asarray(weights, dtype=float)
-    finite = w[np.isfinite(w)]
-    if finite.size == 0:
-        return w
-    lo, hi = quantiles(finite, [quantile, 1.0 - quantile])
-    return np.clip(w, lo, hi)

@@ -113,6 +113,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
 
     size = min(CHUNK, n_paths) * (grid.n_steps + 1)
     starts = range(0, n_paths, CHUNK)
+    threads = min(threads, len(starts))  # a worker without a chunk would only build a workspace
 
     def work(worker):
         # each worker owns its streams (they are stateful) and one workspace,

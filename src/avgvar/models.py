@@ -33,10 +33,11 @@ PROBE_GRID = np.linspace(-10.0, 10.0, 1001)
 class VolFunctionSpec:
     """Volatility function sigma with its first two derivatives.
 
-    ``lower_bound_c`` witnesses sigma(x) >= c > 0 and ``growth_scale`` /
-    ``growth_power`` witness sigma(x) <= q (1 + |x|^l). The OU weight
-    consumes the products nu and nu' of ``nu_terms``: f = sigma^2 has
-    f' = 2 nu and f'' = 2 nu'.
+    ``lower_bound_c`` witnesses sigma(x) >= c > 0, which validation checks
+    on the probe grid and the path guard at every visited state. The
+    growth bound sigma(x) <= q (1 + |x|^l) is checked nowhere: a spec's
+    author vouches for it. The OU weight consumes the products nu and nu' of
+    ``nu_terms``: f = sigma^2 has f' = 2 nu and f'' = 2 nu'.
 
     ``evaluate(x, ws, order)`` returns (sigma, sigma') at x for order 1
     and (sigma, sigma', sigma'') for order 2, the default. The OU path pass
@@ -56,8 +57,6 @@ class VolFunctionSpec:
     sigma_prime: Callable
     sigma_second: Callable
     lower_bound_c: float
-    growth_scale: float
-    growth_power: int
     name: str = "custom"
     joint: Callable | None = None
 
@@ -212,8 +211,6 @@ def reference_vol_family(c, m):
         sigma_prime=lambda x: joint(x)[1],
         sigma_second=lambda x: joint(x)[2],
         lower_bound_c=c,
-        growth_scale=c + 2.0 * m,
-        growth_power=1,
         name="reference",
         joint=joint,
     )

@@ -15,8 +15,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
                    "r": 0.05, "mu": 0.05, "T": 1.0},
         "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},
         "grid": {"n_steps": 64, "pricing_n_steps": 64},
-        "ensemble": {"n_paths": 600, "seed": 11, "antithetic": False,
-                     "winsorize": False, "winsorize_quantile": 1e-4},
+        "ensemble": {"n_paths": 600, "seed": 11, "antithetic": False},
         "contract": {"strike": 100.0},
         "density": {"x_grid": "auto"},
         "output": {"directory": str(tmp_path / "out"), "format": "csv"},
@@ -47,14 +46,9 @@ def test_validate_density_condition_line(tmp_path, capsys):
     assert "E_DENSITY_CONDITION 6*k^2 >= b" in out
 
 
-def test_validate_density_mode_off(tmp_path):
-    cfg = write_config(tmp_path, **cir_overrides(k=1.2), density_mode=False)
-    assert cli.main(["validate", "--config", cfg]) == 0
-
-
 def test_validate_accepts_model_only_config(tmp_path):
     path = tmp_path / "model_only.json"
-    path.write_text(json.dumps({**cir_overrides(k=1.2), "density_mode": False}))
+    path.write_text(json.dumps(cir_overrides()))
     assert cli.main(["validate", "--config", str(path)]) == 0
 
 
@@ -139,9 +133,10 @@ MALFORMED = {
                           2, "E_INVALID_X_GRID"),
     "x_grid_infinite": ({"density": {"x_grid": {"min": 0.01, "max": float("inf"),
                                                 "points": 41}}}, 2, "E_INVALID_X_GRID"),
-    "winsorize_quantile_high": ({"ensemble": {"n_paths": 600, "winsorize": True,
-                                              "winsorize_quantile": 0.7}},
-                                2, "E_INVALID_WINSORIZE"),
+    # "density_mode" is not read: validate checks what density and price check
+    "density_mode_off": ({**cir_overrides(k=1.2), "density_mode": False},
+                         2, "E_DENSITY_CONDITION"),
+    "winsorize_on": ({"ensemble": {"n_paths": 600, "winsorize": True}}, 3, "E_CONFIG"),
 }
 
 
@@ -395,23 +390,6 @@ def test_price_near_deterministic_vol_matches_oracle(tmp_path):
     assert abs(mix_val - oracle) < max(3 * mix_se, 1e-6)
     plain = rows["plain_mc"]
     assert abs(plain[0] - oracle) < 3 * plain[1]
-
-
-def test_density_winsorize_flag(tmp_path):
-    base = write_config(tmp_path, name="raw.json",
-                        ensemble={"n_paths": 1200, "seed": 8})
-    wins = write_config(tmp_path, name="wins.json",
-                        ensemble={"n_paths": 1200, "seed": 8, "winsorize": True,
-                                  "winsorize_quantile": 0.01})
-    assert cli.main(["density", "--config", base, "--out", str(tmp_path / "a")]) == 0
-    assert cli.main(["density", "--config", wins, "--out", str(tmp_path / "b")]) == 0
-    a = (tmp_path / "a" / "density.csv").read_bytes()
-    b = (tmp_path / "b" / "density.csv").read_bytes()
-    assert a != b  # clipping the weight tails changes the estimate
-    # raw per-path weights are reported unclipped either way
-    wa = (tmp_path / "a" / "weights.csv").read_bytes()
-    wb = (tmp_path / "b" / "weights.csv").read_bytes()
-    assert wa == wb
 
 
 def test_selfcheck_real_battery_passes(capsys):

@@ -7,7 +7,7 @@ from scipy.special import ndtr
 import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
-                    kde_density, malliavin_density, winsorize_weights)
+                    kde_density, malliavin_density)
 from avgvar.density import kde_bandwidth, quantiles
 
 SEED = 20240601
@@ -165,14 +165,6 @@ def test_survival_from_density_matches_mass():
     est = malliavin_density(np.full(200, 2.0), np.ones(200), x)  # all mass above
     est.p_hat = p  # hand-made flat density
     assert survival_from_density(est, 0.25) == pytest.approx(0.75, rel=1e-12)
-
-
-def test_winsorize_clips_at_quantiles():
-    w = np.concatenate([np.zeros(9998), [1e9, -1e9]])
-    clipped = winsorize_weights(w, quantile=1e-3)
-    assert clipped.max() < 1e9
-    assert clipped.min() > -1e9
-    assert np.all(np.sort(clipped) >= np.quantile(w, 1e-3) - 1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 8192])

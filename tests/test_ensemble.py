@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 import warnings
 
@@ -125,6 +126,23 @@ def test_thread_counts_do_not_change_a_byte(ou_model, cir_model):
             assert runs[0].avg_variance.tobytes() == other.avg_variance.tobytes()
             assert runs[0].weight.tobytes() == other.weight.tobytes()
             assert runs[0].terminal_asset.tobytes() == other.terminal_asset.tobytes()
+
+
+def test_workers_are_capped_at_the_chunk_count(ou_model, monkeypatch):
+    """Two chunks on eight requested threads start two workers, each with
+    one workspace, and give the serial bytes."""
+    grid = make_grid(1.0, 16)
+    serial = run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK, SEED)
+    workspaces, started = [], []
+    workspace, start = ens_mod.Workspace, threading.Thread.start
+    monkeypatch.setattr(ens_mod, "Workspace",
+                        lambda size: workspaces.append(size) or workspace(size))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    capped = run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK, SEED, threads=8)
+    assert len(workspaces) == 2 and len(started) <= 2
+    for name in ("avg_variance", "weight", "denominator", "failed"):
+        assert getattr(serial, name).tobytes() == getattr(capped, name).tobytes()
 
 
 def test_rerun_reproduces_bit_exactly(cir_model):
@@ -260,8 +278,7 @@ def _flat_above_ten_vol():
         return np.where(x > 10.0, 0.0, -0.2 * x / (1.0 + x * x) ** 2)
 
     return VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime,
-                           sigma_second=sigma_second, lower_bound_c=0.1,
-                           growth_scale=0.5, growth_power=0)
+                           sigma_second=sigma_second, lower_bound_c=0.1)
 
 
 def _flat_above_ten_model(y0, k=0.5):

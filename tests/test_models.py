@@ -144,8 +144,7 @@ def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
 
 
 def test_three_callable_spec_runs_the_same_ensemble(ou_model):
-    custom = VolFunctionSpec(*oracle_family(0.1, 0.1), lower_bound_c=0.1,
-                             growth_scale=0.3, growth_power=1)
+    custom = VolFunctionSpec(*oracle_family(0.1, 0.1), lower_bound_c=0.1)
     assert custom.joint is None  # evaluate falls back to the three callables
     twin = validate_ou(ou_model.params, custom)
     grid = make_grid(1.0, 128)
