@@ -1,7 +1,10 @@
 """Price one European call three independent ways; they must agree.
 
   1. density quadrature: integrate the conditional Black-Scholes price
-     against the Malliavin density of the averaged variance,
+     against the Malliavin density estimate of the averaged variance,
+     exactly rather than on the density grid, less three control variates
+     that the exact weight makes zero-mean (E[delta] = 0, E[F delta] = 1,
+     E[F^2 delta] = 2 E[F]); its standard error is the smallest of the three,
   2. mixing: average the conditional Black-Scholes price over simulated
      volatility trajectories,
   3. plain Monte Carlo: simulate terminal asset prices outright.

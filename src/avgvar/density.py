@@ -13,6 +13,8 @@ Agreement of the two within combined error bars is one of the package's
 acceptance gates. Both are sample means of per-path terms, one column per
 grid point, and take their values and standard errors from ``mean_and_se``,
 the core of the package's one Monte Carlo estimator ``pricing.mc_estimate``.
+``ibp_controls`` and ``subtract_controls`` hold the integration-by-parts
+control variates that the density-quadrature price subtracts from its terms.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .errors import EmptyEnsemble, GridTooCoarse, TooFewSamples
 MIN_GRID_POINTS = 21
 KDE_MIN_SAMPLES = 100
 SILVERMAN_FACTOR = 1.06  # KDE bandwidth 1.06 sigma N^(-1/5)
+SINGULAR_DET = 1e-12  # scaled control normal equations below this are singular
 
 
 @dataclass
@@ -91,6 +94,45 @@ def mean_and_se(terms):
         return first, np.zeros(terms.shape[1:])
     return (np.where(constant, first, terms.mean(axis=0)),
             np.where(constant, 0.0, terms.std(axis=0, ddof=1) / np.sqrt(n)))
+
+
+def ibp_controls(avg_variance, weights):
+    """The integration-by-parts controls w, (F - m) w - 1 and
+    (F - m)^2 w - 2 (F - m), with m = mean F, as the rows of a (3, N)
+    array. The weight is the exact divergence for F_n, so
+    E[phi(F) w] = E[phi'(F)] and each control has mean 0. Centring on m
+    conditions the fit and spans the same space as 1, F, F^2.
+    """
+    f = np.asarray(avg_variance, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    c = f - f.mean()
+    cw = c * w
+    return np.stack([w, cw - 1.0, c * cw - 2.0 * c])
+
+
+def subtract_controls(terms, controls):
+    """``terms`` minus beta^T ``controls``, beta the in-sample least-squares
+    fit of each column of ``terms`` (a vector or (N, m)) on the three
+    zero-mean ``controls`` (3, N). The normal equations are scaled to unit
+    diagonal and solved by their adjugate. A control with no spread gets
+    beta = 0; if the scaled system is singular, the terms are returned as
+    they are."""
+    terms = np.asarray(terms, dtype=float)
+    cc = controls - controls.mean(axis=1, keepdims=True)
+    gram = np.einsum("ip,jp->ij", cc, cc)
+    cross = np.einsum("ip,p...->i...", cc, terms)
+    scale = np.sqrt(np.diagonal(gram))
+    scale = np.where(scale > 0, scale, 1.0)
+    corr = gram / scale[:, None] / scale[None, :]
+    np.fill_diagonal(corr, 1.0)  # already 1, unless the control has no spread
+    adjugate = np.stack([np.cross(corr[1], corr[2]), np.cross(corr[2], corr[0]),
+                         np.cross(corr[0], corr[1])])
+    det = float(np.einsum("i,i->", corr[0], adjugate[0]))
+    if not det > SINGULAR_DET:
+        return terms
+    col = scale.reshape((3,) + (1,) * (terms.ndim - 1))
+    beta = np.einsum("ij,j...->i...", adjugate, cross / col) / (det * col)
+    return terms - np.einsum("ip,i...->p...", controls, beta)
 
 
 def malliavin_density(avg_variance, weights, x_grid):

@@ -134,7 +134,6 @@ class ValidatedOUModel:
 @dataclass(frozen=True)
 class ValidatedCIRModel:
     params: CIRParams
-    density_mode: bool
 
     # the averaged CIR variance has no positive lower bound
     density_lower_bound = None
@@ -289,7 +288,7 @@ def validate_cir(params, density_mode=False):
     _check_common(params, violations)
     if violations:
         raise ValidationError(violations)
-    return ValidatedCIRModel(params=params, density_mode=density_mode)
+    return ValidatedCIRModel(params=params)
 
 
 def validate_contract(contract):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import avgvar.cli as cli
+import avgvar.ensemble as ensemble
 import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 
@@ -349,6 +350,26 @@ def test_corrupted_phi_fails_bs_checks(monkeypatch):
     assert all(r.passed for r in selfcheck.run_criterion(check, ctx))
     monkeypatch.setattr(pricing, "_phi", lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
     assert not any(r.passed for r in selfcheck.run_criterion(check, ctx))
+
+
+def test_scaled_ou_weight_fails_the_raw_weight_checks(monkeypatch):
+    """Fault injection: an OU weight 10% too large must fail the density
+    checks that read the raw weights, at QUICK and the pinned seed, while
+    the untouched CIR rows pass. (The quadrature price is nearly blind to
+    it: its F w - 1 control recalibrates a mis-scaled weight.)"""
+    make_weight = ensemble.skorokhod_weight_ou
+
+    def scaled(batch, params, ws=None):
+        wb = make_weight(batch, params, ws=ws)
+        wb.delta = 1.10 * wb.delta
+        return wb
+
+    monkeypatch.setattr(ensemble, "skorokhod_weight_ou", scaled)
+    ctx = selfcheck.CheckContext(selfcheck.QUICK)
+    for check in (selfcheck.density_vs_kde, selfcheck.density_cdf_consistency):
+        ou_row, cir_row = selfcheck.run_criterion(check, ctx)
+        assert not ou_row.passed, ou_row
+        assert cir_row.passed, cir_row
 
 
 def test_density_tiny_ensemble_still_exits_zero(tmp_path, capsys):

@@ -8,7 +8,8 @@ import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
                     kde_density, malliavin_density)
-from avgvar.density import kde_bandwidth, quantiles
+from avgvar.density import (ibp_controls, kde_bandwidth, quantiles,
+                            subtract_controls)
 
 SEED = 20240601
 
@@ -187,3 +188,29 @@ def test_quantiles_match_numpy_bit_for_bit(n, kind):
 
 def test_quantiles_of_values_with_a_nan_are_nan():
     assert np.isnan(quantiles(np.array([1.0, np.nan, 2.0]), [0.01, 0.99])).all()
+
+
+def test_subtract_controls_is_the_least_squares_residual():
+    """terms - beta^T c equals the residual of a least-squares fit on an
+    intercept and the controls, plus the intercept, per column."""
+    rng = np.random.default_rng(SEED)
+    f = rng.gamma(4.0, 0.01, 3000)
+    w = rng.standard_normal(3000) * (1.0 + 30.0 * f)
+    controls = ibp_controls(f, w)
+    terms = np.stack([w * np.sqrt(f), w * f**3 + rng.standard_normal(3000)], axis=1)
+    design = np.column_stack([np.ones(3000), controls.T])
+    for got, y in ((subtract_controls(terms, controls), terms),
+                   (subtract_controls(terms[:, 1], controls)[:, None], terms[:, 1:])):
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        np.testing.assert_allclose(got, y - controls.T @ coef[1:], rtol=1e-9, atol=1e-12)
+
+
+def test_subtract_controls_drops_a_control_without_spread():
+    # with F constant the centred controls (F - m) w - 1 and (F - m)^2 w - 2 (F - m)
+    # have no spread, and the fit on w alone remains
+    w = np.random.default_rng(SEED).standard_normal(500)
+    terms = 2.5 * w + np.linspace(0.0, 1.0, 500)
+    wc = w - w.mean()
+    slope = np.sum(wc * terms) / np.sum(wc * wc)
+    np.testing.assert_allclose(subtract_controls(terms, ibp_controls(np.full(500, 0.04), w)),
+                               terms - slope * w, rtol=1e-12, atol=1e-12)

@@ -47,7 +47,7 @@ def test_all_violations_reported(ref_vol):
 
 def test_cir_reference_accepted_in_density_mode(cir_model):
     # 6 * 0.25^2 = 0.375 < 1
-    assert cir_model.density_mode
+    assert validate_cir(cir_model.params, density_mode=True) == cir_model
 
 
 def test_cir_density_condition_violation():

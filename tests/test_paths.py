@@ -85,7 +85,7 @@ def test_ou_distribution_invariant_to_grid(ou_model):
 
 def test_noiseless_cir_matches_ode(cir_model, ref_vol):
     params = CIRParams(b=1.0, k=0.0, z0=3.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
-    model = ValidatedCIRModel(params=params, density_mode=False)
+    model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 4096)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
     exact = 1.0 + (3.0 - 1.0) * np.exp(-grid.t)
@@ -118,7 +118,7 @@ def test_cir_never_floors_in_reference_regime(cir_model):
 def test_floor_saturation_raises_on_coarse_grid():
     # aggressive vol-of-vol on a coarse grid slams into the floor
     params = CIRParams(b=0.05, k=0.3, z0=0.01, s0=100.0, r=0.05, mu=0.05, T=1.0)
-    model = ValidatedCIRModel(params=params, density_mode=False)
+    model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                np.arange(64))

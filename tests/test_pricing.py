@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import chi2
 
-from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel,
+from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, auto_grid,
                     bs_conditional, make_grid, malliavin_density, martingale_check,
-                    price_from_density, price_mixing, price_plain_mc,
-                    sample_terminal_asset, simulate_ou_paths)
+                    price_from_density, price_mixing, price_plain_mc, run_ensemble,
+                    sample_terminal_asset, simulate_ou_paths, skorokhod_weight_ou)
+from avgvar import pricing
 from avgvar.errors import NegativeMassWarning
+from avgvar.pricing import payoff_integral
 from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 
 SEED = 20240601
@@ -100,16 +103,51 @@ def test_mixing_empty_raises():
         price_mixing(np.array([]), 100.0, 100.0, 0.05, 1.0)
 
 
-def test_point_mass_density_prices_like_bs():
-    # a density of mass 1 concentrated at x = 0.04: one sample above the
-    # grid whose weight is the inverse grid width
-    half = 1e-9
-    x = np.linspace(0.04 - half, 0.04 + half, 21)
-    f, w = np.array([1.0]), np.array([1.0 / (2 * half)])
-    dens = malliavin_density(f, w, x)
-    est = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
-    _, disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
-    assert est.value == pytest.approx(disc, abs=1e-6)
+@pytest.mark.parametrize("strike", [80.0, 100.0, 130.0])
+@pytest.mark.parametrize("lo, hi", [(0.012, 0.2), (0.5, 1.6)])  # OU and CIR demo spreads
+def test_payoff_integral_matches_quad(strike, lo, hi):
+    f = np.concatenate([[lo, hi], np.random.default_rng(SEED).uniform(lo, hi, 8)])
+    g = payoff_integral(f, strike, 100.0, 0.05, 1.0)
+    price = lambda x: bs_conditional(math.sqrt(x), strike, 100.0, 0.05, 1.0)[1]
+    ref = np.array([quad(price, lo, x, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in f])
+    assert g[0] == 0.0
+    assert np.max(np.abs(g[1:] - ref[1:]) / ref[1:]) < 1e-9
+
+
+def test_price_ignores_a_constant_shift_of_the_payoff_integral(ou_model, monkeypatch):
+    # shifting G moves each term by a multiple of w, which the w control absorbs
+    batch = simulate_ou_paths(ou_model, make_grid(1.0, 32), NoiseStream(SEED, PURPOSE_VOL),
+                              np.arange(2000))
+    f, w = batch.avg_variance, skorokhod_weight_ou(batch, ou_model.params).delta
+    dens = malliavin_density(f, w, auto_grid(f))
+    base = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
+    unshifted = pricing.payoff_integral
+    monkeypatch.setattr(pricing, "payoff_integral", lambda *a: unshifted(*a) + 3.7)
+    shifted = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
+    assert shifted.value == pytest.approx(base.value, rel=1e-12)
+    assert shifted.std_error == pytest.approx(base.std_error, rel=1e-9)
+
+
+# at 2048 paths the 41-point grid's mass falls below 0.9 on some seeds;
+# the price does not read the grid
+@pytest.mark.filterwarnings("ignore::avgvar.errors.NegativeMassWarning")
+@pytest.mark.parametrize("tag", ["ou", "cir"])
+def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model):
+    """Over 32 seeds the spread of the estimates over the RMS printed SE
+    lies in the 99.9% band of sqrt(chi^2_31 / 31)."""
+    model = ou_model if tag == "ou" else cir_model
+    p = model.params
+    values, ses = [], []
+    for seed in range(32):
+        ens = run_ensemble(model, make_grid(p.T, 32), 2048, seed)
+        f, w = ens.valid_samples()
+        dens = malliavin_density(f, w, auto_grid(f))
+        est = price_from_density(dens, 100.0, p.s0, p.r, p.T, samples=f, weights=w)
+        values.append(est.value)
+        ses.append(est.std_error)
+    ratio = np.std(values, ddof=1) / math.sqrt(np.mean(np.square(ses)))
+    lo, hi = np.sqrt(chi2.ppf([0.0005, 0.9995], 31) / 31)
+    assert lo < ratio < hi
 
 
 def test_low_mass_density_warns():
