@@ -2,9 +2,10 @@
 
   1. density quadrature: integrate the conditional Black-Scholes price
      against the Malliavin density estimate of the averaged variance,
-     exactly rather than on the density grid, less three control variates
-     that the exact weight makes zero-mean (E[delta] = 0, E[F delta] = 1,
-     E[F^2 delta] = 2 E[F]); its standard error is the smallest of the three,
+     exactly from the weighted samples, with no density grid, less three
+     control variates that the exact weight makes zero-mean (E[delta] = 0,
+     E[F delta] = 1, E[F^2 delta] = 2 E[F]); its standard error is the
+     smallest of the three,
   2. mixing: average the conditional Black-Scholes price over simulated
      volatility trajectories,
   3. plain Monte Carlo: simulate terminal asset prices outright.
@@ -15,10 +16,10 @@ agreement below is a genuine cross-check, not shared randomness.
 
 import numpy as np
 
-from avgvar import (CIRParams, OUParams, auto_grid, make_grid,
-                    malliavin_density, martingale_check, price_from_density,
-                    price_mixing, price_plain_mc, reference_vol_family,
-                    run_ensemble, validate_cir, validate_ou)
+from avgvar import (CIRParams, OUParams, make_grid, martingale_check,
+                    price_from_density, price_mixing, price_plain_mc,
+                    reference_vol_family, run_ensemble, validate_cir,
+                    validate_ou)
 from avgvar.rng import NAMESPACE_DENSITY, NAMESPACE_MIXING, NAMESPACE_PLAIN
 
 N_PATHS = 10000
@@ -39,10 +40,7 @@ for tag, model in models.items():
     dens_res = run_ensemble(model, make_grid(p.T, 256), N_PATHS, SEED,
                             namespace=NAMESPACE_DENSITY, threads=2)
     f, d = dens_res.valid_samples()
-    dens = malliavin_density(f, d, auto_grid(f, points=41,
-                                              lower_bound=model.density_lower_bound))
-    p_dens = price_from_density(dens, STRIKE, p.s0, p.r, p.T,
-                                samples=f, weights=d)
+    p_dens = price_from_density(f, d, STRIKE, p.s0, p.r, p.T)
 
     mix_res = run_ensemble(model, make_grid(p.T, 128), N_PATHS, SEED,
                            namespace=NAMESPACE_MIXING, threads=2,

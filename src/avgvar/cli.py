@@ -89,7 +89,7 @@ class RunSpec:
     antithetic: bool
     density_steps: int
     pricing_steps: int
-    x_grid: tuple | None         # (min, max, points); None: auto grid
+    x_grid: tuple | None         # (min, max, points); None: auto grid; density only
     out_dir: str
     fmt: str                     # csv | json
 
@@ -233,8 +233,8 @@ def _ensemble(spec, label, steps, namespace, threads, **options):
 
 
 def _density_stage(spec, threads):
-    """Density ensemble -> valid samples -> x-grid -> Malliavin density;
-    returns the ensemble, F samples, weights and density."""
+    """Density ensemble -> W_ALPHA_DT and LOW_SAMPLE lines -> valid samples;
+    returns the ensemble, its F samples and their weights."""
     result = _ensemble(spec, "density", spec.density_steps, NAMESPACE_DENSITY, threads)
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
@@ -243,17 +243,16 @@ def _density_stage(spec, threads):
     if spec.n_paths < LOW_SAMPLE_THRESHOLD:
         print(f"LOW_SAMPLE n_paths={spec.n_paths} < {LOW_SAMPLE_THRESHOLD}; "
               "density standard errors will be large")
-    f_samples, weights = result.valid_samples()
+    return (result, *result.valid_samples())
+
+
+def cmd_density(spec, threads):
+    result, f_samples, weights = _density_stage(spec, threads)
     x_grid = (auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
               if spec.x_grid is None else np.linspace(*spec.x_grid))
     print(f"[avgvar] estimating density on [{x_grid[0]:.6g}, {x_grid[-1]:.6g}] "
           f"with {x_grid.size} points", file=sys.stderr)
-    return result, f_samples, weights, malliavin_density(f_samples, weights, x_grid)
-
-
-def cmd_density(spec, threads):
-    result, f_samples, weights, dens = _density_stage(spec, threads)
-    x_grid = dens.x_grid
+    dens = malliavin_density(f_samples, weights, x_grid)
     kde = kde_density(f_samples, x_grid) if f_samples.size >= KDE_MIN_SAMPLES else None
     kde_cols = (kde.p_hat, kde.se) if kde else (np.full(x_grid.size, np.nan),) * 2
     path1 = _write_rows(spec, "density", "x p_malliavin se_malliavin p_kde se_kde",
@@ -271,9 +270,8 @@ def cmd_density(spec, threads):
 
 def cmd_price(spec, threads):
     p, strike = spec.model.params, spec.contract.strike
-    _, f_samples, weights, dens = _density_stage(spec, threads)
-    p_dens = pricing.price_from_density(dens, strike, p.s0, p.r, p.T,
-                                        samples=f_samples, weights=weights)
+    _, f_samples, weights = _density_stage(spec, threads)
+    p_dens = pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T)
     mix_res = _ensemble(spec, "mixing", spec.pricing_steps, NAMESPACE_MIXING,
                         threads, compute_weights=False)
     p_mix = pricing.price_mixing(np.sqrt(mix_res.avg_variance), strike, p.s0, p.r, p.T)

@@ -47,7 +47,3 @@ class GridTooCoarse(AvgVarError):
 
 class FailureBudgetExceeded(AvgVarError):
     """More than 0.1% of paths in an ensemble failed runtime guards."""
-
-
-class NegativeMassWarning(UserWarning):
-    """Density mass below 0.9: the estimate is too noisy to price from."""

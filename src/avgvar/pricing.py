@@ -16,8 +16,9 @@ estimators of the unconditional price must agree:
 
   * mixing:    discounted average of E(sig_bar) over simulated trajectories,
   * density quadrature: integrate the conditional price against the
-    Malliavin density estimate of the averaged variance, exactly rather
-    than on a grid, less three integration-by-parts control variates,
+    Malliavin density estimate of the averaged variance, exactly, from the
+    weighted samples rather than from a density grid, less three
+    integration-by-parts control variates,
   * plain MC:  discounted average payoff of simulated terminal prices.
 
 Each estimate is a sample mean with its standard error and 95% interval,
@@ -30,15 +31,13 @@ to verify the monotonicity guard actually bites.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import ibp_controls, mean_and_se, subtract_controls
-from .errors import EmptyEnsemble, NegativeMassWarning
+from .errors import EmptyEnsemble
 
-MIN_MASS = 0.9  # density mass below which price_from_density warns
 TABLE_NODES = 1025  # nodes of the payoff_integral table over [min F, max F]
 _SQRT2 = math.sqrt(2.0)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -62,15 +61,12 @@ class PriceEstimate:
 
 
 def bs_conditional(sigma_bar, strike, s0, r, T):
-    """Conditional Black-Scholes call value.
+    """Discounted conditional Black-Scholes call value e^{-rT} E(sig_bar).
+    Vectorized in sigma_bar; sigma_bar = 0 and K = 0 handled by their limits.
 
-    Returns (inner, discounted): ``inner`` is the undiscounted conditional
-    expectation E(sig_bar), ``discounted`` is e^{-rT} inner. Vectorized in
-    sigma_bar; sigma_bar = 0 and K = 0 handled by their limits.
-
-    ``inner`` is the intrinsic value (s0 e^{rT} - K)^+ plus the
+    E(sig_bar) is the intrinsic value (s0 e^{rT} - K)^+ plus the
     out-of-the-money option (the call, or in the money the put), taken from
-    the Phi tails and floored at 0. It is therefore never below the
+    the Phi tails and floored at 0. The value is therefore never below the
     no-arbitrage bound, and it does not decrease in sigma_bar where the
     option value is resolved in float64.
     """
@@ -101,9 +97,7 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
             # deep out of the money the difference can round below 0
             inner[live] = intrinsic + np.maximum(otm, 0.0)
     disc = math.exp(-r * T) * inner
-    if scalar:
-        return float(inner[0]), float(disc[0])
-    return inner, disc
+    return float(disc[0]) if scalar else disc
 
 
 def mc_estimate(terms, method="mean", empty_message="no sample to average"):
@@ -122,8 +116,7 @@ def mc_estimate(terms, method="mean", empty_message="no sample to average"):
 
 def price_mixing(sigma_bar_samples, strike, s0, r, T):
     """Mixing estimator: discounted mean of the conditional prices."""
-    _, disc = bs_conditional(sigma_bar_samples, strike, s0, r, T)
-    return mc_estimate(disc, "mixing_mc",
+    return mc_estimate(bs_conditional(sigma_bar_samples, strike, s0, r, T), "mixing_mc",
                        "mixing pricer needs at least one sigma_bar sample")
 
 
@@ -143,7 +136,7 @@ def payoff_integral(samples, strike, s0, r, T, nodes=TABLE_NODES):
     if not h > 0:
         return np.zeros_like(f)
     u = np.linspace(lo, hi, nodes)
-    _, pay = bs_conditional(np.sqrt(np.maximum(u, 0.0)), strike, s0, r, T)
+    pay = bs_conditional(np.sqrt(np.maximum(u, 0.0)), strike, s0, r, T)
     slope = np.gradient(pay, h, edge_order=2)
     table = np.zeros(nodes)
     np.cumsum(0.5 * h * (pay[1:] + pay[:-1]) - h * h / 12.0 * np.diff(slope), out=table[1:])
@@ -157,11 +150,11 @@ def payoff_integral(samples, strike, s0, r, T, nodes=TABLE_NODES):
             + t * t * ((3.0 - 2.0 * t) * table[k + 1] + t1 * h * pay[k + 1]))
 
 
-def price_from_density(density, strike, s0, r, T, *, samples, weights, nodes=TABLE_NODES):
+def price_from_density(samples, weights, strike, s0, r, T, nodes=TABLE_NODES):
     """The integral of the discounted conditional price against the
     Malliavin density estimate p_hat(x) = mean_i 1{F_i > x} w_i of the
-    ensemble behind ``density`` (``samples`` F, ``weights`` w), over every x
-    rather than over the density's grid.
+    weighted ensemble (``samples`` F, ``weights`` w), over every x: no
+    density grid is built or read.
 
     With G' the conditional price (``payoff_integral``, on ``nodes``
     nodes), the integral is the sample mean of the per-path terms
@@ -172,14 +165,7 @@ def price_from_density(density, strike, s0, r, T, *, samples, weights, nodes=TAB
     and the SE falls 150-fold (OU) and 600-fold (CIR) on the demo models.
     The w control also makes the estimate blind to G's lower limit, since
     shifting G by a constant moves each term by a multiple of w.
-
-    ``density`` enters only the mass guard, a NegativeMassWarning when its
-    mass is below MIN_MASS.
     """
-    if density.normalization < MIN_MASS:
-        warnings.warn(
-            f"density mass {density.normalization:.3f} < {MIN_MASS}; "
-            "estimate too noisy to price from", NegativeMassWarning)
     f = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
     if f.size == 0:

@@ -162,9 +162,8 @@ def _rel(value, ref):
 
 def _quadrature_price(ctx, tag, nodes=pricing.TABLE_NODES):
     p = ctx.models[tag].params
-    _, f, d, dens = ctx.weighted(tag)
-    return pricing.price_from_density(dens, STRIKE, p.s0, p.r, p.T, samples=f, weights=d,
-                                      nodes=nodes)
+    _, f, d, _ = ctx.weighted(tag)
+    return pricing.price_from_density(f, d, STRIKE, p.s0, p.r, p.T, nodes)
 
 
 @criterion("ou_terminal_mean", "ou_terminal_var")
@@ -234,29 +233,19 @@ def density_vs_kde(ctx):
 
 @criterion("ou_survival_consistency", "cir_survival_consistency")
 def density_cdf_consistency(ctx):
-    """The trapezoid of 1{F > u} delta over [x, top] against the empirical
-    mass of (x, top], at percentiles x of F; both sides truncate at the grid
-    top. The tolerance is z times the sum of the two estimators' SEs. The
-    check grid is 16x finer than the reporting grid, so the O(h^2) trapezoid
-    error of integrating indicator steps stays far below the noise."""
+    """The integral of the Malliavin density over [x, top] against the
+    empirical mass of (x, top], at percentiles x of F; both sides truncate
+    at the grid top. The density side is the mean of the exact per-path
+    terms (min(F, top) - x)^+ delta, the integral of 1{F > u} delta over
+    u in [x, top]. The tolerance is z times the sum of the two estimators'
+    SEs."""
     rows = []
     for tag in MODELS:
         _, f, d, dens = ctx.weighted(tag)
-        fine = np.linspace(dens.x_grid[0], dens.x_grid[-1], 641)
-        top = fine[-1]
+        top = dens.x_grid[-1]
         worst = 0.0
         for x in np.percentile(f, ctx.scale.survival_percentiles):
-            u = fine[fine >= x]
-            if u.size < 2:
-                continue
-            # 1{F > u} is 1 on the first K nodes, K = #{u_k < F}, so its
-            # trapezoid is the sum of the first K trapezoid weights
-            half = 0.5 * np.diff(u)
-            partial = np.zeros(u.size + 1)
-            partial[1:-1] = half
-            partial[2:] += half
-            np.cumsum(partial, out=partial)
-            int_terms = partial[np.searchsorted(u, f)] * d
+            int_terms = np.maximum(np.minimum(f, top) - x, 0.0) * d
             emp_terms = ((f > x) & ~(f > top)).astype(float)
             dens_est, emp_est = (pricing.mc_estimate(t) for t in (int_terms, emp_terms))
             gap = abs(dens_est.value - emp_est.value)
@@ -300,7 +289,7 @@ def deterministic_vol_exactness(ctx):
     bounds, and the mixing price of a constant volatility equal to an
     independent oracle within 1e-9. Both go through pricing._phi, so a
     corrupted normal CDF turns them to FAIL."""
-    _, prices = pricing.bs_conditional(np.linspace(0.05, 1.0, 40), 100.0, 100.0, 0.05, 1.0)
+    prices = pricing.bs_conditional(np.linspace(0.05, 1.0, 40), 100.0, 100.0, 0.05, 1.0)
     mono = bool(np.all(np.diff(prices) > 0))
     lo_bound = max(100.0 - 100.0 * math.exp(-0.05), 0.0)
     bounds = bool(np.all(prices >= lo_bound - 1e-12) and np.all(prices <= 100.0 + 1e-12))

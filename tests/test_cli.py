@@ -319,16 +319,27 @@ def test_price_zero_strike_recovers_spot(tmp_path):
         assert abs(value - 100.0) < max(4 * se, 0.5)
 
 
+def test_price_builds_no_density(tmp_path, monkeypatch):
+    """price integrates the conditional price against the weighted samples
+    themselves: it builds neither the x-grid nor the grid density, and its
+    prices.csv is the same as when those are reachable."""
+    cfg = write_config(tmp_path)
+    assert cli.main(["price", "--config", cfg, "--out", str(tmp_path / "free")]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("price must not build a density grid")
+
+    monkeypatch.setattr(cli, "auto_grid", unreachable)
+    monkeypatch.setattr(cli, "malliavin_density", unreachable)
+    assert cli.main(["price", "--config", cfg, "--out", str(tmp_path / "guarded")]) == 0
+    assert ((tmp_path / "guarded" / "prices.csv").read_bytes()
+            == (tmp_path / "free" / "prices.csv").read_bytes())
+
+
 def test_cir_price_command(tmp_path):
     cfg = write_config(tmp_path, **cir_overrides(),
                        ensemble={"n_paths": 1500, "seed": 4})
-    # at this tiny N the CIR density is noisy enough to trip the mass guard;
-    # the command still completes and reports it
-    import warnings
-    from avgvar.errors import NegativeMassWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeMassWarning)
-        assert cli.main(["price", "--config", cfg]) == 0
+    assert cli.main(["price", "--config", cfg]) == 0
     lines = (tmp_path / "out" / "prices.csv").read_text().splitlines()
     assert len(lines) == 5
 
@@ -386,20 +397,18 @@ def test_density_tiny_ensemble_still_exits_zero(tmp_path, capsys):
 
 def test_price_near_deterministic_vol_matches_oracle(tmp_path):
     """With k ~ 0 the volatility path is (numerically) deterministic, so the
-    mixing and plain rows must bracket the closed-form constant-vol price.
+    mixing and plain rows must bracket the closed-form constant-vol price,
+    and the density-quadrature row must match it. The weight variance
+    diverges as k -> 0, but with F nearly constant each term w G(F) is
+    nearly a combination of the controls w and (F - m) w - 1 plus the
+    conditional price, so the controlled mean is that price.
     (k = 0 itself is rejected by validation, as it should be.)"""
     import math
-    import pytest
-    from avgvar.errors import NegativeMassWarning
     cfg = write_config(tmp_path,
                        params={"alpha": 1.0, "k": 1e-8, "y0": 0.0, "s0": 100.0,
                                "r": 0.05, "mu": 0.05, "T": 1.0},
                        ensemble={"n_paths": 4000, "seed": 6})
-    # a near-deterministic averaged variance has no usable density (the
-    # weight variance diverges as k -> 0), so the mass guard must fire for
-    # the quadrature row; the other two pricers are unaffected
-    with pytest.warns(NegativeMassWarning):
-        assert cli.main(["price", "--config", cfg]) == 0
+    assert cli.main(["price", "--config", cfg]) == 0
     lines = (tmp_path / "out" / "prices.csv").read_text().splitlines()
     rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
             for line in lines[1:]}
@@ -411,6 +420,7 @@ def test_price_near_deterministic_vol_matches_oracle(tmp_path):
     assert abs(mix_val - oracle) < max(3 * mix_se, 1e-6)
     plain = rows["plain_mc"]
     assert abs(plain[0] - oracle) < 3 * plain[1]
+    assert abs(rows["density_quadrature"][0] - oracle) < 1e-9 * oracle
 
 
 def test_selfcheck_real_battery_passes(capsys):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, auto_grid,
-                    bs_conditional, make_grid, malliavin_density, martingale_check,
-                    price_from_density, price_mixing, price_plain_mc, run_ensemble,
-                    sample_terminal_asset, simulate_ou_paths, skorokhod_weight_ou)
+from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, bs_conditional,
+                    make_grid, martingale_check, price_from_density, price_mixing,
+                    price_plain_mc, run_ensemble, sample_terminal_asset,
+                    simulate_ou_paths, skorokhod_weight_ou)
 from avgvar import pricing
-from avgvar.errors import NegativeMassWarning
 from avgvar.pricing import payoff_integral
 from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 
@@ -28,24 +27,23 @@ def bs_oracle(s0, strike, r, T, sigma):
 
 
 def test_zero_strike_returns_spot():
-    inner, disc = bs_conditional(0.37, 0.0, 100.0, 0.05, 1.0)
+    disc = bs_conditional(0.37, 0.0, 100.0, 0.05, 1.0)
     assert disc == pytest.approx(100.0, rel=1e-15)
-    assert inner == pytest.approx(100.0 * math.exp(0.05), rel=1e-15)
 
 
 def test_atm_reference_value():
     # sigma = 0.2, s0 = K = 100, r = 0.05, T = 1: the standard textbook call
-    _, disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
+    disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
     assert disc == pytest.approx(bs_oracle(100.0, 100.0, 0.05, 1.0, 0.2), abs=1e-12)
     assert disc == pytest.approx(10.450584, abs=5e-7)
 
 
 def test_zero_vol_limit():
-    _, disc = bs_conditional(0.0, 100.0, 100.0, 0.05, 1.0)
+    disc = bs_conditional(0.0, 100.0, 100.0, 0.05, 1.0)
     assert disc == pytest.approx(100.0 - 100.0 * math.exp(-0.05), rel=1e-12)
     assert disc == pytest.approx(4.877058, abs=5e-7)
     # deep out of the money at zero vol
-    _, disc = bs_conditional(0.0, 200.0, 100.0, 0.05, 1.0)
+    disc = bs_conditional(0.0, 200.0, 100.0, 0.05, 1.0)
     assert disc == 0.0
 
 
@@ -53,7 +51,7 @@ def test_zero_vol_limit():
 @given(sig=st.floats(0.0, 3.0), strike=st.floats(0.0, 400.0),
        r=st.floats(0.0, 0.2), t=st.floats(0.05, 5.0))
 def test_bs_bounds(sig, strike, r, t):
-    _, disc = bs_conditional(sig, strike, 100.0, r, t)
+    disc = bs_conditional(sig, strike, 100.0, r, t)
     lower = max(100.0 - strike * math.exp(-r * t), 0.0)
     assert lower - 1e-9 <= disc <= 100.0 + 1e-9
 
@@ -64,8 +62,8 @@ def test_bs_bounds(sig, strike, r, t):
 def test_bs_strictly_increasing_in_vol(lo, gap, strike):
     # moneyness kept where Phi has float headroom: deep ITM at low vol
     # saturates Phi(d) to 1.0 exactly and the vega is below one ulp
-    _, p1 = bs_conditional(lo, strike, 100.0, 0.05, 1.0)
-    _, p2 = bs_conditional(lo + gap, strike, 100.0, 0.05, 1.0)
+    p1 = bs_conditional(lo, strike, 100.0, 0.05, 1.0)
+    p2 = bs_conditional(lo + gap, strike, 100.0, 0.05, 1.0)
     assert p2 > p1
 
 
@@ -77,8 +75,8 @@ def test_bs_strictly_increasing_in_vol(lo, gap, strike):
 # deep out of the money, it once rounded to -8.4e-323 at sigma = 0.02
 @example(lo=0.01, gap=0.01, strike=226.25)
 def test_bs_nondecreasing_in_vol_everywhere(lo, gap, strike):
-    _, p1 = bs_conditional(lo, strike, 100.0, 0.05, 1.0)
-    _, p2 = bs_conditional(lo + gap, strike, 100.0, 0.05, 1.0)
+    p1 = bs_conditional(lo, strike, 100.0, 0.05, 1.0)
+    p2 = bs_conditional(lo + gap, strike, 100.0, 0.05, 1.0)
     assert p2 >= p1 >= 0.0
 
 
@@ -86,7 +84,7 @@ def test_mixing_constant_samples_exact():
     # a constant sample is its own mean, with no spread (numpy's pairwise
     # sum of 1024 equal values rounds unless their low bits are zero)
     est = price_mixing(np.full(1024, 0.2), 100.0, 100.0, 0.05, 1.0)
-    _, disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
+    disc = bs_conditional(0.2, 100.0, 100.0, 0.05, 1.0)
     assert est.value == disc
     assert est.std_error == 0.0
     assert est.ci95 == (est.value, est.value)
@@ -108,7 +106,7 @@ def test_mixing_empty_raises():
 def test_payoff_integral_matches_quad(strike, lo, hi):
     f = np.concatenate([[lo, hi], np.random.default_rng(SEED).uniform(lo, hi, 8)])
     g = payoff_integral(f, strike, 100.0, 0.05, 1.0)
-    price = lambda x: bs_conditional(math.sqrt(x), strike, 100.0, 0.05, 1.0)[1]
+    price = lambda x: bs_conditional(math.sqrt(x), strike, 100.0, 0.05, 1.0)
     ref = np.array([quad(price, lo, x, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in f])
     assert g[0] == 0.0
     assert np.max(np.abs(g[1:] - ref[1:]) / ref[1:]) < 1e-9
@@ -119,18 +117,14 @@ def test_price_ignores_a_constant_shift_of_the_payoff_integral(ou_model, monkeyp
     batch = simulate_ou_paths(ou_model, make_grid(1.0, 32), NoiseStream(SEED, PURPOSE_VOL),
                               np.arange(2000))
     f, w = batch.avg_variance, skorokhod_weight_ou(batch, ou_model.params).delta
-    dens = malliavin_density(f, w, auto_grid(f))
-    base = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
+    base = price_from_density(f, w, 100.0, 100.0, 0.05, 1.0)
     unshifted = pricing.payoff_integral
     monkeypatch.setattr(pricing, "payoff_integral", lambda *a: unshifted(*a) + 3.7)
-    shifted = price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
+    shifted = price_from_density(f, w, 100.0, 100.0, 0.05, 1.0)
     assert shifted.value == pytest.approx(base.value, rel=1e-12)
     assert shifted.std_error == pytest.approx(base.std_error, rel=1e-9)
 
 
-# at 2048 paths the 41-point grid's mass falls below 0.9 on some seeds;
-# the price does not read the grid
-@pytest.mark.filterwarnings("ignore::avgvar.errors.NegativeMassWarning")
 @pytest.mark.parametrize("tag", ["ou", "cir"])
 def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model):
     """Over 32 seeds the spread of the estimates over the RMS printed SE
@@ -141,22 +135,12 @@ def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model)
     for seed in range(32):
         ens = run_ensemble(model, make_grid(p.T, 32), 2048, seed)
         f, w = ens.valid_samples()
-        dens = malliavin_density(f, w, auto_grid(f))
-        est = price_from_density(dens, 100.0, p.s0, p.r, p.T, samples=f, weights=w)
+        est = price_from_density(f, w, 100.0, p.s0, p.r, p.T)
         values.append(est.value)
         ses.append(est.std_error)
     ratio = np.std(values, ddof=1) / math.sqrt(np.mean(np.square(ses)))
     lo, hi = np.sqrt(chi2.ppf([0.0005, 0.9995], 31) / 31)
     assert lo < ratio < hi
-
-
-def test_low_mass_density_warns():
-    # p = 1 on [0.01, 0.09]: mass 0.08
-    x = np.linspace(0.01, 0.09, 21)
-    f, w = np.array([1.0]), np.array([1.0])
-    dens = malliavin_density(f, w, x)
-    with pytest.warns(NegativeMassWarning):
-        price_from_density(dens, 100.0, 100.0, 0.05, 1.0, samples=f, weights=w)
 
 
 def test_plain_mc_zero_strike_recovers_spot(ou_model):
