@@ -17,7 +17,7 @@ N_STEPS = 256
 SEED = 42
 
 model = validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
-                               r=0.05, mu=0.05, T=1.0), density_mode=True)
+                               r=0.05, mu=0.05, T=1.0))
 print(f"Feller: k^2 = {model.params.k**2:.4f} < 2b = {2*model.params.b:.1f};  "
       f"density condition: 6k^2 = {6*model.params.k**2:.4f} < b = {model.params.b:.1f}")
 

@@ -31,7 +31,7 @@ models = {
     "OU": validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
                                r=0.05, mu=0.05, T=1.0), vol),
     "CIR": validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
-                                  r=0.05, mu=0.05, T=1.0), density_mode=True),
+                                  r=0.05, mu=0.05, T=1.0)),
 }
 
 for tag, model in models.items():

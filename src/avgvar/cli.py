@@ -162,8 +162,7 @@ def parse_config(raw, command, seed=None, out=None):
         model = None if vol is None else validated(validate_ou, p, vol)
     else:
         p = CIRParams(b=num("b"), k=num("k"), z0=num("z0"), **common)
-        # every command checks the density hypotheses: density and price need them
-        model = validated(validate_cir, p, True)
+        model = validated(validate_cir, p)
 
     contract = None
     if "contract" in raw or command == "price":

@@ -264,13 +264,10 @@ def validate_ou(params, vol):
     return ValidatedOUModel(params=params, vol=vol)
 
 
-def validate_cir(params, density_mode=False):
-    """Validate a CIR-volatility model.
-
-    The Feller-type condition k^2 < 2b keeps the variance strictly positive
-    and is always required; density mode additionally needs 6 k^2 < b, the
-    hypothesis under which the averaged-variance density formula holds.
-    """
+def validate_cir(params):
+    """Validate a CIR-volatility model: the Feller-type condition k^2 < 2b
+    keeps the variance positive, and 6 k^2 < b is the hypothesis of the
+    averaged-variance density formula. Each is required and reported."""
     violations = []
     if not (params.b > 0):
         violations.append(("E_NONPOSITIVE_B", f"b must be > 0, got {params.b}"))
@@ -281,7 +278,7 @@ def validate_cir(params, density_mode=False):
     k2 = params.k * params.k
     if params.b > 0 and params.k > 0 and not (k2 < 2.0 * params.b):
         violations.append(("E_FELLER", "k^2 >= 2*b"))
-    if density_mode and params.b > 0 and params.k > 0 and not (6.0 * k2 < params.b):
+    if params.b > 0 and params.k > 0 and not (6.0 * k2 < params.b):
         violations.append(("E_DENSITY_CONDITION", "6*k^2 >= b"))
     if not (params.z0 > 0):
         violations.append(("E_NONPOSITIVE_Z0", f"z0 must be > 0, got {params.z0}"))

@@ -11,14 +11,14 @@ the trajectory's averaged volatility sig_bar:
 with the sig_bar -> 0 limit (s0 e^{rT} - K)^+ taken by continuity. In the
 money it is evaluated by put-call parity as s0 e^{rT} - K plus the put
 K Phi(-d2) - s0 e^{rT} Phi(-d1), so that the rounding of two Phi values
-near 1 never swamps the vega. Three
-estimators of the unconditional price must agree:
+near 1 never swamps the vega. Three estimators of the unconditional price
+must agree:
 
   * mixing:    discounted average of E(sig_bar) over simulated trajectories,
   * density quadrature: integrate the conditional price against the
     Malliavin density estimate of the averaged variance, exactly, from the
-    weighted samples rather than from a density grid, less three
-    integration-by-parts control variates,
+    weighted samples and the price's closed-form antiderivative, less
+    three integration-by-parts control variates,
   * plain MC:  discounted average payoff of simulated terminal prices.
 
 Each estimate is a sample mean with its standard error and 95% interval,
@@ -38,14 +38,16 @@ import numpy as np
 from .density import ibp_controls, mean_and_se, subtract_controls
 from .errors import EmptyEnsemble
 
-TABLE_NODES = 1025  # nodes of the payoff_integral table over [min F, max F]
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+NEAR_MEAN = 1e-3  # relative distance to the mean sample within which G is a 3-point rule
+_GAUSS_3 = tuple(zip(0.5 + 0.5 * math.sqrt(0.6) * np.array([-1, 0, 1]), (5 / 18, 8 / 18, 5 / 18)))
 
 
 def _phi(x):
     """Standard normal CDF via erfc (monkeypatchable for fault injection)."""
-    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
+    y = -np.asarray(x, dtype=float) / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
 
 @dataclass
@@ -60,6 +62,46 @@ class PriceEstimate:
         return self.ci95[0] <= other.ci95[1] and other.ci95[0] <= self.ci95[1]
 
 
+def _black_scholes(total, strike, s0, r, T):
+    """The undiscounted conditional call at total volatilities ``total`` =
+    sig_bar sqrt(T) (a 1-D array), and its antiderivative in v = total^2,
+    A(v) = v (fwd - K)^+ + (v - 4) c + 2 m t + 4 fwd sqrt(v) phi(d1) with
+    A(0) = 0: fwd = s0 e^{rT}, m = ln(fwd / K), c the out-of-the-money
+    option and t = fwd Phi(d1) + K Phi(d2), or in the money
+    -(fwd Phi(-d1) + K Phi(-d2)), from the same two Phi values. At K = 0
+    they are fwd and fwd v."""
+    fwd = s0 * math.exp(r * T)
+    var = total * total
+    # below s0 / 1.8e308 a strike is 0 to float64, and ln(s0 / K) overflows
+    if strike <= 0 or s0 / strike == math.inf:
+        return np.full_like(total, fwd), fwd * var
+    intrinsic = max(fwd - strike, 0.0)
+    call = np.full_like(total, intrinsic)
+    integral = intrinsic * var
+    live = total > 0
+    if np.any(live):
+        tl = total[live]
+        m = math.log(s0 / strike) + r * T
+        # subnormal total vol may overflow d to +-inf; Phi saturates to
+        # the correct 0/1 limit and phi to 0, so the results are still right
+        with np.errstate(over="ignore"):
+            d1 = m / tl + 0.5 * tl
+            d2 = d1 - tl
+            density = np.exp(-0.5 * d1 * d1)
+        if fwd > strike:
+            p1, p2 = _phi(-d1), _phi(-d2)
+            otm, tails = strike * p2 - fwd * p1, -(fwd * p1 + strike * p2)
+        else:
+            p1, p2 = _phi(d1), _phi(d2)
+            otm, tails = fwd * p1 - strike * p2, fwd * p1 + strike * p2
+        # deep out of the money the difference can round below 0
+        otm = np.maximum(otm, 0.0)
+        call[live] += otm
+        integral[live] += ((var[live] - 4.0) * otm + 2.0 * m * tails
+                           + 4.0 * _INV_SQRT_2PI * fwd * tl * density)
+    return call, integral
+
+
 def bs_conditional(sigma_bar, strike, s0, r, T):
     """Discounted conditional Black-Scholes call value e^{-rT} E(sig_bar).
     Vectorized in sigma_bar; sigma_bar = 0 and K = 0 handled by their limits.
@@ -71,33 +113,9 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
     option value is resolved in float64.
     """
     sig = np.asarray(sigma_bar, dtype=float)
-    scalar = sig.ndim == 0
-    sig = np.atleast_1d(sig)
-    fwd = s0 * math.exp(r * T)
-
-    inner = np.empty_like(sig)
-    total = sig * math.sqrt(T)
-    live = total > 0
-    if strike <= 0:
-        inner[:] = fwd
-    else:
-        intrinsic = max(fwd - strike, 0.0)
-        inner[~live] = intrinsic
-        if np.any(live):
-            tl = total[live]
-            # subnormal total vol may overflow d to +-inf; Phi saturates to
-            # the correct 0/1 limit, so the result is still the right one
-            with np.errstate(over="ignore"):
-                d1 = (math.log(s0 / strike) + r * T) / tl + 0.5 * tl
-                d2 = d1 - tl
-            if fwd > strike:
-                otm = strike * _phi(-d2) - fwd * _phi(-d1)
-            else:
-                otm = fwd * _phi(d1) - strike * _phi(d2)
-            # deep out of the money the difference can round below 0
-            inner[live] = intrinsic + np.maximum(otm, 0.0)
-    disc = math.exp(-r * T) * inner
-    return float(disc[0]) if scalar else disc
+    call, _ = _black_scholes(np.atleast_1d(sig) * math.sqrt(T), strike, s0, r, T)
+    disc = math.exp(-r * T) * call
+    return float(disc[0]) if sig.ndim == 0 else disc
 
 
 def mc_estimate(terms, method="mean", empty_message="no sample to average"):
@@ -120,58 +138,43 @@ def price_mixing(sigma_bar_samples, strike, s0, r, T):
                        "mixing pricer needs at least one sigma_bar sample")
 
 
-def payoff_integral(samples, strike, s0, r, T, nodes=TABLE_NODES):
-    """G(F) = the integral from min F to F of the discounted conditional
-    price at sig_bar = sqrt(x), for each sample F.
-
-    G is tabulated on ``nodes`` uniform nodes over [min F, max F] by the
-    cumulative trapezoid rule with its end correction -h^2/12 (f'(b) -
-    f'(a)), f' taken by second-order differences, and read between nodes by
-    the cubic Hermite interpolant of G and G' = f. Both steps are fourth
-    order in the node spacing h.
-    """
-    f = np.asarray(samples, dtype=float)
-    lo, hi = float(f.min()), float(f.max())
-    h = (hi - lo) / (nodes - 1)
-    if not h > 0:
-        return np.zeros_like(f)
-    u = np.linspace(lo, hi, nodes)
-    pay = bs_conditional(np.sqrt(np.maximum(u, 0.0)), strike, s0, r, T)
-    slope = np.gradient(pay, h, edge_order=2)
-    table = np.zeros(nodes)
-    np.cumsum(0.5 * h * (pay[1:] + pay[:-1]) - h * h / 12.0 * np.diff(slope), out=table[1:])
-
-    s = (f - lo) / h
-    k = np.minimum(s.astype(np.intp), nodes - 2)
-    t = s - k
-    t1 = t - 1.0
-    # cubic Hermite basis on [u_k, u_k+1] at t, times the values and slopes
-    return (t1 * t1 * ((1.0 + 2.0 * t) * table[k] + t * h * pay[k])
-            + t * t * ((3.0 - 2.0 * t) * table[k + 1] + t1 * h * pay[k + 1]))
+def payoff_integral(samples, strike, s0, r, T):
+    """G(F) = the integral from m, the mean sample, to F of the discounted
+    conditional price at sig_bar = sqrt(x): e^{-rT} (A(F T) - A(m T)) / T,
+    A the closed form of ``_black_scholes``. A rounds to about 1e-16 of
+    4 s0 e^{rT} however close F is to m, which a weight of order 1e9
+    (k -> 0) would multiply; so within ``NEAR_MEAN`` of m, G is the 3-point
+    Gauss-Legendre rule over [m, F], exact there to its rounding."""
+    v = np.asarray(samples, dtype=float) * T
+    v0 = float(np.mean(v))
+    integral = _black_scholes(np.sqrt(np.append(v, v0)), strike, s0, r, T)[1]
+    g = integral[:-1] - integral[-1]
+    near = np.abs(v - v0) <= NEAR_MEAN * v0
+    if np.any(near):
+        step = v[near] - v0
+        g[near] = sum(wt * step * _black_scholes(np.sqrt(v0 + x * step), strike, s0, r, T)[0]
+                      for x, wt in _GAUSS_3)
+    return math.exp(-r * T) / T * g
 
 
-def price_from_density(samples, weights, strike, s0, r, T, nodes=TABLE_NODES):
+def price_from_density(samples, weights, strike, s0, r, T):
     """The integral of the discounted conditional price against the
     Malliavin density estimate p_hat(x) = mean_i 1{F_i > x} w_i of the
-    weighted ensemble (``samples`` F, ``weights`` w), over every x: no
-    density grid is built or read.
-
-    With G' the conditional price (``payoff_integral``, on ``nodes``
-    nodes), the integral is the sample mean of the per-path terms
-    w_i G(F_i), which gives its exact standard error. The weight is the
-    exact divergence for F_n, so the controls of ``density.ibp_controls``
-    have mean zero. Their in-sample least-squares fit is subtracted from the
-    terms (``density.subtract_controls``): the mean moves by O(1/N) at most
-    and the SE falls 150-fold (OU) and 600-fold (CIR) on the demo models.
-    The w control also makes the estimate blind to G's lower limit, since
-    shifting G by a constant moves each term by a multiple of w.
+    weighted ensemble (``samples`` F, ``weights`` w), over every x, with no
+    density grid: the sample mean of the per-path terms w_i G(F_i), G' the
+    conditional price (``payoff_integral``), which gives its exact SE.
+    The weight is the exact divergence for F_n, so the controls of
+    ``density.ibp_controls`` have mean zero; their in-sample least-squares
+    fit is subtracted from the terms (``density.subtract_controls``): the
+    mean moves by O(1/N) at most and the SE falls 150-fold (OU) and
+    600-fold (CIR) on the demo models. The w control also makes the
+    estimate blind to G's lower limit.
     """
     f = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
     if f.size == 0:
         raise EmptyEnsemble("density quadrature needs at least one weighted sample")
-    terms = subtract_controls(w * payoff_integral(f, strike, s0, r, T, nodes),
-                              ibp_controls(f, w))
+    terms = subtract_controls(w * payoff_integral(f, strike, s0, r, T), ibp_controls(f, w))
     return mc_estimate(terms, "density_quadrature")
 
 

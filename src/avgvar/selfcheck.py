@@ -95,8 +95,8 @@ class CheckContext:
         self.scale, self.seed, self.threads = scale, seed, threads
         vol = reference_vol_family(*REFERENCE_VOL)
         self.models = {"ou": validate_ou(OU_REFERENCE, vol),
-                       "cir": validate_cir(CIR_REFERENCE, density_mode=True),
-                       "cir_fast": validate_cir(CIR_FAST_DECAY, density_mode=True)}
+                       "cir": validate_cir(CIR_REFERENCE),
+                       "cir_fast": validate_cir(CIR_FAST_DECAY)}
         for alpha in COARSE_OU_ALPHAS:
             self.models[f"ou_alpha{alpha:g}"] = validate_ou(dataclasses.replace(
                 OU_REFERENCE, alpha=alpha, k=0.5 * math.sqrt(alpha)), vol)
@@ -158,12 +158,6 @@ def _zcheck(ctx, values, target=0.0):
 
 def _rel(value, ref):
     return abs(value - ref) / abs(ref)
-
-
-def _quadrature_price(ctx, tag, nodes=pricing.TABLE_NODES):
-    p = ctx.models[tag].params
-    _, f, d, _ = ctx.weighted(tag)
-    return pricing.price_from_density(f, d, STRIKE, p.s0, p.r, p.T, nodes)
 
 
 @criterion("ou_terminal_mean", "ou_terminal_var")
@@ -263,7 +257,8 @@ def price_triangle(ctx):
     rows = []
     for tag in MODELS:
         p = ctx.models[tag].params
-        dq = _quadrature_price(ctx, tag)
+        _, f, d, _ = ctx.weighted(tag)
+        dq = pricing.price_from_density(f, d, STRIKE, p.s0, p.r, p.T)
         mix = pricing.price_mixing(np.sqrt(ctx.mixing(tag).avg_variance), STRIKE,
                                    p.s0, p.r, p.T)
         plain = pricing.price_plain_mc(ctx.plain(tag).terminal_asset[:ctx.scale.n_price],
@@ -353,18 +348,22 @@ def reproducibility(ctx):
     return [(same, "bit-identical across threads and reruns" if same else "outputs differ")]
 
 
-@criterion("ou_quadrature_convergence", "cir_quadrature_convergence")
-def quadrature_convergence(ctx):
-    """Doubling the table of the payoff's integral G (1025 -> 2049 nodes)
-    moves the quadrature price by less than half its standard error."""
+@criterion("ou_ibp_price_identity", "cir_ibp_price_identity")
+def ibp_price_identity(ctx):
+    """E[delta G(F)] = E[C(sqrt F)], C the discounted conditional price and
+    G its antiderivative: integration by parts, exact at every n. The terms
+    are read from the raw weights, less their fit on delta alone, which
+    stays mean-zero under any rescaling of delta (unlike the quadrature
+    price's F delta - 1 control), so a weight 5% too large fails."""
     rows = []
-    fine_nodes = 2 * pricing.TABLE_NODES - 1
     for tag in MODELS:
-        coarse = _quadrature_price(ctx, tag)
-        fine = _quadrature_price(ctx, tag, fine_nodes)
-        moved, bound = abs(fine.value - coarse.value), 0.5 * coarse.std_error
-        rows.append((moved < bound, f"|p{fine_nodes} - p{pricing.TABLE_NODES}| {moved:.2e} "
-                     f"bound {bound:.2e}"))
+        p = ctx.models[tag].params
+        _, f, d, _ = ctx.weighted(tag)
+        terms = (d * pricing.payoff_integral(f, STRIKE, p.s0, p.r, p.T)
+                 - pricing.bs_conditional(np.sqrt(f), STRIKE, p.s0, p.r, p.T))
+        dc = d - d.mean()
+        beta = np.einsum("p,p->", dc, terms) / np.einsum("p,p->", dc, dc)
+        rows.append(_zcheck(ctx, terms - beta * d))
     return rows
 
 
@@ -390,7 +389,7 @@ def coarse_grid_duality(ctx):
 CRITERIA = (ou_moments, cir_moments, zero_mean_weights, duality, density_normalization,
             density_vs_kde, density_cdf_consistency, price_triangle,
             deterministic_vol_exactness, martingale, positivity_guards, kernel_oracles,
-            reproducibility, quadrature_convergence, coarse_grid_duality)
+            reproducibility, ibp_price_identity, coarse_grid_duality)
 
 
 def run_criterion(check, ctx):

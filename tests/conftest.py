@@ -22,14 +22,14 @@ def ou_model(ref_vol):
 @pytest.fixture(scope="session")
 def cir_model():
     return validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
-                                  r=0.05, mu=0.05, T=1.0), density_mode=True)
+                                  r=0.05, mu=0.05, T=1.0))
 
 
 @pytest.fixture(scope="session")
 def fast_cir():
     """Fast mean reversion over a long horizon (b=20, k=1.5, z0=0.5, T=2):
     one Euler step on an 8-step grid moves Z a quarter of the way to b."""
-    return validate_cir(CIR_FAST_DECAY, density_mode=True)
+    return validate_cir(CIR_FAST_DECAY)
 
 
 @pytest.fixture(scope="session")

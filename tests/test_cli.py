@@ -383,6 +383,25 @@ def test_scaled_ou_weight_fails_the_raw_weight_checks(monkeypatch):
         assert cir_row.passed, cir_row
 
 
+def test_weight_five_percent_too_large_fails_the_price_identity(monkeypatch):
+    """Fault injection: OU and CIR weights 5% too large must fail both
+    integration-by-parts price identity rows at QUICK and the pinned seed.
+    No other statistical row catches a fault this small."""
+    def scaled(make_weight):
+        def weight(batch, params, ws=None):
+            wb = make_weight(batch, params, ws=ws)
+            wb.delta = 1.05 * wb.delta
+            return wb
+        return weight
+
+    for name in ("skorokhod_weight_ou", "skorokhod_weight_cir"):
+        monkeypatch.setattr(ensemble, name, scaled(getattr(ensemble, name)))
+    rows = selfcheck.run_criterion(selfcheck.ibp_price_identity,
+                                   selfcheck.CheckContext(selfcheck.QUICK))
+    assert [row.name for row in rows] == ["ou_ibp_price_identity", "cir_ibp_price_identity"]
+    assert not any(row.passed for row in rows), rows
+
+
 def test_density_tiny_ensemble_still_exits_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, ensemble={"n_paths": 10, "seed": 2})
     assert cli.main(["density", "--config", cfg]) == 0

@@ -253,9 +253,11 @@ def test_weighted_path_with_a_floored_step_fails():
     """The CIR step has no derivative where it is floored. Of these 2048
     paths at n = 1024, path 576 is floored on one step, within the
     unweighted budget FLOOR_RATE_LIMIT * n: it fails, with a NaN weight,
-    only when weights are computed."""
-    from avgvar import CIRParams, validate_cir
-    model = validate_cir(CIRParams(b=0.05, k=0.2, z0=0.05, s0=100.0, r=0.05, mu=0.05, T=1.0))
+    only when weights are computed. The model breaks 6 k^2 < b, so
+    validate_cir rejects it; it is built directly, as a model that floors
+    a path."""
+    from avgvar import CIRParams, ValidatedCIRModel
+    model = ValidatedCIRModel(CIRParams(b=0.05, k=0.2, z0=0.05, s0=100.0, r=0.05, mu=0.05, T=1.0))
     grid = make_grid(1.0, 1024)
     plain = run_ensemble(model, grid, 2048, 21, compute_weights=False)
     assert plain.n_failures == 0

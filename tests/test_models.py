@@ -45,18 +45,17 @@ def test_all_violations_reported(ref_vol):
             "E_NONPOSITIVE_MATURITY"} <= got
 
 
-def test_cir_reference_accepted_in_density_mode(cir_model):
+def test_cir_reference_accepted(cir_model):
     # 6 * 0.25^2 = 0.375 < 1
-    assert validate_cir(cir_model.params, density_mode=True) == cir_model
+    assert validate_cir(cir_model.params) == cir_model
 
 
 def test_cir_density_condition_violation():
     # k^2 = 1.44 < 2 passes Feller, but 6 * 1.44 = 8.64 >= 1
     p = CIRParams(b=1.0, k=1.2, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     with pytest.raises(ValidationError) as err:
-        validate_cir(p, density_mode=True)
+        validate_cir(p)
     assert codes(err) == {"E_DENSITY_CONDITION"}
-    validate_cir(p, density_mode=False)  # fine without the density hypothesis
 
 
 def test_cir_feller_violation():
@@ -172,18 +171,16 @@ def test_validation_is_total(alpha, k, y0, s0, r, T):
 
 
 @settings(max_examples=200, deadline=None)
-@given(b=finite_or_weird, k=finite_or_weird, z0=finite_or_weird,
-       density_mode=st.booleans())
-@example(b=2.0, k=2.0, z0=1.0, density_mode=False)        # k^2 == 2b exactly
-@example(b=1176.0, k=14.0, z0=1.0, density_mode=True)     # 6k^2 == b exactly
-def test_cir_validation_is_total(b, k, z0, density_mode):
+@given(b=finite_or_weird, k=finite_or_weird, z0=finite_or_weird)
+@example(b=2.0, k=2.0, z0=1.0)        # k^2 == 2b exactly
+@example(b=1176.0, k=14.0, z0=1.0)    # 6k^2 == b exactly
+def test_cir_validation_is_total(b, k, z0):
     params = CIRParams(b=b, k=k, z0=z0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     try:
-        validate_cir(params, density_mode=density_mode)
+        validate_cir(params)
         # np floats saturate to inf instead of raising on overflow
         with np.errstate(over="ignore"):
             assert np.float64(k) ** 2 < 2 * np.float64(b)
-            if density_mode:
-                assert 6 * np.float64(k) ** 2 < np.float64(b)
+            assert 6 * np.float64(k) ** 2 < np.float64(b)
     except ValidationError as err:
         assert len(err.violations) >= 1

@@ -50,6 +50,8 @@ def test_zero_vol_limit():
 @settings(max_examples=200, deadline=None)
 @given(sig=st.floats(0.0, 3.0), strike=st.floats(0.0, 400.0),
        r=st.floats(0.0, 0.2), t=st.floats(0.05, 5.0))
+# a strike so small that ln(s0 / K) overflows once met 0 * inf
+@example(sig=1.0, strike=2.2250738585072014e-308, r=0.0, t=1.0)
 def test_bs_bounds(sig, strike, r, t):
     disc = bs_conditional(sig, strike, 100.0, r, t)
     lower = max(100.0 - strike * math.exp(-r * t), 0.0)
@@ -101,15 +103,55 @@ def test_mixing_empty_raises():
         price_mixing(np.array([]), 100.0, 100.0, 0.05, 1.0)
 
 
-@pytest.mark.parametrize("strike", [80.0, 100.0, 130.0])
-@pytest.mark.parametrize("lo, hi", [(0.012, 0.2), (0.5, 1.6)])  # OU and CIR demo spreads
-def test_payoff_integral_matches_quad(strike, lo, hi):
+def _payoff_integral_error(strike, lo, hi):
+    """G(F) - G(lo) against adaptive quadrature of the conditional price
+    over [lo, F], at lo, hi and 8 uniform draws between; the errors and
+    the references."""
     f = np.concatenate([[lo, hi], np.random.default_rng(SEED).uniform(lo, hi, 8)])
     g = payoff_integral(f, strike, 100.0, 0.05, 1.0)
     price = lambda x: bs_conditional(math.sqrt(x), strike, 100.0, 0.05, 1.0)
-    ref = np.array([quad(price, lo, x, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in f])
-    assert g[0] == 0.0
-    assert np.max(np.abs(g[1:] - ref[1:]) / ref[1:]) < 1e-9
+    ref = np.array([quad(price, lo, x, epsabs=0.0, epsrel=1e-13, limit=200)[0] for x in f[1:]])
+    return (g[1:] - g[0]) - ref, ref
+
+
+AT_THE_FORWARD = 100.0 * math.exp(0.05)  # m = ln(s0 / K e^{-rT}) = 0
+
+
+@pytest.mark.parametrize("strike", [80.0, 100.0, 130.0, AT_THE_FORWARD])
+@pytest.mark.parametrize("lo, hi", [(0.012, 0.2), (0.5, 1.6)])  # OU and CIR demo spreads
+def test_payoff_integral_matches_quad(strike, lo, hi):
+    err, ref = _payoff_integral_error(strike, lo, hi)
+    assert np.max(np.abs(err) / ref) < 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(0.012, 0.2), (1e-8, 1.6)])
+def test_payoff_integral_at_zero_strike_is_linear(lo, hi):
+    f = np.concatenate([[lo, hi], np.random.default_rng(SEED).uniform(lo, hi, 8)])
+    g = payoff_integral(f, 0.0, 100.0, 0.05, 1.0)
+    np.testing.assert_allclose(g[1:] - g[0], 100.0 * (f[1:] - lo), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("strike", [1e-6, 80.0, AT_THE_FORWARD, 130.0, 1e6])
+@pytest.mark.parametrize("lo, hi", [(1e-8, 1e-3), (1e-8, 0.2), (1e-8, 1.6)])
+def test_payoff_integral_near_zero_and_in_the_tails(strike, lo, hi):
+    # relative error means nothing where the price is below the float64
+    # resolution of its neighbours, so the bound is on s0 (hi - lo)
+    err, _ = _payoff_integral_error(strike, lo, hi)
+    assert np.max(np.abs(err)) <= 1e-12 * 100.0 * (hi - lo)
+
+
+@pytest.mark.parametrize("strike", [80.0, 100.0, 130.0, AT_THE_FORWARD])
+@pytest.mark.parametrize("mean", [0.04, 1.0])
+def test_payoff_integral_next_to_the_mean_sample_matches_quad(strike, mean):
+    # within NEAR_MEAN of the mean sample, G is the 3-point rule from it,
+    # exact to rounding however small the integral is
+    f = mean * (1.0 + np.linspace(-2.0, 2.0, 9) * pricing.NEAR_MEAN)
+    near = np.abs(f - f.mean()) <= pricing.NEAR_MEAN * f.mean()
+    assert 0 < near.sum() < f.size
+    g = payoff_integral(f, strike, 100.0, 0.05, 1.0)[near]
+    price = lambda x: bs_conditional(math.sqrt(x), strike, 100.0, 0.05, 1.0)
+    ref = np.array([quad(price, f.mean(), x, epsabs=0.0, epsrel=1e-13)[0] for x in f[near]])
+    assert np.all(np.abs(g - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_price_ignores_a_constant_shift_of_the_payoff_integral(ou_model, monkeypatch):

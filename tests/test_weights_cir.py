@@ -164,7 +164,7 @@ def test_kernel_survives_extreme_log_phi_range():
     magnitude; the scheme's step derivatives stay finite, and the sweeps
     keep agreeing with the dense oracle."""
     params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, mu=0.05, T=30.0)
-    model = validate_cir(params, density_mode=True)
+    model = validate_cir(params)
     grid = make_grid(30.0, 64)
     batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), np.arange(2))
     assert not batch.kinked.any()
