@@ -95,7 +95,7 @@ class RunSpec:
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def load_config(path):
@@ -205,20 +205,22 @@ def parse_config(raw, command, seed=None, out=None):
                    x_grid=x_grid, out_dir=out or directory, fmt=fmt)
 
 
-def _write_rows(spec, name, header, rows):
+def _write_rows(spec, name, header, columns):
+    """Write a table, given as one array or sequence per field of
+    ``header``, to ``name`` in the run's output format."""
     header = header.split()
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     os.makedirs(spec.out_dir, exist_ok=True)
     path = os.path.join(spec.out_dir, f"{name}.{spec.fmt}")
     with open(path, "w") as fh:
         if spec.fmt == "csv":
-            lines = [",".join(header)]
-            lines += (",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                      for row in rows)
-            fh.write("\n".join(lines) + "\n")
+            cells = [["%.17g" % v if isinstance(v, float) else str(v) for v in column]
+                     for column in columns]
+            fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
         else:
             # JSON has no NaN; a non-finite value is written as null
             json.dump([{key: None if isinstance(v, float) and not math.isfinite(v) else v
-                        for key, v in zip(header, row)} for row in rows],
+                        for key, v in zip(header, row)} for row in zip(*columns)],
                       fh, indent=1, allow_nan=False)
             fh.write("\n")
     return path
@@ -255,10 +257,10 @@ def cmd_density(spec, threads):
     kde = kde_density(f_samples, x_grid) if f_samples.size >= KDE_MIN_SAMPLES else None
     kde_cols = (kde.p_hat, kde.se) if kde else (np.full(x_grid.size, np.nan),) * 2
     path1 = _write_rows(spec, "density", "x p_malliavin se_malliavin p_kde se_kde",
-                        zip(x_grid, dens.p_hat, dens.se, *kde_cols))
+                        [x_grid, dens.p_hat, dens.se, *kde_cols])
     path2 = _write_rows(spec, "weights", "path_index avg_variance weight denominator",
-                        zip(range(result.n_paths), result.avg_variance,
-                            result.weight, result.denominator))
+                        [range(result.n_paths), result.avg_variance,
+                         result.weight, result.denominator])
     print(f"[avgvar] wrote {path1} and {path2} ({result.n_failures} failed "
           f"paths of {result.n_paths})", file=sys.stderr)
     duality = pricing.mc_estimate(f_samples * weights).value
@@ -280,7 +282,7 @@ def cmd_price(spec, threads):
                  pricing.price_plain_mc(plain_res.terminal_asset, strike, p.r, p.T),
                  pricing.martingale_check(plain_res.terminal_asset, p.s0, p.r, p.T))
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
-                       [(e.method, e.value, e.std_error, *e.ci95) for e in estimates])
+                       zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
     print(f"[avgvar] wrote {path}", file=sys.stderr)
     for e in estimates:
         print(f"{e.method} value={_fmt(e.value)} se={_fmt(e.std_error)}")

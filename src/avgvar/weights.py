@@ -32,6 +32,14 @@ deterministic vector; a nonlinear one (CIR) has f(y) = y, so f' = 1 and
 f'' = 0. Every recursion has factors Phi_y, so nothing grows like
 e^{+alpha t}.
 
+A nonlinear scheme's step derivatives are (n, P) like the paths, and are
+never whole arrays: ``sweep_weight`` asks the model's kernel for them one
+tile of ``paths.TILE_ROWS`` step rows at a time, into tile-sized slots,
+in descending tiles for the backward pass and again in ascending tiles
+for the forward one. Computing them twice, in cache, costs about what
+writing them out once and reading them back row by row did, and a chunk
+touches four fewer whole arrays.
+
 Every array is time-major (``avgvar.paths``) and every per-path sum is
 ``paths.node_sum``. Nothing here decides a failure: a path with |g|^2 = 0
 gets whatever the division gives, and ``run_ensemble`` alone flags it.
@@ -41,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import node_sum
-from .workspace import take
+from .paths import TILE_ROWS, node_sum
+from .workspace import take, tiles
 
 
 @dataclass
@@ -63,18 +71,6 @@ def _divergence(g_xi, trace_h, hessian_gg, g_sq):
                        hessian_gg=hessian_gg)
 
 
-def _gradient(lam, phi_y, phi_xi, dW, dt):
-    """The backward pass, in place: ``lam`` holds c_j f'_j on entry and
-    g_{j-1} in its rows 1..n on exit (row 0 is spent). Returns g . xi and
-    |g|^2, with xi = dW / sqrt(dt)."""
-    scalar = np.ndim(phi_y) == 0
-    for j in range(len(lam) - 2, 0, -1):
-        lam[j] += lam[j + 1] * (phi_y if scalar else phi_y[j])
-    g = lam[1:]
-    g *= phi_xi
-    return node_sum(dW, g) / np.sqrt(dt), node_sum(g, g)
-
-
 def linear_weight(grid, fp, fpp, phi_y, phi_xi, dW, df=1.0, ws=None):
     """The weight of a linear scheme with constant Phi_y and Phi_xi, where
     f' = df * fp and f'' = df * fpp at the nodes. With a workspace ``ws``
@@ -82,7 +78,12 @@ def linear_weight(grid, fp, fpp, phi_y, phi_xi, dW, df=1.0, ws=None):
     run in place over it. Without one, fp is left as it is."""
     c = df * grid.trapezoid_weights / grid.T
     lam = np.multiply(fp, c[:, None], out=None if ws is None else fp)
-    g_xi, g_sq = _gradient(lam, phi_y, phi_xi, dW, grid.dt)
+    for j in range(len(lam) - 2, 0, -1):
+        lam[j] += lam[j + 1] * phi_y
+    g = lam[1:]  # g_{j-1} in row j; row 0 is spent
+    g *= phi_xi
+    g_xi = node_sum(dW, g) / np.sqrt(grid.dt)
+    g_sq = node_sum(g, g)
     lam[0] = 0.0
     for j in range(1, len(lam)):
         lam[j] += lam[j - 1] * phi_y
@@ -94,36 +95,53 @@ def linear_weight(grid, fp, fpp, phi_y, phi_xi, dW, df=1.0, ws=None):
     return _divergence(g_xi, node_sum(fpp, c * s), phi_xi**2 * node_sum(lam, fpp), g_sq)
 
 
-def sweep_weight(grid, phi_y, phi_xi, phi_yy, phi_yxi, dW, ws=None):
-    """The weight of a nonlinear scheme with f(y) = y from its (n, P) step
-    derivatives, which it spends: 2 Phi_yxi g, Phi_xi g and Phi_xi^2
-    overwrite Phi_yxi, g and Phi_xi. The gradient runs in slot ``lam`` of
-    a workspace ``ws``."""
+def sweep_weight(grid, kernel, dW, ws=None):
+    """The weight of a nonlinear scheme with f(y) = y. ``kernel(lo, hi, tw)``
+    returns the step derivatives (Phi_y, Phi_xi, Phi_yy, Phi_yxi) of step
+    rows lo..hi-1 as (hi - lo, P) arrays, which it may take from the
+    tile-sized workspace ``tw`` and which the sweeps spend. The backward
+    pass runs over tiles from the last, and leaves g_j = Phi_xi lambda_{j+1}
+    in rows 1..n of slot ``lam`` of a workspace ``ws``; the forward pass
+    runs over tiles from the first, and first overwrites each tile's
+    Phi_yxi, g and Phi_xi with 2 Phi_yxi g, Phi_xi g and Phi_xi^2."""
     c = grid.trapezoid_weights / grid.T
     n, P = dW.shape
+    tw = tiles(ws, TILE_ROWS * P)
+    starts = range(0, n, TILE_ROWS)
     lam = take(ws, "lam", (n + 1, P))
     lam[:] = c[:, None]
-    g_xi, g_sq = _gradient(lam, phi_y, phi_xi, dW, grid.dt)
+    for lo in reversed(starts):
+        hi = min(lo + TILE_ROWS, n)
+        phi_y, phi_xi = kernel(lo, hi, tw)[:2]
+        for j in range(hi - 1, max(lo, 1) - 1, -1):
+            lam[j] += lam[j + 1] * phi_y[j - lo]
+        lam[lo + 1:hi + 1] *= phi_xi  # rows this tile's loop has read
     g = lam[1:]
-    phi_yxi *= g
-    phi_yxi *= 2.0
-    g *= phi_xi
-    phi_xi *= phi_xi
+    g_xi = node_sum(dW, g) / np.sqrt(grid.dt)
+    g_sq = node_sum(g, g)
 
     x = np.zeros((4, P))  # V, U, S, D at the current node
     h = np.empty((2, P))
     acc = np.zeros((2, P))  # sum_j U_j and sum_j D_j over interior nodes
-    for j in range(n):
-        np.multiply(x[0::2], phi_yy[j], out=h)
-        h[0] += phi_yxi[j]
-        h[0] *= x[0]
-        x *= phi_y[j]
-        x[2] *= phi_y[j]
-        x[0] += g[j]
-        x[2] += phi_xi[j]
-        x[1::2] += h
-        if j < n - 1:
-            acc += x[1::2]
+    for lo in starts:
+        hi = min(lo + TILE_ROWS, n)
+        phi_y, phi_xi, phi_yy, phi_yxi = kernel(lo, hi, tw)
+        g_tile = g[lo:hi]
+        phi_yxi *= g_tile
+        phi_yxi *= 2.0
+        g_tile *= phi_xi
+        phi_xi *= phi_xi
+        for i in range(hi - lo):
+            np.multiply(x[0::2], phi_yy[i], out=h)
+            h[0] += phi_yxi[i]
+            h[0] *= x[0]
+            x *= phi_y[i]
+            x[2] *= phi_y[i]
+            x[0] += g_tile[i]
+            x[2] += phi_xi[i]
+            x[1::2] += h
+            if lo + i < n - 1:
+                acc += x[1::2]
     acc += 0.5 * x[1::2]
     acc *= c[1]
     return _divergence(g_xi, acc[1], acc[0], g_sq)

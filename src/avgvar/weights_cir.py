@@ -18,18 +18,21 @@ from .weights import sweep_weight
 from .workspace import take
 
 
-def cir_kernel(batch, params, ws=None):
-    """The step derivatives (Phi_z, Phi_xi, Phi_zz, Phi_zxi) of a batch of
-    CIR paths, each a time-major (n, P) array: with a workspace ``ws``
-    its slots phi_z, sqrt_z, tmp0 and phi_zxi."""
-    z = batch.states[:-1]
-    dW = batch.dW
+def cir_kernel(batch, params, ws=None, lo=0, hi=None):
+    """The step derivatives (Phi_z, Phi_xi, Phi_zz, Phi_zxi) of step rows
+    lo..hi-1 of a batch of CIR paths (all n rows without a range), each a
+    time-major (hi - lo, P) array: with a workspace ``ws`` its slots
+    phi_z, phi_xi, phi_zz and phi_zxi."""
+    if hi is None:
+        hi = batch.grid.n_steps
+    z = batch.states[lo:hi]
+    dW = batch.dW[lo:hi]
     dt = batch.grid.dt
     k = params.k
-    phi_xi = np.sqrt(z, out=take(ws, "sqrt_z", dW.shape))
+    phi_xi = np.sqrt(z, out=take(ws, "phi_xi", dW.shape))
     r = np.divide(0.5 * k, phi_xi, out=take(ws, "phi_zxi", dW.shape))  # k / (2 sqrt Z)
     phi_z = np.multiply(r, dW, out=take(ws, "phi_z", dW.shape))
-    phi_zz = np.divide(phi_z, z, out=take(ws, "tmp0", dW.shape))
+    phi_zz = np.divide(phi_z, z, out=take(ws, "phi_zz", dW.shape))
     phi_zz *= -0.5
     phi_z += 1.0 - dt
     r *= np.sqrt(dt)
@@ -39,7 +42,9 @@ def cir_kernel(batch, params, ws=None):
 
 def skorokhod_weight_cir(batch, params, ws=None):
     """Per-path weights of a batch of CIR paths, as a ``WeightBatch``.
-    The step derivatives come from ``cir_kernel``, looked up as a module
-    global at each call."""
-    steps = cir_kernel(batch, params, ws)
-    return sweep_weight(batch.grid, *steps, batch.dW, ws=ws)
+    The sweeps take the step derivatives a tile at a time from
+    ``cir_kernel``, looked up as a module global at each call."""
+    def kernel(lo, hi, tw):
+        return cir_kernel(batch, params, tw, lo, hi)
+
+    return sweep_weight(batch.grid, kernel, batch.dW, ws=ws)

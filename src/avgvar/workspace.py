@@ -22,27 +22,28 @@ drawn is time-major. The slots, in the order a chunk fills them:
     OU    sigma       the batch's nu, only when weights are computed; the
                       weight's adjoint, gradient and then tangent V, in place
           sigma_prime the batch's nu', only when weights are computed
-    CIR   sqrt_z      Phi_xi, then Phi_xi^2
-          phi_zxi     k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
-          phi_z       Phi_z
-          tmp0        Phi_zz
-          lam         the weight's adjoint, then g, then Phi_xi g
+    CIR   lam         the weight's adjoint, then g, then Phi_xi g
 
-The OU pass works on one tile of node rows at a time, and takes the
-tile's arrays from a second workspace of tile-sized slots (``tiles``):
+The OU pass and the CIR weight's two sweeps work on one tile of
+``paths.TILE_ROWS`` rows at a time, and take the tile's arrays from a
+second workspace of tile-sized slots (``tiles``):
 
-    tile  tmp0        the step shocks step_sd xi, then the volatility
+    OU    tmp0        the step shocks step_sd xi, then the volatility
                       function's scratch, then sigma^2 w_j
           tmp1        sigma'' (spent by nu_terms)
           tmp2        the volatility function's mask, then the guard's
           sigma       sigma
           sigma_prime sigma'
+    CIR   phi_xi      Phi_xi, then Phi_xi^2
+          phi_zxi     k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
+          phi_z       Phi_z
+          phi_zz      Phi_zz
 
 So an OU worker touches four whole arrays with weights and two without,
-besides one block of tmp0 and the tiles, and a CIR worker seven. A batch
-whose arrays live in a workspace is spent once the next chunk starts.
-Every function that takes ``ws`` also runs with ``ws=None``, and then
-allocates fresh arrays as a direct call expects.
+and a CIR worker three (dW, Z and lam), each besides one block of tmp0
+and the tiles. A batch whose arrays live in a workspace is spent once the
+next chunk starts. Every function that takes ``ws`` also runs with
+``ws=None``, and then allocates fresh arrays as a direct call expects.
 """
 
 import math

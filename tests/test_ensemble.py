@@ -354,14 +354,14 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
 @pytest.mark.parametrize("model_name,compute_weights,budget", [
     pytest.param("ou_model", True, 5.25, id="ou_model-5.25"),
     pytest.param("ou_model", False, 3.25, id="ou_model-weight_free-3.25"),
-    pytest.param("cir_model", True, 7.1, id="cir_model-7.1")])
+    pytest.param("cir_model", True, 4.25, id="cir_model-4.25")])
 def test_chunk_peak_memory_stays_in_budget(model_name, compute_weights, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
     dW, Y, nu and nu' (without weights, dW and Y alone), slot tmp0 (of
     which one 256-path block of normals is touched) and the tile-sized
-    slots of the pass; for CIR dW, Z, the normals (then Phi_zz), the
-    three other step derivatives and the weight's gradient."""
+    slots of the pass; for CIR dW, Z, slot tmp0 (one block of normals) and
+    the weight's gradient, besides the tile-sized step derivatives."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK

@@ -5,9 +5,11 @@ import pytest
 
 from avgvar import (CIRParams, cir_paths_from_increments, make_grid,
                     simulate_cir_paths, validate_cir)
+from avgvar.paths import TILE_ROWS, node_sum
 from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import cir_kernel, skorokhod_weight_cir
+from avgvar.workspace import Workspace
 from bridge import refine_increments
 from paper_weight import (_inner_trapezoid_weights, i_triple_sum, log_phi, psi_matrix,
                           q_constant)
@@ -113,6 +115,82 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_cir, fast_decay):
         got = (wb.g_xi[p], wb.trace_h[p], wb.hessian_gg[p], wb.denominator[p], wb.delta[p])
         for a, b in zip(got, ref):
             assert abs(a - b) / abs(b) < 1e-8
+
+
+def whole_array_kernel(batch, params):
+    """The step derivatives as whole (n, P) arrays, by the operations, in
+    the order, that the tiled kernel must reproduce bit for bit."""
+    z, dW, dt, k = batch.states[:-1], batch.dW, batch.grid.dt, params.k
+    phi_xi = np.sqrt(z)
+    r = np.divide(0.5 * k, phi_xi)
+    phi_z = r * dW
+    phi_zz = phi_z / z
+    phi_zz *= -0.5
+    phi_z += 1.0 - dt
+    r *= np.sqrt(dt)
+    phi_xi *= k * np.sqrt(dt)
+    return phi_z, phi_xi, phi_zz, r
+
+
+def whole_array_sweeps(grid, phi_y, phi_xi, phi_yy, phi_yxi, dW):
+    """The backward and forward sweeps over whole step-derivative arrays,
+    one node row at a time: (delta, |g|^2, g . xi, tr H, g^T H g)."""
+    c = grid.trapezoid_weights / grid.T
+    n, P = dW.shape
+    lam = np.empty((n + 1, P))
+    lam[:] = c[:, None]
+    for j in range(n - 1, 0, -1):
+        lam[j] += lam[j + 1] * phi_y[j]
+    g = lam[1:]
+    g *= phi_xi
+    g_xi = node_sum(dW, g) / np.sqrt(grid.dt)
+    g_sq = node_sum(g, g)
+    phi_yxi *= g
+    phi_yxi *= 2.0
+    g *= phi_xi
+    phi_xi *= phi_xi
+    x = np.zeros((4, P))  # V, U, S, D
+    h = np.empty((2, P))
+    acc = np.zeros((2, P))
+    for j in range(n):
+        np.multiply(x[0::2], phi_yy[j], out=h)
+        h[0] += phi_yxi[j]
+        h[0] *= x[0]
+        x *= phi_y[j]
+        x[2] *= phi_y[j]
+        x[0] += g[j]
+        x[2] += phi_xi[j]
+        x[1::2] += h
+        if j < n - 1:
+            acc += x[1::2]
+    acc += 0.5 * x[1::2]
+    acc *= c[1]
+    delta = (g_xi - acc[1]) / g_sq + 2.0 * acc[0] / g_sq**2
+    return delta, g_sq, g_xi, acc[1], acc[0]
+
+
+@pytest.mark.parametrize("fast_decay", [False, True], ids=["demo", "fast_decay"])
+@pytest.mark.parametrize("n", [2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 64, 512])
+def test_tiled_weight_matches_the_whole_array_sweeps(cir_model, fast_cir, fast_decay, n):
+    """The sweeps take the step derivatives one tile of step rows at a time.
+    The kernel's tiles, and the weight and its four sums with and without a
+    workspace, equal bit for bit the whole-array kernel and sweeps, on grids
+    of one partial tile, one tile and tiles that end inside and at n."""
+    model = fast_cir if fast_decay else cir_model
+    grid = make_grid(model.params.T, n)
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), np.arange(300))
+    steps = whole_array_kernel(batch, model.params)
+    for lo in range(0, n, TILE_ROWS):
+        hi = min(lo + TILE_ROWS, n)
+        tile = cir_kernel(batch, model.params, Workspace(TILE_ROWS * 300), lo, hi)
+        for got, want in zip(tile, steps):
+            assert got.tobytes() == want[lo:hi].tobytes()
+    want = whole_array_sweeps(grid, *steps, batch.dW)
+    for ws in (None, Workspace((n + 1) * 300)):
+        wb = skorokhod_weight_cir(batch, model.params, ws)
+        got = (wb.delta, wb.denominator, wb.g_xi, wb.trace_h, wb.hessian_gg)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_positive_i_on_simulated_paths(cir_model):
