@@ -27,9 +27,8 @@ _EXPORTS = {
     "models": ("CIRParams", "Contract", "OUParams", "ValidatedCIRModel",
                "ValidatedOUModel", "VolFunctionSpec", "reference_vol_family",
                "validate_cir", "validate_contract", "validate_ou"),
-    "paths": ("CIRPathBatch", "OUPathBatch", "TimeGrid", "cir_paths_from_increments",
-              "make_grid", "ou_paths_from_increments", "sample_terminal_asset",
-              "simulate_cir_paths", "simulate_ou_paths"),
+    "paths": ("CIRPathBatch", "OUPathBatch", "TimeGrid", "make_grid",
+              "sample_terminal_asset", "simulate_cir_paths", "simulate_ou_paths"),
     "pricing": ("PriceEstimate", "bs_conditional", "martingale_check", "mc_estimate",
                 "price_from_density", "price_mixing", "price_plain_mc"),
     "rng": ("NoiseStream",),

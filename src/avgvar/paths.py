@@ -20,13 +20,16 @@ a no-op and is not taken.
 
 Layout: both models keep a chunk of P paths time-major, as C-contiguous
 (n, P) and (n+1, P) arrays (``PathBatch``) whose rows the recursions, the
-weights and their sweeps step. The normals, drawn one row per path, are
+weights and their sweeps step. A batch's normals come only from a noise
+stream, through ``simulate_*_paths``: drawn one row per path, they are
 transposed one 256-path noise block at a time. The OU pass then runs
 once over tiles of TILE_ROWS node rows: each tile is stepped, evaluated,
 summed into F and guarded while it is in cache, and only the states, dW
-and, with weights, nu and nu' are whole arrays. Every per-path sum over
-the nodes adds in node order as ``node_sum`` does, so a path's values do
-not depend on how many paths share its batch.
+and, with weights, nu and nu' are whole arrays. The CIR weight's kernel
+(``weights_cir.cir_kernel``) writes its step derivatives one tile at a
+time into a tile workspace. Every per-path sum over the nodes adds in
+node order as ``node_sum`` does, so a path's values do not depend on how
+many paths share its batch.
 """
 
 from dataclasses import dataclass
@@ -144,21 +147,24 @@ def ou_step(params, dt):
     return decay, step_sd
 
 
-def _ou_batch(model, grid, xi, dW, path_indices, ws, compute_weights):
-    """The batch of paths Y stepped on the (n, P) normals xi, with
-    increments dW, from one pass over tiles of TILE_ROWS node rows. Per
-    tile, Y steps by the exact transition and xi's rows are then scaled in
-    place by sqrt(dt); sigma and sigma' (and sigma'' with weights) are
-    evaluated on the tile's states with its slots from a tile-sized
-    workspace; sigma^2 w_j is added to F row by row, in the node order of
-    ``node_sum``; the guard is applied; and with weights nu and nu' are
-    written into the batch's whole arrays, slots sigma and sigma_prime."""
+def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
+                      compute_weights=True):
+    """Simulate OU driver paths by their exact transition, in one pass over
+    tiles of TILE_ROWS node rows. Per tile, Y steps on the normals as drawn,
+    whose rows are then scaled in place to dW = xi sqrt(dt); sigma and
+    sigma' (and sigma'' with weights) are evaluated with slots from a
+    tile-sized workspace; sigma^2 w_j is added to F row by row, in the node
+    order of ``node_sum``; the guard is applied; and with weights nu and nu'
+    are written into slots sigma and sigma_prime. With k = 0, Y is exactly
+    y0 e^{-alpha t_i}. Without ``compute_weights`` the batch has no nu and
+    nu', and sigma'' is never evaluated."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
     floor = vol.lower_bound_c * (1.0 - 1e-12)
     w = grid.trapezoid_weights
     sqrt_dt = np.sqrt(grid.dt)
+    xi = _draw_increments(stream, grid, path_indices, antithetic, ws, 1.0)
     n, P = xi.shape
     y = take(ws, "states", (n + 1, P))
     nu = nu_prime = None
@@ -192,52 +198,24 @@ def _ou_batch(model, grid, xi, dW, path_indices, ws, compute_weights):
         if compute_weights:
             nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
 
-    if path_indices is None:
-        path_indices = np.arange(P)
     return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
-                       dW=dW, states=y, avg_variance=total / grid.T, bad=~ok,
+                       dW=xi, states=y, avg_variance=total / grid.T, bad=~ok,
                        kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime)
 
 
-def ou_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
-    """Build OU paths from given time-major (n, P) driver increments.
-
-    The exact transition consumes xi = dW / sqrt(dt), so a path is a pure
-    function of its increments; used by the Brownian-bridge refinement
-    tests. With a workspace ``ws`` every whole array but xi comes from it.
-    """
-    dW = np.ascontiguousarray(dW, dtype=float)
-    return _ou_batch(model, grid, dW / np.sqrt(grid.dt), dW, path_indices, ws, True)
-
-
-def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
-                      compute_weights=True):
-    """Simulate OU driver paths by their exact transition.
-
-    Y steps on the normals as drawn, and their buffer is scaled in place to
-    dW = xi sqrt(dt) as the pass goes. With k = 0 the recursion degenerates
-    to the deterministic decay Y_{t_i} = y0 e^{-alpha t_i} exactly. Without
-    ``compute_weights`` the batch has no nu and nu', and sigma'' is never
-    evaluated.
-    """
-    xi = _draw_increments(stream, grid, path_indices, antithetic, ws, 1.0)
-    return _ou_batch(model, grid, xi, xi, path_indices, ws, compute_weights)
-
-
-def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
-    """Build CIR paths from time-major (n, P) increments by full-truncation
-    Euler: Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at
-    Z_FLOOR, so every Z_i > 0 and the max(Z_i, 0) of full truncation is the
-    identity. In the validated regime (k^2 < 2b, and 6k^2 < b for density
-    work) the floor is essentially never hit; a path floored on more than
+def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
+                       compute_weights=True):
+    """Simulate CIR variance paths by full-truncation Euler:
+    Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at Z_FLOOR, so
+    every Z_i > 0 and the max(Z_i, 0) of full truncation is the identity.
+    In the validated regime (k^2 < 2b, and 6k^2 < b for density work) the
+    floor is essentially never hit; a path floored on more than
     FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one floored on
-    any step ``kinked``. With a workspace ``ws`` the states come from it.
-    """
+    any step ``kinked``. The paths do not depend on ``compute_weights``."""
     p = model.params
     n = grid.n_steps
     dt = grid.dt
-    dW = np.ascontiguousarray(dW, dtype=float)
-
+    dW = _draw_increments(stream, grid, path_indices, antithetic, ws, np.sqrt(dt))
     z = take(ws, "states", (n + 1, dW.shape[1]))
     z[0] = p.z0
     floored = np.zeros(dW.shape[1], dtype=np.int64)
@@ -249,21 +227,10 @@ def cir_paths_from_increments(model, grid, dW, path_indices=None, ws=None):
         np.copyto(znext, Z_FLOOR, where=hit)
         z[j + 1] = znext
 
-    if path_indices is None:
-        path_indices = np.arange(dW.shape[1])
     return CIRPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
                         dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
                         bad=floored > FLOOR_RATE_LIMIT * n, kinked=floored > 0,
                         floored_steps=floored)
-
-
-def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
-                       compute_weights=True):
-    """Simulate CIR variance paths (full-truncation Euler; see
-    cir_paths_from_increments). The paths are the same whether or not
-    weights are computed (``compute_weights``)."""
-    dW = _draw_increments(stream, grid, path_indices, antithetic, ws, np.sqrt(grid.dt))
-    return cir_paths_from_increments(model, grid, dW, path_indices=path_indices, ws=ws)
 
 
 def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic=False):

@@ -43,7 +43,8 @@ So an OU worker touches four whole arrays with weights and two without,
 and a CIR worker three (dW, Z and lam), each besides one block of tmp0
 and the tiles. A batch whose arrays live in a workspace is spent once the
 next chunk starts. Every function that takes ``ws`` also runs with
-``ws=None``, and then allocates fresh arrays as a direct call expects.
+``ws=None``, and then allocates fresh arrays as a direct call expects;
+``weights_cir.cir_kernel`` takes the tile workspace ``tw`` it writes into.
 """
 
 import math

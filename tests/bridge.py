@@ -1,7 +1,33 @@
-"""Brownian-bridge refinement of Wiener increments, for the tests that
-check convergence under grid halving on matched noise."""
+"""Chosen normals for the path builders, and Brownian-bridge refinement of
+Wiener increments, for the tests that check convergence under grid halving
+on matched noise."""
 
 import numpy as np
+
+
+class GivenNormals:
+    """A noise stream whose path p draws row p of the (paths, steps) array
+    ``xi``: the way a test builds a batch on normals of its choosing."""
+
+    def __init__(self, xi):
+        self.xi = np.asarray(xi, dtype=float)
+
+    def normal_matrix(self, path_indices, count, antithetic=False, out=None):
+        assert count == self.xi.shape[1] and not antithetic
+        rows = self.xi[np.asarray(path_indices)]
+        if out is None:
+            return rows
+        out[:] = rows
+        return out
+
+
+def paths_from_increments(simulate, model, grid, dW):
+    """The batch that ``simulate`` (``simulate_ou_paths`` or
+    ``simulate_cir_paths``) builds on the Wiener increments ``dW``, one row
+    of n_steps per path."""
+    dW = np.asarray(dW, dtype=float)
+    stream = GivenNormals(dW / np.sqrt(grid.dt))
+    return simulate(model, grid, stream, np.arange(dW.shape[0]))
 
 
 def refine_increments(dW, dt, bridge_normals):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUModel,
-                    CIRParams, ValidatedCIRModel, make_grid,
-                    ou_paths_from_increments, run_ensemble, sample_terminal_asset,
-                    simulate_cir_paths, simulate_ou_paths)
+                    CIRParams, ValidatedCIRModel, make_grid, run_ensemble,
+                    sample_terminal_asset, simulate_cir_paths, simulate_ou_paths)
 from avgvar.paths import FLOOR_RATE_LIMIT, TILE_ROWS, node_sum, ou_step
 from avgvar.rng import PURPOSE_VOL, NoiseStream, PURPOSE_BRIDGE
-from bridge import refine_increments
+from bridge import GivenNormals, paths_from_increments, refine_increments
 from test_ensemble import _flat_above_ten_model
 from test_models import oracle_family
 
@@ -247,16 +246,33 @@ def test_ito_isometry_exponential_integrand():
     assert abs(sq.mean() - target) < 3 * sq.std() / math.sqrt(n_paths)
 
 
-class _ZeroStream:
-    def normal_matrix(self, idx, count, antithetic=False):
-        return np.zeros((len(idx), count))
+@pytest.mark.parametrize("compute_weights", [True, False], ids=["weights", "no_weights"])
+@pytest.mark.parametrize("simulate, model_name", [(simulate_ou_paths, "ou_model"),
+                                                  (simulate_cir_paths, "cir_model")],
+                         ids=["ou", "cir"])
+def test_given_normals_build_the_streams_batch(simulate, model_name, compute_weights, request):
+    """A batch built on GivenNormals of a stream's own normals is the
+    stream's batch, byte for byte, on 300 paths (past one 256-path noise
+    block) and n = 17 (a partial tile)."""
+    model = request.getfixturevalue(model_name)
+    grid = make_grid(model.params.T, 17)
+    idx = np.arange(300)
+    stream = NoiseStream(SEED, PURPOSE_VOL)
+    want = simulate(model, grid, stream, idx, compute_weights=compute_weights)
+    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 17)), idx,
+                   compute_weights=compute_weights)
+    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "bad", "kinked"):
+        a, b = getattr(got, name, None), getattr(want, name, None)
+        assert (a is None) == (b is None), name
+        assert a is None or a.tobytes() == b.tobytes(), name
 
 
 def test_terminal_asset_degenerate_cases(ou_model):
     p = ou_model.params
-    s_t = sample_terminal_asset(np.array([0.0]), p, _ZeroStream(), [0])
+    zero = GivenNormals(np.zeros((1, 1)))
+    s_t = sample_terminal_asset(np.array([0.0]), p, zero, [0])
     assert s_t[0] == pytest.approx(p.s0 * math.exp(p.r * p.T), rel=1e-15)
-    s_t = sample_terminal_asset(np.array([0.04]), p, _ZeroStream(), [0])
+    s_t = sample_terminal_asset(np.array([0.04]), p, zero, [0])
     assert s_t[0] == pytest.approx(p.s0 * math.exp(p.r * p.T - 0.5 * 0.04 * p.T),
                                    rel=1e-15)
 
@@ -278,13 +294,13 @@ def test_avg_variance_converges_under_bridge_refinement(ou_model):
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
     dW = stream.normal_matrix(np.arange(100), n0) * np.sqrt(1.0 / n0)
-    coarse = ou_paths_from_increments(ou_model, make_grid(1.0, n0), dW.T)
+    coarse = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n0), dW)
     fine_dW = dW
     n = n0
     for level in range(3):  # 512 -> 4096
         z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(100), n)
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
-    fine = ou_paths_from_increments(ou_model, make_grid(1.0, n), fine_dW.T)
+    fine = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n), fine_dW)
     gap = np.abs(coarse.avg_variance - fine.avg_variance)
     assert gap.mean() < 5e-3

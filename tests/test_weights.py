@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from avgvar import (OUParams, cir_paths_from_increments, make_grid,
-                    ou_paths_from_increments, validate_ou)
+from avgvar import (OUParams, make_grid, simulate_cir_paths, simulate_ou_paths,
+                    validate_ou)
 from avgvar.reference import gradient_hessian
 from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import skorokhod_weight_cir
 from avgvar.weights_ou import skorokhod_weight_ou
-from bridge import refine_increments
+from bridge import GivenNormals, paths_from_increments, refine_increments
 from paper_weight import cir_weight_triple_sum, ou_weight_double_sum
 
 SEED = 20240601
@@ -45,18 +45,18 @@ def fast_ou(ref_vol):
 @pytest.mark.parametrize("model_name", ["ou_model", "fast_ou", "cir_model", "fast_cir"])
 def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
     """The oracle's gradient and Hessian of F_n against central differences
-    of F_n through *_paths_from_increments, one step normal at a time."""
+    of F_n through simulate_*_paths on given normals, one step normal at a
+    time."""
     model = request.getfixturevalue(model_name)
-    build = ou_paths_from_increments if "ou" in model_name else cir_paths_from_increments
+    simulate = simulate_ou_paths if "ou" in model_name else simulate_cir_paths
     grid = make_grid(model.params.T, 8)
-    root_dt = math.sqrt(grid.dt)
     xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(2), grid.n_steps)
 
     def f_of(xi):
-        return build(model, grid, (xi * root_dt)[:, None]).avg_variance[0]
+        return simulate(model, grid, GivenNormals(xi[None]), [0]).avg_variance[0]
 
     for xi in xi_all:
-        batch = build(model, grid, (xi * root_dt)[:, None])
+        batch = simulate(model, grid, GivenNormals(xi[None]), [0])
         g, H = gradient_hessian(model, grid, batch.states[:, 0], batch.dW[:, 0])
         g_fd, H_fd = central_differences(f_of, xi)
         assert np.max(np.abs(g - g_fd)) < 1e-8 * np.max(np.abs(g))
@@ -78,13 +78,13 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
     for level in range(3):
         grid = make_grid(p.T, n)
         if model_name == "ou_model":
-            batch = ou_paths_from_increments(model, grid, dW.T)
+            batch = paths_from_increments(simulate_ou_paths, model, grid, dW)
             delta = skorokhod_weight_ou(batch, p).delta
             paper = [ito - trace for ito, trace, _ in (
                 ou_weight_double_sum(batch.nu[:, i], batch.nu_prime[:, i], batch.dW[:, i],
                                      grid, p.alpha, p.k) for i in range(n_paths))]
         else:
-            batch = cir_paths_from_increments(model, grid, dW.T)
+            batch = paths_from_increments(simulate_cir_paths, model, grid, dW)
             delta = skorokhod_weight_cir(batch, p).delta
             paper = [a - b - c2 + c3 for a, b, c2, c3, _ in (
                 cir_weight_triple_sum(batch.states[:, i], batch.dW[:, i], grid, p)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from avgvar import (CIRParams, cir_paths_from_increments, make_grid,
-                    simulate_cir_paths, validate_cir)
+from avgvar import CIRParams, make_grid, simulate_cir_paths, validate_cir
 from avgvar.paths import TILE_ROWS, node_sum
 from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import cir_kernel, skorokhod_weight_cir
 from avgvar.workspace import Workspace
-from bridge import refine_increments
+from bridge import paths_from_increments, refine_increments
 from paper_weight import (_inner_trapezoid_weights, i_triple_sum, log_phi, psi_matrix,
                           q_constant)
 from test_weights import discrete_divergence
@@ -106,7 +105,8 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_cir, fast_decay):
     k, dt, z, dW = model.params.k, grid.dt, batch.states[:-1], batch.dW
     expected = (1.0 - dt + k * dW / (2.0 * np.sqrt(z)), k * np.sqrt(z * dt),
                 -k * dW / (4.0 * z**1.5), k * math.sqrt(dt) / (2.0 * np.sqrt(z)))
-    for got, want in zip(cir_kernel(batch, model.params), expected):
+    n = grid.n_steps
+    for got, want in zip(cir_kernel(batch, model.params, Workspace(n * 5), 0, n), expected):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     wb = skorokhod_weight_cir(batch, model.params)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
@@ -261,7 +261,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
     stream = NoiseStream(SEED, PURPOSE_VOL)
     n_paths = 200
     dW = stream.normal_matrix(np.arange(n_paths), n0) * math.sqrt(1.0 / n0)
-    coarse = cir_paths_from_increments(cir_model, make_grid(1.0, n0), dW.T)
+    coarse = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n0), dW)
     w_coarse = skorokhod_weight_cir(coarse, cir_model.params)
 
     fine_dW = dW
@@ -270,7 +270,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
         z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), n)
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
-    fine = cir_paths_from_increments(cir_model, make_grid(1.0, n), fine_dW.T)
+    fine = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n), fine_dW)
     w_fine = skorokhod_weight_cir(fine, cir_model.params)
 
     gap = np.abs(w_coarse.delta - w_fine.delta)
