@@ -7,7 +7,7 @@ Configs are JSON documents::
       "params": {"alpha": 1.0, "k": 0.5, "y0": 0.0,
                  "s0": 100.0, "r": 0.05, "mu": 0.05, "T": 1.0},
       "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},   # OU only
-      "grid": {"n_steps": 512, "pricing_n_steps": 256},          # optional
+      "grid": {"n_steps": 512},               # optional
       "ensemble": {"n_paths": 50000, "seed": 1, "antithetic": false},
       "contract": {"strike": 100.0},
       "density": {"x_grid": "auto"},          # or {"min":..,"max":..,"points":..}
@@ -19,6 +19,8 @@ parses the whole config into one RunSpec before anything runs, so
 ``validate`` accepts exactly what ``density`` and ``price`` can run, and a
 model-only config besides. Keys the parser does not read are ignored, but
 "ensemble.winsorize": true is E_CONFIG: weights are never clipped.
+"grid.pricing_n_steps" is accepted and ignored: ``price`` reads all three
+prices off the one weighted ensemble at "grid.n_steps".
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
@@ -57,12 +59,10 @@ from .models import (CIRParams, Contract, OUParams,  # noqa: E402
                      reference_vol_family, validate_cir, validate_contract,
                      validate_ou)
 from .paths import make_grid  # noqa: E402
-from .rng import (NAMESPACE_DENSITY, NAMESPACE_MIXING, NAMESPACE_PLAIN,  # noqa: E402
-                  check_seed)
+from .rng import NAMESPACE_DENSITY, check_seed  # noqa: E402
 from .selfcheck import SEED, format_table, run_battery  # noqa: E402
 
 DEFAULT_DENSITY_STEPS = 512
-DEFAULT_PRICING_STEPS = 256
 LOW_SAMPLE_THRESHOLD = 1000
 # above this alpha*dt the trapezoid F_n resolves the OU driver's decay time
 # 1/alpha with fewer than 100 steps, and its law moves measurably against a
@@ -88,7 +88,6 @@ class RunSpec:
     seed: int
     antithetic: bool
     density_steps: int
-    pricing_steps: int
     x_grid: tuple | None         # (min, max, points); None: auto grid; density only
     out_dir: str
     fmt: str                     # csv | json
@@ -179,10 +178,8 @@ def parse_config(raw, command, seed=None, out=None):
     if _get(raw, "ensemble.winsorize", bool, False):
         raise ConfigError("ensemble.winsorize is no longer supported: weights are "
                           "never clipped, so E[delta] = 0 holds exactly")
-    steps = (_get(raw, "grid.n_steps", int, DEFAULT_DENSITY_STEPS),
-             _get(raw, "grid.pricing_n_steps", int, DEFAULT_PRICING_STEPS))
-    check(min(steps) >= 2, "E_INVALID_GRID",
-          f"grid.n_steps and grid.pricing_n_steps must be >= 2, got {steps}")
+    steps = _get(raw, "grid.n_steps", int, DEFAULT_DENSITY_STEPS)
+    check(steps >= 2, "E_INVALID_GRID", f"grid.n_steps must be >= 2, got {steps}")
 
     x_grid = None
     if _get(raw, "density", dict, {}).get("x_grid", "auto") != "auto":
@@ -201,7 +198,7 @@ def parse_config(raw, command, seed=None, out=None):
     return RunSpec(model=model, contract=contract, n_paths=n_paths,
                    seed=seed,
                    antithetic=_get(raw, "ensemble.antithetic", bool, False),
-                   density_steps=steps[0], pricing_steps=steps[1],
+                   density_steps=steps,
                    x_grid=x_grid, out_dir=out or directory, fmt=fmt)
 
 
@@ -226,17 +223,15 @@ def _write_rows(spec, name, header, columns):
     return path
 
 
-def _ensemble(spec, label, steps, namespace, threads, **options):
-    print(f"[avgvar] {label} ensemble: {spec.n_paths} paths, n={steps}", file=sys.stderr)
-    return run_ensemble(spec.model, make_grid(spec.model.params.T, steps),
-                        spec.n_paths, spec.seed, namespace=namespace,
-                        threads=threads, antithetic=spec.antithetic, **options)
-
-
-def _density_stage(spec, threads):
-    """Density ensemble -> W_ALPHA_DT and LOW_SAMPLE lines -> valid samples;
-    returns the ensemble, its F samples and their weights."""
-    result = _ensemble(spec, "density", spec.density_steps, NAMESPACE_DENSITY, threads)
+def _density_stage(spec, threads, **options):
+    """Density ensemble (``options`` go to ``run_ensemble``) -> W_ALPHA_DT and
+    LOW_SAMPLE lines -> valid samples; returns the ensemble, its F samples
+    and their weights."""
+    print(f"[avgvar] density ensemble: {spec.n_paths} paths, n={spec.density_steps}",
+          file=sys.stderr)
+    result = run_ensemble(spec.model, make_grid(spec.model.params.T, spec.density_steps),
+                          spec.n_paths, spec.seed, namespace=NAMESPACE_DENSITY,
+                          threads=threads, antithetic=spec.antithetic, **options)
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
         print(f"W_ALPHA_DT alpha*dt={_fmt(rate * result.grid.dt)} > {ALPHA_DT_THRESHOLD}; "
@@ -270,17 +265,15 @@ def cmd_density(spec, threads):
 
 
 def cmd_price(spec, threads):
+    """All three prices are functions of F alone, so they read one ensemble:
+    the weighted one's valid paths, with one terminal asset draw each."""
     p, strike = spec.model.params, spec.contract.strike
-    _, f_samples, weights = _density_stage(spec, threads)
-    p_dens = pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T)
-    mix_res = _ensemble(spec, "mixing", spec.pricing_steps, NAMESPACE_MIXING,
-                        threads, compute_weights=False)
-    p_mix = pricing.price_mixing(np.sqrt(mix_res.avg_variance), strike, p.s0, p.r, p.T)
-    plain_res = _ensemble(spec, "plain MC", spec.pricing_steps, NAMESPACE_PLAIN,
-                          threads, compute_weights=False, collect_asset=True)
-    estimates = (p_dens, p_mix,
-                 pricing.price_plain_mc(plain_res.terminal_asset, strike, p.r, p.T),
-                 pricing.martingale_check(plain_res.terminal_asset, p.s0, p.r, p.T))
+    result, f_samples, weights = _density_stage(spec, threads, collect_asset=True)
+    s_t = result.terminal_asset[result.valid]
+    estimates = (pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T),
+                 pricing.price_mixing(np.sqrt(f_samples), strike, p.s0, p.r, p.T),
+                 pricing.price_plain_mc(s_t, strike, p.r, p.T),
+                 pricing.martingale_check(s_t, p.s0, p.r, p.T))
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
                        zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
     print(f"[avgvar] wrote {path}", file=sys.stderr)

@@ -91,8 +91,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     Output is bit-identical for any ``threads`` value, which must be an
     integer >= 1; ``seed`` must be an integer in [0, 2^64). ``collect_asset``
     additionally draws one terminal asset price per path from the
-    independent asset stream (used by the plain-MC pricer and the
-    martingale diagnostic).
+    independent asset stream; ``avgvar price`` (``cli.cmd_price``) sets it on
+    its one weighted ensemble for the plain-MC and martingale rows.
     """
     drivers = _DRIVERS.get(type(model))
     if drivers is None:

@@ -57,10 +57,6 @@ class PriceEstimate:
     std_error: float  # 0 for a single or constant sample
     ci95: tuple
 
-    def overlaps(self, other):
-        """True when the 95% intervals of two estimates intersect."""
-        return self.ci95[0] <= other.ci95[1] and other.ci95[0] <= self.ci95[1]
-
 
 def _black_scholes(total, strike, s0, r, T):
     """The undiscounted conditional call at total volatilities ``total`` =

@@ -21,8 +21,10 @@ Purpose tags keep logically distinct draws from colliding:
     PURPOSE_BRIDGE + level   Brownian-bridge refinement noise per halving
                              (reserved for the grid-convergence tests)
 
-Namespaces separate independent ensembles that share a seed (e.g. the
-mixing and plain-MC pricers must not reuse the same volatility paths).
+Namespaces separate independent ensembles that share a seed: the self
+check's mixing, plain-MC and moment ensembles each draw their own paths,
+apart from the weighted (density) ensemble that ``avgvar price`` reads all
+three prices off.
 """
 
 import numbers

@@ -7,6 +7,8 @@ import avgvar.cli as cli
 import avgvar.ensemble as ensemble
 import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
+from avgvar.paths import make_grid
+from avgvar.rng import NAMESPACE_DENSITY
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -15,7 +17,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "params": {"alpha": 1.0, "k": 0.5, "y0": 0.0, "s0": 100.0,
                    "r": 0.05, "mu": 0.05, "T": 1.0},
         "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},
-        "grid": {"n_steps": 64, "pricing_n_steps": 64},
+        "grid": {"n_steps": 64},
         "ensemble": {"n_paths": 600, "seed": 11, "antithetic": False},
         "contract": {"strike": 100.0},
         "density": {"x_grid": "auto"},
@@ -112,7 +114,7 @@ def test_density_command_writes_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_steps, warned", [(64, True), (128, False)])
 def test_density_warns_when_alpha_dt_exceeds_threshold(tmp_path, capsys, n_steps, warned):
-    cfg = write_config(tmp_path, grid={"n_steps": n_steps, "pricing_n_steps": 64})
+    cfg = write_config(tmp_path, grid={"n_steps": n_steps})
     assert cli.main(["density", "--config", cfg]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("W_ALPHA_DT ")]
@@ -124,7 +126,6 @@ MALFORMED = {
     "n_paths_zero": ({"ensemble": {"n_paths": 0}}, 2, "E_EMPTY_ENSEMBLE"),
     "n_steps_one": ({"grid": {"n_steps": 1}}, 2, "E_INVALID_GRID"),
     "n_steps_text": ({"grid": {"n_steps": "abc"}}, 3, "E_CONFIG"),
-    "pricing_n_steps_text": ({"grid": {"pricing_n_steps": "abc"}}, 3, "E_CONFIG"),
     "grid_list": ({"grid": []}, 3, "E_CONFIG"),
     "vol_family_text": ({"vol_family": "reference"}, 3, "E_CONFIG"),
     "x_grid_5_points": ({"density": {"x_grid": {"min": 0.01, "max": 0.1, "points": 5}}},
@@ -317,6 +318,54 @@ def test_price_zero_strike_recovers_spot(tmp_path):
     for method in ("density_quadrature", "mixing_mc", "plain_mc"):
         value, se = rows[method][0], rows[method][1]
         assert abs(value - 100.0) < max(4 * se, 0.5)
+
+
+def test_price_runs_one_ensemble(tmp_path, monkeypatch):
+    """All three prices read the weighted ensemble: price runs no other."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return ensemble.run_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", counted)
+    assert cli.main(["price", "--config", write_config(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert calls[0]["namespace"] == NAMESPACE_DENSITY and calls[0]["collect_asset"]
+
+
+@pytest.mark.parametrize("value", ["abc", 1])
+def test_pricing_n_steps_is_accepted_and_ignored(tmp_path, capsys, value):
+    """grid.pricing_n_steps, which older configs carry, neither fails
+    validation nor changes a byte of prices.csv, whatever its value."""
+    plain = write_config(tmp_path, name="plain.json")
+    keyed = write_config(tmp_path, name="keyed.json",
+                         grid={"n_steps": 64, "pricing_n_steps": value})
+    assert cli.main(["validate", "--config", keyed]) == 0
+    assert "VALID" in capsys.readouterr().out
+    for cfg, out in ((plain, "plain"), (keyed, "keyed")):
+        assert cli.main(["price", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "keyed" / "prices.csv").read_bytes()
+            == (tmp_path / "plain" / "prices.csv").read_bytes())
+
+
+@pytest.mark.parametrize("overrides", [{}, cir_overrides()], ids=["ou", "cir"])
+def test_price_rows_read_the_density_ensemble(tmp_path, overrides):
+    """The quadrature row is price_from_density on the density ensemble
+    itself, and the mixing row price_mixing on its valid F, bit for bit."""
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["price", "--config", cfg, "--threads", "2"]) == 0
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in
+            (tmp_path / "out" / "prices.csv").read_text().splitlines()[1:]}
+    spec = cli.parse_config(cli.load_config(cfg), "price")
+    p = spec.model.params
+    res = ensemble.run_ensemble(spec.model, make_grid(p.T, spec.density_steps), spec.n_paths,
+                                spec.seed, namespace=NAMESPACE_DENSITY)
+    f, w = res.valid_samples()
+    for row, est in (("density_quadrature", pricing.price_from_density(f, w, 100.0, p.s0,
+                                                                       p.r, p.T)),
+                     ("mixing_mc", pricing.price_mixing(np.sqrt(f), 100.0, p.s0, p.r, p.T))):
+        assert rows[row][:2] == ["%.17g" % est.value, "%.17g" % est.std_error], row
 
 
 def test_price_builds_no_density(tmp_path, monkeypatch):

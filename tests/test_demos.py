@@ -32,7 +32,8 @@ def test_price_three_ways_demo_runs(capsys):
     out = run_demo("03_price_three_ways.py", capsys)
     for method in ("density_quadrature", "mixing_mc", "plain_mc", "martingale_check"):
         assert out.count(method) == 2, method
-    assert out.count("pairwise CI overlap:") == 2
+    assert out.count("worst pairwise z:") == 2
+    assert "DISAGREE" not in out
 
 
 def test_weights_under_the_hood_demo_runs(capsys):

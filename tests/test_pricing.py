@@ -220,15 +220,6 @@ def test_deterministic_vol_model_matches_quadrature_oracle(ref_vol):
     assert abs(plain.value - oracle) < 3 * plain.std_error
 
 
-def test_ci_overlap_helper():
-    from avgvar.pricing import PriceEstimate
-    a = PriceEstimate("x", 10.0, 0.1, (9.8, 10.2))
-    b = PriceEstimate("y", 10.3, 0.1, (10.1, 10.5))
-    c = PriceEstimate("z", 11.0, 0.1, (10.8, 11.2))
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)
-
-
 def test_price_triangle_passes_at_quick_on_seed_4():
     """With 8000 pricing paths, the 95% intervals of seed 4's CIR plain
     (43.55) and mixing (39.80) prices did not overlap. The z-band on 20000
