@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avgvar import (CIRParams, OUParams, make_grid, reference_vol_family,
+from avgvar import (CIRParams, OUParams, ensemble, make_grid, reference_vol_family,
                     validate_cir, validate_ou)
 from avgvar.selfcheck import CIR_FAST_DECAY
 
@@ -40,3 +40,21 @@ def grid64():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def fault_weight(monkeypatch):
+    """Fault injection after the engine: ``fault_weight(fault, *models)``
+    wraps the ensembles' weight functions of the named models (both by
+    default) so that each batch's delta becomes ``fault(wb)``, wb the
+    batch's WeightBatch."""
+    def inject(fault, *models):
+        for tag in models or ("ou", "cir"):
+            name = f"skorokhod_weight_{tag}"
+
+            def weight(batch, params, ws=None, make_weight=getattr(ensemble, name)):
+                wb = make_weight(batch, params, ws=ws)
+                wb.delta = fault(wb)
+                return wb
+            monkeypatch.setattr(ensemble, name, weight)
+    return inject

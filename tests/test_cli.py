@@ -1,4 +1,6 @@
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -412,19 +414,12 @@ def test_corrupted_phi_fails_bs_checks(monkeypatch):
     assert not any(r.passed for r in selfcheck.run_criterion(check, ctx))
 
 
-def test_scaled_ou_weight_fails_the_raw_weight_checks(monkeypatch):
+def test_scaled_ou_weight_fails_the_raw_weight_checks(fault_weight):
     """Fault injection: an OU weight 10% too large must fail the density
     checks that read the raw weights, at QUICK and the pinned seed, while
     the untouched CIR rows pass. (The quadrature price is nearly blind to
     it: its F w - 1 control recalibrates a mis-scaled weight.)"""
-    make_weight = ensemble.skorokhod_weight_ou
-
-    def scaled(batch, params, ws=None):
-        wb = make_weight(batch, params, ws=ws)
-        wb.delta = 1.10 * wb.delta
-        return wb
-
-    monkeypatch.setattr(ensemble, "skorokhod_weight_ou", scaled)
+    fault_weight(lambda wb: 1.10 * wb.delta, "ou")
     ctx = selfcheck.CheckContext(selfcheck.QUICK)
     for check in (selfcheck.density_vs_kde, selfcheck.density_cdf_consistency):
         ou_row, cir_row = selfcheck.run_criterion(check, ctx)
@@ -432,23 +427,60 @@ def test_scaled_ou_weight_fails_the_raw_weight_checks(monkeypatch):
         assert cir_row.passed, cir_row
 
 
-def test_weight_five_percent_too_large_fails_the_price_identity(monkeypatch):
-    """Fault injection: OU and CIR weights 5% too large must fail both
-    integration-by-parts price identity rows at QUICK and the pinned seed.
-    No other statistical row catches a fault this small."""
-    def scaled(make_weight):
-        def weight(batch, params, ws=None):
-            wb = make_weight(batch, params, ws=ws)
-            wb.delta = 1.05 * wb.delta
-            return wb
-        return weight
-
-    for name in ("skorokhod_weight_ou", "skorokhod_weight_cir"):
-        monkeypatch.setattr(ensemble, name, scaled(getattr(ensemble, name)))
-    rows = selfcheck.run_criterion(selfcheck.ibp_price_identity,
-                                   selfcheck.CheckContext(selfcheck.QUICK))
-    assert [row.name for row in rows] == ["ou_ibp_price_identity", "cir_ibp_price_identity"]
+@pytest.mark.parametrize("check", [selfcheck.duality, selfcheck.density_cdf_consistency,
+                                   selfcheck.ibp_price_identity], ids=lambda c: c.__name__)
+def test_weight_five_percent_too_large_fails_the_price_identity(fault_weight, check):
+    """Fault injection: OU and CIR weights 5% too large must fail every row
+    of the duality, survival and price-identity criteria at QUICK and the
+    pinned seed. Each reads the residual of its terms off a fit on delta,
+    which stays mean-zero under any rescaling of delta: fitted z 5.39-5.94
+    on the duality rows here. Read raw, those rows see only z 0.23-1.41:
+    most of the variance of F delta - 1 lies along delta, and the fit
+    removes it."""
+    fault_weight(lambda wb: 1.05 * wb.delta)
+    rows = selfcheck.run_criterion(check, selfcheck.CheckContext(selfcheck.QUICK))
+    assert [row.name for row in rows] == list(check.rows)
     assert not any(row.passed for row in rows), rows
+
+
+def test_additive_weight_error_fails_the_raw_identity_rows(fault_weight):
+    """Fault injection: delta + 0.05 std(delta) on both models must fail all
+    four duality rows and both zero-mean rows at QUICK and the pinned seed
+    (raw z 5.81-7.55 and 5.30/5.56). The fit on delta absorbs most of an
+    additive error (CIR duality fitted z 2.1), so it is the raw half of the
+    rule that catches it."""
+    fault_weight(lambda wb: wb.delta + 0.05 * np.std(wb.delta))
+    ctx = selfcheck.CheckContext(selfcheck.QUICK)
+    rows = [row for check in (selfcheck.zero_mean_weights, selfcheck.duality)
+            for row in selfcheck.run_criterion(check, ctx)]
+    assert len(rows) == 6 and not any(row.passed for row in rows), rows
+
+
+def _identity_z(d, phi, dphi):
+    passed, detail = selfcheck._identity(SimpleNamespace(scale=selfcheck.QUICK), d, phi, dphi)
+    raw, fitted = map(float, re.findall(r"z=([0-9.]+)", detail))
+    return passed, raw, fitted
+
+
+def test_identity_rule_on_a_stein_toy():
+    """F ~ N(m, s^2) i.i.d. has the exact integration-by-parts weight
+    delta = (F - m) / s^2 (Stein's lemma), so the rule passes phi = F, F^2
+    and survival probes. With m = 2, s = 0.5 and N = 20000, phi = F has
+    expected fitted z 0.1 sqrt(N) / (1.1 sqrt 2) = 9.1 under 1.10 delta,
+    and expected raw z 0.2 sqrt(N) / sqrt(4.05^2 + 2) = 6.6 under
+    delta + 0.05 std(delta) = delta + 0.1, whose shift the fit absorbs."""
+    m, s = 2.0, 0.5
+    f = np.random.default_rng(7).normal(m, s, 20000)
+    d = (f - m) / s**2
+    fc, x, top = f[:, None], np.array([m - s, m, m + s]), m + 2 * s
+    for phi, dphi in ((f, 1.0), (f * f, 2 * f),
+                      (np.maximum(np.minimum(fc, top) - x, 0.0), (fc > x) & (fc <= top))):
+        passed, raw, fitted = _identity_z(d, phi, dphi)
+        assert passed, (raw, fitted)
+    passed, raw, fitted = _identity_z(1.10 * d, f, 1.0)
+    assert not passed and fitted >= selfcheck.QUICK.z, (raw, fitted)
+    passed, raw, fitted = _identity_z(d + 0.05 * d.std(), f, 1.0)
+    assert not passed and raw >= selfcheck.QUICK.z > fitted, (raw, fitted)
 
 
 def test_density_tiny_ensemble_still_exits_zero(tmp_path, capsys):

@@ -11,7 +11,7 @@ from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, bs_conditional,
                     make_grid, martingale_check, price_from_density, price_mixing,
                     price_plain_mc, run_ensemble, sample_terminal_asset,
                     simulate_ou_paths, skorokhod_weight_ou)
-from avgvar import ensemble, pricing, selfcheck
+from avgvar import pricing, selfcheck
 from avgvar.pricing import payoff_integral
 from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
 
@@ -229,15 +229,10 @@ def test_price_triangle_passes_at_quick_on_seed_4():
     assert all(row.passed for row in rows), rows
 
 
-def test_price_triangle_fails_when_the_ou_weight_is_ten_percent_large(monkeypatch):
+def test_price_triangle_fails_when_the_ou_weight_is_ten_percent_large(fault_weight):
     """The z-band sees an OU weight 10% too large on the pinned seed. With
     8000 pricing paths it did not: the row's power needs n_price = 20000."""
-    def scaled(batch, params, ws=None):
-        wb = skorokhod_weight_ou(batch, params, ws=ws)
-        wb.delta *= 1.10
-        return wb
-
-    monkeypatch.setattr(ensemble, "skorokhod_weight_ou", scaled)
+    fault_weight(lambda wb: 1.10 * wb.delta, "ou")
     ctx = selfcheck.CheckContext(selfcheck.QUICK)
     rows = selfcheck.run_criterion(selfcheck.price_triangle, ctx)
     assert [row.passed for row in rows] == [False, True], rows
