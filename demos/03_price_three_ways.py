@@ -14,7 +14,7 @@ With independent drivers the price is a function of the law of the
 averaged variance F alone, so, as in `avgvar price`, all three read the
 valid paths of one ensemble. Agreement is the self check's z-band: the
 worst pair's |a - b| / hypot(se_a, se_b) below 3.89. The rows share
-paths, but their per-path terms correlate by less than 0.06 on these
+paths, but their per-path terms correlate by 0.063 at most on these
 models, so hypot(se_a, se_b) is within 1% of the SE of a paired
 difference.
 """

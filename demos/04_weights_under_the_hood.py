@@ -10,11 +10,11 @@ The package gets the four sums from one backward and one forward running
 sum per path; the dense oracle in avgvar.reference builds g and H whole
 and must agree to roundoff (the brute-force check).
 
-Part 2 demonstrates the counter-based noise design: a path's normals are
-its row of one Philox draw per 256-path block, addressed by (seed,
-namespace, purpose, path index), so an ensemble gives byte-identical
-results for any worker count, and any single path can be reproduced in
-isolation.
+Part 2 demonstrates the keyed noise design: each 256-path block has its
+own SFC64 generator, keyed by (seed, namespace, purpose, block), and draws
+its paths' normals time-major, one row of 256 per step; a path's normals
+are its column of that draw. So an ensemble gives byte-identical results
+for any worker count, and any single path can be reproduced in isolation.
 """
 
 from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
@@ -43,7 +43,9 @@ print(f"  weight delta        = {wb.delta[0]:+.4f} "
       f"((g.xi - tr H) / |g|^2 {(sums[0] - sums[1]) / sums[3]:+.4f}, "
       f"2 g^T H g / |g|^4 {2 * sums[2] / sums[3] ** 2:+.4f})")
 
-ref = dense_weight(model, grid, batch.states[:, 0], batch.dW[:, 0])
+# an OU batch keeps no normals: the dense oracle draws the path's again
+dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix([0], 0, grid.n_steps) * grid.dt**0.5
+ref = dense_weight(model, grid, batch.states[:, 0], dW[:, 0])
 worst = max(abs(a - b) / abs(b) for a, b in zip(sums + (wb.delta[0],), ref))
 print(f"  brute-force check   : largest relative gap to the dense oracle {worst:.2e}")
 
@@ -54,7 +56,7 @@ print(f"\nensemble of 3000 paths with 1 / 2 / 4 threads: "
       f"{'byte-identical' if same else 'MISMATCH'}")
 
 # a single path reproduced standalone, long after the ensemble ran: its
-# noise is its row of the block draw, and every per-path sum adds in node
+# noise is its column of the block draw, and every per-path sum adds in node
 # order whatever the batch width, so the path alone gives the ensemble's
 # F and weight exactly
 lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [1234])

@@ -242,22 +242,31 @@ def _density_stage(spec, threads, **options):
     return (result, *result.valid_samples())
 
 
+def _failures(result):
+    """The failed paths of an ensemble, and under antithetic sampling the
+    paths left out with a failed partner, for a progress line."""
+    text = f"{result.n_failures} failed paths of {result.n_paths}"
+    if result.antithetic:
+        text += f", {result.n_dropped} more dropped with their failed antithetic partner"
+    return text
+
+
 def cmd_density(spec, threads):
     result, f_samples, weights = _density_stage(spec, threads)
     x_grid = (auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
               if spec.x_grid is None else np.linspace(*spec.x_grid))
     print(f"[avgvar] estimating density on [{x_grid[0]:.6g}, {x_grid[-1]:.6g}] "
           f"with {x_grid.size} points", file=sys.stderr)
-    dens = malliavin_density(f_samples, weights, x_grid)
-    kde = kde_density(f_samples, x_grid) if f_samples.size >= KDE_MIN_SAMPLES else None
+    paired = result.antithetic
+    dens = malliavin_density(f_samples, weights, x_grid, paired)
+    kde = kde_density(f_samples, x_grid, paired) if f_samples.size >= KDE_MIN_SAMPLES else None
     kde_cols = (kde.p_hat, kde.se) if kde else (np.full(x_grid.size, np.nan),) * 2
     path1 = _write_rows(spec, "density", "x p_malliavin se_malliavin p_kde se_kde",
                         [x_grid, dens.p_hat, dens.se, *kde_cols])
     path2 = _write_rows(spec, "weights", "path_index avg_variance weight denominator",
                         [range(result.n_paths), result.avg_variance,
                          result.weight, result.denominator])
-    print(f"[avgvar] wrote {path1} and {path2} ({result.n_failures} failed "
-          f"paths of {result.n_paths})", file=sys.stderr)
+    print(f"[avgvar] wrote {path1} and {path2} ({_failures(result)})", file=sys.stderr)
     duality = pricing.mc_estimate(f_samples * weights).value
     print(f"summary normalization={_fmt(dens.normalization)} mean_weight="
           f"{_fmt(pricing.mc_estimate(weights).value)} duality={_fmt(duality)}")
@@ -270,13 +279,14 @@ def cmd_price(spec, threads):
     p, strike = spec.model.params, spec.contract.strike
     result, f_samples, weights = _density_stage(spec, threads, collect_asset=True)
     s_t = result.terminal_asset[result.valid]
-    estimates = (pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T),
-                 pricing.price_mixing(np.sqrt(f_samples), strike, p.s0, p.r, p.T),
-                 pricing.price_plain_mc(s_t, strike, p.r, p.T),
-                 pricing.martingale_check(s_t, p.s0, p.r, p.T))
+    paired = result.antithetic
+    estimates = (pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T, paired),
+                 pricing.price_mixing(np.sqrt(f_samples), strike, p.s0, p.r, p.T, paired),
+                 pricing.price_plain_mc(s_t, strike, p.r, p.T, paired),
+                 pricing.martingale_check(s_t, p.s0, p.r, p.T, paired))
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
                        zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
-    print(f"[avgvar] wrote {path}", file=sys.stderr)
+    print(f"[avgvar] wrote {path} ({_failures(result)})", file=sys.stderr)
     for e in estimates:
         print(f"{e.method} value={_fmt(e.value)} se={_fmt(e.std_error)}")
     return EXIT_OK

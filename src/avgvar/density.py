@@ -83,17 +83,30 @@ def quantiles(values, q):
     return result
 
 
-def mean_and_se(terms):
+def mean_and_se(terms, paired=False):
     """Means over axis 0 of the per-path ``terms`` and their standard errors
     std(ddof=1) / sqrt(N). A single row or a constant column is its own mean,
-    with SE 0: the sum of equal values rounds unless their low bits are 0."""
+    with SE 0: the sum of equal values rounds unless their low bits are 0.
+
+    With ``paired``, rows 2i and 2i + 1 are an antithetic pair, and a last
+    odd row stands alone. The two terms of a pair are not independent, so
+    the SE is that of the mean of the M pair means, std(ddof=1) / sqrt(M)
+    over them (Glasserman, Monte Carlo Methods in Financial Engineering,
+    4.2); the mean is the same either way."""
     n = terms.shape[0]
     constant = terms.min(axis=0) == terms.max(axis=0)
     first = terms[0] + 0.0  # a copy, with -0.0 (0 times a negative weight) read as 0.0
     if n == 1 or np.all(constant):
         return first, np.zeros(terms.shape[1:])
-    return (np.where(constant, first, terms.mean(axis=0)),
-            np.where(constant, 0.0, terms.std(axis=0, ddof=1) / np.sqrt(n)))
+    units = terms
+    if paired:
+        units = np.add(terms[0:n - 1:2], terms[1::2])
+        units *= 0.5
+        if n % 2:
+            units = np.concatenate([units, terms[-1:]])
+    m = units.shape[0]
+    se = units.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else 0.0
+    return np.where(constant, first, terms.mean(axis=0)), np.where(constant, 0.0, se)
 
 
 def ibp_controls(avg_variance, weights):
@@ -135,8 +148,9 @@ def subtract_controls(terms, controls):
     return terms - np.einsum("ip,i...->p...", controls, beta)
 
 
-def malliavin_density(avg_variance, weights, x_grid):
-    """p_hat(x) = mean_i 1{F_i > x} w_i with per-path standard errors.
+def malliavin_density(avg_variance, weights, x_grid, paired=False):
+    """p_hat(x) = mean_i 1{F_i > x} w_i with per-path standard errors, or
+    per-pair ones for antithetic samples (``paired``, see ``mean_and_se``).
 
     The indicator is strict, matching the representation's tail form; ties
     have probability zero for continuous F.
@@ -149,7 +163,7 @@ def malliavin_density(avg_variance, weights, x_grid):
     if x.size < MIN_GRID_POINTS:
         raise GridTooCoarse(f"density grid needs >= {MIN_GRID_POINTS} points, got {x.size}")
 
-    p_hat, se = mean_and_se((f[:, None] > x[None, :]) * w[:, None])
+    p_hat, se = mean_and_se((f[:, None] > x[None, :]) * w[:, None], paired)
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
                            normalization=float(np.trapezoid(p_hat, x)), method="malliavin")
 
@@ -162,8 +176,9 @@ def kde_bandwidth(samples):
     return h if h > 0 else 1e-3 * max(abs(float(s[0])), 1.0)
 
 
-def kde_density(samples, x_grid):
-    """Gaussian KDE on the grid with Silverman bandwidth and per-path SEs.
+def kde_density(samples, x_grid, paired=False):
+    """Gaussian KDE on the grid with Silverman bandwidth and per-path SEs,
+    or per-pair ones for antithetic samples (``paired``).
 
     A degenerate sample (zero spread) falls back to a narrow fixed
     bandwidth so the estimate is a unit-mass spike at the common value.
@@ -181,7 +196,7 @@ def kde_density(samples, x_grid):
     kmat *= -0.5
     np.exp(kmat, out=kmat)
     kmat *= 1.0 / (h * np.sqrt(2.0 * np.pi))
-    p_hat, se = mean_and_se(kmat)
+    p_hat, se = mean_and_se(kmat, paired)
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
                            normalization=float(np.trapezoid(p_hat, x)), method="kde")
 

@@ -3,11 +3,11 @@
 Paths are processed in fixed-size chunks; each chunk's output lands in a
 preallocated slice indexed by path number, and every per-path quantity
 depends only on (seed, namespace, purpose, path index) through the
-counter-based streams. Worker w of ``threads`` runs chunks w, w + threads,
-w + 2 threads, ... with its own streams and one ``Workspace`` of whole
-chunk buffers, created once per ensemble and reused by each of its chunks,
-so a warmed worker allocates no whole array and the peak memory is the
-workspaces, whatever the allocator does. Worker count cannot change any
+block-keyed noise streams (``avgvar.rng``). Worker w of ``threads`` runs
+chunks w, w + threads, w + 2 threads, ... with its own streams and one
+``Workspace`` of whole chunk buffers, created once per ensemble and reused
+by each of its chunks, so a warmed worker allocates no whole array and the
+peak memory is the workspaces, whatever the allocator does. Worker count cannot change any
 output value -- threads only decide who computes which chunk. Reductions
 use numpy's pairwise summation on arrays assembled in path order, so means
 are bit-stable too (and exactly zero for exactly-cancelling inputs).
@@ -51,6 +51,7 @@ class EnsembleResult:
     n_paths: int
     seed: int
     grid: _paths.TimeGrid
+    antithetic: bool = False    # paths 2i and 2i + 1 are a pair
 
     @property
     def n_failures(self):
@@ -58,10 +59,23 @@ class EnsembleResult:
 
     @property
     def valid(self):
-        return ~self.failed
+        """The paths the estimates read: those that passed all guards, and
+        under antithetic sampling only whole pairs, so that the valid paths
+        still pair up in order (a last odd path stands alone)."""
+        ok = ~self.failed
+        if self.antithetic:
+            pair = ok[0:self.n_paths - 1:2] & ok[1::2]
+            ok[0:self.n_paths - 1:2] = ok[1::2] = pair
+        return ok
+
+    @property
+    def n_dropped(self):
+        """Paths that passed every guard but are left out with their failed
+        antithetic partner."""
+        return int(self.n_paths - self.valid.sum()) - self.n_failures
 
     def valid_samples(self):
-        """(avg_variance, weight) over paths that passed all guards."""
+        """(avg_variance, weight) over the valid paths (``valid``)."""
         m = self.valid
         w = self.weight[m] if self.weight is not None else None
         return self.avg_variance[m], w
@@ -158,7 +172,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                             weight=weight, denominator=denom,
                             terminal_state=terminal_state,
                             terminal_asset=terminal_asset, failed=failed,
-                            n_paths=n_paths, seed=int(seed), grid=grid)
+                            n_paths=n_paths, seed=int(seed), grid=grid,
+                            antithetic=antithetic)
     if result.n_failures > FAILURE_BUDGET * n_paths:
         raise FailureBudgetExceeded(
             f"{result.n_failures} of {n_paths} paths failed runtime guards "

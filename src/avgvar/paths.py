@@ -4,9 +4,9 @@ Conventions used throughout the package (the weights depend on them):
 
   * dt-integrals are trapezoid sums over the grid nodes, so the averaged
     variance is F_n = sum_j w_j f(Y_j) / T,
-  * the stored volatility-driver increment is dW_i = xi_i * sqrt(dt) where
-    xi_i are the same standard normals that drive the state recursion, and
-    the weights differentiate the scheme with respect to them.
+  * the volatility driver steps on standard normals xi_i, one per step,
+    and the weights differentiate the scheme with respect to them; a CIR
+    batch stores the increments dW_i = xi_i * sqrt(dt).
 
 The OU driver uses its exact Gaussian transition
 
@@ -21,15 +21,16 @@ a no-op and is not taken.
 Layout: both models keep a chunk of P paths time-major, as C-contiguous
 (n, P) and (n+1, P) arrays (``PathBatch``) whose rows the recursions, the
 weights and their sweeps step. A batch's normals come only from a noise
-stream, through ``simulate_*_paths``: drawn one row per path, they are
-transposed one 256-path noise block at a time. The OU pass then runs
-once over tiles of TILE_ROWS node rows: each tile is stepped, evaluated,
-summed into F and guarded while it is in cache, and only the states, dW
-and, with weights, nu and nu' are whole arrays. The CIR weight's kernel
-(``weights_cir.cir_kernel``) writes its step derivatives one tile at a
-time into a tile workspace. Every per-path sum over the nodes adds in
-node order as ``node_sum`` does, so a path's values do not depend on how
-many paths share its batch.
+stream, through ``simulate_*_paths``, which ask it for one tile of
+TILE_ROWS step rows at a time (``rng.NoiseStream.normal_matrix``). The OU
+pass runs once over tiles of node rows: each tile's normals are drawn,
+stepped, evaluated, summed into F and g . xi and guarded while they are
+in cache, and only the states and, with weights, nu and nu' are whole
+arrays. The CIR simulator draws each tile straight into its rows of dW,
+and the CIR weight's kernel (``weights_cir.cir_kernel``) writes its step
+derivatives one tile at a time into a tile workspace. Every per-path sum
+over the nodes adds in node order as ``node_sum`` does, so a path's values
+do not depend on how many paths share its batch.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ import numpy as np
 
 from .errors import InvalidGrid
 from .models import nu_terms
-from .rng import BLOCK
 from .workspace import take, tiles
 
 Z_FLOOR = 1e-12
@@ -86,7 +86,6 @@ class PathBatch:
 
     grid: TimeGrid
     path_indices: np.ndarray
-    dW: np.ndarray            # (n, P) driver increments
     states: np.ndarray        # (n+1, P) Y (OU) or Z (CIR) at the nodes
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
@@ -95,13 +94,15 @@ class PathBatch:
 
 @dataclass
 class OUPathBatch(PathBatch):
-    """OU driver paths. sigma and sigma' (and sigma'' for the weight) are
-    evaluated once per tile of nodes and reduced at once to
-    ``avg_variance``, the guard ``bad`` (sigma' > 0 or sigma >= c fails at
-    some node) and, when weights are computed, ``nu`` and ``nu_prime``."""
+    """OU driver paths, which keep no normals. sigma and sigma' (and
+    sigma'' for the weight) are evaluated once per tile of nodes and
+    reduced at once to ``avg_variance``, the guard ``bad`` (sigma' > 0 or
+    sigma >= c fails at some node) and, when weights are computed, ``nu``,
+    ``nu_prime`` and ``g_xi``."""
 
     nu: np.ndarray | None        # (n+1, P) sigma * sigma' at the nodes
     nu_prime: np.ndarray | None  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
+    g_xi: np.ndarray | None      # (P,) g . xi = sum_j (w_j / T) 2 nu_j D_j
 
 
 @dataclass
@@ -110,6 +111,7 @@ class CIRPathBatch(PathBatch):
     floored steps exceed the budget FLOOR_RATE_LIMIT * n, and ``kinked``
     paths with any floored step, where the scheme has no derivative."""
 
+    dW: np.ndarray             # (n, P) driver increments
     floored_steps: np.ndarray  # (P,) count of steps clipped at the floor
 
 
@@ -125,20 +127,6 @@ def node_sum(a, b):
     return np.einsum("jp,j->p" if b.ndim == 1 else "jp,jp->p", a, b)
 
 
-def _draw_increments(stream, grid, path_indices, antithetic, ws, scale):
-    """The chunk's normals times ``scale``, time-major in slot dW. Each
-    256-path noise block is drawn one row per path into the head of slot
-    tmp0 and transposed into dW while it is in cache."""
-    n = grid.n_steps
-    dW = take(ws, "dW", (n, len(path_indices)))
-    block = take(ws, "tmp0", (min(BLOCK, dW.shape[1]), n))
-    for lo in range(0, dW.shape[1], BLOCK):
-        xi = stream.normal_matrix(path_indices[lo:lo + BLOCK], n, antithetic=antithetic,
-                                  out=block[:dW.shape[1] - lo])
-        np.multiply(xi.T, scale, out=dW[:, lo:lo + BLOCK])
-    return dW
-
-
 def ou_step(params, dt):
     """(decay, step_sd) of the exact OU transition over one step dt."""
     decay = np.exp(-params.alpha * dt)
@@ -150,40 +138,49 @@ def ou_step(params, dt):
 def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
                       compute_weights=True):
     """Simulate OU driver paths by their exact transition, in one pass over
-    tiles of TILE_ROWS node rows. Per tile, Y steps on the normals as drawn,
-    whose rows are then scaled in place to dW = xi sqrt(dt); sigma and
-    sigma' (and sigma'' with weights) are evaluated with slots from a
-    tile-sized workspace; sigma^2 w_j is added to F row by row, in the node
-    order of ``node_sum``; the guard is applied; and with weights nu and nu'
-    are written into slots sigma and sigma_prime. With k = 0, Y is exactly
-    y0 e^{-alpha t_i}. Without ``compute_weights`` the batch has no nu and
-    nu', and sigma'' is never evaluated."""
+    tiles of TILE_ROWS node rows. Per tile, the step normals are drawn into
+    a tile slot and turned in place into the noise part D_j of the states,
+    D_j = e^{-alpha dt} D_{j-1} + step_sd xi_{j-1} from D_0 = 0, and
+    Y_j = y0 e^{-alpha t_j} + D_j; sigma and sigma' (and sigma'' with
+    weights) are evaluated with slots from a tile-sized workspace;
+    sigma^2 w_j is added to F row by row, in the node order of
+    ``node_sum``; the guard is applied; and with weights nu and nu' are
+    written into slots sigma and sigma_prime, and 2 nu_j D_j w_j / T is
+    added to ``g_xi``. The scheme is linear in the normals, so
+    <grad Y_j, xi> = D_j and that sum is g . xi (``weights.linear_weight``):
+    no normal outlives its tile. With k = 0, Y is exactly y0 e^{-alpha t_i}.
+    Without ``compute_weights`` the batch has no nu, nu' and g_xi, and
+    sigma'' is never evaluated."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
     floor = vol.lower_bound_c * (1.0 - 1e-12)
     w = grid.trapezoid_weights
-    sqrt_dt = np.sqrt(grid.dt)
-    xi = _draw_increments(stream, grid, path_indices, antithetic, ws, 1.0)
-    n, P = xi.shape
+    mean = p.y0 * np.exp(-p.alpha * grid.t)
+    n, P = grid.n_steps, len(path_indices)
     y = take(ws, "states", (n + 1, P))
-    nu = nu_prime = None
+    nu = nu_prime = g_xi = None
     if compute_weights:
         nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
+        g_xi = np.zeros(P)
     tw = tiles(ws, TILE_ROWS * P)
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
-    y[0] = p.y0
+    last = np.zeros(P)  # D at the node before the tile; within it, the step's scratch
     for lo in range(0, n + 1, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n + 1)
         first = max(lo, 1)
-        shock = np.multiply(xi[first - 1:hi - 1], step_sd, out=tw.take("tmp0", (hi - first, P)))
-        for j in range(first, hi):
-            np.multiply(y[j - 1], decay, out=y[j])
-            y[j] += shock[j - first]
-        xi[first - 1:hi - 1] *= sqrt_dt
+        d = tw.take("noise", (hi - lo, P))
+        d[:first - lo] = 0.0
+        shock = stream.normal_matrix(path_indices, first - 1, hi - 1, antithetic=antithetic,
+                                     out=d[first - lo:])
+        shock *= step_sd
+        for j in range(first - lo, hi - lo):
+            np.multiply(d[j - 1] if j > 0 else last, decay, out=last)
+            d[j] += last
+        np.copyto(last, d[-1])
+        tile = np.add(d, mean[lo:hi, None], out=y[lo:hi])
 
-        tile = y[lo:hi]
         values = vol.evaluate(tile, tw, 2 if compute_weights else 1)
         sig, sig_p = values[:2]
         # the volatility function has finished with its scratch slots tmp0 and tmp2
@@ -197,10 +194,16 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
         ok &= np.greater_equal(sig, floor, out=mask).all(axis=0)
         if compute_weights:
             nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
+            d *= nu[lo:hi]
+            d *= w[lo:hi, None]
+            for row in d:
+                g_xi += row
+    if compute_weights:
+        g_xi *= 2.0 / grid.T
 
     return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
-                       dW=xi, states=y, avg_variance=total / grid.T, bad=~ok,
-                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime)
+                       states=y, avg_variance=total / grid.T, bad=~ok,
+                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime, g_xi=g_xi)
 
 
 def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
@@ -208,24 +211,34 @@ def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=N
     """Simulate CIR variance paths by full-truncation Euler:
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at Z_FLOOR, so
     every Z_i > 0 and the max(Z_i, 0) of full truncation is the identity.
-    In the validated regime (k^2 < 2b, and 6k^2 < b for density work) the
-    floor is essentially never hit; a path floored on more than
-    FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one floored on
-    any step ``kinked``. The paths do not depend on ``compute_weights``."""
+    The normals of each tile of TILE_ROWS steps are drawn straight into
+    those rows of dW, scaled to dW = xi sqrt(dt) and stepped while they
+    are in cache. In the validated regime (k^2 < 2b, and 6k^2 < b for
+    density work) the floor is essentially never hit; a path floored on
+    more than FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one
+    floored on any step ``kinked``. The paths do not depend on
+    ``compute_weights``."""
     p = model.params
     n = grid.n_steps
     dt = grid.dt
-    dW = _draw_increments(stream, grid, path_indices, antithetic, ws, np.sqrt(dt))
-    z = take(ws, "states", (n + 1, dW.shape[1]))
+    sqrt_dt = np.sqrt(dt)
+    P = len(path_indices)
+    dW = take(ws, "dW", (n, P))
+    z = take(ws, "states", (n + 1, P))
     z[0] = p.z0
-    floored = np.zeros(dW.shape[1], dtype=np.int64)
-    for j in range(n):
-        zj = z[j]
-        znext = zj + (p.b - zj) * dt + p.k * np.sqrt(zj) * dW[j]
-        hit = znext < Z_FLOOR
-        floored += hit
-        np.copyto(znext, Z_FLOOR, where=hit)
-        z[j + 1] = znext
+    floored = np.zeros(P, dtype=np.int64)
+    for lo in range(0, n, TILE_ROWS):
+        hi = min(lo + TILE_ROWS, n)
+        rows = stream.normal_matrix(path_indices, lo, hi, antithetic=antithetic,
+                                    out=dW[lo:hi])
+        rows *= sqrt_dt
+        for j in range(lo, hi):
+            zj = z[j]
+            znext = zj + (p.b - zj) * dt + p.k * np.sqrt(zj) * dW[j]
+            hit = znext < Z_FLOOR
+            floored += hit
+            np.copyto(znext, Z_FLOOR, where=hit)
+            z[j + 1] = znext
 
     return CIRPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
                         dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
@@ -243,7 +256,7 @@ def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic
         S_T = s0 exp(r T - sig_bar^2 T / 2 + sig_bar sqrt(T) xi).
     """
     avg_variance = np.asarray(avg_variance)
-    xi = stream.normal_matrix(path_indices, 1, antithetic=antithetic)[:, 0]
+    xi = stream.normal_matrix(path_indices, 0, 1, antithetic=antithetic)[0]
     sig_bar = np.sqrt(avg_variance)
     T = params.T
     return params.s0 * np.exp(params.r * T - 0.5 * avg_variance * T

@@ -1,18 +1,25 @@
-"""Counter-based noise streams for reproducible parallel simulation.
+"""Keyed noise streams for reproducible parallel simulation.
 
-Paths are addressed in blocks of BLOCK = 256. The global seed and the
-namespace/purpose tags form the 128-bit Philox key; the block index
-``path // BLOCK`` is placed in counter word 2 of the 256-bit counter, and
-the block's stream is drawn as one (BLOCK, count) matrix of standard
-normals whose row ``path % BLOCK`` belongs to the path. A path's normals
-are therefore a pure function of (seed, namespace, purpose, path index,
-count): they do not depend on which worker draws them, in what order, or
-how the ensemble is chunked -- the property the reproducibility tests
-(byte-identical output for any --threads value) rely on. One stream rewind
-serves 256 paths, and BLOCK divides the ensemble's chunk size, so a chunk
-draws whole blocks straight into its own rows. Rows of one block drawn with
-different counts share the block's stream, so each (namespace, purpose)
-is drawn with one count per ensemble.
+Paths are addressed in blocks of BLOCK = 256. Each block has a generator of
+its own, SFC64 seeded by ``SeedSequence(seed, spawn_key=(namespace,
+purpose, block))``: one keyed substream per block, so no block's draws can
+overlap another's (L'Ecuyer et al., Math. Comput. Simul. 135 (2017)). A
+block is drawn time-major: row j of its draw holds the step-j normals of
+its 256 paths, path ``path % BLOCK`` in column ``path % BLOCK``. A path's
+normals are therefore a pure function of (seed, namespace, purpose, path
+index, step): they do not depend on which worker draws them, in what
+order, how the ensemble is chunked, or how many steps are drawn -- the
+property the reproducibility tests (byte-identical output for any
+--threads value) rely on.
+
+A stream keeps each block's generator and the row it has reached, so a
+simulator asks for one tile of step rows at a time and never holds the
+normals of a whole path: a request that starts where the block's last one
+stopped continues it, and any other restarts the block (``_rewind``) and
+draws up to its first row. With ``antithetic=True`` a block draws 128
+columns per row instead: path 2i reads column i and path 2i + 1 its
+negation, so the pairs share one block and each half of a pair costs
+nothing to draw.
 
 Purpose tags keep logically distinct draws from colliding:
 
@@ -44,93 +51,110 @@ NAMESPACE_MOMENTS = 3
 
 BLOCK = 256
 
-_MASK64 = (1 << 64) - 1
-
 
 def check_seed(seed):
-    """Raise E_INVALID_SEED unless ``seed`` fits the noise key's 64 bits."""
+    """Raise E_INVALID_SEED unless ``seed`` is an integer in [0, 2^64), one
+    64-bit word."""
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValidationError([("E_INVALID_SEED",
                                 f"seed must be an integer in [0, 2^64), got {seed}")])
 
 
 class NoiseStream:
-    """Block-addressed standard-normal streams under one (seed, namespace,
+    """Block-keyed standard-normal streams under one (seed, namespace,
     purpose) key.
 
-    ``normal_matrix(path_indices, count)`` is a pure function of its
+    ``normal_matrix(path_indices, lo, hi)`` is a pure function of its
     arguments and the key: re-requesting a path's draws always returns the
-    same values. A seed outside [0, 2^64) raises E_INVALID_SEED; it would
-    otherwise alias a seed inside the range.
+    same values. A seed outside [0, 2^64) raises E_INVALID_SEED.
     """
 
     def __init__(self, seed, purpose, namespace=0):
-        # numpy.random is imported by the first stream, not with the
-        # package, so a command that draws nothing never loads it
-        from numpy.random import Generator, Philox
-
         check_seed(seed)
         self.seed = int(seed)
         self.purpose = int(purpose)
         self.namespace = int(namespace)
-        self._key = np.array(
-            [self.seed, ((self.namespace << 8) | self.purpose) & _MASK64],
-            dtype=np.uint64,
-        )
-        self._bg = Philox(key=self._key)
-        self._gen = Generator(self._bg)
+        self._blocks = {}  # (block, width) -> [generator, next row]
+        self._scratch = np.empty(0)
 
     def _rewind(self, block):
-        # Placing the block index in counter word 2 leaves words 0 and 1,
-        # 2^128 Philox blocks, to each 256-path block; one draw of
-        # 256 * count normals uses about 64 * count of them.
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, 0, block, 0], dtype=np.uint64),
-                "key": self._key,
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        """A new generator at row 0 of block ``block``."""
+        # numpy.random is imported by the first draw, not with the package,
+        # so a command that draws nothing never loads it
+        from numpy.random import SFC64, Generator, SeedSequence
 
-    def normal_matrix(self, path_indices, count, antithetic=False, out=None):
-        """A (len(path_indices), count) matrix whose row i holds the normals
-        of path ``path_indices[i]``, written into ``out`` when given.
+        key = (self.namespace, self.purpose, int(block))
+        return Generator(SFC64(SeedSequence(self.seed, spawn_key=key)))
 
-        Each block the request touches is rewound once. A whole block that
-        fills consecutive rows in path order is drawn straight into them;
-        otherwise the block's rows are drawn up to the last one needed, and
-        the requested ones are copied out. With ``antithetic=True`` an odd
-        path returns the negated normals of its even partner (index - 1),
-        which lies in the same block.
+    def _rows(self, block, width, lo, hi):
+        """Rows lo..hi-1 of block ``block`` drawn ``width`` columns wide, as
+        a view of the stream's scratch buffer."""
+        state = self._blocks.get((block, width))
+        if state is None or state[1] > lo:
+            state = [self._rewind(block), 0]
+        gen = state[0]
+        if state[1] < lo:
+            gen.standard_normal((lo - state[1]) * width)  # the rows in between
+        size = (hi - lo) * width
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        rows = self._scratch[:size].reshape(hi - lo, width)
+        gen.standard_normal(out=rows)
+        state[1] = hi
+        self._blocks[block, width] = state
+        return rows
+
+    def normal_matrix(self, path_indices, lo, hi, antithetic=False, out=None):
+        """The normals of steps lo..hi-1 of paths ``path_indices``, as a
+        time-major (hi - lo, len(path_indices)) matrix whose column i
+        belongs to path ``path_indices[i]``, written into ``out`` when given.
+
+        Each block the request touches draws its rows once. A request for a
+        run of consecutive paths, as the simulators make, copies each
+        block's share in as drawn; any other picks its columns out. The
+        stream keeps the generators of this request's blocks only.
         """
         idx = np.asarray(path_indices, dtype=np.int64).reshape(-1)
-        count = int(count)
+        lo, hi = int(lo), int(hi)
         if out is None:
-            out = np.empty((idx.size, count))
-        if idx.size == 0:
+            out = np.empty((hi - lo, idx.size))
+        if idx.size == 0 or hi <= lo:
             return out
-        odd = (idx % 2 == 1) if antithetic else np.zeros(idx.size, dtype=bool)
-        src = idx - odd  # the path whose row is read
-        block = src // BLOCK
-        order = np.argsort(block, kind="stable")
-        for at in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
-            b = int(block[at[0]])
-            self._rewind(b)
-            lo = at[0]
-            first = b * BLOCK
-            if at.size == BLOCK and np.array_equal(idx[lo:lo + BLOCK],
-                                                   np.arange(first, first + BLOCK)):
-                rows = out[lo:lo + BLOCK]
-                self._gen.standard_normal(out=rows)
+        width = BLOCK // 2 if antithetic else BLOCK
+        first = int(idx[0])
+        if np.array_equal(idx, np.arange(first, first + idx.size)):
+            blocks = range(first // BLOCK, (first + idx.size - 1) // BLOCK + 1)
+            for b in blocks:
+                p0, p1 = max(b * BLOCK, first), min((b + 1) * BLOCK, first + idx.size)
+                _put(out[:, p0 - first:p1 - first], p0 % BLOCK,
+                     self._rows(b, width, lo, hi), antithetic)
+        else:
+            block = idx // BLOCK
+            blocks = sorted(set(block.tolist()))
+            for b in blocks:
+                at = np.flatnonzero(block == b)
+                col = idx[at] % BLOCK
+                rows = self._rows(b, width, lo, hi)
                 if antithetic:
-                    np.negative(rows[0::2], out=rows[1::2])
-                continue
-            drawn = self._gen.standard_normal((int(src[at].max()) - first + 1, count))
-            out[at] = drawn[src[at] - first]
-            flip = at[odd[at]]
-            out[flip] = -out[flip]
+                    out[:, at] = np.where(col % 2 == 1, -1.0, 1.0) * rows[:, col // 2]
+                else:
+                    out[:, at] = rows[:, col]
+        self._blocks = {(b, width): self._blocks[b, width] for b in blocks}
         return out
+
+
+def _put(dst, c0, rows, antithetic):
+    """Write paths c0, c0 + 1, ... of a block, one per column of ``dst``,
+    from the block's drawn ``rows``; antithetic path c reads column c // 2,
+    negated when c is odd."""
+    if not antithetic:
+        np.copyto(dst, rows[:, c0:c0 + dst.shape[1]])
+        return
+    for parity in (0, 1):
+        at = (parity - c0) % 2  # the first column whose path has this parity
+        part = dst[:, at::2]
+        src = rows[:, (c0 + at) // 2:(c0 + at) // 2 + part.shape[1]]
+        if parity:
+            np.negative(src, out=part)
+        else:
+            np.copyto(part, src)

@@ -336,8 +336,9 @@ def kernel_oracles(ctx):
         grid = make_grid(model.params.T, ORACLE_STEPS)
         batch = simulate(model, grid, stream, idx)
         wb = weigh(batch, model.params)
+        dW = stream.normal_matrix(idx, 0, ORACLE_STEPS) * np.sqrt(grid.dt)
         for p in idx:
-            ref = dense_weight(model, grid, batch.states[:, p], batch.dW[:, p])
+            ref = dense_weight(model, grid, batch.states[:, p], dW[:, p])
             got = (wb.g_xi[p], wb.trace_h[p], wb.hessian_gg[p], wb.denominator[p], wb.delta[p])
             errs += [_rel(a, b) for a, b in zip(got, ref)]
     worst = float(max(errs))

@@ -3,8 +3,9 @@
 The exact transition Y_{j+1} = e^{-alpha dt} Y_j + step_sd xi_j has the
 constant step derivatives Phi_y = e^{-alpha dt} and Phi_xi = step_sd
 (``paths.ou_step``), and f = sigma^2 has f' = 2 nu and f'' = 2 nu'. The
-batch carries nu and nu' at the nodes (``batch.nu``, ``batch.nu_prime``),
-so this module never calls the volatility function.
+batch carries nu and nu' at the nodes (``batch.nu``, ``batch.nu_prime``)
+and g . xi (``batch.g_xi``), so this module never calls the volatility
+function and never sees a normal.
 """
 
 from .paths import ou_step
@@ -15,4 +16,4 @@ def skorokhod_weight_ou(batch, params, ws=None):
     """Per-path weights of a batch of OU paths, as a ``WeightBatch``."""
     decay, step_sd = ou_step(params, batch.grid.dt)
     return linear_weight(batch.grid, batch.nu, batch.nu_prime, decay, step_sd,
-                         batch.dW, df=2.0, ws=ws)
+                         batch.g_xi, df=2.0, ws=ws)

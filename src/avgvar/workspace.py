@@ -10,26 +10,25 @@ slot name, so a chunk run on a warmed workspace allocates no whole array
 and the peak is the workspace itself.
 
 A slot is storage, not a quantity: a later stage of a chunk takes a slot
-that an earlier stage has finished with. Every array but the normals as
-drawn is time-major. The slots, in the order a chunk fills them:
+that an earlier stage has finished with. Every array is time-major. The
+slots, in the order a chunk fills them:
 
-    both  tmp0        one 256-path block of normals as drawn, one row per
-                      path, at its head
-          dW          the normals transposed (OU: as drawn, then scaled in
-                      place to dW a tile at a time; CIR: times sqrt(dt)),
-                      the batch's dW
-          states      Y or Z, the batch's states
-    OU    sigma       the batch's nu, only when weights are computed; the
+    OU    states      Y, the batch's states
+          sigma       the batch's nu, only when weights are computed; the
                       weight's adjoint, gradient and then tangent V, in place
           sigma_prime the batch's nu', only when weights are computed
-    CIR   lam         the weight's adjoint, then g, then Phi_xi g
+    CIR   dW          the normals, drawn one tile of step rows at a time
+                      and scaled to dW in place, the batch's dW
+          states      Z, the batch's states
+          lam         the weight's adjoint, then g, then Phi_xi g
 
 The OU pass and the CIR weight's two sweeps work on one tile of
 ``paths.TILE_ROWS`` rows at a time, and take the tile's arrays from a
 second workspace of tile-sized slots (``tiles``):
 
-    OU    tmp0        the step shocks step_sd xi, then the volatility
-                      function's scratch, then sigma^2 w_j
+    OU    noise       the tile's normals as drawn, turned in place into the
+                      noise part D of Y, then nu D w_j
+          tmp0        the volatility function's scratch, then sigma^2 w_j
           tmp1        sigma'' (spent by nu_terms)
           tmp2        the volatility function's mask, then the guard's
           sigma       sigma
@@ -39,10 +38,11 @@ second workspace of tile-sized slots (``tiles``):
           phi_z       Phi_z
           phi_zz      Phi_zz
 
-So an OU worker touches four whole arrays with weights and two without,
-and a CIR worker three (dW, Z and lam), each besides one block of tmp0
-and the tiles. A batch whose arrays live in a workspace is spent once the
-next chunk starts. Every function that takes ``ws`` also runs with
+So an OU worker touches three whole arrays with weights and one without,
+and a CIR worker three (dW, Z and lam), each besides the tiles and the
+noise stream's one tile of a block's draw; no worker holds a whole array
+of normals as drawn. A batch whose arrays live in a workspace is spent
+once the next chunk starts. Every function that takes ``ws`` also runs with
 ``ws=None``, and then allocates fresh arrays as a direct call expects;
 ``weights_cir.cir_kernel`` takes the tile workspace ``tw`` it writes into.
 """

@@ -7,14 +7,15 @@ import numpy as np
 
 class GivenNormals:
     """A noise stream whose path p draws row p of the (paths, steps) array
-    ``xi``: the way a test builds a batch on normals of its choosing."""
+    ``xi``: the way a test builds a batch on normals of its choosing. Like
+    ``NoiseStream.normal_matrix`` it returns steps lo..hi-1 time-major."""
 
     def __init__(self, xi):
         self.xi = np.asarray(xi, dtype=float)
 
-    def normal_matrix(self, path_indices, count, antithetic=False, out=None):
-        assert count == self.xi.shape[1] and not antithetic
-        rows = self.xi[np.asarray(path_indices)]
+    def normal_matrix(self, path_indices, lo, hi, antithetic=False, out=None):
+        assert hi <= self.xi.shape[1] and not antithetic
+        rows = self.xi[np.asarray(path_indices), lo:hi].T
         if out is None:
             return rows
         out[:] = rows

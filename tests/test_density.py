@@ -8,7 +8,7 @@ import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 from avgvar import (EmptyEnsemble, GridTooCoarse, TooFewSamples, auto_grid,
                     kde_density, malliavin_density)
-from avgvar.density import (ibp_controls, kde_bandwidth, quantiles,
+from avgvar.density import (ibp_controls, kde_bandwidth, mean_and_se, quantiles,
                             subtract_controls)
 
 SEED = 20240601
@@ -106,6 +106,21 @@ def test_density_standard_errors_are_per_path(monkeypatch):
     for name, (terms, se) in expected.items():
         assert np.all(se > 0), name
         np.testing.assert_allclose(se, per_path_se(terms), rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 3001, 3000])
+def test_paired_standard_errors_are_those_of_the_pair_means(n):
+    """With ``paired``, rows 2i and 2i + 1 are one antithetic pair and a
+    last odd row stands alone: the SE is std(ddof=1) over the pair means,
+    over the square root of their number, and the mean is unchanged. One
+    pair, like one row, is its own mean with SE 0."""
+    f, d = synthetic_pairs(SEED, n)
+    terms = np.stack([d, f * d], axis=1)
+    value, se = mean_and_se(terms, paired=True)
+    assert value.tobytes() == mean_and_se(terms)[0].tobytes()
+    units = [terms[i:i + 2].mean(axis=0) for i in range(0, n, 2)]
+    want = np.std(units, axis=0, ddof=1) / math.sqrt(len(units)) if len(units) > 1 else 0.0
+    np.testing.assert_allclose(se, want, rtol=1e-12, atol=0)
 
 
 def test_density_standard_errors_are_stable_across_seeds():

@@ -13,6 +13,7 @@ from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
                     ValidationError, VolFunctionSpec, make_grid, mc_estimate,
                     run_ensemble, validate_ou)
 from avgvar.rng import PURPOSE_VOL, NoiseStream
+from bridge import GivenNormals
 
 SEED = 20240601
 
@@ -249,19 +250,21 @@ def test_each_guard_fails_the_path_with_a_nan_weight(ou_model, monkeypatch, faul
     assert np.isnan(res.weight[0]) and np.all(np.isfinite(res.weight[1:]))
 
 
-def test_weighted_path_with_a_floored_step_fails():
-    """The CIR step has no derivative where it is floored. Of these 2048
-    paths at n = 1024, path 576 is floored on one step, within the
-    unweighted budget FLOOR_RATE_LIMIT * n: it fails, with a NaN weight,
-    only when weights are computed. The model breaks 6 k^2 < b, so
-    validate_cir rejects it; it is built directly, as a model that floors
-    a path."""
-    from avgvar import CIRParams, ValidatedCIRModel
-    model = ValidatedCIRModel(CIRParams(b=0.05, k=0.2, z0=0.05, s0=100.0, r=0.05, mu=0.05, T=1.0))
-    grid = make_grid(1.0, 1024)
-    plain = run_ensemble(model, grid, 2048, 21, compute_weights=False)
+def test_weighted_path_with_a_floored_step_fails(cir_model, monkeypatch):
+    """The CIR step has no derivative where it is floored. Of 2048 paths at
+    n = 1024, path 576 draws one normal large enough to floor its step 100,
+    and every other normal is 0: the path is floored on one step, within
+    the unweighted budget FLOOR_RATE_LIMIT * n, so it fails, with a NaN
+    weight, only when weights are computed."""
+    p = cir_model.params
+    grid = make_grid(p.T, 1024)
+    xi = np.zeros((2048, grid.n_steps))
+    z = p.z0 + (p.b - p.z0) * (1.0 - (1.0 - grid.dt) ** 100)  # Z at step 100 on zero noise
+    xi[576, 100] = -2.0 * (z + (p.b - z) * grid.dt) / (p.k * np.sqrt(z * grid.dt))
+    monkeypatch.setattr(ens_mod, "NoiseStream", lambda *args, **kwargs: GivenNormals(xi))
+    plain = run_ensemble(cir_model, grid, 2048, SEED, compute_weights=False)
     assert plain.n_failures == 0
-    weighted = run_ensemble(model, grid, 2048, 21)
+    weighted = run_ensemble(cir_model, grid, 2048, SEED)
     assert np.flatnonzero(weighted.failed).tolist() == [576]
     assert np.isnan(weighted.weight[576]) and np.all(np.isfinite(np.delete(weighted.weight, 576)))
     assert weighted.avg_variance.tobytes() == plain.avg_variance.tobytes()
@@ -311,6 +314,24 @@ def test_vol_guard_flags_the_same_paths_with_and_without_weights():
     assert weighted.avg_variance.tobytes() == bare.avg_variance.tobytes()
 
 
+def test_antithetic_pair_with_a_failed_path_is_dropped_whole():
+    """At k = 4 a few paths wander above 10 and fail the guard, and their
+    mirrors below -10 do not. Under antithetic sampling each such pair
+    leaves the valid samples whole, so they still pair up in order, and
+    ``n_dropped`` counts the partners left out."""
+    grid = make_grid(1.0, 32)
+    res = run_ensemble(_flat_above_ten_model(0.0, k=4.0), grid, 20001, SEED, antithetic=True)
+    assert 0 < res.n_failures <= ens_mod.FAILURE_BUDGET * res.n_paths
+    pairs = res.failed[0:-1:2] | res.failed[1::2]
+    assert res.n_dropped == 2 * pairs.sum() - res.failed[:-1].sum() > 0
+    assert np.array_equal(res.valid[0:-1:2], ~pairs)
+    assert np.array_equal(res.valid[1::2], ~pairs)
+    assert res.valid[-1] == (not res.failed[-1])
+    f, w = res.valid_samples()
+    assert f.size == res.n_paths - res.n_failures - res.n_dropped
+    assert np.all(np.isfinite(w))
+
+
 def test_weight_free_ou_ensemble_matches_the_weighted_one(ou_model):
     grid = make_grid(1.0, 512)
     weighted, bare = (run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK + 300, SEED,
@@ -352,16 +373,18 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("model_name,compute_weights,budget", [
-    pytest.param("ou_model", True, 5.25, id="ou_model-5.25"),
-    pytest.param("ou_model", False, 3.25, id="ou_model-weight_free-3.25"),
-    pytest.param("cir_model", True, 4.25, id="cir_model-4.25")])
+    pytest.param("ou_model", True, 3.3, id="ou_model-3.3"),
+    pytest.param("ou_model", False, 1.3, id="ou_model-weight_free-1.3"),
+    pytest.param("cir_model", True, 3.25, id="cir_model-3.25")])
 def test_chunk_peak_memory_stays_in_budget(model_name, compute_weights, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
-    dW, Y, nu and nu' (without weights, dW and Y alone), slot tmp0 (of
-    which one 256-path block of normals is touched) and the tile-sized
-    slots of the pass; for CIR dW, Z, slot tmp0 (one block of normals) and
-    the weight's gradient, besides the tile-sized step derivatives."""
+    Y, nu and nu' (without weights, Y alone) and the tile-sized slots of
+    the pass, one of which holds a tile of normals (measured 3.22 and
+    1.21); for CIR dW, Z and the weight's gradient, besides the tile-sized
+    step derivatives (measured 3.17). No whole array of normals is held
+    apart from CIR's dW: the stream draws one tile of step rows at a time
+    into its caller's rows."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK

@@ -157,9 +157,10 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
 @pytest.mark.parametrize("width", [1, 3, 2048 + 300])
 @pytest.mark.parametrize("n", [2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 512])
 def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n):
-    """The OU pass steps, evaluates, sums and guards one tile of node rows
-    at a time. Its states, dW, F, guard, nu and nu' equal, bit for bit,
-    the whole-array recursion, the one-formula-each volatility functions,
+    """The OU pass draws, steps, evaluates, sums and guards one tile of
+    node rows at a time. Its states, F, guard, nu, nu' and g . xi equal,
+    bit for bit, the whole-array recursion of the noise part D on the
+    stream's normals, the one-formula-each volatility functions,
     ``node_sum`` and the guard over all nodes at once, with and without
     weights, on grids that end inside, at and just past a tile. The
     flat-above-ten function (sigma' = 0 above 10) fails paths at k = 4."""
@@ -174,12 +175,13 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     weighted = simulate_ou_paths(model, grid, stream, idx)
     bare = simulate_ou_paths(model, grid, stream, idx, compute_weights=False)
 
-    xi = stream.normal_matrix(idx, n).T
-    decay, step_sd = ou_step(model.params, grid.dt)
-    y = np.empty((n + 1, width))
-    y[0] = model.params.y0
+    xi = stream.normal_matrix(idx, 0, n)
+    p = model.params
+    decay, step_sd = ou_step(p, grid.dt)
+    d = np.zeros((n + 1, width))
     for j in range(n):
-        y[j + 1] = y[j] * decay + step_sd * xi[j]
+        d[j + 1] = step_sd * xi[j] + d[j] * decay
+    y = p.y0 * np.exp(-p.alpha * grid.t)[:, None] + d
     sig, sig_p, sig_pp = (f(y) for f in formulas)
     avg_variance = node_sum(sig * sig, grid.trapezoid_weights) / grid.T
     ok = (sig_p > 0).all(axis=0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12)).all(axis=0)
@@ -187,18 +189,20 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
         assert 0 < (~ok).sum() < width
     for batch in (weighted, bare):
         assert batch.states.tobytes() == y.tobytes()
-        assert batch.dW.tobytes() == (xi * np.sqrt(grid.dt)).tobytes()
         assert batch.avg_variance.tobytes() == avg_variance.tobytes()
         assert np.array_equal(batch.bad, ~ok)
-    assert weighted.nu.tobytes() == (sig * sig_p).tobytes()
+    nu = sig * sig_p
+    assert weighted.nu.tobytes() == nu.tobytes()
     assert weighted.nu_prime.tobytes() == (sig_p**2 + sig * sig_pp).tobytes()
-    assert bare.nu is None and bare.nu_prime is None
+    g_xi = node_sum(d * nu, grid.trapezoid_weights) * (2.0 / grid.T)
+    assert weighted.g_xi.tobytes() == g_xi.tobytes()
+    assert bare.nu is None and bare.nu_prime is None and bare.g_xi is None
 
 
 def test_ito_prefix_zero_and_brownian():
     grid = make_grid(1.0, 128)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    dW = stream.normal_matrix(np.arange(4), 128) * np.sqrt(grid.dt)
+    dW = stream.normal_matrix(np.arange(4), 0, 128).T * np.sqrt(grid.dt)
     zeros = ito_prefix_sums(dW, np.zeros((1, 129)))
     assert np.all(zeros == 0.0)
     ones = ito_prefix_sums(dW, np.ones((1, 129)))
@@ -239,7 +243,7 @@ def test_ito_isometry_exponential_integrand():
     totals = np.empty(n_paths)
     for lo in range(0, n_paths, 8192):
         idx = np.arange(lo, min(lo + 8192, n_paths))
-        dW = stream.normal_matrix(idx, 256) * np.sqrt(grid.dt)
+        dW = stream.normal_matrix(idx, 0, 256).T * np.sqrt(grid.dt)
         totals[idx] = ito_prefix_sums(dW, f)[:, -1]
     assert abs(totals.mean()) < 3 * totals.std() / math.sqrt(n_paths)
     sq = totals**2
@@ -259,9 +263,9 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, compute_wei
     idx = np.arange(300)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     want = simulate(model, grid, stream, idx, compute_weights=compute_weights)
-    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 17)), idx,
+    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
                    compute_weights=compute_weights)
-    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "bad", "kinked"):
+    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "g_xi", "bad", "kinked"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name
         assert a is None or a.tobytes() == b.tobytes(), name
@@ -293,12 +297,12 @@ def test_avg_variance_converges_under_bridge_refinement(ou_model):
     """|sigma_bar^2(n=512) - sigma_bar^2(n=4096)| small on matched noise."""
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    dW = stream.normal_matrix(np.arange(100), n0) * np.sqrt(1.0 / n0)
+    dW = stream.normal_matrix(np.arange(100), 0, n0).T * np.sqrt(1.0 / n0)
     coarse = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n0), dW)
     fine_dW = dW
     n = n0
     for level in range(3):  # 512 -> 4096
-        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(100), n)
+        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(100), 0, n).T
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
     fine = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n), fine_dW)

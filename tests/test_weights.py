@@ -50,14 +50,14 @@ def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
     model = request.getfixturevalue(model_name)
     simulate = simulate_ou_paths if "ou" in model_name else simulate_cir_paths
     grid = make_grid(model.params.T, 8)
-    xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(2), grid.n_steps)
+    xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(2), 0, grid.n_steps).T
 
     def f_of(xi):
         return simulate(model, grid, GivenNormals(xi[None]), [0]).avg_variance[0]
 
     for xi in xi_all:
         batch = simulate(model, grid, GivenNormals(xi[None]), [0])
-        g, H = gradient_hessian(model, grid, batch.states[:, 0], batch.dW[:, 0])
+        g, H = gradient_hessian(model, grid, batch.states[:, 0], xi * math.sqrt(grid.dt))
         g_fd, H_fd = central_differences(f_of, xi)
         assert np.max(np.abs(g - g_fd)) < 1e-8 * np.max(np.abs(g))
         assert np.max(np.abs(H - H_fd)) < 1e-4 * np.max(np.abs(H))
@@ -73,7 +73,7 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
     model = request.getfixturevalue(model_name)
     p = model.params
     n, n_paths = 16, 200
-    dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(n_paths), n) * math.sqrt(p.T / n)
+    dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(n_paths), 0, n).T * math.sqrt(p.T / n)
     rms = []
     for level in range(3):
         grid = make_grid(p.T, n)
@@ -81,7 +81,7 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
             batch = paths_from_increments(simulate_ou_paths, model, grid, dW)
             delta = skorokhod_weight_ou(batch, p).delta
             paper = [ito - trace for ito, trace, _ in (
-                ou_weight_double_sum(batch.nu[:, i], batch.nu_prime[:, i], batch.dW[:, i],
+                ou_weight_double_sum(batch.nu[:, i], batch.nu_prime[:, i], dW[i],
                                      grid, p.alpha, p.k) for i in range(n_paths))]
         else:
             batch = paths_from_increments(simulate_cir_paths, model, grid, dW)
@@ -91,7 +91,7 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
                 for i in range(n_paths))]
         rms.append(math.sqrt(np.mean((delta - np.array(paper)) ** 2)))
         if level < 2:
-            z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), n)
+            z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), 0, n).T
             dW = refine_increments(dW, p.T / n, z)
             n *= 2
     assert rms[1] <= bound * rms[0] and rms[2] <= bound * rms[1], rms

@@ -260,14 +260,14 @@ def test_weight_stable_under_bridge_refinement(cir_model):
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
     n_paths = 200
-    dW = stream.normal_matrix(np.arange(n_paths), n0) * math.sqrt(1.0 / n0)
+    dW = stream.normal_matrix(np.arange(n_paths), 0, n0).T * math.sqrt(1.0 / n0)
     coarse = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n0), dW)
     w_coarse = skorokhod_weight_cir(coarse, cir_model.params)
 
     fine_dW = dW
     n = n0
     for level in range(2):  # 512 -> 2048
-        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), n)
+        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), 0, n).T
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
     fine = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n), fine_dW)

@@ -30,6 +30,12 @@ def _fixed_batch(ou_model, grid, n_paths=5):
                              np.arange(n_paths))
 
 
+def _fixed_normals(grid, n_paths=5):
+    """The step normals of ``_fixed_batch``, time-major, drawn again from
+    the stream: an OU batch keeps none."""
+    return NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(n_paths), 0, grid.n_steps)
+
+
 def _weight_with_nu(ou_model, grid, nu):
     """The weight of simulated paths whose node values nu are replaced (and
     nu' zeroed); the denominator depends on nu alone."""
@@ -71,12 +77,13 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     gradient and Hessian of F_n, with the batch's inputs left as they were."""
     model = _ou_model(alpha, ref_vol)
     batch = _fixed_batch(model, grid64)
+    dW = _fixed_normals(grid64) * math.sqrt(grid64.dt)
     nu_before, nup_before = batch.nu.copy(), batch.nu_prime.copy()
     wb = skorokhod_weight_ou(batch, model.params)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
         g_xi, trace_h, hessian_gg, g_sq, _ = dense_weight(model, grid64, batch.states[:, p],
-                                                          batch.dW[:, p])
+                                                          dW[:, p])
         assert abs(wb.g_xi[p] - g_xi) / abs(g_xi) < 1e-12
         assert abs(wb.trace_h[p] - trace_h) / abs(trace_h) < 1e-12
         assert abs(wb.hessian_gg[p] - hessian_gg) / abs(hessian_gg) < 1e-12
@@ -87,6 +94,29 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     assert np.array_equal(batch.nu_prime, nup_before)
 
 
+@pytest.mark.parametrize("alpha, y0, n", [(1.0, 0.0, 512), (1.0, 0.3, 512), (100.0, 0.0, 64)],
+                         ids=["demo", "y0=0.3", "alpha=100"])
+def test_pass_g_xi_is_the_gradient_along_the_normals(alpha, y0, n, ref_vol):
+    """The path pass sums g . xi as sum_j c_j f'_j D_j from the noise part
+    D_j of Y_j, and never keeps a normal. On 2048 paths it equals
+    sum_j xi_j g_j, with xi the stream's normals and g from the adjoint
+    lambda_n = c_n f'_n, lambda_j = c_j f'_j + Phi_y lambda_{j+1},
+    g_{j-1} = Phi_xi lambda_j, to 1e-13 relative to sum_j |xi_j g_j|."""
+    model = validate_ou(OUParams(alpha=alpha, k=0.5 * math.sqrt(alpha), y0=y0, s0=100.0,
+                                 r=0.05, mu=0.05, T=1.0), ref_vol)
+    grid = make_grid(1.0, n)
+    batch = _fixed_batch(model, grid, n_paths=2048)
+    xi = _fixed_normals(grid, n_paths=2048)
+    decay = math.exp(-alpha * grid.dt)
+    step_sd = model.params.k * math.sqrt(-math.expm1(-2.0 * alpha * grid.dt) / (2.0 * alpha))
+    lam = batch.nu * (2.0 * grid.trapezoid_weights / grid.T)[:, None]
+    for j in range(n - 1, 0, -1):
+        lam[j] += decay * lam[j + 1]
+    terms = xi * (step_sd * lam[1:])
+    gap = np.abs(batch.g_xi - terms.sum(axis=0))
+    assert np.all(gap <= 1e-13 * np.abs(terms).sum(axis=0)), gap.max()
+
+
 def test_weight_matches_discrete_divergence(ref_vol):
     """delta is the divergence of grad F_n / |grad F_n|^2 over the step
     normals, to roundoff, also at alpha = 30, where the paper's weight is
@@ -95,9 +125,10 @@ def test_weight_matches_discrete_divergence(ref_vol):
     for alpha in (1.0, 30.0):
         model = _ou_model(alpha, ref_vol)
         batch = _fixed_batch(model, grid, n_paths=3)
+        dW = _fixed_normals(grid, n_paths=3) * math.sqrt(grid.dt)
         wb = skorokhod_weight_ou(batch, model.params)
         for p in range(3):
-            div = discrete_divergence(model, grid, batch.states[:, p], batch.dW[:, p])
+            div = discrete_divergence(model, grid, batch.states[:, p], dW[:, p])
             assert wb.delta[p] == pytest.approx(div, rel=1e-8)
 
 
