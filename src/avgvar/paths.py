@@ -24,13 +24,14 @@ weights and their sweeps step. A batch's normals come only from a noise
 stream, through ``simulate_*_paths``, which ask it for one tile of
 TILE_ROWS step rows at a time (``rng.NoiseStream.normal_matrix``). The OU
 pass runs once over tiles of node rows: each tile's normals are drawn,
-stepped, evaluated, summed into F and g . xi and guarded while they are
-in cache, and only the states and, with weights, nu and nu' are whole
-arrays. The CIR simulator draws each tile straight into its rows of dW,
-and the CIR weight's kernel (``weights_cir.cir_kernel``) writes its step
-derivatives one tile at a time into a tile workspace. Every per-path sum
-over the nodes adds in node order as ``node_sum`` does, so a path's values
-do not depend on how many paths share its batch.
+stepped, evaluated, summed into F and the noise sum of g . xi and
+guarded while they are in cache, and only the states and, with weights,
+nu and nu' are whole arrays. The CIR simulator draws each tile straight
+into its rows of dW, and the CIR weight's kernel
+(``weights_cir.cir_kernel``) writes its step derivatives one tile at a
+time into a tile workspace. Every per-path sum over the nodes adds in
+node order as ``node_sum`` does, so a path's values do not depend on how
+many paths share its batch.
 """
 
 from dataclasses import dataclass
@@ -98,11 +99,11 @@ class OUPathBatch(PathBatch):
     sigma'' for the weight) are evaluated once per tile of nodes and
     reduced at once to ``avg_variance``, the guard ``bad`` (sigma' > 0 or
     sigma >= c fails at some node) and, when weights are computed, ``nu``,
-    ``nu_prime`` and ``g_xi``."""
+    ``nu_prime`` and ``nu_noise``."""
 
     nu: np.ndarray | None        # (n+1, P) sigma * sigma' at the nodes
     nu_prime: np.ndarray | None  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
-    g_xi: np.ndarray | None      # (P,) g . xi = sum_j (w_j / T) 2 nu_j D_j
+    nu_noise: np.ndarray | None  # (P,) sum_j w_j nu_j D_j, D_j the noise part of Y_j
 
 
 @dataclass
@@ -145,12 +146,12 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
     weights) are evaluated with slots from a tile-sized workspace;
     sigma^2 w_j is added to F row by row, in the node order of
     ``node_sum``; the guard is applied; and with weights nu and nu' are
-    written into slots sigma and sigma_prime, and 2 nu_j D_j w_j / T is
-    added to ``g_xi``. The scheme is linear in the normals, so
-    <grad Y_j, xi> = D_j and that sum is g . xi (``weights.linear_weight``):
-    no normal outlives its tile. With k = 0, Y is exactly y0 e^{-alpha t_i}.
-    Without ``compute_weights`` the batch has no nu, nu' and g_xi, and
-    sigma'' is never evaluated."""
+    written into slots sigma and sigma_prime, and w_j nu_j D_j is added to
+    ``nu_noise``. The scheme is linear in the normals, so
+    <grad Y_j, xi> = D_j and the weight reads g . xi off that sum
+    (``weights.linear_weight``): no normal outlives its tile. With k = 0, Y
+    is exactly y0 e^{-alpha t_i}. Without ``compute_weights`` the batch has
+    no nu, nu' and nu_noise, and sigma'' is never evaluated."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
@@ -159,10 +160,10 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)
     y = take(ws, "states", (n + 1, P))
-    nu = nu_prime = g_xi = None
+    nu = nu_prime = nu_noise = None
     if compute_weights:
         nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
-        g_xi = np.zeros(P)
+        nu_noise = np.zeros(P)
     tw = tiles(ws, TILE_ROWS * P)
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
@@ -197,13 +198,12 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
             d *= nu[lo:hi]
             d *= w[lo:hi, None]
             for row in d:
-                g_xi += row
-    if compute_weights:
-        g_xi *= 2.0 / grid.T
+                nu_noise += row
 
     return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
                        states=y, avg_variance=total / grid.T, bad=~ok,
-                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime, g_xi=g_xi)
+                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime,
+                       nu_noise=nu_noise)
 
 
 def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,

@@ -31,7 +31,12 @@ Purpose tags keep logically distinct draws from colliding:
 Namespaces separate independent ensembles that share a seed: the self
 check's mixing, plain-MC and moment ensembles each draw their own paths,
 apart from the weighted (density) ensemble that ``avgvar price`` reads all
-three prices off.
+three prices off. The rows are time-major, so two ensembles of one
+namespace on grids of different step counts share each path's leading
+normals. So the self check gives each model's moment ensemble a namespace
+of its own (NAMESPACE_MOMENTS + the model's index; their grids differ),
+and each coarse grid one from NAMESPACE_COARSE up, apart from the density
+ensembles and each other.
 """
 
 import numbers
@@ -47,7 +52,8 @@ PURPOSE_BRIDGE = 16
 NAMESPACE_DENSITY = 0
 NAMESPACE_MIXING = 1
 NAMESPACE_PLAIN = 2
-NAMESPACE_MOMENTS = 3
+NAMESPACE_MOMENTS = 3  # and 4
+NAMESPACE_COARSE = 5
 
 BLOCK = 256
 

@@ -28,7 +28,8 @@ from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
 from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
 from .reference import dense_weight
-from .rng import NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN, PURPOSE_VOL, NoiseStream
+from .rng import (NAMESPACE_COARSE, NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN,
+                  PURPOSE_VOL, NoiseStream)
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
 
@@ -115,8 +116,11 @@ class CheckContext:
             threads=self.threads, **options))
 
     def moments(self, tag):
+        """The terminal-moment ensemble, in a namespace of its model's own:
+        the two models' moment grids differ in step count."""
         s = self.scale
-        return self._ensemble(tag, s.n_moments, s.moment_steps[tag], namespace=NAMESPACE_MOMENTS,
+        return self._ensemble(tag, s.n_moments, s.moment_steps[tag],
+                              namespace=NAMESPACE_MOMENTS + MODELS.index(tag),
                               compute_weights=False, collect_terminal=True)
 
     def weighted(self, tag):
@@ -378,10 +382,13 @@ def coarse_grid_duality(ctx):
     """E[delta] = 0 and E[F_n delta] = 1 on coarse grids, where the weight
     is exact for F_n and the paper's continuous one is not: OU at alpha
     1, 30 and 100 (k = 0.5 sqrt(alpha), n = 64), and CIR at the reference
-    model and at a fast-decaying one (n = 8 and 16)."""
+    model and at a fast-decaying one (n = 8 and 16). Each grid draws its
+    own noise, namespace NAMESPACE_COARSE + its index: in the density
+    ensembles' namespace it would share their paths' leading normals, and
+    its rows would move with theirs."""
     rows = []
-    for tag, n in COARSE:
-        ens = ctx._ensemble(tag, ctx.scale.n_density, n)
+    for i, (tag, n) in enumerate(COARSE):
+        ens = ctx._ensemble(tag, ctx.scale.n_density, n, namespace=NAMESPACE_COARSE + i)
         f, d = ens.valid_samples()
         rows += [_zcheck(ctx, d), _identity(ctx, d, f, 1.0)]
     return rows

@@ -71,15 +71,15 @@ def _divergence(g_xi, trace_h, hessian_gg, g_sq):
                        hessian_gg=hessian_gg)
 
 
-def linear_weight(grid, fp, fpp, phi_y, phi_xi, g_xi, df=1.0, ws=None):
+def linear_weight(grid, fp, fpp, phi_y, phi_xi, fp_noise, df=1.0, ws=None):
     """The weight of a linear scheme with constant Phi_y and Phi_xi, where
-    f' = df * fp and f'' = df * fpp at the nodes and ``g_xi`` is g . xi.
-    The scheme is linear in the normals, so <grad Y_j, xi> is the noise
-    part D_j of Y_j and g . xi = sum_j c_j f'_j D_j, which the path pass
-    sums while the normals are in cache; no normal reaches the weight.
-    With a workspace ``ws`` the batch's fp is spent: the adjoint, the
-    gradient and then V / Phi_xi run in place over it. Without one, fp is
-    left as it is."""
+    f' = df * fp and f'' = df * fpp at the nodes. The scheme is linear in
+    the normals, so <grad Y_j, xi> is the noise part D_j of Y_j and
+    g . xi = sum_j c_j f'_j D_j = (df / T) ``fp_noise``, with fp_noise =
+    sum_j w_j fp_j D_j, which the path pass sums while the normals are in
+    cache; no normal reaches the weight. With a workspace ``ws`` the
+    batch's fp is spent: the adjoint, the gradient and then V / Phi_xi run
+    in place over it. Without one, fp is left as it is."""
     c = df * grid.trapezoid_weights / grid.T
     lam = np.multiply(fp, c[:, None], out=None if ws is None else fp)
     for j in range(len(lam) - 2, 0, -1):
@@ -95,7 +95,8 @@ def linear_weight(grid, fp, fpp, phi_y, phi_xi, g_xi, df=1.0, ws=None):
     s = np.zeros_like(c)
     for j in range(1, len(s)):
         s[j] = phi_y * phi_y * s[j - 1] + phi_xi * phi_xi
-    return _divergence(g_xi, node_sum(fpp, c * s), phi_xi**2 * node_sum(lam, fpp), g_sq)
+    return _divergence(fp_noise * (df / grid.T), node_sum(fpp, c * s),
+                       phi_xi**2 * node_sum(lam, fpp), g_sq)
 
 
 def sweep_weight(grid, kernel, dW, ws=None):

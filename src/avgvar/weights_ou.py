@@ -4,7 +4,8 @@ The exact transition Y_{j+1} = e^{-alpha dt} Y_j + step_sd xi_j has the
 constant step derivatives Phi_y = e^{-alpha dt} and Phi_xi = step_sd
 (``paths.ou_step``), and f = sigma^2 has f' = 2 nu and f'' = 2 nu'. The
 batch carries nu and nu' at the nodes (``batch.nu``, ``batch.nu_prime``)
-and g . xi (``batch.g_xi``), so this module never calls the volatility
+and sum_j w_j nu_j D_j over the noise parts D_j of Y_j (``batch.nu_noise``),
+from which g . xi follows, so this module never calls the volatility
 function and never sees a normal.
 """
 
@@ -16,4 +17,4 @@ def skorokhod_weight_ou(batch, params, ws=None):
     """Per-path weights of a batch of OU paths, as a ``WeightBatch``."""
     decay, step_sd = ou_step(params, batch.grid.dt)
     return linear_weight(batch.grid, batch.nu, batch.nu_prime, decay, step_sd,
-                         batch.g_xi, df=2.0, ws=ws)
+                         batch.nu_noise, df=2.0, ws=ws)

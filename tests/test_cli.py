@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -567,6 +568,28 @@ def test_selfcheck_real_battery_passes(capsys):
     assert f"{len(names)}/{len(names)} checks passed" in out
     assert [line.split()[1] for line in out.splitlines()
             if line.startswith("PASS")] == names
+
+
+def test_battery_draws_each_grid_in_a_namespace_of_its_own(monkeypatch):
+    """Time-major noise gives two ensembles of one namespace on grids of
+    different step counts the same leading normals on every path, so their
+    rows would move together. No namespace of the battery's statistical
+    ensembles holds two step counts (``reproducibility`` compares bytes
+    only, and its reruns are left out)."""
+    real, steps = selfcheck.run_ensemble, {}
+
+    def record(model, grid, n_paths, seed, namespace=0, **options):
+        steps.setdefault(namespace, set()).add(grid.n_steps)
+        return real(model, grid, n_paths, seed, namespace=namespace, **options)
+
+    monkeypatch.setattr(selfcheck, "run_ensemble", record)
+    scale = dataclasses.replace(selfcheck.QUICK, n_moments=512, n_density=512, n_price=512,
+                                n_martingale=512)
+    ctx = selfcheck.CheckContext(scale)
+    for check in selfcheck.CRITERIA:
+        if check is not selfcheck.reproducibility:
+            check(ctx)
+    assert all(len(s) == 1 for s in steps.values()), steps
 
 
 def test_float_serialization_round_trips(tmp_path):

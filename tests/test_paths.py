@@ -194,9 +194,9 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     nu = sig * sig_p
     assert weighted.nu.tobytes() == nu.tobytes()
     assert weighted.nu_prime.tobytes() == (sig_p**2 + sig * sig_pp).tobytes()
-    g_xi = node_sum(d * nu, grid.trapezoid_weights) * (2.0 / grid.T)
-    assert weighted.g_xi.tobytes() == g_xi.tobytes()
-    assert bare.nu is None and bare.nu_prime is None and bare.g_xi is None
+    nu_noise = node_sum(d * nu, grid.trapezoid_weights)
+    assert weighted.nu_noise.tobytes() == nu_noise.tobytes()
+    assert bare.nu is None and bare.nu_prime is None and bare.nu_noise is None
 
 
 def test_ito_prefix_zero_and_brownian():
@@ -265,7 +265,7 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, compute_wei
     want = simulate(model, grid, stream, idx, compute_weights=compute_weights)
     got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
                    compute_weights=compute_weights)
-    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "g_xi", "bad", "kinked"):
+    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad", "kinked"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name
         assert a is None or a.tobytes() == b.tobytes(), name

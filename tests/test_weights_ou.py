@@ -97,8 +97,9 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
 @pytest.mark.parametrize("alpha, y0, n", [(1.0, 0.0, 512), (1.0, 0.3, 512), (100.0, 0.0, 64)],
                          ids=["demo", "y0=0.3", "alpha=100"])
 def test_pass_g_xi_is_the_gradient_along_the_normals(alpha, y0, n, ref_vol):
-    """The path pass sums g . xi as sum_j c_j f'_j D_j from the noise part
-    D_j of Y_j, and never keeps a normal. On 2048 paths it equals
+    """The path pass sums w_j nu_j D_j over the noise part D_j of Y_j, and
+    never keeps a normal; the weight reads g . xi = sum_j c_j f'_j D_j off
+    that sum. On 2048 paths it equals
     sum_j xi_j g_j, with xi the stream's normals and g from the adjoint
     lambda_n = c_n f'_n, lambda_j = c_j f'_j + Phi_y lambda_{j+1},
     g_{j-1} = Phi_xi lambda_j, to 1e-13 relative to sum_j |xi_j g_j|."""
@@ -113,7 +114,8 @@ def test_pass_g_xi_is_the_gradient_along_the_normals(alpha, y0, n, ref_vol):
     for j in range(n - 1, 0, -1):
         lam[j] += decay * lam[j + 1]
     terms = xi * (step_sd * lam[1:])
-    gap = np.abs(batch.g_xi - terms.sum(axis=0))
+    g_xi = skorokhod_weight_ou(batch, model.params).g_xi
+    gap = np.abs(g_xi - terms.sum(axis=0))
     assert np.all(gap <= 1e-13 * np.abs(terms).sum(axis=0)), gap.max()
 
 
