@@ -37,7 +37,7 @@ print(f"  mean weight      : {w.value:+.4f} +- {w.std_error:.4f}  (should be ~0)
 fd = mc_estimate(f * d)
 print(f"  duality E[F d]   : {fd.value:+.4f} +- {fd.std_error:.4f}  (should be ~1)")
 
-x = auto_grid(f, points=41, lower_bound=model.density_lower_bound)
+x = auto_grid(f, lower_bound=model.density_lower_bound)
 mall = malliavin_density(f, d, x)
 kde = kde_density(f, x)
 print(f"  normalization    : malliavin {mall.normalization:.4f}, "

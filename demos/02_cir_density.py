@@ -31,7 +31,7 @@ print(f"  mean weight      : {w.value:+.4f} +- {w.std_error:.4f}  (should be ~0)
 fd = mc_estimate(f * d)
 print(f"  duality E[F d]   : {fd.value:+.4f} +- {fd.std_error:.4f}  (should be ~1)")
 
-x = auto_grid(f, points=41)
+x = auto_grid(f)
 mall = malliavin_density(f, d, x)
 kde = kde_density(f, x)
 print(f"  normalization    : malliavin {mall.normalization:.4f}, "

@@ -13,8 +13,9 @@ and must agree to roundoff (the brute-force check).
 Part 2 demonstrates the keyed noise design: each 256-path block has its
 own SFC64 generator, keyed by (seed, namespace, purpose, block), and draws
 its paths' normals time-major, one row of 256 per step; a path's normals
-are its column of that draw. So an ensemble gives byte-identical results
-for any worker count, and any single path can be reproduced in isolation.
+are its column of that draw. A stream serves any range of consecutive
+paths, so an ensemble gives byte-identical results for any worker count,
+and any single path, the range of one, can be reproduced in isolation.
 """
 
 from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
@@ -31,7 +32,7 @@ model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
 grid = make_grid(1.0, 64)
 
 # --- Part 1: one path, running sums vs the dense gradient and Hessian -----
-batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
+batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
 p = model.params
 wb = skorokhod_weight_ou(batch, p)
 sums = (wb.g_xi[0], wb.trace_h[0], wb.hessian_gg[0], wb.denominator[0])
@@ -44,7 +45,7 @@ print(f"  weight delta        = {wb.delta[0]:+.4f} "
       f"2 g^T H g / |g|^4 {2 * sums[2] / sums[3] ** 2:+.4f})")
 
 # an OU batch keeps no normals: the dense oracle draws the path's again
-dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix([0], 0, grid.n_steps) * grid.dt**0.5
+dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(1), 0, grid.n_steps) * grid.dt**0.5
 ref = dense_weight(model, grid, batch.states[:, 0], dW[:, 0])
 worst = max(abs(a - b) / abs(b) for a, b in zip(sums + (wb.delta[0],), ref))
 print(f"  brute-force check   : largest relative gap to the dense oracle {worst:.2e}")
@@ -59,7 +60,7 @@ print(f"\nensemble of 3000 paths with 1 / 2 / 4 threads: "
 # noise is its column of the block draw, and every per-path sum adds in node
 # order whatever the batch width, so the path alone gives the ensemble's
 # F and weight exactly
-lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [1234])
+lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1234, 1235))
 lone_weight = skorokhod_weight_ou(lone, p).delta
 full = runs[-1]
 assert lone.avg_variance.tobytes() == full.avg_variance[1234:1235].tobytes()

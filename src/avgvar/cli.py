@@ -23,7 +23,9 @@ model-only config besides. Keys the parser does not read are ignored, but
 prices off the one weighted ensemble at "grid.n_steps".
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
-``E_*`` line per violation on stdout (run settings add E_EMPTY_ENSEMBLE,
+``E_*`` line per violation on stdout (the model's codes include
+E_FORWARD_OVERFLOW, a forward s0 e^{rT} that is not a finite float; run
+settings add E_EMPTY_ENSEMBLE,
 E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_SEED for a
 seed outside [0, 2^64), and E_INVALID_THREADS for a --threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import EmptyEnsemble, GridTooCoarse, TooFewSamples
 
 MIN_GRID_POINTS = 21
+AUTO_GRID_POINTS = 41
 KDE_MIN_SAMPLES = 100
 SILVERMAN_FACTOR = 1.06  # KDE bandwidth 1.06 sigma N^(-1/5)
 SINGULAR_DET = 1e-12  # scaled control normal equations below this are singular
@@ -38,14 +39,12 @@ class DensityEstimate:
     method: str           # "malliavin" | "kde"
 
 
-def auto_grid(samples, points=41, lower_bound=None):
-    """Default x-grid: max(lower_bound, half the 1st percentile) up to 1.2x
-    the 99th percentile of the samples."""
+def auto_grid(samples, lower_bound=None):
+    """Default x-grid: AUTO_GRID_POINTS points from max(lower_bound, half
+    the 1st percentile) up to 1.2x the 99th percentile of the samples."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise EmptyEnsemble("cannot build a grid from zero samples")
-    if points < MIN_GRID_POINTS:
-        raise GridTooCoarse(f"density grid needs >= {MIN_GRID_POINTS} points, got {points}")
     p1, p99 = quantiles(samples, [1.0 / 100, 99.0 / 100])
     lo = 0.5 * p1
     if lower_bound is not None:
@@ -53,7 +52,7 @@ def auto_grid(samples, points=41, lower_bound=None):
     hi = 1.2 * p99
     if not hi > lo:
         hi = lo + max(abs(lo), 1e-8)
-    return np.linspace(lo, hi, int(points))
+    return np.linspace(lo, hi, AUTO_GRID_POINTS)
 
 
 def quantiles(values, q):

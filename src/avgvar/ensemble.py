@@ -1,9 +1,9 @@
 """Ensemble orchestration: chunked, reproducible, optionally threaded.
 
-Paths are processed in fixed-size chunks; each chunk's output lands in a
-preallocated slice indexed by path number, and every per-path quantity
-depends only on (seed, namespace, purpose, path index) through the
-block-keyed noise streams (``avgvar.rng``). Worker w of ``threads`` runs
+Paths are processed in fixed-size chunks of consecutive paths; each
+chunk's output lands in its slice of preallocated arrays, and every
+per-path quantity depends only on (seed, namespace, purpose, path index)
+through the block-keyed noise streams (``avgvar.rng``). Worker w of ``threads`` runs
 chunks w, w + threads, w + 2 threads, ... with its own streams and one
 ``Workspace`` of whole chunk buffers, created once per ensemble and reused
 by each of its chunks, so a warmed worker allocates no whole array and the
@@ -134,13 +134,14 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         # reused by every chunk it runs; values depend only on (seed,
         # namespace, purpose, path index)
         ws = Workspace(size)
-        vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace=namespace)
-        asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace=namespace)
+        vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace, antithetic)
+        asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace, antithetic)
         for lo in starts[worker::threads]:
-            idx = np.arange(lo, min(lo + CHUNK, n_paths))
+            hi = min(lo + CHUNK, n_paths)
+            chunk = range(lo, hi)
             # a failing path may overflow or turn NaN; the guards below flag it
             with np.errstate(all="ignore"):
-                batch = simulate(model, grid, vol_stream, idx, antithetic=antithetic, ws=ws,
+                batch = simulate(model, grid, vol_stream, chunk, ws=ws,
                                  compute_weights=compute_weights)
                 if compute_weights:
                     wb = skorokhod_weight(batch, model.params, ws=ws)
@@ -149,16 +150,15 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                 den = wb.denominator
                 bad = (bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
                        | ~np.isfinite(wb.delta))
-                weight[idx] = np.where(bad, np.nan, wb.delta)
-                denom[idx] = den
-            failed[idx] = bad
-            avg_variance[idx] = batch.avg_variance
+                weight[lo:hi] = np.where(bad, np.nan, wb.delta)
+                denom[lo:hi] = den
+            failed[lo:hi] = bad
+            avg_variance[lo:hi] = batch.avg_variance
             if collect_terminal:
-                terminal_state[idx] = batch.states[-1]
+                terminal_state[lo:hi] = batch.states[-1]
             if collect_asset:
-                terminal_asset[idx] = _paths.sample_terminal_asset(
-                    batch.avg_variance, model.params, asset_stream, idx,
-                    antithetic=antithetic)
+                terminal_asset[lo:hi] = _paths.sample_terminal_asset(
+                    batch.avg_variance, model.params, asset_stream, chunk)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

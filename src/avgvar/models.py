@@ -39,18 +39,15 @@ class VolFunctionSpec:
     author vouches for it. The OU weight consumes the products nu and nu' of
     ``nu_terms``: f = sigma^2 has f' = 2 nu and f'' = 2 nu'.
 
-    ``evaluate(x, ws, order)`` returns (sigma, sigma') at x for order 1
-    and (sigma, sigma', sigma'') for order 2, the default. The OU path pass
-    calls it once per tile of states (``paths.TILE_ROWS`` node rows), with
-    order 1 when no weight is computed, and with a workspace ``ws`` of
-    tile-sized slots (``avgvar.workspace``). A spec may pass
-    ``joint(x, ws, order)``, a callable returning the tuple in one pass;
-    the reference family does, sharing its intermediates, taking its
-    arrays from ``ws`` and stopping after sigma' at order 1. The pass
-    reuses slots tmp0 and tmp2 once ``joint`` returns, so it returns none
-    of its arrays there. Without ``joint``, ``evaluate`` calls the first
-    ``order + 1`` of the three callables in turn and returns fresh arrays
-    of the shape of x.
+    ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x. The OU path
+    pass calls it once per tile of states (``paths.TILE_ROWS`` node rows),
+    with a workspace ``ws`` of tile-sized slots (``avgvar.workspace``). A
+    spec may pass ``joint(x, ws)``, a callable returning the three in one
+    pass; the reference family does, sharing its intermediates and taking
+    its arrays from ``ws``. The pass reuses slots tmp0 and tmp2 once
+    ``joint`` returns, so it returns none of its arrays there. Without
+    ``joint``, ``evaluate`` calls the three callables in turn and returns
+    fresh arrays of the shape of x.
     """
 
     sigma: Callable
@@ -60,11 +57,11 @@ class VolFunctionSpec:
     name: str = "custom"
     joint: Callable | None = None
 
-    def evaluate(self, x, ws=None, order=2):
+    def evaluate(self, x, ws=None):
         if self.joint is not None:
-            return self.joint(x, ws, order)
+            return self.joint(x, ws)
         return tuple(np.array(np.broadcast_to(f(x), np.shape(x)), dtype=float)
-                     for f in (self.sigma, self.sigma_prime, self.sigma_second)[:order + 1])
+                     for f in (self.sigma, self.sigma_prime, self.sigma_second))
 
 
 def nu_terms(sig, sig_p, sig_pp, out=None):
@@ -162,7 +159,7 @@ def reference_vol_family(c, m):
     c = float(c)
     m = float(m)
 
-    def joint(x, ws=None, order=2):
+    def joint(x, ws=None):
         # one sqrt, one mask and one a = |x| + s for all three (a is x + s
         # for x >= 0 and s - x for x < 0, exactly); the operations run in
         # place on five buffers, each with the operands and order of the
@@ -198,8 +195,6 @@ def reference_vol_family(c, m):
         a_bits *= neg
         sigma_prime_bits ^= a_bits
         sigma_prime *= m
-        if order < 2:
-            return sigma.reshape(shape), sigma_prime.reshape(shape)
         # sigma'' = m / s^3
         sigma_second = np.power(s, 3, out=s)
         np.divide(m, sigma_second, out=sigma_second)
@@ -248,6 +243,15 @@ def _check_common(params, violations):
         violations.append(("E_NEGATIVE_RATE", f"r must be >= 0, got {params.r}"))
     if not (params.T > 0):
         violations.append(("E_NONPOSITIVE_MATURITY", f"T must be > 0, got {params.T}"))
+    # the pricers read the forward s0 e^{rT}, so it must be a float too
+    if all(math.isfinite(v) for v in (params.s0, params.r, params.T)):
+        try:
+            forward = params.s0 * math.exp(params.r * params.T)
+        except OverflowError:
+            forward = math.inf
+        if not math.isfinite(forward):
+            violations.append(("E_FORWARD_OVERFLOW", "the forward s0*exp(r*T) must be a "
+                               f"finite float, got s0={params.s0}, r*T={params.r * params.T}"))
 
 
 def validate_ou(params, vol):

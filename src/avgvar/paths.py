@@ -18,16 +18,17 @@ weakly convergent positive-preserving scheme, whose step the weight
 differentiates. The floor keeps Z > 0, so full truncation's max(Z, 0) is
 a no-op and is not taken.
 
-Layout: both models keep a chunk of P paths time-major, as C-contiguous
-(n, P) and (n+1, P) arrays (``PathBatch``) whose rows the recursions, the
-weights and their sweeps step. A batch's normals come only from a noise
-stream, through ``simulate_*_paths``, which ask it for one tile of
-TILE_ROWS step rows at a time (``rng.NoiseStream.normal_matrix``). The OU
-pass runs once over tiles of node rows: each tile's normals are drawn,
-stepped, evaluated, summed into F and the noise sum of g . xi and
-guarded while they are in cache, and only the states and, with weights,
-nu and nu' are whole arrays. The CIR simulator draws each tile straight
-into its rows of dW, and the CIR weight's kernel
+Layout: both models keep a chunk of P consecutive paths, a ``range``,
+time-major, as C-contiguous (n, P) and (n+1, P) arrays (``PathBatch``)
+whose rows the recursions, the weights and their sweeps step. A batch's
+normals come only from a noise stream, through ``simulate_*_paths``,
+which ask it for one tile of TILE_ROWS step rows of the range at a time
+(``rng.NoiseStream.normal_matrix``); the stream fixes whether the paths
+are antithetic pairs. The OU pass runs once over tiles of node rows:
+each tile's normals are drawn, stepped, evaluated, summed into F and the
+noise sum of g . xi and guarded while they are in cache, and only the
+states and, with weights, nu and nu' are whole arrays. The CIR simulator
+draws each tile straight into its rows of dW, and the CIR weight's kernel
 (``weights_cir.cir_kernel``) writes its step derivatives one tile at a
 time into a tile workspace. Every per-path sum over the nodes adds in
 node order as ``node_sum`` does, so a path's values do not depend on how
@@ -86,7 +87,7 @@ class PathBatch:
     path ``path_indices[p]``."""
 
     grid: TimeGrid
-    path_indices: np.ndarray
+    path_indices: range
     states: np.ndarray        # (n+1, P) Y (OU) or Z (CIR) at the nodes
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
@@ -95,11 +96,11 @@ class PathBatch:
 
 @dataclass
 class OUPathBatch(PathBatch):
-    """OU driver paths, which keep no normals. sigma and sigma' (and
-    sigma'' for the weight) are evaluated once per tile of nodes and
-    reduced at once to ``avg_variance``, the guard ``bad`` (sigma' > 0 or
-    sigma >= c fails at some node) and, when weights are computed, ``nu``,
-    ``nu_prime`` and ``nu_noise``."""
+    """OU driver paths, which keep no normals. sigma, sigma' and sigma''
+    are evaluated once per tile of nodes and reduced at once to
+    ``avg_variance``, the guard ``bad`` (sigma' > 0 or sigma >= c fails at
+    some node) and, when weights are computed, ``nu``, ``nu_prime`` and
+    ``nu_noise``."""
 
     nu: np.ndarray | None        # (n+1, P) sigma * sigma' at the nodes
     nu_prime: np.ndarray | None  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
@@ -136,14 +137,13 @@ def ou_step(params, dt):
     return decay, step_sd
 
 
-def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
-                      compute_weights=True):
+def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weights=True):
     """Simulate OU driver paths by their exact transition, in one pass over
     tiles of TILE_ROWS node rows. Per tile, the step normals are drawn into
     a tile slot and turned in place into the noise part D_j of the states,
     D_j = e^{-alpha dt} D_{j-1} + step_sd xi_{j-1} from D_0 = 0, and
-    Y_j = y0 e^{-alpha t_j} + D_j; sigma and sigma' (and sigma'' with
-    weights) are evaluated with slots from a tile-sized workspace;
+    Y_j = y0 e^{-alpha t_j} + D_j; sigma, sigma' and sigma'' are
+    evaluated with slots from a tile-sized workspace;
     sigma^2 w_j is added to F row by row, in the node order of
     ``node_sum``; the guard is applied; and with weights nu and nu' are
     written into slots sigma and sigma_prime, and w_j nu_j D_j is added to
@@ -151,7 +151,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
     <grad Y_j, xi> = D_j and the weight reads g . xi off that sum
     (``weights.linear_weight``): no normal outlives its tile. With k = 0, Y
     is exactly y0 e^{-alpha t_i}. Without ``compute_weights`` the batch has
-    no nu, nu' and nu_noise, and sigma'' is never evaluated."""
+    no nu, nu' and nu_noise, and sigma'' goes unread."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
@@ -173,8 +173,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
         first = max(lo, 1)
         d = tw.take("noise", (hi - lo, P))
         d[:first - lo] = 0.0
-        shock = stream.normal_matrix(path_indices, first - 1, hi - 1, antithetic=antithetic,
-                                     out=d[first - lo:])
+        shock = stream.normal_matrix(path_indices, first - 1, hi - 1, out=d[first - lo:])
         shock *= step_sd
         for j in range(first - lo, hi - lo):
             np.multiply(d[j - 1] if j > 0 else last, decay, out=last)
@@ -182,7 +181,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
         np.copyto(last, d[-1])
         tile = np.add(d, mean[lo:hi, None], out=y[lo:hi])
 
-        values = vol.evaluate(tile, tw, 2 if compute_weights else 1)
+        values = vol.evaluate(tile, tw)
         sig, sig_p = values[:2]
         # the volatility function has finished with its scratch slots tmp0 and tmp2
         sq = np.multiply(sig, sig, out=tw.take("tmp0", tile.shape))
@@ -200,14 +199,13 @@ def simulate_ou_paths(model, grid, stream, path_indices, antithetic=False, ws=No
             for row in d:
                 nu_noise += row
 
-    return OUPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
+    return OUPathBatch(grid=grid, path_indices=path_indices,
                        states=y, avg_variance=total / grid.T, bad=~ok,
                        kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime,
                        nu_noise=nu_noise)
 
 
-def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=None,
-                       compute_weights=True):
+def simulate_cir_paths(model, grid, stream, path_indices, ws=None, compute_weights=True):
     """Simulate CIR variance paths by full-truncation Euler:
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at Z_FLOOR, so
     every Z_i > 0 and the max(Z_i, 0) of full truncation is the identity.
@@ -229,8 +227,7 @@ def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=N
     floored = np.zeros(P, dtype=np.int64)
     for lo in range(0, n, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n)
-        rows = stream.normal_matrix(path_indices, lo, hi, antithetic=antithetic,
-                                    out=dW[lo:hi])
+        rows = stream.normal_matrix(path_indices, lo, hi, out=dW[lo:hi])
         rows *= sqrt_dt
         for j in range(lo, hi):
             zj = z[j]
@@ -240,13 +237,13 @@ def simulate_cir_paths(model, grid, stream, path_indices, antithetic=False, ws=N
             np.copyto(znext, Z_FLOOR, where=hit)
             z[j + 1] = znext
 
-    return CIRPathBatch(grid=grid, path_indices=np.asarray(path_indices, dtype=np.int64),
+    return CIRPathBatch(grid=grid, path_indices=path_indices,
                         dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
                         bad=floored > FLOOR_RATE_LIMIT * n, kinked=floored > 0,
                         floored_steps=floored)
 
 
-def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic=False):
+def sample_terminal_asset(avg_variance, params, stream, path_indices):
     """Terminal asset prices given averaged variances, under the pricing measure.
 
     Because the asset driver is independent of the volatility driver, S_T
@@ -256,7 +253,7 @@ def sample_terminal_asset(avg_variance, params, stream, path_indices, antithetic
         S_T = s0 exp(r T - sig_bar^2 T / 2 + sig_bar sqrt(T) xi).
     """
     avg_variance = np.asarray(avg_variance)
-    xi = stream.normal_matrix(path_indices, 0, 1, antithetic=antithetic)[0]
+    xi = stream.normal_matrix(path_indices, 0, 1)[0]
     sig_bar = np.sqrt(avg_variance)
     T = params.T
     return params.s0 * np.exp(params.r * T - 0.5 * avg_variance * T

@@ -13,6 +13,16 @@ Statistical checks pass within ``scale.z`` standard errors: 3 at DESK and
 noise dominates the discretization bias, and the wider band keeps the
 battery seed-robust. An integration-by-parts row fails when the per-path
 terms phi(F) delta - phi'(F), raw or less their fit on delta, reach the band.
+
+Noise namespaces (``avgvar.rng``) separate the battery's independent
+ensembles, which share a seed: its mixing, plain-MC and moment ensembles
+each draw their own paths, apart from the weighted (density) ensemble in
+rng.NAMESPACE_DENSITY that ``avgvar price`` reads all three prices off.
+The noise rows are time-major, so two ensembles of one namespace on grids
+of different step counts share each path's leading normals. So each
+model's moment ensemble has a namespace of its own (NAMESPACE_MOMENTS +
+the model's index; their grids differ), and each coarse grid one from
+NAMESPACE_COARSE up, apart from the density ensembles and each other.
 """
 
 import dataclasses
@@ -28,12 +38,15 @@ from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
 from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
 from .reference import dense_weight
-from .rng import (NAMESPACE_COARSE, NAMESPACE_MIXING, NAMESPACE_MOMENTS, NAMESPACE_PLAIN,
-                  PURPOSE_VOL, NoiseStream)
+from .rng import PURPOSE_VOL, NoiseStream
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
 
 SEED = 20240601
+NAMESPACE_MIXING = 1
+NAMESPACE_PLAIN = 2
+NAMESPACE_MOMENTS = 3  # and 4
+NAMESPACE_COARSE = 5
 OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 # fast decay: alpha dt = 1.6 on the oracle's 64-step grid, where the
 # paper's kernels span 87 decades
@@ -60,26 +73,23 @@ class Scale:
     z: float                     # statistical band, in standard errors
     n_moments: int               # terminal-moment ensembles
     moment_steps: dict           # their grid steps, per model
-    n_density: int               # weighted ensembles: duality, density, guards
+    n_density: int               # weighted, mixing and plain ensembles
     density_steps: int
     mass_band: tuple             # accepted density mass
     kde_interior: slice          # grid points where Malliavin and KDE must agree
     survival_percentiles: tuple  # survival probes, as percentiles of F
-    n_price: int                 # mixing and plain pricing ensembles
-    price_steps: int
-    n_martingale: int            # OU plain ensemble of the martingale check
-    n_exact: int                 # constant-volatility sample of the exact price
+    price_steps: int             # grid of the mixing and plain ensembles
 
 
 QUICK = Scale(z=3.89, n_moments=20000, moment_steps={"ou": 64, "cir": 256},
               n_density=20000, density_steps=256, mass_band=(0.90, 1.10),
               kde_interior=slice(2, -2), survival_percentiles=(20, 40, 60, 80, 95),
-              n_price=20000, price_steps=128, n_martingale=8000, n_exact=200)
+              price_steps=128)
 DESK = Scale(z=3.0, n_moments=100000, moment_steps={"ou": 256, "cir": 512},
              n_density=50000, density_steps=512, mass_band=(0.95, 1.05),
              kde_interior=slice(10, 31),  # 21 interior points covering the bulk
              survival_percentiles=(5, 15, 25, 35, 45, 55, 65, 75, 85, 95),
-             n_price=50000, price_steps=256, n_martingale=100000, n_exact=50000)
+             price_steps=256)
 
 
 @dataclass
@@ -128,20 +138,21 @@ class CheckContext:
         def make():
             ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps)
             f, d = ens.valid_samples()
-            x = auto_grid(f, points=41, lower_bound=self.models[tag].density_lower_bound)
+            x = auto_grid(f, lower_bound=self.models[tag].density_lower_bound)
             return ens, f, d, malliavin_density(f, d, x)
         return self._once(("weighted", tag), make)
 
     def mixing(self, tag):
         s = self.scale
-        return self._ensemble(tag, s.n_price, s.price_steps, namespace=NAMESPACE_MIXING,
+        return self._ensemble(tag, s.n_density, s.price_steps, namespace=NAMESPACE_MIXING,
                               compute_weights=False)
 
     def plain(self, tag):
         """The plain-MC ensemble. The martingale check reads all of the OU
-        one; the first n_price of its paths are the pricing run."""
+        one, max(n_density, n_moments) paths; the first n_density of them
+        are the pricing run."""
         s = self.scale
-        n = max(s.n_price, s.n_martingale) if tag == "ou" else s.n_price
+        n = max(s.n_density, s.n_moments) if tag == "ou" else s.n_density
         return self._ensemble(tag, n, s.price_steps, namespace=NAMESPACE_PLAIN,
                               compute_weights=False, collect_asset=True)
 
@@ -271,7 +282,7 @@ def price_triangle(ctx):
         dq = pricing.price_from_density(f, d, STRIKE, p.s0, p.r, p.T)
         mix = pricing.price_mixing(np.sqrt(ctx.mixing(tag).avg_variance), STRIKE,
                                    p.s0, p.r, p.T)
-        plain = pricing.price_plain_mc(ctx.plain(tag).terminal_asset[:ctx.scale.n_price],
+        plain = pricing.price_plain_mc(ctx.plain(tag).terminal_asset[:ctx.scale.n_density],
                                        STRIKE, p.r, p.T)
         rel = _rel(dq.value, mix.value)
         z = max(abs(a.value - b.value) / math.hypot(a.std_error, b.std_error)
@@ -293,14 +304,15 @@ def _bs_oracle(s0, strike, r, T, sigma):
 def deterministic_vol_exactness(ctx):
     """Exact conditional-pricer checks: monotone in sigma, within no-arbitrage
     bounds, and the mixing price of a constant volatility equal to an
-    independent oracle within 1e-9. Both go through pricing._phi, so a
-    corrupted normal CDF turns them to FAIL."""
+    independent oracle within 1e-9; the mean of a constant sample is its
+    first value, so one draw stands for any size. Both go through
+    pricing._phi, so a corrupted normal CDF turns them to FAIL."""
     prices = pricing.bs_conditional(np.linspace(0.05, 1.0, 40), 100.0, 100.0, 0.05, 1.0)
     mono = bool(np.all(np.diff(prices) > 0))
     lo_bound = max(100.0 - 100.0 * math.exp(-0.05), 0.0)
     bounds = bool(np.all(prices >= lo_bound - 1e-12) and np.all(prices <= 100.0 + 1e-12))
     oracle = _bs_oracle(100.0, 100.0, 0.05, 1.0, 0.2)
-    mix = pricing.price_mixing(np.full(ctx.scale.n_exact, 0.2), 100.0, 100.0, 0.05, 1.0)
+    mix = pricing.price_mixing(np.array([0.2]), 100.0, 100.0, 0.05, 1.0)
     gap = abs(mix.value - oracle)
     return [(mono and bounds, f"monotone={mono} bounds={bounds}"),
             (gap < 1e-9, f"|mixing - oracle| = {gap:.2e} (oracle {oracle:.6f})")]
@@ -331,7 +343,7 @@ def kernel_oracles(ctx):
     reference.py, within 1e-8 relative: g . xi, tr H, g^T H g, |g|^2 and
     delta, on OU at alpha 1 and 100 and on CIR."""
     stream = NoiseStream(ctx.seed, PURPOSE_VOL)
-    idx = np.arange(ORACLE_PATHS)
+    idx = range(ORACLE_PATHS)
     fast = validate_ou(OU_FAST_DECAY, reference_vol_family(*REFERENCE_VOL))
     errs = []
     for model, simulate, weigh in ((ctx.models["ou"], simulate_ou_paths, skorokhod_weight_ou),

@@ -29,7 +29,8 @@ second workspace of tile-sized slots (``tiles``):
     OU    noise       the tile's normals as drawn, turned in place into the
                       noise part D of Y, then nu D w_j
           tmp0        the volatility function's scratch, then sigma^2 w_j
-          tmp1        sigma'' (spent by nu_terms)
+          tmp1        sigma'' on every tile, spent by nu_terms when
+                      weights are computed and unread when not
           tmp2        the volatility function's mask, then the guard's
           sigma       sigma
           sigma_prime sigma'

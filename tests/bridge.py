@@ -4,18 +4,23 @@ on matched noise."""
 
 import numpy as np
 
+# the noise purpose of the bridge normals of halving ``level``: PURPOSE_BRIDGE
+# + level, apart from the package's own purposes (avgvar.rng)
+PURPOSE_BRIDGE = 16
+
 
 class GivenNormals:
     """A noise stream whose path p draws row p of the (paths, steps) array
     ``xi``: the way a test builds a batch on normals of its choosing. Like
-    ``NoiseStream.normal_matrix`` it returns steps lo..hi-1 time-major."""
+    ``NoiseStream.normal_matrix`` it returns steps lo..hi-1 of a range of
+    paths time-major."""
 
     def __init__(self, xi):
         self.xi = np.asarray(xi, dtype=float)
 
-    def normal_matrix(self, path_indices, lo, hi, antithetic=False, out=None):
-        assert hi <= self.xi.shape[1] and not antithetic
-        rows = self.xi[np.asarray(path_indices), lo:hi].T
+    def normal_matrix(self, paths, lo, hi, out=None):
+        assert paths.step == 1 and paths.stop <= self.xi.shape[0] and hi <= self.xi.shape[1]
+        rows = self.xi[paths.start:paths.stop, lo:hi].T
         if out is None:
             return rows
         out[:] = rows
@@ -28,7 +33,7 @@ def paths_from_increments(simulate, model, grid, dW):
     of n_steps per path."""
     dW = np.asarray(dW, dtype=float)
     stream = GivenNormals(dW / np.sqrt(grid.dt))
-    return simulate(model, grid, stream, np.arange(dW.shape[0]))
+    return simulate(model, grid, stream, range(dW.shape[0]))
 
 
 def refine_increments(dW, dt, bridge_normals):

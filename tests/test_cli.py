@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,8 @@ import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
 from avgvar.paths import make_grid
 from avgvar.rng import NAMESPACE_DENSITY
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -158,6 +161,26 @@ def test_malformed_config_fails_before_simulating(tmp_path, capsys, monkeypatch,
         captured = capsys.readouterr()
         stream = captured.out if code == 2 else captured.err
         assert any(text.startswith(line + " ") for text in stream.splitlines()), command
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo, r", [("config_ou.json", 1000.0), ("config_cir.json", 800.0)])
+def test_a_forward_beyond_the_float_range_is_a_violation(tmp_path, capsys, monkeypatch,
+                                                         demo, r):
+    """A demo config whose forward s0 e^{rT} overflows a float fails every
+    command with exit 2, as price could not compute it."""
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the config was rejected")
+    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
+    cfg = json.loads((DEMOS / demo).read_text())
+    cfg["params"]["r"] = r
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / demo
+    path.write_text(json.dumps(cfg))
+    for command in ("validate", "density", "price"):
+        assert cli.main([command, "--config", str(path)]) == 2, command
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+            "E_FORWARD_OVERFLOW"], command
     assert not (tmp_path / "out").exists()
 
 
@@ -583,8 +606,7 @@ def test_battery_draws_each_grid_in_a_namespace_of_its_own(monkeypatch):
         return real(model, grid, n_paths, seed, namespace=namespace, **options)
 
     monkeypatch.setattr(selfcheck, "run_ensemble", record)
-    scale = dataclasses.replace(selfcheck.QUICK, n_moments=512, n_density=512, n_price=512,
-                                n_martingale=512)
+    scale = dataclasses.replace(selfcheck.QUICK, n_moments=512, n_density=512)
     ctx = selfcheck.CheckContext(scale)
     for check in selfcheck.CRITERIA:
         if check is not selfcheck.reproducibility:

@@ -162,14 +162,12 @@ def test_density_errors():
         malliavin_density(np.array([]), np.array([]), np.linspace(0, 1, 21))
     with pytest.raises(GridTooCoarse):
         malliavin_density(np.ones(10), np.ones(10), np.linspace(0, 1, 5))
-    with pytest.raises(GridTooCoarse):
-        auto_grid(np.ones(10), points=11)
 
 
 def test_auto_grid_respects_lower_bound():
     rng = np.random.default_rng(SEED)
     samples = rng.uniform(0.03, 0.08, 1000)
-    g = auto_grid(samples, points=41, lower_bound=0.05)
+    g = auto_grid(samples, lower_bound=0.05)
     assert g[0] >= 0.05
     assert g[-1] >= samples.max() * 0.9
     assert g.size == 41

@@ -171,9 +171,9 @@ def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
         return [a.tobytes() for a in (batch.avg_variance[column], batch.states[:, column],
                                       wb.delta[column], wb.denominator[column])]
 
-    alone = path_bytes([3], 0)
-    assert path_bytes([2, 3, 4], 1) == alone
-    assert path_bytes(np.arange(ens_mod.CHUNK), 3) == alone
+    alone = path_bytes(range(3, 4), 0)
+    assert path_bytes(range(2, 5), 1) == alone
+    assert path_bytes(range(ens_mod.CHUNK), 3) == alone
 
     one, two = (run_ensemble(model, grid, n, SEED) for n in (2049, 2050))
     for field in ("avg_variance", "weight", "denominator"):
@@ -218,7 +218,7 @@ def _fail_path_zero(real_weight, fault):
     def one_bad(batch, params, ws=None):
         wb = real_weight(batch, params, ws=ws)
         if 0 in batch.path_indices:
-            row = int(np.where(batch.path_indices == 0)[0][0])
+            row = batch.path_indices.index(0)
             array, value = {"nan_delta": (wb.delta, np.nan), "inf_delta": (wb.delta, np.inf),
                             "zero_denominator": (wb.denominator, 0.0),
                             "nan_denominator": (wb.denominator, np.nan),

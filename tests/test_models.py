@@ -128,7 +128,7 @@ def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
     vol = ou_model.vol
     oracle = oracle_family(0.1, 0.1)
     chunk = simulate_ou_paths(ou_model, make_grid(1.0, 512),
-                              NoiseStream(SEED, PURPOSE_VOL), np.arange(2048)).states
+                              NoiseStream(SEED, PURPOSE_VOL), range(2048)).states
     assert chunk.shape == (513, 2048)
     for x in (PROBE_GRID, np.array([-1e8, 1e8, -0.0, 0.0]), chunk):
         # at x = 1e8, s - x = 0 in the branch that is discarded

@@ -10,8 +10,8 @@ from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUMod
                     CIRParams, ValidatedCIRModel, make_grid, run_ensemble,
                     sample_terminal_asset, simulate_cir_paths, simulate_ou_paths)
 from avgvar.paths import FLOOR_RATE_LIMIT, TILE_ROWS, node_sum, ou_step
-from avgvar.rng import PURPOSE_VOL, NoiseStream, PURPOSE_BRIDGE
-from bridge import GivenNormals, paths_from_increments, refine_increments
+from avgvar.rng import PURPOSE_VOL, NoiseStream
+from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
 from test_ensemble import _flat_above_ten_model
 from test_models import oracle_family
 
@@ -55,14 +55,14 @@ def test_noiseless_ou_is_exact_decay(ref_vol):
     params = OUParams(alpha=1.3, k=0.0, y0=2.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedOUModel(params=params, vol=ref_vol)
     grid = make_grid(1.0, 32)
-    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
+    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
     assert np.allclose(batch.states[:, 0], 2.0 * np.exp(-1.3 * grid.t), rtol=1e-14)
 
 
 def test_ou_terminal_moments(ou_model):
     grid = make_grid(1.0, 64)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_ou_paths(ou_model, grid, stream, np.arange(40000))
+    batch = simulate_ou_paths(ou_model, grid, stream, range(40000))
     y_t = batch.states[-1]
     p = ou_model.params
     mean_target = p.y0 * math.exp(-p.alpha * p.T)
@@ -75,9 +75,9 @@ def test_ou_terminal_moments(ou_model):
 def test_ou_distribution_invariant_to_grid(ou_model):
     # exact transition: Y_T law cannot depend on n_steps (KS at 1%)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    coarse = simulate_ou_paths(ou_model, make_grid(1.0, 16), stream, np.arange(20000))
+    coarse = simulate_ou_paths(ou_model, make_grid(1.0, 16), stream, range(20000))
     fine = simulate_ou_paths(ou_model, make_grid(1.0, 512), stream,
-                             np.arange(20000, 40000))
+                             range(20000, 40000))
     stat = ks_2samp(coarse.states[-1], fine.states[-1])
     assert stat.pvalue > 0.01
 
@@ -86,7 +86,7 @@ def test_noiseless_cir_matches_ode(cir_model, ref_vol):
     params = CIRParams(b=1.0, k=0.0, z0=3.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 4096)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
     exact = 1.0 + (3.0 - 1.0) * np.exp(-grid.t)
     assert np.max(np.abs(batch.states[:, 0] - exact) / exact) < 1e-3
 
@@ -94,7 +94,7 @@ def test_noiseless_cir_matches_ode(cir_model, ref_vol):
 def test_cir_terminal_moments(cir_model):
     grid = make_grid(1.0, 256)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_cir_paths(cir_model, grid, stream, np.arange(40000))
+    batch = simulate_cir_paths(cir_model, grid, stream, range(40000))
     z_t = batch.states[-1]
     c = cir_model.params
     mean_target = c.z0 * math.exp(-c.T) + c.b * (1 - math.exp(-c.T))
@@ -108,7 +108,7 @@ def test_cir_terminal_moments(cir_model):
 def test_cir_never_floors_in_reference_regime(cir_model):
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_cir_paths(cir_model, grid, stream, np.arange(10000))
+    batch = simulate_cir_paths(cir_model, grid, stream, range(10000))
     assert int(batch.floored_steps.sum()) == 0
     assert np.all(batch.states > 0)
     assert not batch.bad.any() and not batch.kinked.any()
@@ -120,7 +120,7 @@ def test_floor_saturation_raises_on_coarse_grid():
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                               np.arange(64))
+                               range(64))
     over = batch.floored_steps > FLOOR_RATE_LIMIT * grid.n_steps
     assert over.any() and np.array_equal(batch.bad, over)
     # the ensemble fails the flagged paths, beyond its 0.1% budget here
@@ -131,7 +131,7 @@ def test_floor_saturation_raises_on_coarse_grid():
 def test_ou_avg_variance_above_lower_bound(ou_model):
     grid = make_grid(1.0, 64)
     batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                              np.arange(500))
+                              range(500))
     assert np.all(batch.avg_variance >= ou_model.vol.lower_bound_c**2)
 
 
@@ -143,10 +143,10 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     if model_name == "ou_model":
-        batch = simulate_ou_paths(model, grid, stream, np.arange(512))
+        batch = simulate_ou_paths(model, grid, stream, range(512))
         integrand = model.vol.evaluate(batch.states)[0] ** 2
     else:
-        batch = simulate_cir_paths(model, grid, stream, np.arange(512))
+        batch = simulate_cir_paths(model, grid, stream, range(512))
         integrand = batch.states
     w = grid.trapezoid_weights
     exact = np.array([math.fsum(w * row) for row in integrand.T]) / grid.T
@@ -171,7 +171,7 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
         formulas = (model.vol.sigma, model.vol.sigma_prime, model.vol.sigma_second)
     grid = make_grid(1.0, n)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    idx = np.arange(width)
+    idx = range(width)
     weighted = simulate_ou_paths(model, grid, stream, idx)
     bare = simulate_ou_paths(model, grid, stream, idx, compute_weights=False)
 
@@ -202,7 +202,7 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
 def test_ito_prefix_zero_and_brownian():
     grid = make_grid(1.0, 128)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    dW = stream.normal_matrix(np.arange(4), 0, 128).T * np.sqrt(grid.dt)
+    dW = stream.normal_matrix(range(4), 0, 128).T * np.sqrt(grid.dt)
     zeros = ito_prefix_sums(dW, np.zeros((1, 129)))
     assert np.all(zeros == 0.0)
     ones = ito_prefix_sums(dW, np.ones((1, 129)))
@@ -242,9 +242,9 @@ def test_ito_isometry_exponential_integrand():
     f = np.exp(grid.t)[None, :]
     totals = np.empty(n_paths)
     for lo in range(0, n_paths, 8192):
-        idx = np.arange(lo, min(lo + 8192, n_paths))
+        idx = range(lo, min(lo + 8192, n_paths))
         dW = stream.normal_matrix(idx, 0, 256).T * np.sqrt(grid.dt)
-        totals[idx] = ito_prefix_sums(dW, f)[:, -1]
+        totals[idx.start:idx.stop] = ito_prefix_sums(dW, f)[:, -1]
     assert abs(totals.mean()) < 3 * totals.std() / math.sqrt(n_paths)
     sq = totals**2
     assert abs(sq.mean() - target) < 3 * sq.std() / math.sqrt(n_paths)
@@ -260,7 +260,7 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, compute_wei
     block) and n = 17 (a partial tile)."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(model.params.T, 17)
-    idx = np.arange(300)
+    idx = range(300)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     want = simulate(model, grid, stream, idx, compute_weights=compute_weights)
     got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
@@ -274,9 +274,9 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, compute_wei
 def test_terminal_asset_degenerate_cases(ou_model):
     p = ou_model.params
     zero = GivenNormals(np.zeros((1, 1)))
-    s_t = sample_terminal_asset(np.array([0.0]), p, zero, [0])
+    s_t = sample_terminal_asset(np.array([0.0]), p, zero, range(1))
     assert s_t[0] == pytest.approx(p.s0 * math.exp(p.r * p.T), rel=1e-15)
-    s_t = sample_terminal_asset(np.array([0.04]), p, zero, [0])
+    s_t = sample_terminal_asset(np.array([0.04]), p, zero, range(1))
     assert s_t[0] == pytest.approx(p.s0 * math.exp(p.r * p.T - 0.5 * 0.04 * p.T),
                                    rel=1e-15)
 
@@ -286,9 +286,9 @@ def test_terminal_asset_martingale(ou_model):
     p = ou_model.params
     vol_stream = NoiseStream(SEED, PURPOSE_VOL)
     asset_stream = NoiseStream(SEED, 1)
-    batch = simulate_ou_paths(ou_model, grid, vol_stream, np.arange(40000))
+    batch = simulate_ou_paths(ou_model, grid, vol_stream, range(40000))
     s_t = sample_terminal_asset(batch.avg_variance, p, asset_stream,
-                                np.arange(40000))
+                                range(40000))
     disc = math.exp(-p.r * p.T) * s_t
     assert abs(disc.mean() - p.s0) < 3 * disc.std() / math.sqrt(disc.size)
 
@@ -297,12 +297,12 @@ def test_avg_variance_converges_under_bridge_refinement(ou_model):
     """|sigma_bar^2(n=512) - sigma_bar^2(n=4096)| small on matched noise."""
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    dW = stream.normal_matrix(np.arange(100), 0, n0).T * np.sqrt(1.0 / n0)
+    dW = stream.normal_matrix(range(100), 0, n0).T * np.sqrt(1.0 / n0)
     coarse = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n0), dW)
     fine_dW = dW
     n = n0
     for level in range(3):  # 512 -> 4096
-        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(100), 0, n).T
+        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(range(100), 0, n).T
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
     fine = paths_from_increments(simulate_ou_paths, ou_model, make_grid(1.0, n), fine_dW)

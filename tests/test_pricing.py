@@ -157,7 +157,7 @@ def test_payoff_integral_next_to_the_mean_sample_matches_quad(strike, mean):
 def test_price_ignores_a_constant_shift_of_the_payoff_integral(ou_model, monkeypatch):
     # shifting G moves each term by a multiple of w, which the w control absorbs
     batch = simulate_ou_paths(ou_model, make_grid(1.0, 32), NoiseStream(SEED, PURPOSE_VOL),
-                              np.arange(2000))
+                              range(2000))
     f, w = batch.avg_variance, skorokhod_weight_ou(batch, ou_model.params).delta
     base = price_from_density(f, w, 100.0, 100.0, 0.05, 1.0)
     unshifted = pricing.payoff_integral
@@ -188,10 +188,9 @@ def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model)
 def test_plain_mc_zero_strike_recovers_spot(ou_model):
     grid = make_grid(1.0, 64)
     p = ou_model.params
-    batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                              np.arange(20000))
+    batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
     s_t = sample_terminal_asset(batch.avg_variance, p,
-                                NoiseStream(SEED, PURPOSE_ASSET), np.arange(20000))
+                                NoiseStream(SEED, PURPOSE_ASSET), range(20000))
     est = price_plain_mc(s_t, 0.0, p.r, p.T)
     assert abs(est.value - p.s0) < 3 * est.std_error
     mart = martingale_check(s_t, p.s0, p.r, p.T)
@@ -208,14 +207,13 @@ def test_deterministic_vol_model_matches_quadrature_oracle(ref_vol):
     var_integral, _ = quad(lambda t: float(ref_vol.sigma(math.exp(-t)))**2, 0.0, 1.0)
     oracle = bs_oracle(100.0, 100.0, 0.05, 1.0, math.sqrt(var_integral))
 
-    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                              np.arange(20000))
+    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
     assert batch.avg_variance.std() < 1e-12  # deterministic volatility path
     mix = price_mixing(np.sqrt(batch.avg_variance), 100.0, 100.0, 0.05, 1.0)
     assert mix.value == pytest.approx(oracle, rel=2e-4)  # trapezoid-vs-quad gap
 
     s_t = sample_terminal_asset(batch.avg_variance, params,
-                                NoiseStream(SEED, PURPOSE_ASSET), np.arange(20000))
+                                NoiseStream(SEED, PURPOSE_ASSET), range(20000))
     plain = price_plain_mc(s_t, 100.0, 0.05, 1.0)
     assert abs(plain.value - oracle) < 3 * plain.std_error
 
@@ -234,7 +232,7 @@ def test_price_triangle_passes_at_quick_on_seed_4():
 
 def test_price_triangle_fails_when_the_ou_weight_is_ten_percent_large(fault_weight):
     """The z-band sees an OU weight 10% too large on the pinned seed. With
-    8000 pricing paths it did not: the row's power needs n_price = 20000."""
+    8000 pricing paths it did not: the row's power needs QUICK's 20000."""
     fault_weight(lambda wb: 1.10 * wb.delta, "ou")
     ctx = selfcheck.CheckContext(selfcheck.QUICK)
     rows = selfcheck.run_criterion(selfcheck.price_triangle, ctx)

@@ -9,10 +9,10 @@ import pytest
 from avgvar import (OUParams, make_grid, simulate_cir_paths, simulate_ou_paths,
                     validate_ou)
 from avgvar.reference import gradient_hessian
-from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
+from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import skorokhod_weight_cir
 from avgvar.weights_ou import skorokhod_weight_ou
-from bridge import GivenNormals, paths_from_increments, refine_increments
+from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
 from paper_weight import cir_weight_triple_sum, ou_weight_double_sum
 
 SEED = 20240601
@@ -50,13 +50,13 @@ def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
     model = request.getfixturevalue(model_name)
     simulate = simulate_ou_paths if "ou" in model_name else simulate_cir_paths
     grid = make_grid(model.params.T, 8)
-    xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(2), 0, grid.n_steps).T
+    xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(2), 0, grid.n_steps).T
 
     def f_of(xi):
-        return simulate(model, grid, GivenNormals(xi[None]), [0]).avg_variance[0]
+        return simulate(model, grid, GivenNormals(xi[None]), range(1)).avg_variance[0]
 
     for xi in xi_all:
-        batch = simulate(model, grid, GivenNormals(xi[None]), [0])
+        batch = simulate(model, grid, GivenNormals(xi[None]), range(1))
         g, H = gradient_hessian(model, grid, batch.states[:, 0], xi * math.sqrt(grid.dt))
         g_fd, H_fd = central_differences(f_of, xi)
         assert np.max(np.abs(g - g_fd)) < 1e-8 * np.max(np.abs(g))
@@ -73,7 +73,7 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
     model = request.getfixturevalue(model_name)
     p = model.params
     n, n_paths = 16, 200
-    dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(n_paths), 0, n).T * math.sqrt(p.T / n)
+    dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(n_paths), 0, n).T * math.sqrt(p.T / n)
     rms = []
     for level in range(3):
         grid = make_grid(p.T, n)
@@ -91,7 +91,7 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
                 for i in range(n_paths))]
         rms.append(math.sqrt(np.mean((delta - np.array(paper)) ** 2)))
         if level < 2:
-            z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), 0, n).T
+            z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(range(n_paths), 0, n).T
             dW = refine_increments(dW, p.T / n, z)
             n *= 2
     assert rms[1] <= bound * rms[0] and rms[2] <= bound * rms[1], rms

@@ -6,10 +6,10 @@ import pytest
 from avgvar import CIRParams, make_grid, simulate_cir_paths, validate_cir
 from avgvar.paths import TILE_ROWS, node_sum
 from avgvar.reference import dense_weight
-from avgvar.rng import PURPOSE_BRIDGE, PURPOSE_VOL, NoiseStream
+from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import cir_kernel, skorokhod_weight_cir
 from avgvar.workspace import Workspace
-from bridge import paths_from_increments, refine_increments
+from bridge import PURPOSE_BRIDGE, paths_from_increments, refine_increments
 from paper_weight import (_inner_trapezoid_weights, i_triple_sum, log_phi, psi_matrix,
                           q_constant)
 from test_weights import discrete_divergence
@@ -55,8 +55,7 @@ def test_flat_z_f_integral_closed_form(cir_model):
 
 def test_psi_bounds_and_cocycle(cir_model):
     grid = make_grid(1.0, 256)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                               np.arange(4))
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(4))
     rng = np.random.default_rng(0)
     for _ in range(50):
         pth = int(rng.integers(0, 4))
@@ -71,7 +70,7 @@ def test_psi_bounds_and_cocycle(cir_model):
 
 def test_psi_matrix_agrees_with_psi_pair(cir_model):
     grid = make_grid(1.0, 64)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
     lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     mat = psi_matrix(lp)
     rng = np.random.default_rng(1)
@@ -84,7 +83,7 @@ def test_i_scaling_is_exactly_quadratic(cir_model):
     # multiplying the integrand factor g = sqrt(Z) phi by a constant a
     # multiplies the paper's I by a^2 exactly; realized by scaling Z with psi frozen
     grid = make_grid(1.0, 32)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), [0])
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
     lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     base = i_triple_sum(batch.states[:, 0], lp, grid)
     scaled = i_triple_sum(4.0 * batch.states[:, 0], lp, grid)
@@ -100,8 +99,7 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_cir, fast_decay):
     sweeps' sums against the dense gradient and Hessian of F_n."""
     model = fast_cir if fast_decay else cir_model
     grid = make_grid(model.params.T, 64)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                               np.arange(5))
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(5))
     k, dt, z, dW = model.params.k, grid.dt, batch.states[:-1], batch.dW
     expected = (1.0 - dt + k * dW / (2.0 * np.sqrt(z)), k * np.sqrt(z * dt),
                 -k * dW / (4.0 * z**1.5), k * math.sqrt(dt) / (2.0 * np.sqrt(z)))
@@ -178,7 +176,7 @@ def test_tiled_weight_matches_the_whole_array_sweeps(cir_model, fast_cir, fast_d
     of one partial tile, one tile and tiles that end inside and at n."""
     model = fast_cir if fast_decay else cir_model
     grid = make_grid(model.params.T, n)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), np.arange(300))
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(300))
     steps = whole_array_kernel(batch, model.params)
     for lo in range(0, n, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n)
@@ -198,7 +196,7 @@ def test_positive_i_on_simulated_paths(cir_model):
     grid = make_grid(1.0, 256)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     for lo in range(0, 10000, 2048):
-        idx = np.arange(lo, min(lo + 2048, 10000))
+        idx = range(lo, min(lo + 2048, 10000))
         batch = simulate_cir_paths(cir_model, grid, stream, idx)
         den = skorokhod_weight_cir(batch, cir_model.params).denominator
         assert np.all(den > 0) and np.all(np.isfinite(den))
@@ -209,7 +207,7 @@ def test_weight_matches_discrete_divergence(cir_model, fast_cir):
     normals, to roundoff, on both models."""
     for model in (cir_model, fast_cir):
         grid = make_grid(model.params.T, 64)
-        batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), np.arange(2))
+        batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(2))
         wb = skorokhod_weight_cir(batch, model.params)
         for p in range(2):
             div = discrete_divergence(model, grid, batch.states[:, p], batch.dW[:, p])
@@ -222,7 +220,7 @@ def test_duality_small_ensemble(cir_model):
     f = np.empty(8000)
     d = np.empty(8000)
     for lo in range(0, 8000, 2048):
-        idx = np.arange(lo, min(lo + 2048, 8000))
+        idx = range(lo, min(lo + 2048, 8000))
         b = simulate_cir_paths(cir_model, grid, stream, idx)
         wb = skorokhod_weight_cir(b, cir_model.params)
         assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
@@ -244,7 +242,7 @@ def test_kernel_survives_extreme_log_phi_range():
     params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, mu=0.05, T=30.0)
     model = validate_cir(params)
     grid = make_grid(30.0, 64)
-    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), np.arange(2))
+    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), range(2))
     assert not batch.kinked.any()
     assert -2.0 * min(log_phi(batch.states[:, p], grid, params).min() for p in range(2)) > 709
     wb = skorokhod_weight_cir(batch, params)
@@ -260,14 +258,14 @@ def test_weight_stable_under_bridge_refinement(cir_model):
     n0 = 512
     stream = NoiseStream(SEED, PURPOSE_VOL)
     n_paths = 200
-    dW = stream.normal_matrix(np.arange(n_paths), 0, n0).T * math.sqrt(1.0 / n0)
+    dW = stream.normal_matrix(range(n_paths), 0, n0).T * math.sqrt(1.0 / n0)
     coarse = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n0), dW)
     w_coarse = skorokhod_weight_cir(coarse, cir_model.params)
 
     fine_dW = dW
     n = n0
     for level in range(2):  # 512 -> 2048
-        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(np.arange(n_paths), 0, n).T
+        z = NoiseStream(SEED, PURPOSE_BRIDGE + level).normal_matrix(range(n_paths), 0, n).T
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
     fine = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n), fine_dW)

@@ -26,14 +26,13 @@ def _ou_model(alpha, vol, T=1.0):
 
 
 def _fixed_batch(ou_model, grid, n_paths=5):
-    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                             np.arange(n_paths))
+    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(n_paths))
 
 
 def _fixed_normals(grid, n_paths=5):
     """The step normals of ``_fixed_batch``, time-major, drawn again from
     the stream: an OU batch keeps none."""
-    return NoiseStream(SEED, PURPOSE_VOL).normal_matrix(np.arange(n_paths), 0, grid.n_steps)
+    return NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(n_paths), 0, grid.n_steps)
 
 
 def _weight_with_nu(ou_model, grid, nu):
@@ -148,7 +147,7 @@ def test_duality_small_ensemble(ou_model):
     f = np.empty(8000)
     d = np.empty(8000)
     for lo in range(0, 8000, 2048):
-        idx = np.arange(lo, min(lo + 2048, 8000))
+        idx = range(lo, min(lo + 2048, 8000))
         b = simulate_ou_paths(ou_model, grid, stream, idx)
         wb = skorokhod_weight_ou(b, ou_model.params)
         assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
