@@ -11,20 +11,18 @@
   3. plain Monte Carlo: draw one terminal asset price per trajectory.
 
 With independent drivers the price is a function of the law of the
-averaged variance F alone, so, as in `avgvar price`, all three read the
-valid paths of one ensemble. Agreement is the self check's z-band: the
-worst pair's |a - b| / hypot(se_a, se_b) below 3.89. The rows share
-paths, but their per-path terms correlate by 0.063 at most on these
+averaged variance F alone, so all three read the valid paths of one
+ensemble, through the function that `avgvar price` and the self check's
+price triangle call (`ensemble_prices`). Agreement is the self check's
+z-band: the worst pair's |a - b| / hypot(se_a, se_b) below 3.89. The rows
+share paths, but their per-path terms correlate by 0.063 at most on these
 models, so hypot(se_a, se_b) is within 1% of the SE of a paired
 difference.
 """
 
 import math
 
-import numpy as np
-
-from avgvar import (CIRParams, OUParams, make_grid, martingale_check,
-                    price_from_density, price_mixing, price_plain_mc,
+from avgvar import (CIRParams, OUParams, ensemble_prices, make_grid,
                     reference_vol_family, run_ensemble, validate_cir,
                     validate_ou)
 from avgvar.rng import NAMESPACE_DENSITY
@@ -47,14 +45,9 @@ for tag, model in models.items():
 
     res = run_ensemble(model, make_grid(p.T, 256), N_PATHS, SEED,
                        namespace=NAMESPACE_DENSITY, threads=2, collect_asset=True)
-    f, d = res.valid_samples()
-    s_t = res.terminal_asset[res.valid]
-    prices = (price_from_density(f, d, STRIKE, p.s0, p.r, p.T),
-              price_mixing(np.sqrt(f), STRIKE, p.s0, p.r, p.T),
-              price_plain_mc(s_t, STRIKE, p.r, p.T))
-    mart = martingale_check(s_t, p.s0, p.r, p.T)
+    *prices, mart = ensemble_prices(res, STRIKE, p)
 
-    print(f"\n{tag} model, K = {STRIKE}, {f.size} valid paths of {res.n_paths}:")
+    print(f"\n{tag} model, K = {STRIKE}, {res.valid.sum()} valid paths of {res.n_paths}:")
     for est in prices:
         print(f"  {est.method:<18s} {est.value:8.4f} +- {est.std_error:.4f}"
               f"   95% CI [{est.ci95[0]:.4f}, {est.ci95[1]:.4f}]")

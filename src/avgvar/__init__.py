@@ -29,8 +29,8 @@ _EXPORTS = {
                "validate_cir", "validate_contract", "validate_ou"),
     "paths": ("CIRPathBatch", "OUPathBatch", "TimeGrid", "make_grid",
               "sample_terminal_asset", "simulate_cir_paths", "simulate_ou_paths"),
-    "pricing": ("PriceEstimate", "bs_conditional", "martingale_check", "mc_estimate",
-                "price_from_density", "price_mixing", "price_plain_mc"),
+    "pricing": ("PriceEstimate", "bs_conditional", "ensemble_prices", "martingale_check",
+                "mc_estimate", "price_from_density", "price_mixing", "price_plain_mc"),
     "rng": ("NoiseStream",),
     "weights": ("WeightBatch",),
     "weights_cir": ("cir_kernel", "skorokhod_weight_cir"),

@@ -24,7 +24,8 @@ prices off the one weighted ensemble at "grid.n_steps".
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (the model's codes include
-E_FORWARD_OVERFLOW, a forward s0 e^{rT} that is not a finite float; run
+E_FORWARD_OVERFLOW, an s0 or forward s0 e^{rT} above models.MAX_PRICE =
+1e100, and the contract's E_STRIKE_TOO_LARGE, a strike above it; run
 settings add E_EMPTY_ENSEMBLE,
 E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_SEED for a
 seed outside [0, 2^64), and E_INVALID_THREADS for a --threads below 1);
@@ -278,14 +279,8 @@ def cmd_density(spec, threads):
 def cmd_price(spec, threads):
     """All three prices are functions of F alone, so they read one ensemble:
     the weighted one's valid paths, with one terminal asset draw each."""
-    p, strike = spec.model.params, spec.contract.strike
-    result, f_samples, weights = _density_stage(spec, threads, collect_asset=True)
-    s_t = result.terminal_asset[result.valid]
-    paired = result.antithetic
-    estimates = (pricing.price_from_density(f_samples, weights, strike, p.s0, p.r, p.T, paired),
-                 pricing.price_mixing(np.sqrt(f_samples), strike, p.s0, p.r, p.T, paired),
-                 pricing.price_plain_mc(s_t, strike, p.r, p.T, paired),
-                 pricing.martingale_check(s_t, p.s0, p.r, p.T, paired))
+    result = _density_stage(spec, threads, collect_asset=True)[0]
+    estimates = pricing.ensemble_prices(result, spec.contract.strike, spec.model.params)
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
                        zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
     print(f"[avgvar] wrote {path} ({_failures(result)})", file=sys.stderr)

@@ -36,7 +36,6 @@ class DensityEstimate:
     p_hat: np.ndarray
     se: np.ndarray
     normalization: float  # trapezoid mass over the grid
-    method: str           # "malliavin" | "kde"
 
 
 def auto_grid(samples, lower_bound=None):
@@ -164,7 +163,7 @@ def malliavin_density(avg_variance, weights, x_grid, paired=False):
 
     p_hat, se = mean_and_se((f[:, None] > x[None, :]) * w[:, None], paired)
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
-                           normalization=float(np.trapezoid(p_hat, x)), method="malliavin")
+                           normalization=float(np.trapezoid(p_hat, x)))
 
 
 def kde_bandwidth(samples):
@@ -197,5 +196,5 @@ def kde_density(samples, x_grid, paired=False):
     kmat *= 1.0 / (h * np.sqrt(2.0 * np.pi))
     p_hat, se = mean_and_se(kmat, paired)
     return DensityEstimate(x_grid=x, p_hat=p_hat, se=se,
-                           normalization=float(np.trapezoid(p_hat, x)), method="kde")
+                           normalization=float(np.trapezoid(p_hat, x)))
 

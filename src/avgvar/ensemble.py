@@ -12,16 +12,18 @@ output value -- threads only decide who computes which chunk. Reductions
 use numpy's pairwise summation on arrays assembled in path order, so means
 are bit-stable too (and exactly zero for exactly-cancelling inputs).
 
+Every ensemble computes the weight of each path, and keeps its F and its
+terminal state; ``collect_asset`` adds one terminal asset draw per path.
 ``run_ensemble`` is the one place that decides whether a path fails. A
 path fails when its batch flags it ``bad`` (a volatility-assumption breach
-at a visited OU state, or a CIR path floored on too many steps) or, when
-weights are computed, when it took a step where the scheme has no
-derivative (``kinked``: a floored CIR step), when the weight's denominator
-|grad F_n|^2 is not a positive finite number or when delta is not
-finite. The simulator and the weight run with floating-point warnings
-off, and the weight functions flag nothing themselves. A failed path
-gets a NaN weight, is counted and reported, and is never silently dropped;
-more than 0.1% failures aborts the ensemble.
+at a visited OU state, or a CIR path floored on too many steps), when it
+took a step where the scheme has no derivative (``kinked``: a floored CIR
+step), when the weight's denominator |grad F_n|^2 is not a positive
+finite number or when delta is not finite. The simulator and the weight
+run with floating-point warnings off, and the weight functions flag
+nothing themselves. A failed path gets a NaN weight, is counted and
+reported, and is never silently dropped; more than 0.1% failures aborts
+the ensemble.
 """
 
 from dataclasses import dataclass
@@ -43,13 +45,12 @@ FAILURE_BUDGET = 1e-3
 @dataclass
 class EnsembleResult:
     avg_variance: np.ndarray    # (N,)
-    weight: np.ndarray | None   # (N,) NaN on failed paths
-    denominator: np.ndarray | None  # (N,) the weight's denominator |grad F_n|^2
-    terminal_state: np.ndarray | None
-    terminal_asset: np.ndarray | None
+    weight: np.ndarray          # (N,) NaN on failed paths
+    denominator: np.ndarray     # (N,) the weight's denominator |grad F_n|^2
+    terminal_state: np.ndarray  # (N,) Y_T (OU) or Z_T (CIR)
+    terminal_asset: np.ndarray | None  # (N,) S_T, with ``collect_asset`` only
     failed: np.ndarray          # (N,) bool
     n_paths: int
-    seed: int
     grid: _paths.TimeGrid
     antithetic: bool = False    # paths 2i and 2i + 1 are a pair
 
@@ -77,8 +78,7 @@ class EnsembleResult:
     def valid_samples(self):
         """(avg_variance, weight) over the valid paths (``valid``)."""
         m = self.valid
-        w = self.weight[m] if self.weight is not None else None
-        return self.avg_variance[m], w
+        return self.avg_variance[m], self.weight[m]
 
 
 # the simulator and weight of each model, looked up by name when an
@@ -98,15 +98,14 @@ def check_threads(threads):
 
 
 def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
-                 antithetic=False, compute_weights=True,
-                 collect_terminal=False, collect_asset=False):
-    """Simulate n_paths volatility paths and (optionally) their weights.
+                 antithetic=False, collect_asset=False):
+    """Simulate n_paths volatility paths and their weights.
 
     Output is bit-identical for any ``threads`` value, which must be an
     integer >= 1; ``seed`` must be an integer in [0, 2^64). ``collect_asset``
     additionally draws one terminal asset price per path from the
-    independent asset stream; ``avgvar price`` (``cli.cmd_price``) sets it on
-    its one weighted ensemble for the plain-MC and martingale rows.
+    independent asset stream, for the plain-MC and martingale rows of
+    ``pricing.ensemble_prices``.
     """
     drivers = _DRIVERS.get(type(model))
     if drivers is None:
@@ -119,9 +118,9 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         raise EmptyEnsemble("n_paths must be >= 1")
 
     avg_variance = np.empty(n_paths)
-    weight = np.full(n_paths, np.nan) if compute_weights else None
-    denom = np.full(n_paths, np.nan) if compute_weights else None
-    terminal_state = np.empty(n_paths) if collect_terminal else None
+    weight = np.full(n_paths, np.nan)
+    denom = np.full(n_paths, np.nan)
+    terminal_state = np.empty(n_paths)
     terminal_asset = np.empty(n_paths) if collect_asset else None
     failed = np.zeros(n_paths, dtype=bool)
 
@@ -141,21 +140,16 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             chunk = range(lo, hi)
             # a failing path may overflow or turn NaN; the guards below flag it
             with np.errstate(all="ignore"):
-                batch = simulate(model, grid, vol_stream, chunk, ws=ws,
-                                 compute_weights=compute_weights)
-                if compute_weights:
-                    wb = skorokhod_weight(batch, model.params, ws=ws)
-            bad = batch.bad
-            if compute_weights:
-                den = wb.denominator
-                bad = (bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
-                       | ~np.isfinite(wb.delta))
-                weight[lo:hi] = np.where(bad, np.nan, wb.delta)
-                denom[lo:hi] = den
+                batch = simulate(model, grid, vol_stream, chunk, ws=ws)
+                wb = skorokhod_weight(batch, model.params, ws=ws)
+            den = wb.denominator
+            bad = (batch.bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
+                   | ~np.isfinite(wb.delta))
+            weight[lo:hi] = np.where(bad, np.nan, wb.delta)
+            denom[lo:hi] = den
             failed[lo:hi] = bad
             avg_variance[lo:hi] = batch.avg_variance
-            if collect_terminal:
-                terminal_state[lo:hi] = batch.states[-1]
+            terminal_state[lo:hi] = batch.states[-1]
             if collect_asset:
                 terminal_asset[lo:hi] = _paths.sample_terminal_asset(
                     batch.avg_variance, model.params, asset_stream, chunk)
@@ -172,7 +166,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
                             weight=weight, denominator=denom,
                             terminal_state=terminal_state,
                             terminal_asset=terminal_asset, failed=failed,
-                            n_paths=n_paths, seed=int(seed), grid=grid,
+                            n_paths=n_paths, grid=grid,
                             antithetic=antithetic)
     if result.n_failures > FAILURE_BUDGET * n_paths:
         raise FailureBudgetExceeded(

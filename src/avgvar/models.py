@@ -27,6 +27,11 @@ from .errors import ValidationError
 from .workspace import take
 
 PROBE_GRID = np.linspace(-10.0, 10.0, 1001)
+# the largest s0, forward s0 e^{rT} and strike accepted. A terminal price is
+# the forward times a lognormal factor of at most e^{xi^2 / 2} = 5e21 at
+# |xi| <= 10, and the pricers sum N such terms and their squares: at 1e100
+# that stays below 1e260 for N up to 1e9, far inside the float range
+MAX_PRICE = 1e100
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class VolFunctionSpec:
     sigma_prime: Callable
     sigma_second: Callable
     lower_bound_c: float
-    name: str = "custom"
     joint: Callable | None = None
 
     def evaluate(self, x, ws=None):
@@ -205,7 +209,6 @@ def reference_vol_family(c, m):
         sigma_prime=lambda x: joint(x)[1],
         sigma_second=lambda x: joint(x)[2],
         lower_bound_c=c,
-        name="reference",
         joint=joint,
     )
 
@@ -243,15 +246,16 @@ def _check_common(params, violations):
         violations.append(("E_NEGATIVE_RATE", f"r must be >= 0, got {params.r}"))
     if not (params.T > 0):
         violations.append(("E_NONPOSITIVE_MATURITY", f"T must be > 0, got {params.T}"))
-    # the pricers read the forward s0 e^{rT}, so it must be a float too
+    # the pricers read s0 and the forward s0 e^{rT}, and square sums of them
     if all(math.isfinite(v) for v in (params.s0, params.r, params.T)):
         try:
             forward = params.s0 * math.exp(params.r * params.T)
         except OverflowError:
             forward = math.inf
-        if not math.isfinite(forward):
-            violations.append(("E_FORWARD_OVERFLOW", "the forward s0*exp(r*T) must be a "
-                               f"finite float, got s0={params.s0}, r*T={params.r * params.T}"))
+        if not max(params.s0, forward) <= MAX_PRICE:
+            violations.append(("E_FORWARD_OVERFLOW", f"s0 and the forward s0*exp(r*T) must "
+                               f"be at most {MAX_PRICE:g}, got s0={params.s0}, "
+                               f"r*T={params.r * params.T}"))
 
 
 def validate_ou(params, vol):
@@ -296,4 +300,7 @@ def validate_contract(contract):
     if not (contract.strike >= 0):
         raise ValidationError([("E_NEGATIVE_STRIKE",
                                 f"strike must be >= 0, got {contract.strike}")])
+    if not (contract.strike <= MAX_PRICE):
+        raise ValidationError([("E_STRIKE_TOO_LARGE",
+                                f"strike must be at most {MAX_PRICE:g}, got {contract.strike}")])
     return contract

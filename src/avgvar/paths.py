@@ -27,7 +27,7 @@ which ask it for one tile of TILE_ROWS step rows of the range at a time
 are antithetic pairs. The OU pass runs once over tiles of node rows:
 each tile's normals are drawn, stepped, evaluated, summed into F and the
 noise sum of g . xi and guarded while they are in cache, and only the
-states and, with weights, nu and nu' are whole arrays. The CIR simulator
+states, nu and nu' are whole arrays. The CIR simulator
 draws each tile straight into its rows of dW, and the CIR weight's kernel
 (``weights_cir.cir_kernel``) writes its step derivatives one tile at a
 time into a tile workspace. Every per-path sum over the nodes adds in
@@ -99,12 +99,11 @@ class OUPathBatch(PathBatch):
     """OU driver paths, which keep no normals. sigma, sigma' and sigma''
     are evaluated once per tile of nodes and reduced at once to
     ``avg_variance``, the guard ``bad`` (sigma' > 0 or sigma >= c fails at
-    some node) and, when weights are computed, ``nu``, ``nu_prime`` and
-    ``nu_noise``."""
+    some node), ``nu``, ``nu_prime`` and ``nu_noise``."""
 
-    nu: np.ndarray | None        # (n+1, P) sigma * sigma' at the nodes
-    nu_prime: np.ndarray | None  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
-    nu_noise: np.ndarray | None  # (P,) sum_j w_j nu_j D_j, D_j the noise part of Y_j
+    nu: np.ndarray        # (n+1, P) sigma * sigma' at the nodes
+    nu_prime: np.ndarray  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
+    nu_noise: np.ndarray  # (P,) sum_j w_j nu_j D_j, D_j the noise part of Y_j
 
 
 @dataclass
@@ -137,7 +136,7 @@ def ou_step(params, dt):
     return decay, step_sd
 
 
-def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weights=True):
+def simulate_ou_paths(model, grid, stream, path_indices, ws=None):
     """Simulate OU driver paths by their exact transition, in one pass over
     tiles of TILE_ROWS node rows. Per tile, the step normals are drawn into
     a tile slot and turned in place into the noise part D_j of the states,
@@ -145,13 +144,11 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weight
     Y_j = y0 e^{-alpha t_j} + D_j; sigma, sigma' and sigma'' are
     evaluated with slots from a tile-sized workspace;
     sigma^2 w_j is added to F row by row, in the node order of
-    ``node_sum``; the guard is applied; and with weights nu and nu' are
-    written into slots sigma and sigma_prime, and w_j nu_j D_j is added to
-    ``nu_noise``. The scheme is linear in the normals, so
-    <grad Y_j, xi> = D_j and the weight reads g . xi off that sum
-    (``weights.linear_weight``): no normal outlives its tile. With k = 0, Y
-    is exactly y0 e^{-alpha t_i}. Without ``compute_weights`` the batch has
-    no nu, nu' and nu_noise, and sigma'' goes unread."""
+    ``node_sum``; the guard is applied; nu and nu' are written into slots
+    sigma and sigma_prime; and w_j nu_j D_j is added to ``nu_noise``. The
+    scheme is linear in the normals, so <grad Y_j, xi> = D_j and the weight
+    reads g . xi off that sum (``weights.linear_weight``): no normal
+    outlives its tile. With k = 0, Y is exactly y0 e^{-alpha t_i}."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
@@ -160,10 +157,8 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weight
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)
     y = take(ws, "states", (n + 1, P))
-    nu = nu_prime = nu_noise = None
-    if compute_weights:
-        nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
-        nu_noise = np.zeros(P)
+    nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
+    nu_noise = np.zeros(P)
     tw = tiles(ws, TILE_ROWS * P)
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
@@ -192,12 +187,11 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weight
         mask = np.greater(sig_p, 0, out=tw.take("tmp2", tile.shape, bool))
         ok &= mask.all(axis=0)
         ok &= np.greater_equal(sig, floor, out=mask).all(axis=0)
-        if compute_weights:
-            nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
-            d *= nu[lo:hi]
-            d *= w[lo:hi, None]
-            for row in d:
-                nu_noise += row
+        nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
+        d *= nu[lo:hi]
+        d *= w[lo:hi, None]
+        for row in d:
+            nu_noise += row
 
     return OUPathBatch(grid=grid, path_indices=path_indices,
                        states=y, avg_variance=total / grid.T, bad=~ok,
@@ -205,7 +199,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None, compute_weight
                        nu_noise=nu_noise)
 
 
-def simulate_cir_paths(model, grid, stream, path_indices, ws=None, compute_weights=True):
+def simulate_cir_paths(model, grid, stream, path_indices, ws=None):
     """Simulate CIR variance paths by full-truncation Euler:
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at Z_FLOOR, so
     every Z_i > 0 and the max(Z_i, 0) of full truncation is the identity.
@@ -214,8 +208,7 @@ def simulate_cir_paths(model, grid, stream, path_indices, ws=None, compute_weigh
     are in cache. In the validated regime (k^2 < 2b, and 6k^2 < b for
     density work) the floor is essentially never hit; a path floored on
     more than FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one
-    floored on any step ``kinked``. The paths do not depend on
-    ``compute_weights``."""
+    floored on any step ``kinked``."""
     p = model.params
     n = grid.n_steps
     dt = grid.dt

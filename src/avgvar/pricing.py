@@ -21,6 +21,11 @@ must agree:
     three integration-by-parts control variates,
   * plain MC:  discounted average payoff of simulated terminal prices.
 
+All three are functions of the law of the averaged variance alone, so
+``ensemble_prices`` reads them, and the martingale check, off one
+weighted ensemble: the rows of ``avgvar price`` and of the self check's
+price triangle.
+
 Each estimate is a sample mean with its standard error and 95% interval,
 all built by ``mc_estimate``, the package's one such estimator.
 
@@ -189,3 +194,18 @@ def martingale_check(terminal_prices, s0, r, T, paired=False):
     s_t = np.asarray(terminal_prices, dtype=float)
     return mc_estimate(math.exp(-r * T) * s_t, "martingale_check",
                        "martingale check needs at least one terminal price", paired)
+
+
+def ensemble_prices(result, strike, params):
+    """Density quadrature, mixing, plain MC and the martingale check on the
+    valid paths of one ensemble (``EnsembleResult.valid``) run with
+    ``collect_asset``, with the SEs over antithetic pairs when it is
+    paired. The pricers are looked up in this module's globals, so a
+    rebinding of them (a tracer, a test double) is the one that runs."""
+    p, paired = params, result.antithetic
+    f, w = result.valid_samples()
+    s_t = result.terminal_asset[result.valid]
+    return (price_from_density(f, w, strike, p.s0, p.r, p.T, paired),
+            price_mixing(np.sqrt(f), strike, p.s0, p.r, p.T, paired),
+            price_plain_mc(s_t, strike, p.r, p.T, paired),
+            martingale_check(s_t, p.s0, p.r, p.T, paired))

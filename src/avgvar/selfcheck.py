@@ -14,15 +14,17 @@ noise dominates the discretization bias, and the wider band keeps the
 battery seed-robust. An integration-by-parts row fails when the per-path
 terms phi(F) delta - phi'(F), raw or less their fit on delta, reach the band.
 
-Noise namespaces (``avgvar.rng``) separate the battery's independent
-ensembles, which share a seed: its mixing, plain-MC and moment ensembles
-each draw their own paths, apart from the weighted (density) ensemble in
-rng.NAMESPACE_DENSITY that ``avgvar price`` reads all three prices off.
-The noise rows are time-major, so two ensembles of one namespace on grids
-of different step counts share each path's leading normals. So each
-model's moment ensemble has a namespace of its own (NAMESPACE_MOMENTS +
-the model's index; their grids differ), and each coarse grid one from
-NAMESPACE_COARSE up, apart from the density ensembles and each other.
+Every ensemble of the battery computes weights. Each model's weighted
+(density) ensemble, in rng.NAMESPACE_DENSITY, also draws a terminal asset
+price per path, and the price triangle reads all three prices off it
+through ``pricing.ensemble_prices``, as ``avgvar price`` does. Noise
+namespaces (``avgvar.rng``) separate the battery's other ensembles, which
+share the seed. The noise rows are time-major, so two ensembles of one
+namespace on grids of different step counts share each path's leading
+normals. So each model's moment ensemble, which the martingale row also
+reads, has a namespace of its own (NAMESPACE_MOMENTS + the model's index;
+their grids differ), and each coarse grid one from NAMESPACE_COARSE up,
+apart from the density ensembles and each other.
 """
 
 import dataclasses
@@ -43,8 +45,6 @@ from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
 
 SEED = 20240601
-NAMESPACE_MIXING = 1
-NAMESPACE_PLAIN = 2
 NAMESPACE_MOMENTS = 3  # and 4
 NAMESPACE_COARSE = 5
 OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
@@ -71,25 +71,22 @@ class Scale:
     """Sample sizes and statistical tolerances of one run of the battery."""
 
     z: float                     # statistical band, in standard errors
-    n_moments: int               # terminal-moment ensembles
+    n_moments: int               # terminal-moment and martingale ensembles
     moment_steps: dict           # their grid steps, per model
-    n_density: int               # weighted, mixing and plain ensembles
+    n_density: int               # weighted (density and pricing) ensembles
     density_steps: int
     mass_band: tuple             # accepted density mass
     kde_interior: slice          # grid points where Malliavin and KDE must agree
     survival_percentiles: tuple  # survival probes, as percentiles of F
-    price_steps: int             # grid of the mixing and plain ensembles
 
 
 QUICK = Scale(z=3.89, n_moments=20000, moment_steps={"ou": 64, "cir": 256},
               n_density=20000, density_steps=256, mass_band=(0.90, 1.10),
-              kde_interior=slice(2, -2), survival_percentiles=(20, 40, 60, 80, 95),
-              price_steps=128)
+              kde_interior=slice(2, -2), survival_percentiles=(20, 40, 60, 80, 95))
 DESK = Scale(z=3.0, n_moments=100000, moment_steps={"ou": 256, "cir": 512},
              n_density=50000, density_steps=512, mass_band=(0.95, 1.05),
              kde_interior=slice(10, 31),  # 21 interior points covering the bulk
-             survival_percentiles=(5, 15, 25, 35, 45, 55, 65, 75, 85, 95),
-             price_steps=256)
+             survival_percentiles=(5, 15, 25, 35, 45, 55, 65, 75, 85, 95))
 
 
 @dataclass
@@ -126,35 +123,24 @@ class CheckContext:
             threads=self.threads, **options))
 
     def moments(self, tag):
-        """The terminal-moment ensemble, in a namespace of its model's own:
-        the two models' moment grids differ in step count."""
+        """The terminal-moment ensemble, with a terminal asset draw per path
+        for the martingale row, in a namespace of its model's own: the two
+        models' moment grids differ in step count."""
         s = self.scale
         return self._ensemble(tag, s.n_moments, s.moment_steps[tag],
                               namespace=NAMESPACE_MOMENTS + MODELS.index(tag),
-                              compute_weights=False, collect_terminal=True)
+                              collect_asset=True)
 
     def weighted(self, tag):
-        """(ensemble, F, delta, Malliavin density on the 41-point auto grid)."""
+        """(ensemble, F, delta, Malliavin density on the 41-point auto grid),
+        the ensemble with a terminal asset draw per path for the prices."""
         def make():
-            ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps)
+            ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps,
+                                 collect_asset=True)
             f, d = ens.valid_samples()
             x = auto_grid(f, lower_bound=self.models[tag].density_lower_bound)
             return ens, f, d, malliavin_density(f, d, x)
         return self._once(("weighted", tag), make)
-
-    def mixing(self, tag):
-        s = self.scale
-        return self._ensemble(tag, s.n_density, s.price_steps, namespace=NAMESPACE_MIXING,
-                              compute_weights=False)
-
-    def plain(self, tag):
-        """The plain-MC ensemble. The martingale check reads all of the OU
-        one, max(n_density, n_moments) paths; the first n_density of them
-        are the pricing run."""
-        s = self.scale
-        n = max(s.n_density, s.n_moments) if tag == "ou" else s.n_density
-        return self._ensemble(tag, n, s.price_steps, namespace=NAMESPACE_PLAIN,
-                              compute_weights=False, collect_asset=True)
 
 
 def criterion(*rows):
@@ -273,17 +259,15 @@ def density_cdf_consistency(ctx):
 
 @criterion("ou_price_triangle", "cir_price_triangle")
 def price_triangle(ctx):
-    """Density quadrature, mixing and plain MC agree pairwise within scale.z
-    SEs of their difference (worst pair's z shown), and |dq - mix| / mix < 2%."""
+    """Density quadrature, mixing and plain MC, read off the weighted
+    ensemble as ``avgvar price`` reads them, agree pairwise within scale.z
+    SEs of their difference (worst pair's z shown), and |dq - mix| / mix < 2%.
+    The rows share paths, but their per-path terms correlate by 0.063 at
+    most, so hypot(se_a, se_b) is within 1% of the SE of a paired difference."""
     rows = []
     for tag in MODELS:
-        p = ctx.models[tag].params
-        _, f, d, _ = ctx.weighted(tag)
-        dq = pricing.price_from_density(f, d, STRIKE, p.s0, p.r, p.T)
-        mix = pricing.price_mixing(np.sqrt(ctx.mixing(tag).avg_variance), STRIKE,
-                                   p.s0, p.r, p.T)
-        plain = pricing.price_plain_mc(ctx.plain(tag).terminal_asset[:ctx.scale.n_density],
-                                       STRIKE, p.r, p.T)
+        dq, mix, plain, _ = pricing.ensemble_prices(ctx.weighted(tag)[0], STRIKE,
+                                                    ctx.models[tag].params)
         rel = _rel(dq.value, mix.value)
         z = max(abs(a.value - b.value) / math.hypot(a.std_error, b.std_error)
                 for a, b in ((dq, mix), (dq, plain), (mix, plain)))
@@ -320,9 +304,9 @@ def deterministic_vol_exactness(ctx):
 
 @criterion("martingale")
 def martingale(ctx):
-    """E[e^{-rT} S_T] = s0 on the OU plain ensemble."""
-    p = OU_REFERENCE
-    return [_zcheck(ctx, math.exp(-p.r * p.T) * ctx.plain("ou").terminal_asset, p.s0)]
+    """E[e^{-rT} S_T] = s0 on the valid paths of the OU moment ensemble."""
+    p, ens = OU_REFERENCE, ctx.moments("ou")
+    return [_zcheck(ctx, math.exp(-p.r * p.T) * ens.terminal_asset[ens.valid], p.s0)]
 
 
 @criterion("positivity_guards")

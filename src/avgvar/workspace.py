@@ -14,9 +14,9 @@ that an earlier stage has finished with. Every array is time-major. The
 slots, in the order a chunk fills them:
 
     OU    states      Y, the batch's states
-          sigma       the batch's nu, only when weights are computed; the
-                      weight's adjoint, gradient and then tangent V, in place
-          sigma_prime the batch's nu', only when weights are computed
+          sigma       the batch's nu; the weight's adjoint, gradient and
+                      then tangent V, in place
+          sigma_prime the batch's nu'
     CIR   dW          the normals, drawn one tile of step rows at a time
                       and scaled to dW in place, the batch's dW
           states      Z, the batch's states
@@ -29,8 +29,7 @@ second workspace of tile-sized slots (``tiles``):
     OU    noise       the tile's normals as drawn, turned in place into the
                       noise part D of Y, then nu D w_j
           tmp0        the volatility function's scratch, then sigma^2 w_j
-          tmp1        sigma'' on every tile, spent by nu_terms when
-                      weights are computed and unread when not
+          tmp1        sigma'', spent by nu_terms
           tmp2        the volatility function's mask, then the guard's
           sigma       sigma
           sigma_prime sigma'
@@ -39,8 +38,8 @@ second workspace of tile-sized slots (``tiles``):
           phi_z       Phi_z
           phi_zz      Phi_zz
 
-So an OU worker touches three whole arrays with weights and one without,
-and a CIR worker three (dW, Z and lam), each besides the tiles and the
+So an OU worker touches three whole arrays (Y, nu and nu') and a CIR
+worker three (dW, Z and lam), each besides the tiles and the
 noise stream's one tile of a block's draw; no worker holds a whole array
 of normals as drawn. A batch whose arrays live in a workspace is spent
 once the next chunk starts. Every function that takes ``ws`` also runs with

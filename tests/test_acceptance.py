@@ -4,7 +4,7 @@ Reference configurations:
     OU:  alpha=1, k=0.5, y0=0, sigma family (c=0.1, m=0.1), s0=K=100, r=0.05, T=1
     CIR: b=1, k=0.25, z0=1, s0=K=100, r=0.05, T=1
 
-DESK runs N=50000 paths at n=512 for density work, n=256 for pricing, and
+DESK runs N=50000 paths at n=512 for density and pricing work, and
 N=100000 for moment and martingale checks, at the pinned seed. Statistical
 criteria use 3 standard errors; exact criteria are exact. There is one test
 per registered criterion, numbered in registry order; each prints one

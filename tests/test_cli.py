@@ -12,6 +12,7 @@ import avgvar.cli as cli
 import avgvar.ensemble as ensemble
 import avgvar.pricing as pricing
 import avgvar.selfcheck as selfcheck
+from avgvar.models import MAX_PRICE
 from avgvar.paths import make_grid
 from avgvar.rng import NAMESPACE_DENSITY
 
@@ -182,6 +183,43 @@ def test_a_forward_beyond_the_float_range_is_a_violation(tmp_path, capsys, monke
         assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
             "E_FORWARD_OVERFLOW"], command
     assert not (tmp_path / "out").exists()
+
+
+def _demo_at_price_scale(tmp_path, demo, scale, r):
+    """The demo config at s0 = strike = ``scale`` and rate ``r``, on 3000 paths."""
+    cfg = json.loads((DEMOS / demo).read_text())
+    cfg["params"].update(s0=scale, r=r)
+    cfg["contract"]["strike"] = scale
+    cfg["ensemble"]["n_paths"] = 3000
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / demo
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("demo", ["config_ou.json", "config_cir.json"])
+def test_a_spot_and_strike_beyond_the_price_bound_are_violations(tmp_path, capsys, demo):
+    """At s0 = strike = 1e308 the forward is a finite float, but the
+    pricers' sums and squares of such prices are not: every command exits
+    2 and writes nothing."""
+    path = _demo_at_price_scale(tmp_path, demo, 1e308, 0.05)
+    for command in ("validate", "density", "price"):
+        assert cli.main([command, "--config", path]) == 2, command
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+            "E_FORWARD_OVERFLOW", "E_STRIKE_TOO_LARGE"], command
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo", ["config_ou.json", "config_cir.json"])
+def test_a_spot_and_strike_at_the_price_bound_price_to_finite_values(tmp_path, capsys, demo):
+    """At s0 = strike = s0 e^{rT} = MAX_PRICE every row of price is finite,
+    and nothing on the way warns (pytest turns warnings into errors)."""
+    path = _demo_at_price_scale(tmp_path, demo, MAX_PRICE, 0.0)
+    assert cli.main(["price", "--config", path, "--threads", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["density_quadrature", "mixing_mc", "plain_mc",
+                                        "martingale_check"]
+    assert all(math.isfinite(float(cell.split("=")[1])) for row in rows for cell in row[1:])
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -612,6 +650,44 @@ def test_battery_draws_each_grid_in_a_namespace_of_its_own(monkeypatch):
         if check is not selfcheck.reproducibility:
             check(ctx)
     assert all(len(s) == 1 for s in steps.values()), steps
+
+
+def test_battery_prices_off_the_weighted_ensemble_as_price_does(monkeypatch):
+    """The battery's ensembles draw in namespaces 0 (the weighted ones), 3
+    and 4 (the moment ones) and 5-11 (the coarse grids), every
+    namespace-0 ensemble draws a terminal asset price per path, and the
+    price triangle's three prices are ``pricing.ensemble_prices`` on the
+    weighted ensemble, bit for bit, as ``avgvar price`` reads them
+    (``reproducibility`` reruns namespace 0 and is left out)."""
+    real, calls, priced = selfcheck.run_ensemble, [], []
+
+    def record(model, grid, n_paths, seed, **options):
+        calls.append(options)
+        return real(model, grid, n_paths, seed, **options)
+
+    def recorded(pricer):
+        def price(*args, **kwargs):
+            priced.append(pricer(*args, **kwargs))
+            return priced[-1]
+        return price
+
+    monkeypatch.setattr(selfcheck, "run_ensemble", record)
+    scale = dataclasses.replace(selfcheck.QUICK, n_moments=512, n_density=512)
+    ctx = selfcheck.CheckContext(scale)
+    for check in selfcheck.CRITERIA:
+        if check not in (selfcheck.reproducibility, selfcheck.price_triangle):
+            check(ctx)
+    for name in ("price_from_density", "price_mixing", "price_plain_mc"):
+        monkeypatch.setattr(pricing, name, recorded(getattr(pricing, name)))
+    selfcheck.price_triangle(ctx)
+    monkeypatch.undo()
+
+    assert {c.get("namespace", 0) for c in calls} == {0, 3, 4, *range(5, 12)}
+    assert all(c.get("collect_asset") for c in calls if c.get("namespace", 0) == 0)
+    want = [est for tag in selfcheck.MODELS for est in pricing.ensemble_prices(
+        ctx.weighted(tag)[0], selfcheck.STRIKE, ctx.models[tag].params)[:3]]
+    assert [(e.method, e.value, e.std_error) for e in priced] == [
+        (e.method, e.value, e.std_error) for e in want]
 
 
 def test_float_serialization_round_trips(tmp_path):

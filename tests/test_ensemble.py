@@ -97,18 +97,17 @@ def test_seed_range_ends_are_accepted(ou_model):
 
 
 @pytest.mark.parametrize("params", [{"y0": 1e300}, {"k": 1e300}])
-@pytest.mark.parametrize("compute_weights", [True, False])
-def test_runaway_paths_fail_without_float_warnings(ref_vol, params, compute_weights):
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_runaway_paths_fail_without_float_warnings(ref_vol, params, antithetic):
     """Validation accepts a start or a diffusion that sends Y out to 1e300;
     the overflow of such a path is flagged by the guards, and nothing on
-    the way warns."""
+    the way warns, with antithetic pairs or without."""
     model = validate_ou(OUParams(**{"alpha": 1.0, "k": 0.5, "y0": 0.0, "s0": 100.0,
                                     "r": 0.05, "mu": 0.05, "T": 1.0, **params}), ref_vol)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FailureBudgetExceeded):
-            run_ensemble(model, make_grid(1.0, 32), 500, SEED,
-                         compute_weights=compute_weights)
+            run_ensemble(model, make_grid(1.0, 32), 500, SEED, antithetic=antithetic)
 
 
 @pytest.mark.parametrize("threads", [0, -1, None, 1.5])
@@ -182,8 +181,7 @@ def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
 
 def test_antithetic_pairs_share_variance_reduction(ou_model):
     grid = make_grid(1.0, 64)
-    res = run_ensemble(ou_model, grid, 2000, SEED, antithetic=True,
-                       compute_weights=False, collect_terminal=True)
+    res = run_ensemble(ou_model, grid, 2000, SEED, antithetic=True)
     y = res.terminal_state
     # antithetic partner of an even path is its exact mirror
     assert np.allclose(y[0::2], -y[1::2], rtol=1e-12, atol=1e-14)
@@ -254,16 +252,17 @@ def test_weighted_path_with_a_floored_step_fails(cir_model, monkeypatch):
     """The CIR step has no derivative where it is floored. Of 2048 paths at
     n = 1024, path 576 draws one normal large enough to floor its step 100,
     and every other normal is 0: the path is floored on one step, within
-    the unweighted budget FLOOR_RATE_LIMIT * n, so it fails, with a NaN
-    weight, only when weights are computed."""
+    the path pass's budget FLOOR_RATE_LIMIT * n, so the pass alone does
+    not flag it ``bad``: the ensemble fails it, with a NaN weight, because
+    the weight has no derivative at the floored step."""
     p = cir_model.params
     grid = make_grid(p.T, 1024)
     xi = np.zeros((2048, grid.n_steps))
     z = p.z0 + (p.b - p.z0) * (1.0 - (1.0 - grid.dt) ** 100)  # Z at step 100 on zero noise
     xi[576, 100] = -2.0 * (z + (p.b - z) * grid.dt) / (p.k * np.sqrt(z * grid.dt))
+    plain = paths_mod.simulate_cir_paths(cir_model, grid, GivenNormals(xi), range(2048))
+    assert not plain.bad.any() and np.flatnonzero(plain.kinked).tolist() == [576]
     monkeypatch.setattr(ens_mod, "NoiseStream", lambda *args, **kwargs: GivenNormals(xi))
-    plain = run_ensemble(cir_model, grid, 2048, SEED, compute_weights=False)
-    assert plain.n_failures == 0
     weighted = run_ensemble(cir_model, grid, 2048, SEED)
     assert np.flatnonzero(weighted.failed).tolist() == [576]
     assert np.isnan(weighted.weight[576]) and np.all(np.isfinite(np.delete(weighted.weight, 576)))
@@ -291,26 +290,26 @@ def _flat_above_ten_model(y0, k=0.5):
                                 r=0.05, mu=0.05, T=1.0), _flat_above_ten_vol())
 
 
-@pytest.mark.parametrize("compute_weights", [True, False])
-def test_visited_state_guard_fails_paths_outside_the_probe_grid(compute_weights):
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_visited_state_guard_fails_paths_outside_the_probe_grid(antithetic):
     grid = make_grid(1.0, 32)
     # every path starts at y0 = 12, where sigma' = 0
     with pytest.raises(FailureBudgetExceeded, match=r"^500 of 500 paths failed"):
-        run_ensemble(_flat_above_ten_model(12.0), grid, 500, SEED,
-                     compute_weights=compute_weights)
-    res = run_ensemble(_flat_above_ten_model(0.0), grid, 500, SEED,
-                       compute_weights=compute_weights)
+        run_ensemble(_flat_above_ten_model(12.0), grid, 500, SEED, antithetic=antithetic)
+    res = run_ensemble(_flat_above_ten_model(0.0), grid, 500, SEED, antithetic=antithetic)
     assert res.n_failures == 0
 
 
 def test_vol_guard_flags_the_same_paths_with_and_without_weights():
-    """The guard is decided by the path pass alone: at k = 4 the same paths
-    wander above 10 whether or not sigma'' and the weights are computed."""
+    """The guard is decided by the path pass alone: at k = 4 the paths that
+    wander above 10 are the ones the pass flags ``bad`` before any weight
+    is computed, and the ensemble fails exactly those."""
     grid = make_grid(1.0, 32)
-    weighted, bare = (run_ensemble(_flat_above_ten_model(0.0, k=4.0), grid, 20000, SEED,
-                                   compute_weights=cw) for cw in (True, False))
-    assert bare.n_failures > 0
-    assert np.array_equal(weighted.failed, bare.failed)
+    model = _flat_above_ten_model(0.0, k=4.0)
+    weighted = run_ensemble(model, grid, 20000, SEED)
+    bare = paths_mod.simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
+    assert bare.bad.any()
+    assert np.array_equal(weighted.failed, bare.bad)
     assert weighted.avg_variance.tobytes() == bare.avg_variance.tobytes()
 
 
@@ -330,16 +329,6 @@ def test_antithetic_pair_with_a_failed_path_is_dropped_whole():
     f, w = res.valid_samples()
     assert f.size == res.n_paths - res.n_failures - res.n_dropped
     assert np.all(np.isfinite(w))
-
-
-def test_weight_free_ou_ensemble_matches_the_weighted_one(ou_model):
-    grid = make_grid(1.0, 512)
-    weighted, bare = (run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK + 300, SEED,
-                                   compute_weights=cw, collect_terminal=True)
-                      for cw in (True, False))
-    assert bare.weight is None and bare.denominator is None
-    for field in ("avg_variance", "failed", "terminal_state"):
-        assert getattr(weighted, field).tobytes() == getattr(bare, field).tobytes()
 
 
 def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
@@ -372,26 +361,24 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
     assert np.array_equal(np.isnan(written["weight"]), failed)
 
 
-@pytest.mark.parametrize("model_name,compute_weights,budget", [
-    pytest.param("ou_model", True, 3.3, id="ou_model-3.3"),
-    pytest.param("ou_model", False, 1.3, id="ou_model-weight_free-1.3"),
-    pytest.param("cir_model", True, 3.25, id="cir_model-3.25")])
-def test_chunk_peak_memory_stays_in_budget(model_name, compute_weights, budget, request):
+@pytest.mark.parametrize("model_name,budget", [
+    pytest.param("ou_model", 3.3, id="ou_model-3.3"),
+    pytest.param("cir_model", 3.25, id="cir_model-3.25")])
+def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
-    Y, nu and nu' (without weights, Y alone) and the tile-sized slots of
-    the pass, one of which holds a tile of normals (measured 3.22 and
-    1.21); for CIR dW, Z and the weight's gradient, besides the tile-sized
-    step derivatives (measured 3.17). No whole array of normals is held
-    apart from CIR's dW: the stream draws one tile of step rows at a time
-    into its caller's rows."""
+    Y, nu and nu' and the tile-sized slots of the pass, one of which holds
+    a tile of normals (measured 3.22); for CIR dW, Z and the weight's
+    gradient, besides the tile-sized step derivatives (measured 3.17). No
+    whole array of normals is held apart from CIR's dW: the stream draws
+    one tile of step rows at a time into its caller's rows."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK
-    run_ensemble(model, grid, n_paths, SEED, compute_weights=compute_weights)  # first-call allocations
+    run_ensemble(model, grid, n_paths, SEED)  # first-call allocations
     tracemalloc.start()
     try:
-        run_ensemble(model, grid, n_paths, SEED, compute_weights=compute_weights)
+        run_ensemble(model, grid, n_paths, SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -123,9 +123,12 @@ def test_floor_saturation_raises_on_coarse_grid():
                                range(64))
     over = batch.floored_steps > FLOOR_RATE_LIMIT * grid.n_steps
     assert over.any() and np.array_equal(batch.bad, over)
-    # the ensemble fails the flagged paths, beyond its 0.1% budget here
-    with pytest.raises(FailureBudgetExceeded, match=rf"^{over.sum()} of 64 paths failed"):
-        run_ensemble(model, grid, 64, SEED, compute_weights=False)
+    # the ensemble fails the flagged paths and, as the weight has no
+    # derivative at a floored step, every other floored one: beyond its
+    # 0.1% budget here
+    with pytest.raises(FailureBudgetExceeded,
+                       match=rf"^{batch.kinked.sum()} of 64 paths failed"):
+        run_ensemble(model, grid, 64, SEED)
 
 
 def test_ou_avg_variance_above_lower_bound(ou_model):
@@ -161,8 +164,8 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     node rows at a time. Its states, F, guard, nu, nu' and g . xi equal,
     bit for bit, the whole-array recursion of the noise part D on the
     stream's normals, the one-formula-each volatility functions,
-    ``node_sum`` and the guard over all nodes at once, with and without
-    weights, on grids that end inside, at and just past a tile. The
+    ``node_sum`` and the guard over all nodes at once, on grids that end
+    inside, at and just past a tile. The
     flat-above-ten function (sigma' = 0 above 10) fails paths at k = 4."""
     if vol == "reference":
         model, formulas = ou_model, oracle_family(0.1, 0.1)
@@ -172,8 +175,7 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     grid = make_grid(1.0, n)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     idx = range(width)
-    weighted = simulate_ou_paths(model, grid, stream, idx)
-    bare = simulate_ou_paths(model, grid, stream, idx, compute_weights=False)
+    batch = simulate_ou_paths(model, grid, stream, idx)
 
     xi = stream.normal_matrix(idx, 0, n)
     p = model.params
@@ -187,16 +189,14 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     ok = (sig_p > 0).all(axis=0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12)).all(axis=0)
     if vol == "flat_above_ten" and width > 3:
         assert 0 < (~ok).sum() < width
-    for batch in (weighted, bare):
-        assert batch.states.tobytes() == y.tobytes()
-        assert batch.avg_variance.tobytes() == avg_variance.tobytes()
-        assert np.array_equal(batch.bad, ~ok)
+    assert batch.states.tobytes() == y.tobytes()
+    assert batch.avg_variance.tobytes() == avg_variance.tobytes()
+    assert np.array_equal(batch.bad, ~ok)
     nu = sig * sig_p
-    assert weighted.nu.tobytes() == nu.tobytes()
-    assert weighted.nu_prime.tobytes() == (sig_p**2 + sig * sig_pp).tobytes()
+    assert batch.nu.tobytes() == nu.tobytes()
+    assert batch.nu_prime.tobytes() == (sig_p**2 + sig * sig_pp).tobytes()
     nu_noise = node_sum(d * nu, grid.trapezoid_weights)
-    assert weighted.nu_noise.tobytes() == nu_noise.tobytes()
-    assert bare.nu is None and bare.nu_prime is None and bare.nu_noise is None
+    assert batch.nu_noise.tobytes() == nu_noise.tobytes()
 
 
 def test_ito_prefix_zero_and_brownian():
@@ -250,11 +250,10 @@ def test_ito_isometry_exponential_integrand():
     assert abs(sq.mean() - target) < 3 * sq.std() / math.sqrt(n_paths)
 
 
-@pytest.mark.parametrize("compute_weights", [True, False], ids=["weights", "no_weights"])
 @pytest.mark.parametrize("simulate, model_name", [(simulate_ou_paths, "ou_model"),
                                                   (simulate_cir_paths, "cir_model")],
                          ids=["ou", "cir"])
-def test_given_normals_build_the_streams_batch(simulate, model_name, compute_weights, request):
+def test_given_normals_build_the_streams_batch(simulate, model_name, request):
     """A batch built on GivenNormals of a stream's own normals is the
     stream's batch, byte for byte, on 300 paths (past one 256-path noise
     block) and n = 17 (a partial tile)."""
@@ -262,9 +261,8 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, compute_wei
     grid = make_grid(model.params.T, 17)
     idx = range(300)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    want = simulate(model, grid, stream, idx, compute_weights=compute_weights)
-    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
-                   compute_weights=compute_weights)
+    want = simulate(model, grid, stream, idx)
+    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx)
     for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad", "kinked"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name
