@@ -23,6 +23,7 @@ from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
 from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
+from avgvar.workspace import Workspace
 
 SEED = 11
 
@@ -32,9 +33,12 @@ model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
 grid = make_grid(1.0, 64)
 
 # --- Part 1: one path, running sums vs the dense gradient and Hessian -----
-batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
+# the simulator and the weight take their arrays from one workspace, which
+# grows to what they ask; the weight spends the batch's nu there
+ws = Workspace()
+batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1), ws)
 p = model.params
-wb = skorokhod_weight_ou(batch, p)
+wb = skorokhod_weight_ou(batch, p, ws)
 sums = (wb.g_xi[0], wb.trace_h[0], wb.hessian_gg[0], wb.denominator[0])
 print("one OU path at n = 64:")
 print(f"  averaged variance F = {batch.avg_variance[0]:.5f}")
@@ -60,8 +64,8 @@ print(f"\nensemble of 3000 paths with 1 / 2 / 4 threads: "
 # noise is its column of the block draw, and every per-path sum adds in node
 # order whatever the batch width, so the path alone gives the ensemble's
 # F and weight exactly
-lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1234, 1235))
-lone_weight = skorokhod_weight_ou(lone, p).delta
+lone = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1234, 1235), ws)
+lone_weight = skorokhod_weight_ou(lone, p, ws).delta
 full = runs[-1]
 assert lone.avg_variance.tobytes() == full.avg_variance[1234:1235].tobytes()
 assert lone_weight.tobytes() == full.weight[1234:1235].tobytes()

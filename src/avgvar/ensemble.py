@@ -124,7 +124,6 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     terminal_asset = np.empty(n_paths) if collect_asset else None
     failed = np.zeros(n_paths, dtype=bool)
 
-    size = min(CHUNK, n_paths) * (grid.n_steps + 1)
     starts = range(0, n_paths, CHUNK)
     threads = min(threads, len(starts))  # a worker without a chunk would only build a workspace
 
@@ -132,7 +131,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         # each worker owns its streams (they are stateful) and one workspace,
         # reused by every chunk it runs; values depend only on (seed,
         # namespace, purpose, path index)
-        ws = Workspace(size)
+        ws = Workspace()
         vol_stream = NoiseStream(seed, PURPOSE_VOL, namespace, antithetic)
         asset_stream = NoiseStream(seed, PURPOSE_ASSET, namespace, antithetic)
         for lo in starts[worker::threads]:
@@ -140,8 +139,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             chunk = range(lo, hi)
             # a failing path may overflow or turn NaN; the guards below flag it
             with np.errstate(all="ignore"):
-                batch = simulate(model, grid, vol_stream, chunk, ws=ws)
-                wb = skorokhod_weight(batch, model.params, ws=ws)
+                batch = simulate(model, grid, vol_stream, chunk, ws)
+                wb = skorokhod_weight(batch, model.params, ws)
             den = wb.denominator
             bad = (batch.bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
                    | ~np.isfinite(wb.delta))

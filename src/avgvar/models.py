@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .workspace import take
+from .workspace import Workspace
 
 PROBE_GRID = np.linspace(-10.0, 10.0, 1001)
 # the largest s0, forward s0 e^{rT} and strike accepted. A terminal price is
@@ -61,24 +61,18 @@ class VolFunctionSpec:
     lower_bound_c: float
     joint: Callable | None = None
 
-    def evaluate(self, x, ws=None):
+    def evaluate(self, x, ws):
         if self.joint is not None:
             return self.joint(x, ws)
         return tuple(np.array(np.broadcast_to(f(x), np.shape(x)), dtype=float)
                      for f in (self.sigma, self.sigma_prime, self.sigma_second))
 
 
-def nu_terms(sig, sig_p, sig_pp, out=None):
+def nu_terms(sig, sig_p, sig_pp, out):
     """nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' from the
-    values of ``VolFunctionSpec.evaluate``.
-
-    With ``out``, a pair of arrays of their shape, nu and nu' are written
-    there and sigma'' is spent as scratch. Without it, the inputs are left
-    as they are and nu and nu' are fresh arrays.
+    values of ``VolFunctionSpec.evaluate``, written into ``out``, a pair of
+    arrays of their shape. sigma'' is spent as scratch.
     """
-    if out is None:
-        sig_pp = np.array(np.broadcast_arrays(sig, sig_p, sig_pp)[2], dtype=float)
-        out = (np.empty(sig_pp.shape), np.empty(sig_pp.shape))
     nu, nu_prime = out
     sig_pp *= sig
     np.multiply(sig, sig_p, out=nu)
@@ -163,7 +157,7 @@ def reference_vol_family(c, m):
     c = float(c)
     m = float(m)
 
-    def joint(x, ws=None):
+    def joint(x, ws):
         # one sqrt, one mask and one a = |x| + s for all three (a is x + s
         # for x >= 0 and s - x for x < 0, exactly); the operations run in
         # place on five buffers, each with the operands and order of the
@@ -171,11 +165,11 @@ def reference_vol_family(c, m):
         x = np.asarray(x, dtype=float)
         shape = x.shape
         x = np.atleast_1d(x)
-        neg = np.less(x, 0, out=take(ws, "tmp2", x.shape, bool))
-        s = np.multiply(x, x, out=take(ws, "tmp1", x.shape))
+        neg = np.less(x, 0, out=ws.take("tmp2", x.shape, bool))
+        s = np.multiply(x, x, out=ws.take("tmp1", x.shape))
         s += 1.0
         np.sqrt(s, out=s)
-        a = np.abs(x, out=take(ws, "tmp0", x.shape))
+        a = np.abs(x, out=ws.take("tmp0", x.shape))
         a += s
         # The branches are chosen by an integer select on the bits,
         # r = p ^ ((q ^ p) * neg), not by a masked copy or divide: the sign
@@ -183,7 +177,7 @@ def reference_vol_family(c, m):
         # masked loops mispredict on that pattern.
         a_bits = a.view(np.int64)
         # sigma = c + m * (x + s  if x >= 0 else  1 / (s - x))
-        sigma = np.divide(1.0, a, out=take(ws, "sigma", x.shape))
+        sigma = np.divide(1.0, a, out=ws.take("sigma", x.shape))
         sigma_bits = sigma.view(np.int64)
         sigma_bits ^= a_bits
         sigma_bits *= neg
@@ -191,7 +185,7 @@ def reference_vol_family(c, m):
         sigma *= m
         sigma += c
         # sigma' = m * ((x + s) / s  if x >= 0 else  1 / (s (s - x)))
-        sigma_prime = np.divide(a, s, out=take(ws, "sigma_prime", x.shape))
+        sigma_prime = np.divide(a, s, out=ws.take("sigma_prime", x.shape))
         sigma_prime_bits = sigma_prime.view(np.int64)
         a *= s
         np.divide(1.0, a, out=a)
@@ -205,9 +199,9 @@ def reference_vol_family(c, m):
         return sigma.reshape(shape), sigma_prime.reshape(shape), sigma_second.reshape(shape)
 
     return VolFunctionSpec(
-        sigma=lambda x: joint(x)[0],
-        sigma_prime=lambda x: joint(x)[1],
-        sigma_second=lambda x: joint(x)[2],
+        sigma=lambda x: joint(x, Workspace())[0],
+        sigma_prime=lambda x: joint(x, Workspace())[1],
+        sigma_second=lambda x: joint(x, Workspace())[2],
         lower_bound_c=c,
         joint=joint,
     )
@@ -217,8 +211,8 @@ def _check_vol_on_grid(vol, violations):
     """Sample the (A2)-style constraints on the probe grid."""
     x = PROBE_GRID
     try:
-        sig, sig_p, sig_pp = vol.evaluate(x)
-        nu, nu_p = nu_terms(sig, sig_p, sig_pp)
+        sig, sig_p, sig_pp = vol.evaluate(x, Workspace())
+        nu, nu_p = nu_terms(sig, sig_p, sig_pp, out=(np.empty(x.shape), np.empty(x.shape)))
     except Exception as exc:  # a vol spec that cannot be evaluated is invalid
         violations.append(("E_VOL_EVAL", f"volatility function raised on probe grid: {exc!r}"))
         return

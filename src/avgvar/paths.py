@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import InvalidGrid
 from .models import nu_terms
-from .workspace import take, tiles
 
 Z_FLOOR = 1e-12
 FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
@@ -136,7 +135,7 @@ def ou_step(params, dt):
     return decay, step_sd
 
 
-def simulate_ou_paths(model, grid, stream, path_indices, ws=None):
+def simulate_ou_paths(model, grid, stream, path_indices, ws):
     """Simulate OU driver paths by their exact transition, in one pass over
     tiles of TILE_ROWS node rows. Per tile, the step normals are drawn into
     a tile slot and turned in place into the noise part D_j of the states,
@@ -156,10 +155,10 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None):
     w = grid.trapezoid_weights
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)
-    y = take(ws, "states", (n + 1, P))
-    nu, nu_prime = take(ws, "sigma", y.shape), take(ws, "sigma_prime", y.shape)
+    y = ws.take("states", (n + 1, P))
+    nu, nu_prime = ws.take("sigma", y.shape), ws.take("sigma_prime", y.shape)
     nu_noise = np.zeros(P)
-    tw = tiles(ws, TILE_ROWS * P)
+    tw = ws.tiles()
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
     last = np.zeros(P)  # D at the node before the tile; within it, the step's scratch
@@ -199,7 +198,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws=None):
                        nu_noise=nu_noise)
 
 
-def simulate_cir_paths(model, grid, stream, path_indices, ws=None):
+def simulate_cir_paths(model, grid, stream, path_indices, ws):
     """Simulate CIR variance paths by full-truncation Euler:
     Z_{i+1} = Z_i + (b - Z_i) dt + k sqrt(Z_i) dW_i, floored at Z_FLOOR, so
     every Z_i > 0 and the max(Z_i, 0) of full truncation is the identity.
@@ -214,8 +213,8 @@ def simulate_cir_paths(model, grid, stream, path_indices, ws=None):
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
     P = len(path_indices)
-    dW = take(ws, "dW", (n, P))
-    z = take(ws, "states", (n + 1, P))
+    dW = ws.take("dW", (n, P))
+    z = ws.take("states", (n + 1, P))
     z[0] = p.z0
     floored = np.zeros(P, dtype=np.int64)
     for lo in range(0, n, TILE_ROWS):

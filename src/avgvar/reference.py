@@ -17,6 +17,7 @@ products of g, H and xi. K takes O(n^3) memory: keep n <= 64.
 import numpy as np
 
 from .models import ValidatedOUModel
+from .workspace import Workspace
 
 
 def _steps(model, grid, states, dW):
@@ -25,7 +26,7 @@ def _steps(model, grid, states, dW):
     p = model.params
     n = grid.n_steps
     if isinstance(model, ValidatedOUModel):
-        sig, sig_p, sig_pp = model.vol.evaluate(np.asarray(states, dtype=float))
+        sig, sig_p, sig_pp = model.vol.evaluate(np.asarray(states, dtype=float), Workspace())
         phi_xi = p.k * np.sqrt(-np.expm1(-2.0 * p.alpha * dt) / (2.0 * p.alpha))
         return (np.full(n, np.exp(-p.alpha * dt)), np.full(n, phi_xi), np.zeros(n),
                 np.zeros(n), 2.0 * sig * sig_p, 2.0 * (sig_p**2 + sig * sig_pp))

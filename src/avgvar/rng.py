@@ -15,11 +15,12 @@ property the reproducibility tests (byte-identical output for any
 A stream keeps each block's generator and the row it has reached, so a
 simulator asks for one tile of step rows of a range of paths at a time
 and never holds the normals of a whole path: a request that starts where
-the block's last one stopped continues it, and any other restarts the
-block (``_rewind``) and draws up to its first row. Pairing is fixed when
-the stream is built. With ``antithetic=True`` a block draws 128 columns
-per row instead: path 2i reads column i and path 2i + 1 its negation, so
-the pairs share one block and each half of a pair costs nothing to draw.
+the block's last one stopped continues it, one that starts at row 0
+restarts the block (``_rewind``), and any other raises ValueError: a
+stream never skips rows. Pairing is fixed when the stream is built. With
+``antithetic=True`` a block draws 128 columns per row instead: path 2i
+reads column i and path 2i + 1 its negation, so the pairs share one
+block and each half of a pair costs nothing to draw.
 
 Purpose tags keep logically distinct draws from colliding:
 
@@ -56,9 +57,11 @@ class NoiseStream:
     """Block-keyed standard-normal streams under one (seed, namespace,
     purpose) key, paired antithetically or not for all their draws.
 
-    ``normal_matrix(paths, lo, hi)`` is a pure function of its arguments
-    and the stream: re-requesting a path's draws always returns the same
-    values. A seed outside [0, 2^64) raises E_INVALID_SEED.
+    ``normal_matrix(paths, lo, hi)`` serves each block's rows in order,
+    from row 0 or from where the block's last request stopped, and its
+    values are a pure function of its arguments and the stream: requesting
+    a path's draws again from row 0 returns the same values. A seed outside
+    [0, 2^64) raises E_INVALID_SEED.
     """
 
     def __init__(self, seed, purpose, namespace=0, antithetic=False):
@@ -81,14 +84,16 @@ class NoiseStream:
 
     def _rows(self, block, lo, hi):
         """Rows lo..hi-1 of block ``block``, 128 columns wide when paired
-        and 256 when not, as a view of the stream's scratch buffer."""
+        and 256 when not, as a view of the stream's scratch buffer. lo is 0
+        or the row where the block's last request stopped."""
         state = self._blocks.get(block)
-        if state is None or state[1] > lo:
+        if lo == 0:
             state = self._blocks[block] = [self._rewind(block), 0]
+        elif state is None or state[1] != lo:
+            raise ValueError(f"block {block} cannot start at row {lo}: a request "
+                             f"starts at row 0 or where the block's last one stopped")
         gen = state[0]
         width = BLOCK // 2 if self.antithetic else BLOCK
-        if state[1] < lo:
-            gen.standard_normal((lo - state[1]) * width)  # the rows in between
         size = (hi - lo) * width
         if self._scratch.size < size:
             self._scratch = np.empty(size)

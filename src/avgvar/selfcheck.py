@@ -43,6 +43,7 @@ from .reference import dense_weight
 from .rng import PURPOSE_VOL, NoiseStream
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
+from .workspace import Workspace
 
 SEED = 20240601
 NAMESPACE_MOMENTS = 3  # and 4
@@ -326,7 +327,7 @@ def kernel_oracles(ctx):
     """The O(n) weights against the dense gradient and Hessian of F_n in
     reference.py, within 1e-8 relative: g . xi, tr H, g^T H g, |g|^2 and
     delta, on OU at alpha 1 and 100 and on CIR."""
-    stream = NoiseStream(ctx.seed, PURPOSE_VOL)
+    stream, ws = NoiseStream(ctx.seed, PURPOSE_VOL), Workspace()
     idx = range(ORACLE_PATHS)
     fast = validate_ou(OU_FAST_DECAY, reference_vol_family(*REFERENCE_VOL))
     errs = []
@@ -334,8 +335,8 @@ def kernel_oracles(ctx):
                                    (fast, simulate_ou_paths, skorokhod_weight_ou),
                                    (ctx.models["cir"], simulate_cir_paths, skorokhod_weight_cir)):
         grid = make_grid(model.params.T, ORACLE_STEPS)
-        batch = simulate(model, grid, stream, idx)
-        wb = weigh(batch, model.params)
+        batch = simulate(model, grid, stream, idx, ws)
+        wb = weigh(batch, model.params, ws)
         dW = stream.normal_matrix(idx, 0, ORACLE_STEPS) * np.sqrt(grid.dt)
         for p in idx:
             ref = dense_weight(model, grid, batch.states[:, p], dW[:, p])

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import TILE_ROWS, node_sum
-from .workspace import take, tiles
 
 
 @dataclass
@@ -71,17 +70,16 @@ def _divergence(g_xi, trace_h, hessian_gg, g_sq):
                        hessian_gg=hessian_gg)
 
 
-def linear_weight(grid, fp, fpp, phi_y, phi_xi, fp_noise, df=1.0, ws=None):
+def linear_weight(grid, fp, fpp, phi_y, phi_xi, fp_noise, df=1.0):
     """The weight of a linear scheme with constant Phi_y and Phi_xi, where
     f' = df * fp and f'' = df * fpp at the nodes. The scheme is linear in
     the normals, so <grad Y_j, xi> is the noise part D_j of Y_j and
     g . xi = sum_j c_j f'_j D_j = (df / T) ``fp_noise``, with fp_noise =
     sum_j w_j fp_j D_j, which the path pass sums while the normals are in
-    cache; no normal reaches the weight. With a workspace ``ws`` the
-    batch's fp is spent: the adjoint, the gradient and then V / Phi_xi run
-    in place over it. Without one, fp is left as it is."""
+    cache; no normal reaches the weight. fp is spent: the adjoint, the
+    gradient and then V / Phi_xi run in place over it."""
     c = df * grid.trapezoid_weights / grid.T
-    lam = np.multiply(fp, c[:, None], out=None if ws is None else fp)
+    lam = np.multiply(fp, c[:, None], out=fp)
     for j in range(len(lam) - 2, 0, -1):
         lam[j] += lam[j + 1] * phi_y
     g = lam[1:]  # g_{j-1} in row j; row 0 is spent
@@ -99,20 +97,20 @@ def linear_weight(grid, fp, fpp, phi_y, phi_xi, fp_noise, df=1.0, ws=None):
                        phi_xi**2 * node_sum(lam, fpp), g_sq)
 
 
-def sweep_weight(grid, kernel, dW, ws=None):
+def sweep_weight(grid, kernel, dW, ws):
     """The weight of a nonlinear scheme with f(y) = y. ``kernel(lo, hi, tw)``
     returns the step derivatives (Phi_y, Phi_xi, Phi_yy, Phi_yxi) of step
     rows lo..hi-1 as (hi - lo, P) arrays, which it may take from the
     tile-sized workspace ``tw`` and which the sweeps spend. The backward
     pass runs over tiles from the last, and leaves g_j = Phi_xi lambda_{j+1}
-    in rows 1..n of slot ``lam`` of a workspace ``ws``; the forward pass
+    in rows 1..n of slot ``lam`` of the workspace ``ws``; the forward pass
     runs over tiles from the first, and first overwrites each tile's
     Phi_yxi, g and Phi_xi with 2 Phi_yxi g, Phi_xi g and Phi_xi^2."""
     c = grid.trapezoid_weights / grid.T
     n, P = dW.shape
-    tw = tiles(ws, TILE_ROWS * P)
+    tw = ws.tiles()
     starts = range(0, n, TILE_ROWS)
-    lam = take(ws, "lam", (n + 1, P))
+    lam = ws.take("lam", (n + 1, P))
     lam[:] = c[:, None]
     for lo in reversed(starts):
         hi = min(lo + TILE_ROWS, n)

@@ -36,11 +36,11 @@ def cir_kernel(batch, params, tw, lo, hi):
     return phi_z, phi_xi, phi_zz, r
 
 
-def skorokhod_weight_cir(batch, params, ws=None):
+def skorokhod_weight_cir(batch, params, ws):
     """Per-path weights of a batch of CIR paths, as a ``WeightBatch``.
     The sweeps take the step derivatives a tile at a time from
     ``cir_kernel``, looked up as a module global at each call."""
     def kernel(lo, hi, tw):
         return cir_kernel(batch, params, tw, lo, hi)
 
-    return sweep_weight(batch.grid, kernel, batch.dW, ws=ws)
+    return sweep_weight(batch.grid, kernel, batch.dW, ws)

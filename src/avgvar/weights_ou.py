@@ -13,8 +13,10 @@ from .paths import ou_step
 from .weights import linear_weight
 
 
-def skorokhod_weight_ou(batch, params, ws=None):
-    """Per-path weights of a batch of OU paths, as a ``WeightBatch``."""
+def skorokhod_weight_ou(batch, params, ws):
+    """Per-path weights of a batch of OU paths, as a ``WeightBatch``. The
+    weight runs in place over ``batch.nu`` and spends it; it takes no slot
+    of ``ws``, which it accepts for the signature both weights share."""
     decay, step_sd = ou_step(params, batch.grid.dt)
     return linear_weight(batch.grid, batch.nu, batch.nu_prime, decay, step_sd,
-                         batch.nu_noise, df=2.0, ws=ws)
+                         batch.nu_noise, df=2.0)

@@ -41,10 +41,13 @@ second workspace of tile-sized slots (``tiles``):
 So an OU worker touches three whole arrays (Y, nu and nu') and a CIR
 worker three (dW, Z and lam), each besides the tiles and the
 noise stream's one tile of a block's draw; no worker holds a whole array
-of normals as drawn. A batch whose arrays live in a workspace is spent
-once the next chunk starts. Every function that takes ``ws`` also runs with
-``ws=None``, and then allocates fresh arrays as a direct call expects;
-``weights_cir.cir_kernel`` takes the tile workspace ``tw`` it writes into.
+of normals as drawn. A batch lives in its workspace: it is spent once
+the next batch runs there. ``weights_cir.cir_kernel`` takes the tile
+workspace ``tw`` it writes into.
+
+A slot is allocated by its first ``take`` and again only when a larger
+array is asked of it, so a caller needs no knowledge of the layout. A
+worker's first chunk is its largest, so no slot grows after it.
 """
 
 import math
@@ -53,40 +56,25 @@ import numpy as np
 
 
 class Workspace:
-    """Named byte buffers, each large enough for one array of ``size``
-    float64 elements, allocated on first use."""
+    """Named byte buffers, each allocated on first use and again only when
+    a larger array is asked of it."""
 
-    def __init__(self, size):
-        self.nbytes = int(size) * np.dtype(float).itemsize
+    def __init__(self):
         self._slots = {}
         self._tiles = None
 
     def take(self, name, shape, dtype=float):
         """Slot ``name`` as a C-contiguous array of ``shape`` and ``dtype``.
         Its contents are whatever the slot last held."""
-        slot = self._slots.get(name)
-        if slot is None:
-            slot = self._slots[name] = np.empty(self.nbytes, np.uint8)
         dtype = np.dtype(dtype)
-        return slot[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+        nbytes = math.prod(shape) * dtype.itemsize
+        slot = self._slots.get(name)
+        if slot is None or slot.size < nbytes:
+            slot = self._slots[name] = np.empty(nbytes, np.uint8)
+        return slot[:nbytes].view(dtype).reshape(shape)
 
-    def tiles(self, size):
-        """A workspace of ``size``-element slots kept by this one for a pass
-        over tiles of a chunk, made again only when a larger one is asked."""
-        if self._tiles is None or self._tiles.nbytes < size * np.dtype(float).itemsize:
-            self._tiles = Workspace(size)
+    def tiles(self):
+        """A workspace kept by this one for a pass over tiles of a chunk."""
+        if self._tiles is None:
+            self._tiles = Workspace()
         return self._tiles
-
-
-def take(ws, name, shape, dtype=float):
-    """``ws.take(name, shape, dtype)``, or a fresh array without a workspace."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    return ws.take(name, shape, dtype)
-
-
-def tiles(ws, size):
-    """``ws.tiles(size)``, or a fresh workspace of that slot size without one."""
-    if ws is None:
-        return Workspace(size)
-    return ws.tiles(size)

@@ -4,6 +4,8 @@ on matched noise."""
 
 import numpy as np
 
+from avgvar.workspace import Workspace
+
 # the noise purpose of the bridge normals of halving ``level``: PURPOSE_BRIDGE
 # + level, apart from the package's own purposes (avgvar.rng)
 PURPOSE_BRIDGE = 16
@@ -30,10 +32,10 @@ class GivenNormals:
 def paths_from_increments(simulate, model, grid, dW):
     """The batch that ``simulate`` (``simulate_ou_paths`` or
     ``simulate_cir_paths``) builds on the Wiener increments ``dW``, one row
-    of n_steps per path."""
+    of n_steps per path, in a workspace of its own."""
     dW = np.asarray(dW, dtype=float)
     stream = GivenNormals(dW / np.sqrt(grid.dt))
-    return simulate(model, grid, stream, range(dW.shape[0]))
+    return simulate(model, grid, stream, range(dW.shape[0]), Workspace())
 
 
 def refine_increments(dW, dt, bridge_normals):

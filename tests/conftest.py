@@ -52,8 +52,8 @@ def fault_weight(monkeypatch):
         for tag in models or ("ou", "cir"):
             name = f"skorokhod_weight_{tag}"
 
-            def weight(batch, params, ws=None, make_weight=getattr(ensemble, name)):
-                wb = make_weight(batch, params, ws=ws)
+            def weight(batch, params, ws, make_weight=getattr(ensemble, name)):
+                wb = make_weight(batch, params, ws)
                 wb.delta = fault(wb)
                 return wb
             monkeypatch.setattr(ensemble, name, weight)

@@ -13,6 +13,7 @@ from avgvar import (EmptyEnsemble, FailureBudgetExceeded, OUParams,
                     ValidationError, VolFunctionSpec, make_grid, mc_estimate,
                     run_ensemble, validate_ou)
 from avgvar.rng import PURPOSE_VOL, NoiseStream
+from avgvar.workspace import Workspace
 from bridge import GivenNormals
 
 SEED = 20240601
@@ -136,7 +137,7 @@ def test_workers_are_capped_at_the_chunk_count(ou_model, monkeypatch):
     workspaces, started = [], []
     workspace, start = ens_mod.Workspace, threading.Thread.start
     monkeypatch.setattr(ens_mod, "Workspace",
-                        lambda size: workspaces.append(size) or workspace(size))
+                        lambda: workspaces.append(workspace()) or workspaces[-1])
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or start(self))
     capped = run_ensemble(ou_model, grid, 2 * ens_mod.CHUNK, SEED, threads=8)
@@ -165,8 +166,9 @@ def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
     stream = NoiseStream(SEED, PURPOSE_VOL)
 
     def path_bytes(indices, column):
-        batch = simulate(model, grid, stream, indices)
-        wb = weigh(batch, model.params)
+        ws = Workspace()
+        batch = simulate(model, grid, stream, indices, ws)
+        wb = weigh(batch, model.params, ws)
         return [a.tobytes() for a in (batch.avg_variance[column], batch.states[:, column],
                                       wb.delta[column], wb.denominator[column])]
 
@@ -177,6 +179,28 @@ def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
     one, two = (run_ensemble(model, grid, n, SEED) for n in (2049, 2050))
     for field in ("avg_variance", "weight", "denominator"):
         assert getattr(one, field)[2048].tobytes() == getattr(two, field)[2048].tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["ou_model", "cir_model"])
+def test_a_reused_workspace_gives_a_fresh_workspace_bytes(model_name, request):
+    """One workspace runs a 3-path batch, then a full chunk, whose slots
+    outgrow the first batch's, then a 3-path batch again: each batch and
+    its weight equal, bit for bit, the same batch run on a fresh one."""
+    model = request.getfixturevalue(model_name)
+    simulate, weigh = ens_mod._DRIVERS[type(model)]()
+    grid = make_grid(1.0, 64)
+    stream = NoiseStream(SEED, PURPOSE_VOL)
+
+    def run(indices, ws):
+        batch = simulate(model, grid, stream, indices, ws)
+        # read before the weight, which may spend the batch's arrays
+        got = [v.tobytes() for v in vars(batch).values() if isinstance(v, np.ndarray)]
+        wb = weigh(batch, model.params, ws)
+        return got + [v.tobytes() for v in vars(wb).values()]
+
+    reused = Workspace()
+    for indices in (range(5, 8), range(ens_mod.CHUNK), range(5, 8)):
+        assert run(indices, reused) == run(indices, Workspace())
 
 
 def test_antithetic_pairs_share_variance_reduction(ou_model):
@@ -200,7 +224,7 @@ def test_no_failures_on_reference_models(ou_model, cir_model):
 def test_failure_budget_enforced(ou_model, monkeypatch):
     from avgvar.weights import WeightBatch
 
-    def all_bad(batch, params, ws=None):
+    def all_bad(batch, params, ws):
         n = batch.states.shape[1]
         one = np.ones(n)
         return WeightBatch(delta=one, denominator=-one, g_xi=one, trace_h=0 * one,
@@ -213,8 +237,8 @@ def test_failure_budget_enforced(ou_model, monkeypatch):
 
 def _fail_path_zero(real_weight, fault):
     """The real weight, with path 0 broken by ``fault``."""
-    def one_bad(batch, params, ws=None):
-        wb = real_weight(batch, params, ws=ws)
+    def one_bad(batch, params, ws):
+        wb = real_weight(batch, params, ws)
         if 0 in batch.path_indices:
             row = batch.path_indices.index(0)
             array, value = {"nan_delta": (wb.delta, np.nan), "inf_delta": (wb.delta, np.inf),
@@ -260,7 +284,8 @@ def test_weighted_path_with_a_floored_step_fails(cir_model, monkeypatch):
     xi = np.zeros((2048, grid.n_steps))
     z = p.z0 + (p.b - p.z0) * (1.0 - (1.0 - grid.dt) ** 100)  # Z at step 100 on zero noise
     xi[576, 100] = -2.0 * (z + (p.b - z) * grid.dt) / (p.k * np.sqrt(z * grid.dt))
-    plain = paths_mod.simulate_cir_paths(cir_model, grid, GivenNormals(xi), range(2048))
+    plain = paths_mod.simulate_cir_paths(cir_model, grid, GivenNormals(xi), range(2048),
+                                         Workspace())
     assert not plain.bad.any() and np.flatnonzero(plain.kinked).tolist() == [576]
     monkeypatch.setattr(ens_mod, "NoiseStream", lambda *args, **kwargs: GivenNormals(xi))
     weighted = run_ensemble(cir_model, grid, 2048, SEED)
@@ -307,7 +332,8 @@ def test_vol_guard_flags_the_same_paths_with_and_without_weights():
     grid = make_grid(1.0, 32)
     model = _flat_above_ten_model(0.0, k=4.0)
     weighted = run_ensemble(model, grid, 20000, SEED)
-    bare = paths_mod.simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
+    bare = paths_mod.simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000),
+                                       Workspace())
     assert bare.bad.any()
     assert np.array_equal(weighted.failed, bare.bad)
     assert weighted.avg_variance.tobytes() == bare.avg_variance.tobytes()
@@ -368,7 +394,7 @@ def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
     Y, nu and nu' and the tile-sized slots of the pass, one of which holds
-    a tile of normals (measured 3.22); for CIR dW, Z and the weight's
+    a tile of normals (measured 3.19); for CIR dW, Z and the weight's
     gradient, besides the tile-sized step derivatives (measured 3.17). No
     whole array of normals is held apart from CIR's dW: the stream draws
     one tile of step rows at a time into its caller's rows."""

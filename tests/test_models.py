@@ -10,12 +10,19 @@ from avgvar import (CIRParams, OUParams, ValidationError, VolFunctionSpec,
                     simulate_ou_paths, validate_cir, validate_ou)
 from avgvar.models import PROBE_GRID, nu_terms
 from avgvar.rng import PURPOSE_VOL, NoiseStream
+from avgvar.workspace import Workspace
 
 SEED = 20240601
 
 
 def codes(err):
     return {code for code, _ in err.value.violations}
+
+
+def nu_at(vol, x):
+    """(nu, nu') of ``vol`` at x, as arrays of the shape of x."""
+    x = np.asarray(x, dtype=float)
+    return nu_terms(*vol.evaluate(x, Workspace()), out=(np.empty(x.shape), np.empty(x.shape)))
 
 
 def test_reference_ou_config_accepted(ou_model):
@@ -70,7 +77,7 @@ def test_reference_family_closed_forms(ref_vol):
     assert ref_vol.sigma(0.0) == pytest.approx(0.2, abs=1e-15)
     assert ref_vol.sigma_prime(0.0) == pytest.approx(0.1, abs=1e-15)
     assert ref_vol.sigma_second(0.0) == pytest.approx(0.1, abs=1e-15)
-    nu, nu_prime = nu_terms(*ref_vol.evaluate(0.0))
+    nu, nu_prime = nu_at(ref_vol, 0.0)
     assert nu == pytest.approx(0.02, abs=1e-15)
     assert nu_prime == pytest.approx(0.03, abs=1e-15)
     assert ref_vol.sigma_prime(1.0) == pytest.approx(0.1 * (1 + 1 / math.sqrt(2)),
@@ -89,9 +96,8 @@ def test_derivatives_match_finite_differences(ref_vol, rng):
     h = 1e-6
     fd_prime = (ref_vol.sigma(x + h) - ref_vol.sigma(x - h)) / (2 * h)
     assert np.allclose(ref_vol.sigma_prime(x), fd_prime, rtol=1e-6)
-    fd_nu_prime = (nu_terms(*ref_vol.evaluate(x + h))[0]
-                   - nu_terms(*ref_vol.evaluate(x - h))[0]) / (2 * h)
-    assert np.allclose(nu_terms(*ref_vol.evaluate(x))[1], fd_nu_prime, rtol=1e-6)
+    fd_nu_prime = (nu_at(ref_vol, x + h)[0] - nu_at(ref_vol, x - h)[0]) / (2 * h)
+    assert np.allclose(nu_at(ref_vol, x)[1], fd_nu_prime, rtol=1e-6)
 
 
 def test_sigma_prime_positive_on_probe(ref_vol):
@@ -127,14 +133,14 @@ def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
     vol = ou_model.vol
     oracle = oracle_family(0.1, 0.1)
     chunk = simulate_ou_paths(ou_model, make_grid(1.0, 512),
-                              NoiseStream(SEED, PURPOSE_VOL), range(2048)).states
+                              NoiseStream(SEED, PURPOSE_VOL), range(2048), Workspace()).states
     assert chunk.shape == (513, 2048)
     for x in (PROBE_GRID, np.array([-1e8, 1e8, -0.0, 0.0]), chunk):
         # at x = 1e8, s - x = 0 in the branch that is discarded
         with np.errstate(divide="ignore"):
-            got = vol.evaluate(x)
+            got = vol.evaluate(x, Workspace())
             want = [f(x) for f in oracle]
-            nu, nu_prime = nu_terms(*got)
+            nu, nu_prime = nu_at(vol, x)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert np.array_equal(nu, want[0] * want[1])

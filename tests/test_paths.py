@@ -11,6 +11,7 @@ from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUMod
                     sample_terminal_asset, simulate_cir_paths, simulate_ou_paths)
 from avgvar.paths import FLOOR_RATE_LIMIT, TILE_ROWS, node_sum, ou_step
 from avgvar.rng import PURPOSE_VOL, NoiseStream
+from avgvar.workspace import Workspace
 from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
 from test_ensemble import _flat_above_ten_model
 from test_models import oracle_family
@@ -55,14 +56,15 @@ def test_noiseless_ou_is_exact_decay(ref_vol):
     params = OUParams(alpha=1.3, k=0.0, y0=2.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedOUModel(params=params, vol=ref_vol)
     grid = make_grid(1.0, 32)
-    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
+    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
+                              Workspace())
     assert np.allclose(batch.states[:, 0], 2.0 * np.exp(-1.3 * grid.t), rtol=1e-14)
 
 
 def test_ou_terminal_moments(ou_model):
     grid = make_grid(1.0, 64)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_ou_paths(ou_model, grid, stream, range(40000))
+    batch = simulate_ou_paths(ou_model, grid, stream, range(40000), Workspace())
     y_t = batch.states[-1]
     p = ou_model.params
     mean_target = p.y0 * math.exp(-p.alpha * p.T)
@@ -75,9 +77,10 @@ def test_ou_terminal_moments(ou_model):
 def test_ou_distribution_invariant_to_grid(ou_model):
     # exact transition: Y_T law cannot depend on n_steps (KS at 1%)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    coarse = simulate_ou_paths(ou_model, make_grid(1.0, 16), stream, range(20000))
+    coarse = simulate_ou_paths(ou_model, make_grid(1.0, 16), stream, range(20000),
+                               Workspace())
     fine = simulate_ou_paths(ou_model, make_grid(1.0, 512), stream,
-                             range(20000, 40000))
+                             range(20000, 40000), Workspace())
     stat = ks_2samp(coarse.states[-1], fine.states[-1])
     assert stat.pvalue > 0.01
 
@@ -86,7 +89,8 @@ def test_noiseless_cir_matches_ode(cir_model, ref_vol):
     params = CIRParams(b=1.0, k=0.0, z0=3.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 4096)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
+                               Workspace())
     exact = 1.0 + (3.0 - 1.0) * np.exp(-grid.t)
     assert np.max(np.abs(batch.states[:, 0] - exact) / exact) < 1e-3
 
@@ -94,7 +98,7 @@ def test_noiseless_cir_matches_ode(cir_model, ref_vol):
 def test_cir_terminal_moments(cir_model):
     grid = make_grid(1.0, 256)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_cir_paths(cir_model, grid, stream, range(40000))
+    batch = simulate_cir_paths(cir_model, grid, stream, range(40000), Workspace())
     z_t = batch.states[-1]
     c = cir_model.params
     mean_target = c.z0 * math.exp(-c.T) + c.b * (1 - math.exp(-c.T))
@@ -108,7 +112,7 @@ def test_cir_terminal_moments(cir_model):
 def test_cir_never_floors_in_reference_regime(cir_model):
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    batch = simulate_cir_paths(cir_model, grid, stream, range(10000))
+    batch = simulate_cir_paths(cir_model, grid, stream, range(10000), Workspace())
     assert int(batch.floored_steps.sum()) == 0
     assert np.all(batch.states > 0)
     assert not batch.bad.any() and not batch.kinked.any()
@@ -120,7 +124,7 @@ def test_floor_saturation_raises_on_coarse_grid():
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                               range(64))
+                               range(64), Workspace())
     over = batch.floored_steps > FLOOR_RATE_LIMIT * grid.n_steps
     assert over.any() and np.array_equal(batch.bad, over)
     # the ensemble fails the flagged paths and, as the weight has no
@@ -134,7 +138,7 @@ def test_floor_saturation_raises_on_coarse_grid():
 def test_ou_avg_variance_above_lower_bound(ou_model):
     grid = make_grid(1.0, 64)
     batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL),
-                              range(500))
+                              range(500), Workspace())
     assert np.all(batch.avg_variance >= ou_model.vol.lower_bound_c**2)
 
 
@@ -146,10 +150,10 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     if model_name == "ou_model":
-        batch = simulate_ou_paths(model, grid, stream, range(512))
-        integrand = model.vol.evaluate(batch.states)[0] ** 2
+        batch = simulate_ou_paths(model, grid, stream, range(512), Workspace())
+        integrand = model.vol.evaluate(batch.states, Workspace())[0] ** 2
     else:
-        batch = simulate_cir_paths(model, grid, stream, range(512))
+        batch = simulate_cir_paths(model, grid, stream, range(512), Workspace())
         integrand = batch.states
     w = grid.trapezoid_weights
     exact = np.array([math.fsum(w * row) for row in integrand.T]) / grid.T
@@ -175,7 +179,7 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     grid = make_grid(1.0, n)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     idx = range(width)
-    batch = simulate_ou_paths(model, grid, stream, idx)
+    batch = simulate_ou_paths(model, grid, stream, idx, Workspace())
 
     xi = stream.normal_matrix(idx, 0, n)
     p = model.params
@@ -261,8 +265,9 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, request):
     grid = make_grid(model.params.T, 17)
     idx = range(300)
     stream = NoiseStream(SEED, PURPOSE_VOL)
-    want = simulate(model, grid, stream, idx)
-    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx)
+    want = simulate(model, grid, stream, idx, Workspace())
+    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
+                   Workspace())
     for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad", "kinked"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name
@@ -284,7 +289,7 @@ def test_terminal_asset_martingale(ou_model):
     p = ou_model.params
     vol_stream = NoiseStream(SEED, PURPOSE_VOL)
     asset_stream = NoiseStream(SEED, 1)
-    batch = simulate_ou_paths(ou_model, grid, vol_stream, range(40000))
+    batch = simulate_ou_paths(ou_model, grid, vol_stream, range(40000), Workspace())
     s_t = sample_terminal_asset(batch.avg_variance, p, asset_stream,
                                 range(40000))
     disc = math.exp(-p.r * p.T) * s_t

@@ -14,6 +14,7 @@ from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, bs_conditional,
 from avgvar import pricing, selfcheck
 from avgvar.pricing import payoff_integral
 from avgvar.rng import PURPOSE_ASSET, PURPOSE_VOL, NoiseStream
+from avgvar.workspace import Workspace
 
 SEED = 20240601
 
@@ -156,9 +157,10 @@ def test_payoff_integral_next_to_the_mean_sample_matches_quad(strike, mean):
 
 def test_price_ignores_a_constant_shift_of_the_payoff_integral(ou_model, monkeypatch):
     # shifting G moves each term by a multiple of w, which the w control absorbs
+    ws = Workspace()
     batch = simulate_ou_paths(ou_model, make_grid(1.0, 32), NoiseStream(SEED, PURPOSE_VOL),
-                              range(2000))
-    f, w = batch.avg_variance, skorokhod_weight_ou(batch, ou_model.params).delta
+                              range(2000), ws)
+    f, w = batch.avg_variance, skorokhod_weight_ou(batch, ou_model.params, ws).delta
     base = price_from_density(f, w, 100.0, 100.0, 0.05, 1.0)
     unshifted = pricing.payoff_integral
     monkeypatch.setattr(pricing, "payoff_integral", lambda *a: unshifted(*a) + 3.7)
@@ -188,7 +190,8 @@ def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model)
 def test_plain_mc_zero_strike_recovers_spot(ou_model):
     grid = make_grid(1.0, 64)
     p = ou_model.params
-    batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
+    batch = simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000),
+                              Workspace())
     s_t = sample_terminal_asset(batch.avg_variance, p,
                                 NoiseStream(SEED, PURPOSE_ASSET), range(20000))
     est = price_plain_mc(s_t, 0.0, p.r, p.T)
@@ -207,7 +210,8 @@ def test_deterministic_vol_model_matches_quadrature_oracle(ref_vol):
     var_integral, _ = quad(lambda t: float(ref_vol.sigma(math.exp(-t)))**2, 0.0, 1.0)
     oracle = bs_oracle(100.0, 100.0, 0.05, 1.0, math.sqrt(var_integral))
 
-    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000))
+    batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(20000),
+                              Workspace())
     assert batch.avg_variance.std() < 1e-12  # deterministic volatility path
     mix = price_mixing(np.sqrt(batch.avg_variance), 100.0, 100.0, 0.05, 1.0)
     assert mix.value == pytest.approx(oracle, rel=2e-4)  # trapezoid-vs-quad gap

@@ -74,12 +74,15 @@ def test_tile_by_tile_draw_with_a_restart_equals_one_whole_draw():
     for lo in range(0, n, 16):
         s.normal_matrix(idx, lo, min(lo + 16, n), out=tiles[lo:lo + 16])
     assert np.array_equal(tiles, whole)
-    # a request that does not continue where its block stopped restarts
-    # the block and draws up to its first row: backwards, and past a gap
-    for lo, hi in ((20, 30), (40, 45), (3, 4)):
-        assert np.array_equal(s.normal_matrix(idx, lo, hi), whole[lo:hi])
-    fresh = NoiseStream(4, PURPOSE_VOL).normal_matrix(idx[BLOCK:], 7, 19)
-    assert np.array_equal(fresh, whole[7:19, BLOCK:])
+    # a request from row 0 restarts the block, and the next continues it
+    assert np.array_equal(s.normal_matrix(idx, 0, 10), whole[0:10])
+    assert np.array_equal(s.normal_matrix(idx, 10, 20), whole[10:20])
+    # any other request raises: backwards, past a gap, or on a block not
+    # yet drawn; a stream never skips rows
+    for stream, paths, lo, hi in ((s, idx, 3, 4), (s, idx, 40, 45),
+                                  (NoiseStream(4, PURPOSE_VOL), idx[BLOCK:], 7, 19)):
+        with pytest.raises(ValueError, match=f"cannot start at row {lo}"):
+            stream.normal_matrix(paths, lo, hi)
 
 
 def test_distinct_paths_purposes_namespaces_differ():

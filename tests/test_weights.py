@@ -12,6 +12,7 @@ from avgvar.reference import gradient_hessian
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import skorokhod_weight_cir
 from avgvar.weights_ou import skorokhod_weight_ou
+from avgvar.workspace import Workspace
 from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
 from paper_weight import cir_weight_triple_sum, ou_weight_double_sum
 
@@ -52,11 +53,13 @@ def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
     grid = make_grid(model.params.T, 8)
     xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(2), 0, grid.n_steps).T
 
+    ws = Workspace()
+
     def f_of(xi):
-        return simulate(model, grid, GivenNormals(xi[None]), range(1)).avg_variance[0]
+        return simulate(model, grid, GivenNormals(xi[None]), range(1), ws).avg_variance[0]
 
     for xi in xi_all:
-        batch = simulate(model, grid, GivenNormals(xi[None]), range(1))
+        batch = simulate(model, grid, GivenNormals(xi[None]), range(1), Workspace())
         g, H = gradient_hessian(model, grid, batch.states[:, 0], xi * math.sqrt(grid.dt))
         g_fd, H_fd = central_differences(f_of, xi)
         assert np.max(np.abs(g - g_fd)) < 1e-8 * np.max(np.abs(g))
@@ -79,13 +82,14 @@ def test_rms_distance_to_papers_weight_shrinks_with_dt(model_name, bound, reques
         grid = make_grid(p.T, n)
         if model_name == "ou_model":
             batch = paths_from_increments(simulate_ou_paths, model, grid, dW)
-            delta = skorokhod_weight_ou(batch, p).delta
+            # the weight spends batch.nu, so the paper's weight reads it first
             paper = [ito - trace for ito, trace, _ in (
                 ou_weight_double_sum(batch.nu[:, i], batch.nu_prime[:, i], dW[i],
                                      grid, p.alpha, p.k) for i in range(n_paths))]
+            delta = skorokhod_weight_ou(batch, p, Workspace()).delta
         else:
             batch = paths_from_increments(simulate_cir_paths, model, grid, dW)
-            delta = skorokhod_weight_cir(batch, p).delta
+            delta = skorokhod_weight_cir(batch, p, Workspace()).delta
             paper = [a - b - c2 + c3 for a, b, c2, c3, _ in (
                 cir_weight_triple_sum(batch.states[:, i], batch.dW[:, i], grid, p)
                 for i in range(n_paths))]

@@ -55,7 +55,8 @@ def test_flat_z_f_integral_closed_form(cir_model):
 
 def test_psi_bounds_and_cocycle(cir_model):
     grid = make_grid(1.0, 256)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(4))
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(4),
+                               Workspace())
     rng = np.random.default_rng(0)
     for _ in range(50):
         pth = int(rng.integers(0, 4))
@@ -70,7 +71,8 @@ def test_psi_bounds_and_cocycle(cir_model):
 
 def test_psi_matrix_agrees_with_psi_pair(cir_model):
     grid = make_grid(1.0, 64)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
+                               Workspace())
     lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     mat = psi_matrix(lp)
     rng = np.random.default_rng(1)
@@ -83,7 +85,8 @@ def test_i_scaling_is_exactly_quadratic(cir_model):
     # multiplying the integrand factor g = sqrt(Z) phi by a constant a
     # multiplies the paper's I by a^2 exactly; realized by scaling Z with psi frozen
     grid = make_grid(1.0, 32)
-    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1))
+    batch = simulate_cir_paths(cir_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
+                               Workspace())
     lp = log_phi(batch.states[:, 0], grid, cir_model.params)
     base = i_triple_sum(batch.states[:, 0], lp, grid)
     scaled = i_triple_sum(4.0 * batch.states[:, 0], lp, grid)
@@ -99,14 +102,15 @@ def test_kernel_and_weight_match_brute_force(cir_model, fast_cir, fast_decay):
     sweeps' sums against the dense gradient and Hessian of F_n."""
     model = fast_cir if fast_decay else cir_model
     grid = make_grid(model.params.T, 64)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(5))
+    ws = Workspace()
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(5), ws)
     k, dt, z, dW = model.params.k, grid.dt, batch.states[:-1], batch.dW
     expected = (1.0 - dt + k * dW / (2.0 * np.sqrt(z)), k * np.sqrt(z * dt),
                 -k * dW / (4.0 * z**1.5), k * math.sqrt(dt) / (2.0 * np.sqrt(z)))
     n = grid.n_steps
-    for got, want in zip(cir_kernel(batch, model.params, Workspace(n * 5), 0, n), expected):
+    for got, want in zip(cir_kernel(batch, model.params, Workspace(), 0, n), expected):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    wb = skorokhod_weight_cir(batch, model.params)
+    wb = skorokhod_weight_cir(batch, model.params, ws)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
         ref = dense_weight(model, grid, batch.states[:, p], batch.dW[:, p])
@@ -171,34 +175,34 @@ def whole_array_sweeps(grid, phi_y, phi_xi, phi_yy, phi_yxi, dW):
 @pytest.mark.parametrize("n", [2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 64, 512])
 def test_tiled_weight_matches_the_whole_array_sweeps(cir_model, fast_cir, fast_decay, n):
     """The sweeps take the step derivatives one tile of step rows at a time.
-    The kernel's tiles, and the weight and its four sums with and without a
-    workspace, equal bit for bit the whole-array kernel and sweeps, on grids
-    of one partial tile, one tile and tiles that end inside and at n."""
+    The kernel's tiles, and the weight and its four sums, equal bit for bit
+    the whole-array kernel and sweeps, on grids of one partial tile, one
+    tile and tiles that end inside and at n."""
     model = fast_cir if fast_decay else cir_model
     grid = make_grid(model.params.T, n)
-    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(300))
+    ws = Workspace()
+    batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(300), ws)
     steps = whole_array_kernel(batch, model.params)
     for lo in range(0, n, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n)
-        tile = cir_kernel(batch, model.params, Workspace(TILE_ROWS * 300), lo, hi)
+        tile = cir_kernel(batch, model.params, Workspace(), lo, hi)
         for got, want in zip(tile, steps):
             assert got.tobytes() == want[lo:hi].tobytes()
     want = whole_array_sweeps(grid, *steps, batch.dW)
-    for ws in (None, Workspace((n + 1) * 300)):
-        wb = skorokhod_weight_cir(batch, model.params, ws)
-        got = (wb.delta, wb.denominator, wb.g_xi, wb.trace_h, wb.hessian_gg)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    wb = skorokhod_weight_cir(batch, model.params, ws)
+    got = (wb.delta, wb.denominator, wb.g_xi, wb.trace_h, wb.hessian_gg)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_positive_i_on_simulated_paths(cir_model):
     """The denominator |grad F_n|^2 is positive and finite on every path."""
     grid = make_grid(1.0, 256)
-    stream = NoiseStream(SEED, PURPOSE_VOL)
+    stream, ws = NoiseStream(SEED, PURPOSE_VOL), Workspace()
     for lo in range(0, 10000, 2048):
         idx = range(lo, min(lo + 2048, 10000))
-        batch = simulate_cir_paths(cir_model, grid, stream, idx)
-        den = skorokhod_weight_cir(batch, cir_model.params).denominator
+        batch = simulate_cir_paths(cir_model, grid, stream, idx, ws)
+        den = skorokhod_weight_cir(batch, cir_model.params, ws).denominator
         assert np.all(den > 0) and np.all(np.isfinite(den))
 
 
@@ -207,8 +211,9 @@ def test_weight_matches_discrete_divergence(cir_model, fast_cir):
     normals, to roundoff, on both models."""
     for model in (cir_model, fast_cir):
         grid = make_grid(model.params.T, 64)
-        batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(2))
-        wb = skorokhod_weight_cir(batch, model.params)
+        ws = Workspace()
+        batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(2), ws)
+        wb = skorokhod_weight_cir(batch, model.params, ws)
         for p in range(2):
             div = discrete_divergence(model, grid, batch.states[:, p], batch.dW[:, p])
             assert wb.delta[p] == pytest.approx(div, rel=1e-8)
@@ -216,13 +221,13 @@ def test_weight_matches_discrete_divergence(cir_model, fast_cir):
 
 def test_duality_small_ensemble(cir_model):
     grid = make_grid(1.0, 256)
-    stream = NoiseStream(SEED, PURPOSE_VOL)
+    stream, ws = NoiseStream(SEED, PURPOSE_VOL), Workspace()
     f = np.empty(8000)
     d = np.empty(8000)
     for lo in range(0, 8000, 2048):
         idx = range(lo, min(lo + 2048, 8000))
-        b = simulate_cir_paths(cir_model, grid, stream, idx)
-        wb = skorokhod_weight_cir(b, cir_model.params)
+        b = simulate_cir_paths(cir_model, grid, stream, idx, ws)
+        wb = skorokhod_weight_cir(b, cir_model.params, ws)
         assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
         f[idx] = b.avg_variance
         d[idx] = wb.delta
@@ -242,10 +247,11 @@ def test_kernel_survives_extreme_log_phi_range():
     params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, mu=0.05, T=30.0)
     model = validate_cir(params)
     grid = make_grid(30.0, 64)
-    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), range(2))
+    ws = Workspace()
+    batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), range(2), ws)
     assert not batch.kinked.any()
     assert -2.0 * min(log_phi(batch.states[:, p], grid, params).min() for p in range(2)) > 709
-    wb = skorokhod_weight_cir(batch, params)
+    wb = skorokhod_weight_cir(batch, params, ws)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(2):
         ref = dense_weight(model, grid, batch.states[:, p], batch.dW[:, p])
@@ -260,7 +266,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
     n_paths = 200
     dW = stream.normal_matrix(range(n_paths), 0, n0).T * math.sqrt(1.0 / n0)
     coarse = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n0), dW)
-    w_coarse = skorokhod_weight_cir(coarse, cir_model.params)
+    w_coarse = skorokhod_weight_cir(coarse, cir_model.params, Workspace())
 
     fine_dW = dW
     n = n0
@@ -269,7 +275,7 @@ def test_weight_stable_under_bridge_refinement(cir_model):
         fine_dW = refine_increments(fine_dW, 1.0 / n, z)
         n *= 2
     fine = paths_from_increments(simulate_cir_paths, cir_model, make_grid(1.0, n), fine_dW)
-    w_fine = skorokhod_weight_cir(fine, cir_model.params)
+    w_fine = skorokhod_weight_cir(fine, cir_model.params, Workspace())
 
     gap = np.abs(w_coarse.delta - w_fine.delta)
     spread = w_coarse.delta.std(ddof=1)

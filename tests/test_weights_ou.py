@@ -8,6 +8,7 @@ from avgvar import OUParams, make_grid, run_ensemble, simulate_ou_paths, validat
 from avgvar.reference import dense_weight
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
+from avgvar.workspace import Workspace
 from paper_weight import _k_matrix
 from test_weights import discrete_divergence
 
@@ -26,7 +27,9 @@ def _ou_model(alpha, vol, T=1.0):
 
 
 def _fixed_batch(ou_model, grid, n_paths=5):
-    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(n_paths))
+    """Simulated paths, in a workspace of their own."""
+    return simulate_ou_paths(ou_model, grid, NoiseStream(SEED, PURPOSE_VOL), range(n_paths),
+                             Workspace())
 
 
 def _fixed_normals(grid, n_paths=5):
@@ -37,10 +40,10 @@ def _fixed_normals(grid, n_paths=5):
 
 def _weight_with_nu(ou_model, grid, nu):
     """The weight of simulated paths whose node values nu are replaced (and
-    nu' zeroed); the denominator depends on nu alone."""
+    nu' zeroed); the denominator depends on nu alone. The weight spends nu."""
     batch = dataclasses.replace(_fixed_batch(ou_model, grid, n_paths=nu.shape[1]),
                                 nu=nu, nu_prime=np.zeros_like(nu))
-    return skorokhod_weight_ou(batch, ou_model.params)
+    return skorokhod_weight_ou(batch, ou_model.params, Workspace())
 
 
 def test_flat_nu_matches_closed_form(ou_model):
@@ -65,7 +68,7 @@ def test_zero_nu_gives_zero_g(ou_model, grid64):
 
 def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
     nu = _fixed_batch(ou_model, grid64, n_paths=4).nu
-    g1 = _weight_with_nu(ou_model, grid64, nu).denominator
+    g1 = _weight_with_nu(ou_model, grid64, nu.copy()).denominator
     g2 = _weight_with_nu(ou_model, grid64, 2.0 * nu).denominator
     assert np.array_equal(g2, 4.0 * g1)  # powers of two: exact in float
 
@@ -73,12 +76,13 @@ def test_g_scaling_is_exactly_quadratic(ou_model, grid64):
 @pytest.mark.parametrize("alpha", [0.05, 1.0, 30.0, 100.0])
 def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     """g . xi, tr H, g^T H g and |g|^2 of the running sums against the dense
-    gradient and Hessian of F_n, with the batch's inputs left as they were."""
+    gradient and Hessian of F_n. The weight spends the batch's nu and leaves
+    its nu', noise sum and states as they were."""
     model = _ou_model(alpha, ref_vol)
     batch = _fixed_batch(model, grid64)
     dW = _fixed_normals(grid64) * math.sqrt(grid64.dt)
-    nu_before, nup_before = batch.nu.copy(), batch.nu_prime.copy()
-    wb = skorokhod_weight_ou(batch, model.params)
+    kept = {name: getattr(batch, name).copy() for name in ("nu_prime", "nu_noise", "states")}
+    wb = skorokhod_weight_ou(batch, model.params, Workspace())
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
         g_xi, trace_h, hessian_gg, g_sq, _ = dense_weight(model, grid64, batch.states[:, p],
@@ -89,8 +93,8 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
         assert abs(wb.denominator[p] - g_sq) / g_sq < 1e-12
         assert wb.delta[p] == ((wb.g_xi[p] - wb.trace_h[p]) / wb.denominator[p]
                                + 2.0 * wb.hessian_gg[p] / wb.denominator[p] ** 2)
-    assert np.array_equal(batch.nu, nu_before)
-    assert np.array_equal(batch.nu_prime, nup_before)
+    for name, before in kept.items():
+        assert np.array_equal(getattr(batch, name), before), name
 
 
 @pytest.mark.parametrize("alpha, y0, n", [(1.0, 0.0, 512), (1.0, 0.3, 512), (100.0, 0.0, 64)],
@@ -113,7 +117,7 @@ def test_pass_g_xi_is_the_gradient_along_the_normals(alpha, y0, n, ref_vol):
     for j in range(n - 1, 0, -1):
         lam[j] += decay * lam[j + 1]
     terms = xi * (step_sd * lam[1:])
-    g_xi = skorokhod_weight_ou(batch, model.params).g_xi
+    g_xi = skorokhod_weight_ou(batch, model.params, Workspace()).g_xi
     gap = np.abs(g_xi - terms.sum(axis=0))
     assert np.all(gap <= 1e-13 * np.abs(terms).sum(axis=0)), gap.max()
 
@@ -127,7 +131,7 @@ def test_weight_matches_discrete_divergence(ref_vol):
         model = _ou_model(alpha, ref_vol)
         batch = _fixed_batch(model, grid, n_paths=3)
         dW = _fixed_normals(grid, n_paths=3) * math.sqrt(grid.dt)
-        wb = skorokhod_weight_ou(batch, model.params)
+        wb = skorokhod_weight_ou(batch, model.params, Workspace())
         for p in range(3):
             div = discrete_divergence(model, grid, batch.states[:, p], dW[:, p])
             assert wb.delta[p] == pytest.approx(div, rel=1e-8)
@@ -143,13 +147,13 @@ def test_long_horizon_ensemble_has_finite_weights(ref_vol):
 
 def test_duality_small_ensemble(ou_model):
     grid = make_grid(1.0, 256)
-    stream = NoiseStream(SEED, PURPOSE_VOL)
+    stream, ws = NoiseStream(SEED, PURPOSE_VOL), Workspace()
     f = np.empty(8000)
     d = np.empty(8000)
     for lo in range(0, 8000, 2048):
         idx = range(lo, min(lo + 2048, 8000))
-        b = simulate_ou_paths(ou_model, grid, stream, idx)
-        wb = skorokhod_weight_ou(b, ou_model.params)
+        b = simulate_ou_paths(ou_model, grid, stream, idx, ws)
+        wb = skorokhod_weight_ou(b, ou_model.params, ws)
         assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
         f[idx] = b.avg_variance
         d[idx] = wb.delta
