@@ -16,14 +16,13 @@ Every ensemble computes the weight of each path, and keeps its F and its
 terminal state; ``collect_asset`` adds one terminal asset draw per path.
 ``run_ensemble`` is the one place that decides whether a path fails. A
 path fails when its batch flags it ``bad`` (a volatility-assumption breach
-at a visited OU state, or a CIR path floored on too many steps), when it
-took a step where the scheme has no derivative (``kinked``: a floored CIR
-step), when the weight's denominator |grad F_n|^2 is not a positive
-finite number or when delta is not finite. The simulator and the weight
-run with floating-point warnings off, and the weight functions flag
-nothing themselves. A failed path gets a NaN weight, is counted and
-reported, and is never silently dropped; more than 0.1% failures aborts
-the ensemble.
+at a visited OU state, or a floored CIR step, where the scheme has no
+derivative), when the weight's denominator |grad F_n|^2 is not a positive
+finite number or when delta is not finite. The simulator, the weight and
+the terminal asset draw run with floating-point warnings off, and the
+weight functions flag nothing themselves. A failed path gets a NaN
+weight, is counted and reported, and is never silently dropped; more
+than 0.1% failures aborts the ensemble.
 """
 
 from dataclasses import dataclass
@@ -137,21 +136,21 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
         for lo in starts[worker::threads]:
             hi = min(lo + CHUNK, n_paths)
             chunk = range(lo, hi)
-            # a failing path may overflow or turn NaN; the guards below flag it
+            # a failing path may overflow or turn NaN, and so may its asset
+            # draw, which is never read; the guards below flag it
             with np.errstate(all="ignore"):
                 batch = simulate(model, grid, vol_stream, chunk, ws)
                 wb = skorokhod_weight(batch, model.params, ws)
+                if collect_asset:
+                    terminal_asset[lo:hi] = _paths.sample_terminal_asset(
+                        batch.avg_variance, model.params, asset_stream, chunk)
             den = wb.denominator
-            bad = (batch.bad | batch.kinked | ~(den > 0) | ~np.isfinite(den)
-                   | ~np.isfinite(wb.delta))
+            bad = batch.bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
             weight[lo:hi] = np.where(bad, np.nan, wb.delta)
             denom[lo:hi] = den
             failed[lo:hi] = bad
             avg_variance[lo:hi] = batch.avg_variance
             terminal_state[lo:hi] = batch.states[-1]
-            if collect_asset:
-                terminal_asset[lo:hi] = _paths.sample_terminal_asset(
-                    batch.avg_variance, model.params, asset_stream, chunk)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -44,28 +44,22 @@ class VolFunctionSpec:
     author vouches for it. The OU weight consumes the products nu and nu' of
     ``nu_terms``: f = sigma^2 has f' = 2 nu and f'' = 2 nu'.
 
-    ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x. The OU path
+    ``evaluate(x, ws)`` returns (sigma, sigma', sigma'') at x, as float
+    arrays of the shape of x, which the caller may overwrite. The OU path
     pass calls it once per tile of states (``paths.TILE_ROWS`` node rows),
-    with a workspace ``ws`` of tile-sized slots (``avgvar.workspace``). A
-    spec may pass ``joint(x, ws)``, a callable returning the three in one
-    pass; the reference family does, sharing its intermediates and taking
-    its arrays from ``ws``. The pass reuses slots tmp0 and tmp2 once
-    ``joint`` returns, so it returns none of its arrays there. Without
-    ``joint``, ``evaluate`` calls the three callables in turn and returns
-    fresh arrays of the shape of x.
+    with the chunk's workspace ``ws`` (``avgvar.workspace``), from which it
+    may take tile-sized slots but not the pass's own (states, nu, nu_prime
+    and noise); the reference family's one pass takes tmp0-2, sigma and
+    sigma_prime, sharing its intermediates. The pass reuses slots tmp0 and
+    tmp2 once ``evaluate`` returns, so it returns none of its arrays there.
+    ``sigma``, ``sigma_prime`` and ``sigma_second`` evaluate one each.
     """
 
     sigma: Callable
     sigma_prime: Callable
     sigma_second: Callable
     lower_bound_c: float
-    joint: Callable | None = None
-
-    def evaluate(self, x, ws):
-        if self.joint is not None:
-            return self.joint(x, ws)
-        return tuple(np.array(np.broadcast_to(f(x), np.shape(x)), dtype=float)
-                     for f in (self.sigma, self.sigma_prime, self.sigma_second))
+    evaluate: Callable
 
 
 def nu_terms(sig, sig_p, sig_pp, out):
@@ -203,7 +197,7 @@ def reference_vol_family(c, m):
         sigma_prime=lambda x: joint(x, Workspace())[1],
         sigma_second=lambda x: joint(x, Workspace())[2],
         lower_bound_c=c,
-        joint=joint,
+        evaluate=joint,
     )
 
 

@@ -30,7 +30,7 @@ noise sum of g . xi and guarded while they are in cache, and only the
 states, nu and nu' are whole arrays. The CIR simulator
 draws each tile straight into its rows of dW, and the CIR weight's kernel
 (``weights_cir.cir_kernel``) writes its step derivatives one tile at a
-time into a tile workspace. Every per-path sum over the nodes adds in
+time into tile-sized slots. Every per-path sum over the nodes adds in
 node order as ``node_sum`` does, so a path's values do not depend on how
 many paths share its batch.
 """
@@ -43,7 +43,6 @@ from .errors import InvalidGrid
 from .models import nu_terms
 
 Z_FLOOR = 1e-12
-FLOOR_RATE_LIMIT = 1e-3  # per-path floored-step budget; above it a path fails
 # node rows per tile of the OU pass: a tile's handful of (TILE_ROWS, 2048)
 # arrays stays in a 2 MB L2 cache
 TILE_ROWS = 16
@@ -90,7 +89,6 @@ class PathBatch:
     states: np.ndarray        # (n+1, P) Y (OU) or Z (CIR) at the nodes
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
-    kinked: np.ndarray        # (P,) a step of the path has no derivative, so no weight
 
 
 @dataclass
@@ -107,12 +105,11 @@ class OUPathBatch(PathBatch):
 
 @dataclass
 class CIRPathBatch(PathBatch):
-    """CIR variance paths, Z floored at Z_FLOOR. ``bad`` flags paths whose
-    floored steps exceed the budget FLOOR_RATE_LIMIT * n, and ``kinked``
-    paths with any floored step, where the scheme has no derivative."""
+    """CIR variance paths, Z floored at Z_FLOOR. ``bad`` flags the paths
+    with a floored step, where the scheme has no derivative and so the
+    path no weight."""
 
-    dW: np.ndarray             # (n, P) driver increments
-    floored_steps: np.ndarray  # (P,) count of steps clipped at the floor
+    dW: np.ndarray  # (n, P) driver increments
 
 
 def node_sum(a, b):
@@ -141,10 +138,10 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     a tile slot and turned in place into the noise part D_j of the states,
     D_j = e^{-alpha dt} D_{j-1} + step_sd xi_{j-1} from D_0 = 0, and
     Y_j = y0 e^{-alpha t_j} + D_j; sigma, sigma' and sigma'' are
-    evaluated with slots from a tile-sized workspace;
+    evaluated into tile-sized slots of ``ws``;
     sigma^2 w_j is added to F row by row, in the node order of
-    ``node_sum``; the guard is applied; nu and nu' are written into slots
-    sigma and sigma_prime; and w_j nu_j D_j is added to ``nu_noise``. The
+    ``node_sum``; the guard is applied; nu and nu' are written into their
+    whole-array slots; and w_j nu_j D_j is added to ``nu_noise``. The
     scheme is linear in the normals, so <grad Y_j, xi> = D_j and the weight
     reads g . xi off that sum (``weights.linear_weight``): no normal
     outlives its tile. With k = 0, Y is exactly y0 e^{-alpha t_i}."""
@@ -156,16 +153,15 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)
     y = ws.take("states", (n + 1, P))
-    nu, nu_prime = ws.take("sigma", y.shape), ws.take("sigma_prime", y.shape)
+    nu, nu_prime = ws.take("nu", y.shape), ws.take("nu_prime", y.shape)
     nu_noise = np.zeros(P)
-    tw = ws.tiles()
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
     last = np.zeros(P)  # D at the node before the tile; within it, the step's scratch
     for lo in range(0, n + 1, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n + 1)
         first = max(lo, 1)
-        d = tw.take("noise", (hi - lo, P))
+        d = ws.take("noise", (hi - lo, P))
         d[:first - lo] = 0.0
         shock = stream.normal_matrix(path_indices, first - 1, hi - 1, out=d[first - lo:])
         shock *= step_sd
@@ -175,15 +171,15 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
         np.copyto(last, d[-1])
         tile = np.add(d, mean[lo:hi, None], out=y[lo:hi])
 
-        values = vol.evaluate(tile, tw)
+        values = vol.evaluate(tile, ws)
         sig, sig_p = values[:2]
         # the volatility function has finished with its scratch slots tmp0 and tmp2
-        sq = np.multiply(sig, sig, out=tw.take("tmp0", tile.shape))
+        sq = np.multiply(sig, sig, out=ws.take("tmp0", tile.shape))
         sq *= w[lo:hi, None]
         for row in sq:
             total += row
         # re-assert the volatility assumptions at every visited state
-        mask = np.greater(sig_p, 0, out=tw.take("tmp2", tile.shape, bool))
+        mask = np.greater(sig_p, 0, out=ws.take("tmp2", tile.shape, bool))
         ok &= mask.all(axis=0)
         ok &= np.greater_equal(sig, floor, out=mask).all(axis=0)
         nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
@@ -194,8 +190,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
 
     return OUPathBatch(grid=grid, path_indices=path_indices,
                        states=y, avg_variance=total / grid.T, bad=~ok,
-                       kinked=np.zeros(P, dtype=bool), nu=nu, nu_prime=nu_prime,
-                       nu_noise=nu_noise)
+                       nu=nu, nu_prime=nu_prime, nu_noise=nu_noise)
 
 
 def simulate_cir_paths(model, grid, stream, path_indices, ws):
@@ -206,8 +201,8 @@ def simulate_cir_paths(model, grid, stream, path_indices, ws):
     those rows of dW, scaled to dW = xi sqrt(dt) and stepped while they
     are in cache. In the validated regime (k^2 < 2b, and 6k^2 < b for
     density work) the floor is essentially never hit; a path floored on
-    more than FLOOR_RATE_LIMIT of its steps is flagged ``bad``, and one
-    floored on any step ``kinked``."""
+    any step is flagged ``bad``, once per tile, by a state equal to
+    Z_FLOOR."""
     p = model.params
     n = grid.n_steps
     dt = grid.dt
@@ -216,23 +211,20 @@ def simulate_cir_paths(model, grid, stream, path_indices, ws):
     dW = ws.take("dW", (n, P))
     z = ws.take("states", (n + 1, P))
     z[0] = p.z0
-    floored = np.zeros(P, dtype=np.int64)
+    bad = np.zeros(P, dtype=bool)
     for lo in range(0, n, TILE_ROWS):
         hi = min(lo + TILE_ROWS, n)
         rows = stream.normal_matrix(path_indices, lo, hi, out=dW[lo:hi])
         rows *= sqrt_dt
         for j in range(lo, hi):
             zj = z[j]
-            znext = zj + (p.b - zj) * dt + p.k * np.sqrt(zj) * dW[j]
-            hit = znext < Z_FLOOR
-            floored += hit
-            np.copyto(znext, Z_FLOOR, where=hit)
-            z[j + 1] = znext
+            np.maximum(zj + (p.b - zj) * dt + p.k * np.sqrt(zj) * dW[j], Z_FLOOR,
+                       out=z[j + 1])
+        bad |= (z[lo + 1:hi + 1] == Z_FLOOR).any(axis=0)
 
     return CIRPathBatch(grid=grid, path_indices=path_indices,
                         dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
-                        bad=floored > FLOOR_RATE_LIMIT * n, kinked=floored > 0,
-                        floored_steps=floored)
+                        bad=bad)
 
 
 def sample_terminal_asset(avg_variance, params, stream, path_indices):

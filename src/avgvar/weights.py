@@ -98,23 +98,22 @@ def linear_weight(grid, fp, fpp, phi_y, phi_xi, fp_noise, df=1.0):
 
 
 def sweep_weight(grid, kernel, dW, ws):
-    """The weight of a nonlinear scheme with f(y) = y. ``kernel(lo, hi, tw)``
+    """The weight of a nonlinear scheme with f(y) = y. ``kernel(lo, hi)``
     returns the step derivatives (Phi_y, Phi_xi, Phi_yy, Phi_yxi) of step
-    rows lo..hi-1 as (hi - lo, P) arrays, which it may take from the
-    tile-sized workspace ``tw`` and which the sweeps spend. The backward
+    rows lo..hi-1 as (hi - lo, P) arrays, which it may take from tile-sized
+    slots of the workspace ``ws`` and which the sweeps spend. The backward
     pass runs over tiles from the last, and leaves g_j = Phi_xi lambda_{j+1}
-    in rows 1..n of slot ``lam`` of the workspace ``ws``; the forward pass
+    in rows 1..n of slot ``lam`` of ``ws``; the forward pass
     runs over tiles from the first, and first overwrites each tile's
     Phi_yxi, g and Phi_xi with 2 Phi_yxi g, Phi_xi g and Phi_xi^2."""
     c = grid.trapezoid_weights / grid.T
     n, P = dW.shape
-    tw = ws.tiles()
     starts = range(0, n, TILE_ROWS)
     lam = ws.take("lam", (n + 1, P))
     lam[:] = c[:, None]
     for lo in reversed(starts):
         hi = min(lo + TILE_ROWS, n)
-        phi_y, phi_xi = kernel(lo, hi, tw)[:2]
+        phi_y, phi_xi = kernel(lo, hi)[:2]
         for j in range(hi - 1, max(lo, 1) - 1, -1):
             lam[j] += lam[j + 1] * phi_y[j - lo]
         lam[lo + 1:hi + 1] *= phi_xi  # rows this tile's loop has read
@@ -127,7 +126,7 @@ def sweep_weight(grid, kernel, dW, ws):
     acc = np.zeros((2, P))  # sum_j U_j and sum_j D_j over interior nodes
     for lo in starts:
         hi = min(lo + TILE_ROWS, n)
-        phi_y, phi_xi, phi_yy, phi_yxi = kernel(lo, hi, tw)
+        phi_y, phi_xi, phi_yy, phi_yxi = kernel(lo, hi)
         g_tile = g[lo:hi]
         phi_yxi *= g_tile
         phi_yxi *= 2.0

@@ -8,8 +8,8 @@ Z_{j+1} = Z_j + (b - Z_j) dt + k sqrt(Z_j) dW_j with dW_j = sqrt(dt) xi_j
     Phi_zz  = -k dW_j / (4 Z_j^{3/2}),           Phi_zxi = k sqrt(dt) / (2 sqrt(Z_j)),
 
 and Phi_xixi = 0; F, the trapezoid of Z over T, has f' = 1 and f'' = 0.
-At a floored step Phi has no derivative, and ``run_ensemble`` fails every
-weighted path that took one.
+At a floored step Phi has no derivative: the path pass flags a path that
+took one ``bad``, and ``run_ensemble`` fails it.
 """
 
 import numpy as np
@@ -17,18 +17,18 @@ import numpy as np
 from .weights import sweep_weight
 
 
-def cir_kernel(batch, params, tw, lo, hi):
+def cir_kernel(batch, params, ws, lo, hi):
     """The step derivatives (Phi_z, Phi_xi, Phi_zz, Phi_zxi) of step rows
     lo..hi-1 of a batch of CIR paths, each a time-major (hi - lo, P) array
-    in slots phi_z, phi_xi, phi_zz and phi_zxi of the tile workspace ``tw``."""
+    in tile-sized slots phi_z, phi_xi, phi_zz and phi_zxi of ``ws``."""
     z = batch.states[lo:hi]
     dW = batch.dW[lo:hi]
     dt = batch.grid.dt
     k = params.k
-    phi_xi = np.sqrt(z, out=tw.take("phi_xi", dW.shape))
-    r = np.divide(0.5 * k, phi_xi, out=tw.take("phi_zxi", dW.shape))  # k / (2 sqrt Z)
-    phi_z = np.multiply(r, dW, out=tw.take("phi_z", dW.shape))
-    phi_zz = np.divide(phi_z, z, out=tw.take("phi_zz", dW.shape))
+    phi_xi = np.sqrt(z, out=ws.take("phi_xi", dW.shape))
+    r = np.divide(0.5 * k, phi_xi, out=ws.take("phi_zxi", dW.shape))  # k / (2 sqrt Z)
+    phi_z = np.multiply(r, dW, out=ws.take("phi_z", dW.shape))
+    phi_zz = np.divide(phi_z, z, out=ws.take("phi_zz", dW.shape))
     phi_zz *= -0.5
     phi_z += 1.0 - dt
     r *= np.sqrt(dt)
@@ -40,7 +40,7 @@ def skorokhod_weight_cir(batch, params, ws):
     """Per-path weights of a batch of CIR paths, as a ``WeightBatch``.
     The sweeps take the step derivatives a tile at a time from
     ``cir_kernel``, looked up as a module global at each call."""
-    def kernel(lo, hi, tw):
-        return cir_kernel(batch, params, tw, lo, hi)
+    def kernel(lo, hi):
+        return cir_kernel(batch, params, ws, lo, hi)
 
     return sweep_weight(batch.grid, kernel, batch.dW, ws)

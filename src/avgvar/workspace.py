@@ -5,45 +5,43 @@ A chunk of P paths on an n-step grid works on a few whole (n+1, P) or
 memory depend on whether glibc serves them from its heap or from fresh
 mmaps, which moves with unrelated allocations. ``run_ensemble`` therefore
 gives each worker one ``Workspace`` for the whole ensemble. The simulators,
-the volatility pass and the weights take their whole arrays from it by
-slot name, so a chunk run on a warmed workspace allocates no whole array
-and the peak is the workspace itself.
+the volatility pass and the weights take their arrays, whole and
+tile-sized, from it by slot name, so a chunk run on a warmed workspace
+allocates no whole array and the peak is the workspace itself.
 
 A slot is storage, not a quantity: a later stage of a chunk takes a slot
-that an earlier stage has finished with. Every array is time-major. The
-slots, in the order a chunk fills them:
+that an earlier stage has finished with. Every array is time-major. A
+chunk takes whole (n+1, P) or (n, P) arrays and, for the OU pass and the
+CIR weight's two sweeps, which work on one tile of ``paths.TILE_ROWS``
+rows at a time, tile-sized ones, all from the one workspace. No name is
+taken at both sizes. The slots, in the order a chunk fills them:
 
     OU    states      Y, the batch's states
-          sigma       the batch's nu; the weight's adjoint, gradient and
+          nu          the batch's nu; the weight's adjoint, gradient and
                       then tangent V, in place
-          sigma_prime the batch's nu'
+          nu_prime    the batch's nu'
+          noise       tile: the normals as drawn, turned in place into the
+                      noise part D of Y, then nu D w_j
+          tmp0        tile: the volatility function's scratch, then
+                      sigma^2 w_j
+          tmp1        tile: sigma'', spent by nu_terms
+          tmp2        tile: the volatility function's mask, then the guard's
+          sigma       tile: sigma
+          sigma_prime tile: sigma'
     CIR   dW          the normals, drawn one tile of step rows at a time
                       and scaled to dW in place, the batch's dW
           states      Z, the batch's states
           lam         the weight's adjoint, then g, then Phi_xi g
-
-The OU pass and the CIR weight's two sweeps work on one tile of
-``paths.TILE_ROWS`` rows at a time, and take the tile's arrays from a
-second workspace of tile-sized slots (``tiles``):
-
-    OU    noise       the tile's normals as drawn, turned in place into the
-                      noise part D of Y, then nu D w_j
-          tmp0        the volatility function's scratch, then sigma^2 w_j
-          tmp1        sigma'', spent by nu_terms
-          tmp2        the volatility function's mask, then the guard's
-          sigma       sigma
-          sigma_prime sigma'
-    CIR   phi_xi      Phi_xi, then Phi_xi^2
-          phi_zxi     k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
-          phi_z       Phi_z
-          phi_zz      Phi_zz
+          phi_xi      tile: Phi_xi, then Phi_xi^2
+          phi_zxi     tile: k / (2 sqrt(Z)), then Phi_zxi, then 2 Phi_zxi g
+          phi_z       tile: Phi_z
+          phi_zz      tile: Phi_zz
 
 So an OU worker touches three whole arrays (Y, nu and nu') and a CIR
 worker three (dW, Z and lam), each besides the tiles and the
 noise stream's one tile of a block's draw; no worker holds a whole array
 of normals as drawn. A batch lives in its workspace: it is spent once
-the next batch runs there. ``weights_cir.cir_kernel`` takes the tile
-workspace ``tw`` it writes into.
+the next batch runs there.
 
 A slot is allocated by its first ``take`` and again only when a larger
 array is asked of it, so a caller needs no knowledge of the layout. A
@@ -61,7 +59,6 @@ class Workspace:
 
     def __init__(self):
         self._slots = {}
-        self._tiles = None
 
     def take(self, name, shape, dtype=float):
         """Slot ``name`` as a C-contiguous array of ``shape`` and ``dtype``.
@@ -72,9 +69,3 @@ class Workspace:
         if slot is None or slot.size < nbytes:
             slot = self._slots[name] = np.empty(nbytes, np.uint8)
         return slot[:nbytes].view(dtype).reshape(shape)
-
-    def tiles(self):
-        """A workspace kept by this one for a pass over tiles of a chunk."""
-        if self._tiles is None:
-            self._tiles = Workspace()
-        return self._tiles

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,6 +271,24 @@ def test_density_validation_failure_writes_nothing(tmp_path):
     cfg = write_config(tmp_path, **cir_overrides(k=1.2))
     assert cli.main(["density", "--config", cfg]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["price", "density"])
+def test_failed_paths_exit_on_the_budget_without_a_warning(tmp_path, capsys, command):
+    """The OU demo at k = 1e300 fails every path: F, and so the terminal
+    asset drawn from it, overflows. The command exits 4 with
+    E_FAILURE_BUDGET and no floating-point warning."""
+    cfg = json.loads((DEMOS / "config_ou.json").read_text())
+    cfg["params"]["k"] = 1e300
+    cfg["grid"]["n_steps"] = 16
+    cfg["ensemble"]["n_paths"] = 2000
+    path = write_config(tmp_path, **{**cfg, "output": {"directory": str(tmp_path / "out")}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config", path, "--threads", "1"]) == 4
+    assert caught == []
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "E_FAILURE_BUDGET 2000 of 2000 paths failed")
 
 
 @pytest.mark.parametrize("overrides", [{}, cir_overrides()], ids=["ou", "cir"])

@@ -203,6 +203,30 @@ def test_a_reused_workspace_gives_a_fresh_workspace_bytes(model_name, request):
         assert run(indices, reused) == run(indices, Workspace())
 
 
+@pytest.mark.parametrize("model_name", ["ou_model", "cir_model"])
+def test_no_slot_is_taken_both_whole_and_as_a_tile(model_name, request, monkeypatch):
+    """One chunk at n = 512 takes its whole arrays and its tiles from one
+    workspace by name, so a name taken at both sizes would alias a whole
+    array with a tile. Every ``take`` of the chunk is recorded: each name
+    is taken with n or n + 1 rows or with at most TILE_ROWS rows, never
+    both."""
+    model = request.getfixturevalue(model_name)
+    grid = make_grid(1.0, 512)
+    take = Workspace.take
+    rows = {}
+
+    def recorded(self, name, shape, dtype=float):
+        rows.setdefault(name, set()).add(shape[0])
+        return take(self, name, shape, dtype)
+
+    monkeypatch.setattr(Workspace, "take", recorded)
+    run_ensemble(model, grid, ens_mod.CHUNK, SEED)
+    whole = {name for name, r in rows.items() if r & {grid.n_steps, grid.n_steps + 1}}
+    tiles = {name for name, r in rows.items() if min(r) <= paths_mod.TILE_ROWS}
+    assert whole and tiles and not whole & tiles
+    assert whole | tiles == set(rows), rows
+
+
 def test_antithetic_pairs_share_variance_reduction(ou_model):
     grid = make_grid(1.0, 64)
     res = run_ensemble(ou_model, grid, 2000, SEED, antithetic=True)
@@ -275,10 +299,9 @@ def test_each_guard_fails_the_path_with_a_nan_weight(ou_model, monkeypatch, faul
 def test_weighted_path_with_a_floored_step_fails(cir_model, monkeypatch):
     """The CIR step has no derivative where it is floored. Of 2048 paths at
     n = 1024, path 576 draws one normal large enough to floor its step 100,
-    and every other normal is 0: the path is floored on one step, within
-    the path pass's budget FLOOR_RATE_LIMIT * n, so the pass alone does
-    not flag it ``bad``: the ensemble fails it, with a NaN weight, because
-    the weight has no derivative at the floored step."""
+    and every other normal is 0: the path is floored on that one step, the
+    batch flags it ``bad``, and the ensemble fails it, and only it, with a
+    NaN weight."""
     p = cir_model.params
     grid = make_grid(p.T, 1024)
     xi = np.zeros((2048, grid.n_steps))
@@ -286,7 +309,7 @@ def test_weighted_path_with_a_floored_step_fails(cir_model, monkeypatch):
     xi[576, 100] = -2.0 * (z + (p.b - z) * grid.dt) / (p.k * np.sqrt(z * grid.dt))
     plain = paths_mod.simulate_cir_paths(cir_model, grid, GivenNormals(xi), range(2048),
                                          Workspace())
-    assert not plain.bad.any() and np.flatnonzero(plain.kinked).tolist() == [576]
+    assert np.flatnonzero(plain.bad).tolist() == [576]
     monkeypatch.setattr(ens_mod, "NoiseStream", lambda *args, **kwargs: GivenNormals(xi))
     weighted = run_ensemble(cir_model, grid, 2048, SEED)
     assert np.flatnonzero(weighted.failed).tolist() == [576]
@@ -306,8 +329,11 @@ def _flat_above_ten_vol():
     def sigma_second(x):
         return np.where(x > 10.0, 0.0, -0.2 * x / (1.0 + x * x) ** 2)
 
-    return VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime,
-                           sigma_second=sigma_second, lower_bound_c=0.1)
+    def evaluate(x, ws):
+        return sigma(x), sigma_prime(x), sigma_second(x)
+
+    return VolFunctionSpec(sigma=sigma, sigma_prime=sigma_prime, sigma_second=sigma_second,
+                           lower_bound_c=0.1, evaluate=evaluate)
 
 
 def _flat_above_ten_model(y0, k=0.5):

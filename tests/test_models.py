@@ -148,8 +148,13 @@ def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
 
 
 def test_three_callable_spec_runs_the_same_ensemble(ou_model):
-    custom = VolFunctionSpec(*oracle_family(0.1, 0.1), lower_bound_c=0.1)
-    assert custom.joint is None  # evaluate falls back to the three callables
+    """A spec whose ``evaluate`` calls the three one-formula callables in
+    turn, and takes no slot of the workspace, runs the reference family's
+    ensemble bit for bit."""
+    sigma, sigma_prime, sigma_second = oracle_family(0.1, 0.1)
+    custom = VolFunctionSpec(sigma, sigma_prime, sigma_second, lower_bound_c=0.1,
+                             evaluate=lambda x, ws: (sigma(x), sigma_prime(x),
+                                                     sigma_second(x)))
     twin = validate_ou(ou_model.params, custom)
     grid = make_grid(1.0, 128)
     ref = run_ensemble(ou_model, grid, 3000, SEED)

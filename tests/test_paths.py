@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUModel,
                     CIRParams, ValidatedCIRModel, make_grid, run_ensemble,
                     sample_terminal_asset, simulate_cir_paths, simulate_ou_paths)
-from avgvar.paths import FLOOR_RATE_LIMIT, TILE_ROWS, node_sum, ou_step
+from avgvar.paths import TILE_ROWS, Z_FLOOR, node_sum, ou_step
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.workspace import Workspace
 from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
@@ -113,25 +113,29 @@ def test_cir_never_floors_in_reference_regime(cir_model):
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     batch = simulate_cir_paths(cir_model, grid, stream, range(10000), Workspace())
-    assert int(batch.floored_steps.sum()) == 0
-    assert np.all(batch.states > 0)
-    assert not batch.bad.any() and not batch.kinked.any()
+    assert np.all(batch.states > Z_FLOOR)
+    assert not batch.bad.any()
 
 
 def test_floor_saturation_raises_on_coarse_grid():
-    # aggressive vol-of-vol on a coarse grid slams into the floor
+    """Aggressive vol-of-vol on a coarse grid slams into the floor. The
+    batch flags ``bad`` exactly the paths on which the Euler recursion,
+    replayed here from the batch's dW, takes a step below Z_FLOOR, and
+    the ensemble fails those paths, beyond its 0.1% budget."""
     params = CIRParams(b=0.05, k=0.3, z0=0.01, s0=100.0, r=0.05, mu=0.05, T=1.0)
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),
                                range(64), Workspace())
-    over = batch.floored_steps > FLOOR_RATE_LIMIT * grid.n_steps
-    assert over.any() and np.array_equal(batch.bad, over)
-    # the ensemble fails the flagged paths and, as the weight has no
-    # derivative at a floored step, every other floored one: beyond its
-    # 0.1% budget here
+    z = np.full(64, params.z0)
+    floored = np.zeros(64, dtype=bool)
+    for dw in batch.dW:
+        step = z + (params.b - z) * grid.dt + params.k * np.sqrt(z) * dw
+        floored |= step < Z_FLOOR
+        z = np.where(step < Z_FLOOR, Z_FLOOR, step)
+    assert 0 < floored.sum() < 64 and np.array_equal(batch.bad, floored)
     with pytest.raises(FailureBudgetExceeded,
-                       match=rf"^{batch.kinked.sum()} of 64 paths failed"):
+                       match=rf"^{floored.sum()} of 64 paths failed"):
         run_ensemble(model, grid, 64, SEED)
 
 
@@ -268,7 +272,7 @@ def test_given_normals_build_the_streams_batch(simulate, model_name, request):
     want = simulate(model, grid, stream, idx, Workspace())
     got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
                    Workspace())
-    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad", "kinked"):
+    for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name
         assert a is None or a.tobytes() == b.tobytes(), name

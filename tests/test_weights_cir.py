@@ -249,7 +249,7 @@ def test_kernel_survives_extreme_log_phi_range():
     grid = make_grid(30.0, 64)
     ws = Workspace()
     batch = simulate_cir_paths(model, grid, NoiseStream(1, PURPOSE_VOL), range(2), ws)
-    assert not batch.kinked.any()
+    assert not batch.bad.any()
     assert -2.0 * min(log_phi(batch.states[:, p], grid, params).min() for p in range(2)) > 709
     wb = skorokhod_weight_cir(batch, params, ws)
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
