@@ -20,7 +20,7 @@ and any single path, the range of one, can be reproduced in isolation.
 
 from avgvar import (OUParams, make_grid, reference_vol_family, run_ensemble,
                     simulate_ou_paths, validate_ou)
-from avgvar.reference import dense_weight
+from avgvar.reference import dense_weight, ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
 from avgvar.workspace import Workspace
@@ -48,9 +48,11 @@ print(f"  weight delta        = {wb.delta[0]:+.4f} "
       f"((g.xi - tr H) / |g|^2 {(sums[0] - sums[1]) / sums[3]:+.4f}, "
       f"2 g^T H g / |g|^4 {2 * sums[2] / sums[3] ** 2:+.4f})")
 
-# an OU batch keeps no normals: the dense oracle draws the path's again
-dW = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(1), 0, grid.n_steps) * grid.dt**0.5
-ref = dense_weight(model, grid, batch.states[:, 0], dW[:, 0])
+# an OU batch keeps no normals and only the last node of its path: the
+# dense oracle draws the path's normals again and rebuilds its nodes
+xi = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(1), 0, grid.n_steps)
+y, _ = ou_path(p, grid, xi)
+ref = dense_weight(model, grid, y[:, 0], xi[:, 0] * grid.dt**0.5)
 worst = max(abs(a - b) / abs(b) for a, b in zip(sums + (wb.delta[0],), ref))
 print(f"  brute-force check   : largest relative gap to the dense oracle {worst:.2e}")
 

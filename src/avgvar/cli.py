@@ -30,10 +30,11 @@ settings add E_EMPTY_ENSEMBLE,
 E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_SEED for a
 seed outside [0, 2^64), and E_INVALID_THREADS for a --threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),
-or outputs that cannot be written (E_OUTPUT);
-4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to stdout;
-``[avgvar]`` progress lines, E_CONFIG, E_OUTPUT and E_FAILURE_BUDGET to
-stderr.
+outputs that cannot be written (E_OUTPUT), or arrays too large to allocate
+(E_OUT_OF_MEMORY, which names the n_paths, n_steps and x-grid points asked
+for); 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to
+stdout; ``[avgvar]`` progress lines, E_CONFIG, E_OUTPUT, E_OUT_OF_MEMORY
+and E_FAILURE_BUDGET to stderr.
 Nothing is written unless the parse succeeds. Outputs are byte-stable
 across reruns and --threads values; floats have 17 significant digits, and
 JSON outputs write a non-finite value (NaN) as null.
@@ -255,9 +256,11 @@ def _failures(result):
 
 
 def cmd_density(spec, threads):
+    # a given x-grid is built first, so that one too large to allocate fails at once
+    x_grid = None if spec.x_grid is None else np.linspace(*spec.x_grid)
     result, f_samples, weights = _density_stage(spec, threads)
-    x_grid = (auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
-              if spec.x_grid is None else np.linspace(*spec.x_grid))
+    if x_grid is None:
+        x_grid = auto_grid(f_samples, lower_bound=spec.model.density_lower_bound)
     print(f"[avgvar] estimating density on [{x_grid[0]:.6g}, {x_grid[-1]:.6g}] "
           f"with {x_grid.size} points", file=sys.stderr)
     paired = result.antithetic
@@ -326,6 +329,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    spec = None
     try:
         if args.command != "validate":
             check_threads(args.threads)
@@ -350,6 +354,12 @@ def main(argv=None):
     except FailureBudgetExceeded as exc:
         print(f"E_FAILURE_BUDGET {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError as exc:
+        asked = "" if spec is None else (
+            f"n_paths={spec.n_paths} n_steps={spec.density_steps} "
+            f"x_grid_points={'auto' if spec.x_grid is None else spec.x_grid[2]}: ")
+        print(f"E_OUT_OF_MEMORY {asked}{exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

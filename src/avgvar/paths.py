@@ -26,13 +26,15 @@ which ask it for one tile of TILE_ROWS step rows of the range at a time
 (``rng.NoiseStream.normal_matrix``); the stream fixes whether the paths
 are antithetic pairs. The OU pass runs once over tiles of node rows:
 each tile's normals are drawn, stepped, evaluated, summed into F and the
-noise sum of g . xi and guarded while they are in cache, and only the
-states, nu and nu' are whole arrays. The CIR simulator
-draws each tile straight into its rows of dW, and the CIR weight's kernel
-(``weights_cir.cir_kernel``) writes its step derivatives one tile at a
-time into tile-sized slots. Every per-path sum over the nodes adds in
-node order as ``node_sum`` does, so a path's values do not depend on how
-many paths share its batch.
+noise sum of g . xi and guarded while they are in cache, and only nu and
+nu' are whole arrays: an OU batch keeps the states of its last node only,
+which is all an ensemble reads of them, and a caller that needs a whole OU
+path rebuilds it from the stream's normals (``reference.ou_path``). The
+CIR simulator draws each tile straight into its rows of dW, and the CIR
+weight's kernel (``weights_cir.cir_kernel``) writes its step derivatives
+one tile at a time into tile-sized slots. Every per-path sum over the
+nodes adds in node order as ``node_sum`` does, so a path's values do not
+depend on how many paths share its batch.
 """
 
 from dataclasses import dataclass
@@ -86,17 +88,19 @@ class PathBatch:
 
     grid: TimeGrid
     path_indices: range
-    states: np.ndarray        # (n+1, P) Y (OU) or Z (CIR) at the nodes
+    states: np.ndarray        # (n+1, P) Z (CIR) at the nodes; (1, P) Y (OU) at t_n
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
 
 
 @dataclass
 class OUPathBatch(PathBatch):
-    """OU driver paths, which keep no normals. sigma, sigma' and sigma''
-    are evaluated once per tile of nodes and reduced at once to
+    """OU driver paths, which keep no normals and, of the states Y, only
+    the last node row (``states``, (1, P)). sigma, sigma' and sigma'' are
+    evaluated once per tile of nodes and reduced at once to
     ``avg_variance``, the guard ``bad`` (sigma' > 0 or sigma >= c fails at
-    some node), ``nu``, ``nu_prime`` and ``nu_noise``."""
+    some node), ``nu``, ``nu_prime`` and ``nu_noise``: nu and nu' are the
+    batch's two whole arrays."""
 
     nu: np.ndarray        # (n+1, P) sigma * sigma' at the nodes
     nu_prime: np.ndarray  # (n+1, P) sigma'^2 + sigma * sigma'' at the nodes
@@ -137,7 +141,8 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     tiles of TILE_ROWS node rows. Per tile, the step normals are drawn into
     a tile slot and turned in place into the noise part D_j of the states,
     D_j = e^{-alpha dt} D_{j-1} + step_sd xi_{j-1} from D_0 = 0, and
-    Y_j = y0 e^{-alpha t_j} + D_j; sigma, sigma' and sigma'' are
+    Y_j = y0 e^{-alpha t_j} + D_j into another tile slot, of which the
+    batch keeps the last node row only; sigma, sigma' and sigma'' are
     evaluated into tile-sized slots of ``ws``;
     sigma^2 w_j is added to F row by row, in the node order of
     ``node_sum``; the guard is applied; nu and nu' are written into their
@@ -152,8 +157,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     w = grid.trapezoid_weights
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)
-    y = ws.take("states", (n + 1, P))
-    nu, nu_prime = ws.take("nu", y.shape), ws.take("nu_prime", y.shape)
+    nu, nu_prime = ws.take("nu", (n + 1, P)), ws.take("nu_prime", (n + 1, P))
     nu_noise = np.zeros(P)
     total = np.zeros(P)
     ok = np.ones(P, dtype=bool)
@@ -169,7 +173,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
             np.multiply(d[j - 1] if j > 0 else last, decay, out=last)
             d[j] += last
         np.copyto(last, d[-1])
-        tile = np.add(d, mean[lo:hi, None], out=y[lo:hi])
+        tile = np.add(d, mean[lo:hi, None], out=ws.take("y", d.shape))
 
         values = vol.evaluate(tile, ws)
         sig, sig_p = values[:2]
@@ -189,7 +193,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
             nu_noise += row
 
     return OUPathBatch(grid=grid, path_indices=path_indices,
-                       states=y, avg_variance=total / grid.T, bad=~ok,
+                       states=tile[-1:].copy(), avg_variance=total / grid.T, bad=~ok,
                        nu=nu, nu_prime=nu_prime, nu_noise=nu_noise)
 
 

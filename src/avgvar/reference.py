@@ -12,12 +12,35 @@ H = grad^2 F_n = sum_j c_j (f''_j J[j] J[j]^T + f'_j K[j]), with
 c_j = w_j / T. The step derivatives and f', f'' are written out here from
 the model, apart from the weight modules. The weight's four sums are then
 products of g, H and xi. K takes O(n^3) memory: keep n <= 64.
+
+An OU batch keeps only its last node row, so ``ou_path`` rebuilds a whole
+OU path from its step normals by the exact transition, for the oracle and
+for any check that reads the states at every node.
 """
 
 import numpy as np
 
 from .models import ValidatedOUModel
 from .workspace import Workspace
+
+
+def ou_path(params, grid, xi):
+    """(Y, D): the OU driver at the n+1 nodes and its noise part, on the
+    step normals ``xi`` (n rows, time-major, any trailing shape), by the
+    exact transition D_0 = 0, D_{j+1} = step_sd xi_j + e^{-alpha dt} D_j,
+    Y_j = y0 e^{-alpha t_j} + D_j. Each value is formed by the same
+    floating-point operations as in the simulator's pass, so a rebuilt path
+    equals a simulated one bit for bit."""
+    xi = np.asarray(xi, dtype=float)
+    dt = grid.dt
+    decay = np.exp(-params.alpha * dt)
+    step_sd = params.k * np.sqrt((1.0 - np.exp(-2.0 * params.alpha * dt))
+                                 / (2.0 * params.alpha))
+    d = np.zeros((grid.n_steps + 1,) + xi.shape[1:])
+    for j in range(grid.n_steps):
+        d[j + 1] = step_sd * xi[j] + d[j] * decay
+    mean = params.y0 * np.exp(-params.alpha * grid.t)
+    return mean.reshape((-1,) + (1,) * (xi.ndim - 1)) + d, d
 
 
 def _steps(model, grid, states, dW):

@@ -39,7 +39,7 @@ from .ensemble import run_ensemble
 from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
                      validate_ou)
 from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
-from .reference import dense_weight
+from .reference import dense_weight, ou_path
 from .rng import PURPOSE_VOL, NoiseStream
 from .weights_cir import skorokhod_weight_cir
 from .weights_ou import skorokhod_weight_ou
@@ -337,9 +337,13 @@ def kernel_oracles(ctx):
         grid = make_grid(model.params.T, ORACLE_STEPS)
         batch = simulate(model, grid, stream, idx, ws)
         wb = weigh(batch, model.params, ws)
-        dW = stream.normal_matrix(idx, 0, ORACLE_STEPS) * np.sqrt(grid.dt)
+        xi = stream.normal_matrix(idx, 0, ORACLE_STEPS)
+        dW = xi * np.sqrt(grid.dt)
+        # an OU batch keeps its last node row only: rebuild its paths
+        states = (ou_path(model.params, grid, xi)[0] if simulate is simulate_ou_paths
+                  else batch.states)
         for p in idx:
-            ref = dense_weight(model, grid, batch.states[:, p], dW[:, p])
+            ref = dense_weight(model, grid, states[:, p], dW[:, p])
             got = (wb.g_xi[p], wb.trace_h[p], wb.hessian_gg[p], wb.denominator[p], wb.delta[p])
             errs += [_rel(a, b) for a, b in zip(got, ref)]
     worst = float(max(errs))

@@ -16,12 +16,12 @@ CIR weight's two sweeps, which work on one tile of ``paths.TILE_ROWS``
 rows at a time, tile-sized ones, all from the one workspace. No name is
 taken at both sizes. The slots, in the order a chunk fills them:
 
-    OU    states      Y, the batch's states
-          nu          the batch's nu; the weight's adjoint, gradient and
+    OU    nu          the batch's nu; the weight's adjoint, gradient and
                       then tangent V, in place
           nu_prime    the batch's nu'
           noise       tile: the normals as drawn, turned in place into the
                       noise part D of Y, then nu D w_j
+          y           tile: Y, whose last node row the batch keeps
           tmp0        tile: the volatility function's scratch, then
                       sigma^2 w_j
           tmp1        tile: sigma'', spent by nu_terms
@@ -37,8 +37,9 @@ taken at both sizes. The slots, in the order a chunk fills them:
           phi_z       tile: Phi_z
           phi_zz      tile: Phi_zz
 
-So an OU worker touches three whole arrays (Y, nu and nu') and a CIR
-worker three (dW, Z and lam), each besides the tiles and the
+So an OU worker touches two whole arrays (nu and nu', about 17 MB at
+n = 512 and 2048 paths; a traced chunk peaks at 2.23 whole arrays) and a
+CIR worker three (dW, Z and lam; 3.17), each besides the tiles and the
 noise stream's one tile of a block's draw; no worker holds a whole array
 of normals as drawn. A batch lives in its workspace: it is spent once
 the next batch runs there.

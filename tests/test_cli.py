@@ -186,6 +186,41 @@ def test_a_forward_beyond_the_float_range_is_a_violation(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+# each config size and the name its E_OUT_OF_MEMORY line gives it
+SIZES = {"ensemble.n_paths": "n_paths", "grid.n_steps": "n_steps",
+         "density.x_grid.points": "x_grid_points"}
+
+
+@pytest.mark.parametrize("key", SIZES)
+@pytest.mark.parametrize("command", ["density", "price"])
+def test_a_size_too_large_to_allocate_exits_3_naming_the_sizes(tmp_path, capsys, command, key):
+    """demos/config_ou.json with one size at 10**15 asks for 7.11 PiB arrays,
+    which numpy refuses at once: the command exits 3 with one
+    E_OUT_OF_MEMORY line that names the sizes asked for, and writes nothing.
+    price builds no x-grid, so it prices (3000 paths) whatever its points."""
+    cfg = json.loads((DEMOS / "config_ou.json").read_text())
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    if key == "density.x_grid.points":
+        cfg["ensemble"]["n_paths"] = 3000
+        cfg["density"]["x_grid"] = {"min": 0.001, "max": 0.2, "points": 10**15}
+    else:
+        block, name = key.split(".")
+        cfg[block][name] = 10**15
+    path = tmp_path / "config_ou.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("E_")]
+    if command == "price" and key == "density.x_grid.points":
+        assert code == 0 and errors == []
+        return
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith("E_OUT_OF_MEMORY "), errors
+    asked, _, reason = errors[0].partition(": ")
+    assert f"{SIZES[key]}={10**15}" in asked.split()
+    assert reason.startswith("Unable to allocate")
+    assert not (tmp_path / "out").exists()
+
+
 def _demo_at_price_scale(tmp_path, demo, scale, r):
     """The demo config at s0 = strike = ``scale`` and rate ``r``, on 3000 paths."""
     cfg = json.loads((DEMOS / demo).read_text())

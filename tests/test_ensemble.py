@@ -209,7 +209,8 @@ def test_no_slot_is_taken_both_whole_and_as_a_tile(model_name, request, monkeypa
     workspace by name, so a name taken at both sizes would alias a whole
     array with a tile. Every ``take`` of the chunk is recorded: each name
     is taken with n or n + 1 rows or with at most TILE_ROWS rows, never
-    both."""
+    both. An OU chunk takes two whole slots, nu and nu_prime: its states
+    are a tile slot."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     take = Workspace.take
@@ -225,6 +226,8 @@ def test_no_slot_is_taken_both_whole_and_as_a_tile(model_name, request, monkeypa
     tiles = {name for name, r in rows.items() if min(r) <= paths_mod.TILE_ROWS}
     assert whole and tiles and not whole & tiles
     assert whole | tiles == set(rows), rows
+    if model_name == "ou_model":
+        assert whole == {"nu", "nu_prime"}, whole
 
 
 def test_antithetic_pairs_share_variance_reduction(ou_model):
@@ -414,16 +417,16 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("model_name,budget", [
-    pytest.param("ou_model", 3.3, id="ou_model-3.3"),
+    pytest.param("ou_model", 2.3, id="ou_model-2.3"),
     pytest.param("cir_model", 3.25, id="cir_model-3.25")])
 def test_chunk_peak_memory_stays_in_budget(model_name, budget, request):
     """The traced peak of a one-chunk ensemble (2048 paths at n=512), in
     whole (P, n+1) float64 arrays. It is the worker's workspace: for OU
-    Y, nu and nu' and the tile-sized slots of the pass, one of which holds
-    a tile of normals (measured 3.19); for CIR dW, Z and the weight's
-    gradient, besides the tile-sized step derivatives (measured 3.17). No
-    whole array of normals is held apart from CIR's dW: the stream draws
-    one tile of step rows at a time into its caller's rows."""
+    nu and nu' and the tile-sized slots of the pass, two of which hold a
+    tile of normals and a tile of Y (measured 2.23); for CIR dW, Z and the
+    weight's gradient, besides the tile-sized step derivatives (measured
+    3.17). No whole array of normals is held apart from CIR's dW: the
+    stream draws one tile of step rows at a time into its caller's rows."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(1.0, 512)
     n_paths = ens_mod.CHUNK

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgvar import (CIRParams, OUParams, ValidationError, VolFunctionSpec,
-                    make_grid, reference_vol_family, run_ensemble,
-                    simulate_ou_paths, validate_cir, validate_ou)
+                    make_grid, reference_vol_family, run_ensemble, validate_cir,
+                    validate_ou)
 from avgvar.models import PROBE_GRID, nu_terms
+from avgvar.reference import ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.workspace import Workspace
 
@@ -132,8 +133,8 @@ def oracle_family(c, m):
 def test_one_pass_matches_the_three_formulas_bit_for_bit(ou_model):
     vol = ou_model.vol
     oracle = oracle_family(0.1, 0.1)
-    chunk = simulate_ou_paths(ou_model, make_grid(1.0, 512),
-                              NoiseStream(SEED, PURPOSE_VOL), range(2048), Workspace()).states
+    chunk, _ = ou_path(ou_model.params, make_grid(1.0, 512),
+                       NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(2048), 0, 512))
     assert chunk.shape == (513, 2048)
     for x in (PROBE_GRID, np.array([-1e8, 1e8, -0.0, 0.0]), chunk):
         # at x = 1e8, s - x = 0 in the branch that is discarded

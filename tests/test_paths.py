@@ -9,7 +9,8 @@ from scipy.stats import ks_2samp
 from avgvar import (FailureBudgetExceeded, InvalidGrid, OUParams, ValidatedOUModel,
                     CIRParams, ValidatedCIRModel, make_grid, run_ensemble,
                     sample_terminal_asset, simulate_cir_paths, simulate_ou_paths)
-from avgvar.paths import TILE_ROWS, Z_FLOOR, node_sum, ou_step
+from avgvar.paths import TILE_ROWS, Z_FLOOR, node_sum
+from avgvar.reference import ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.workspace import Workspace
 from bridge import PURPOSE_BRIDGE, GivenNormals, paths_from_increments, refine_increments
@@ -58,7 +59,11 @@ def test_noiseless_ou_is_exact_decay(ref_vol):
     grid = make_grid(1.0, 32)
     batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
                               Workspace())
-    assert np.allclose(batch.states[:, 0], 2.0 * np.exp(-1.3 * grid.t), rtol=1e-14)
+    decay = 2.0 * np.exp(-1.3 * grid.t)
+    assert np.allclose(batch.states[:, 0], decay[-1:], rtol=1e-14)
+    sig = ref_vol.evaluate(decay[:, None], Workspace())[0]
+    assert np.allclose(batch.avg_variance, node_sum(sig * sig, grid.trapezoid_weights) / grid.T,
+                       rtol=1e-14)
 
 
 def test_ou_terminal_moments(ou_model):
@@ -155,7 +160,8 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
     stream = NoiseStream(SEED, PURPOSE_VOL)
     if model_name == "ou_model":
         batch = simulate_ou_paths(model, grid, stream, range(512), Workspace())
-        integrand = model.vol.evaluate(batch.states, Workspace())[0] ** 2
+        y, _ = ou_path(model.params, grid, stream.normal_matrix(range(512), 0, 512))
+        integrand = model.vol.evaluate(y, Workspace())[0] ** 2
     else:
         batch = simulate_cir_paths(model, grid, stream, range(512), Workspace())
         integrand = batch.states
@@ -169,11 +175,12 @@ def test_avg_variance_matches_exactly_rounded_sum(model_name, request):
 @pytest.mark.parametrize("n", [2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 512])
 def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n):
     """The OU pass draws, steps, evaluates, sums and guards one tile of
-    node rows at a time. Its states, F, guard, nu, nu' and g . xi equal,
-    bit for bit, the whole-array recursion of the noise part D on the
-    stream's normals, the one-formula-each volatility functions,
-    ``node_sum`` and the guard over all nodes at once, on grids that end
-    inside, at and just past a tile. The
+    node rows at a time. Its F, guard, nu, nu' and g . xi equal, bit for
+    bit, the whole-array formulas on the path that ``reference.ou_path``
+    rebuilds from the stream's normals: the one-formula-each volatility
+    functions, ``node_sum`` and the guard over all nodes at once, on grids
+    that end inside, at and just past a tile; its kept states row is that
+    path's last row. The
     flat-above-ten function (sigma' = 0 above 10) fails paths at k = 4."""
     if vol == "reference":
         model, formulas = ou_model, oracle_family(0.1, 0.1)
@@ -185,19 +192,14 @@ def test_tiled_ou_pass_matches_the_whole_array_formulas(ou_model, vol, width, n)
     idx = range(width)
     batch = simulate_ou_paths(model, grid, stream, idx, Workspace())
 
-    xi = stream.normal_matrix(idx, 0, n)
-    p = model.params
-    decay, step_sd = ou_step(p, grid.dt)
-    d = np.zeros((n + 1, width))
-    for j in range(n):
-        d[j + 1] = step_sd * xi[j] + d[j] * decay
-    y = p.y0 * np.exp(-p.alpha * grid.t)[:, None] + d
+    y, d = ou_path(model.params, grid, stream.normal_matrix(idx, 0, n))
     sig, sig_p, sig_pp = (f(y) for f in formulas)
     avg_variance = node_sum(sig * sig, grid.trapezoid_weights) / grid.T
     ok = (sig_p > 0).all(axis=0) & (sig >= model.vol.lower_bound_c * (1.0 - 1e-12)).all(axis=0)
     if vol == "flat_above_ten" and width > 3:
         assert 0 < (~ok).sum() < width
-    assert batch.states.tobytes() == y.tobytes()
+    assert batch.states.shape == (1, width)
+    assert batch.states.tobytes() == y[-1:].tobytes()
     assert batch.avg_variance.tobytes() == avg_variance.tobytes()
     assert np.array_equal(batch.bad, ~ok)
     nu = sig * sig_p
@@ -264,14 +266,17 @@ def test_ito_isometry_exponential_integrand():
 def test_given_normals_build_the_streams_batch(simulate, model_name, request):
     """A batch built on GivenNormals of a stream's own normals is the
     stream's batch, byte for byte, on 300 paths (past one 256-path noise
-    block) and n = 17 (a partial tile)."""
+    block) and n = 17 (a partial tile). An OU batch keeps the last row of
+    the path that ``reference.ou_path`` rebuilds from the normals."""
     model = request.getfixturevalue(model_name)
     grid = make_grid(model.params.T, 17)
     idx = range(300)
     stream = NoiseStream(SEED, PURPOSE_VOL)
     want = simulate(model, grid, stream, idx, Workspace())
-    got = simulate(model, grid, GivenNormals(stream.normal_matrix(idx, 0, 17).T), idx,
-                   Workspace())
+    xi = stream.normal_matrix(idx, 0, 17)
+    got = simulate(model, grid, GivenNormals(xi.T), idx, Workspace())
+    if simulate is simulate_ou_paths:
+        assert want.states.tobytes() == ou_path(model.params, grid, xi)[0][-1:].tobytes()
     for name in ("states", "dW", "avg_variance", "nu", "nu_prime", "nu_noise", "bad"):
         a, b = getattr(got, name, None), getattr(want, name, None)
         assert (a is None) == (b is None), name

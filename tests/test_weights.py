@@ -8,7 +8,7 @@ import pytest
 
 from avgvar import (OUParams, make_grid, simulate_cir_paths, simulate_ou_paths,
                     validate_ou)
-from avgvar.reference import gradient_hessian
+from avgvar.reference import gradient_hessian, ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import skorokhod_weight_cir
 from avgvar.weights_ou import skorokhod_weight_ou
@@ -60,7 +60,10 @@ def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
 
     for xi in xi_all:
         batch = simulate(model, grid, GivenNormals(xi[None]), range(1), Workspace())
-        g, H = gradient_hessian(model, grid, batch.states[:, 0], xi * math.sqrt(grid.dt))
+        # an OU batch keeps its last node only: its path is rebuilt from xi
+        states = (ou_path(model.params, grid, xi)[0] if simulate is simulate_ou_paths
+                  else batch.states[:, 0])
+        g, H = gradient_hessian(model, grid, states, xi * math.sqrt(grid.dt))
         g_fd, H_fd = central_differences(f_of, xi)
         assert np.max(np.abs(g - g_fd)) < 1e-8 * np.max(np.abs(g))
         assert np.max(np.abs(H - H_fd)) < 1e-4 * np.max(np.abs(H))

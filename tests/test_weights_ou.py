@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avgvar import OUParams, make_grid, run_ensemble, simulate_ou_paths, validate_ou
-from avgvar.reference import dense_weight
+from avgvar.reference import dense_weight, ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_ou import skorokhod_weight_ou
 from avgvar.workspace import Workspace
@@ -80,13 +80,14 @@ def test_weight_terms_match_brute_force(alpha, ref_vol, grid64):
     its nu', noise sum and states as they were."""
     model = _ou_model(alpha, ref_vol)
     batch = _fixed_batch(model, grid64)
-    dW = _fixed_normals(grid64) * math.sqrt(grid64.dt)
+    xi = _fixed_normals(grid64)
+    y, _ = ou_path(model.params, grid64, xi)
+    dW = xi * math.sqrt(grid64.dt)
     kept = {name: getattr(batch, name).copy() for name in ("nu_prime", "nu_noise", "states")}
     wb = skorokhod_weight_ou(batch, model.params, Workspace())
     assert np.all(wb.denominator > 0) and np.all(np.isfinite(wb.delta))
     for p in range(5):
-        g_xi, trace_h, hessian_gg, g_sq, _ = dense_weight(model, grid64, batch.states[:, p],
-                                                          dW[:, p])
+        g_xi, trace_h, hessian_gg, g_sq, _ = dense_weight(model, grid64, y[:, p], dW[:, p])
         assert abs(wb.g_xi[p] - g_xi) / abs(g_xi) < 1e-12
         assert abs(wb.trace_h[p] - trace_h) / abs(trace_h) < 1e-12
         assert abs(wb.hessian_gg[p] - hessian_gg) / abs(hessian_gg) < 1e-12
@@ -130,10 +131,12 @@ def test_weight_matches_discrete_divergence(ref_vol):
     for alpha in (1.0, 30.0):
         model = _ou_model(alpha, ref_vol)
         batch = _fixed_batch(model, grid, n_paths=3)
-        dW = _fixed_normals(grid, n_paths=3) * math.sqrt(grid.dt)
+        xi = _fixed_normals(grid, n_paths=3)
+        y, _ = ou_path(model.params, grid, xi)
+        dW = xi * math.sqrt(grid.dt)
         wb = skorokhod_weight_ou(batch, model.params, Workspace())
         for p in range(3):
-            div = discrete_divergence(model, grid, batch.states[:, p], dW[:, p])
+            div = discrete_divergence(model, grid, y[:, p], dW[:, p])
             assert wb.delta[p] == pytest.approx(div, rel=1e-8)
 
 
