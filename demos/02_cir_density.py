@@ -3,7 +3,7 @@
 Here the variance follows dZ = (b - Z) dt + k sqrt(Z) dW~ with the Feller
 condition k^2 < 2b, and density work additionally needs 6 k^2 < b (the
 paper's weight involves inverse moments of Z). The weight comes from the
-same engine as in the OU case, but the Euler step of Z is not linear in
+same derivation as in the OU case, but the Euler step of Z is not linear in
 Z, so its second derivatives add the terms the OU weight does not have.
 All of that is inside avgvar; this script just runs the ensemble and
 compares the two density estimates.

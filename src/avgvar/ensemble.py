@@ -80,13 +80,16 @@ class EnsembleResult:
         return self.avg_variance[m], self.weight[m]
 
 
-# the simulator and weight of each model, looked up by name when an
-# ensemble starts, so that a rebinding of these module globals (a tracer, a
-# test double) is the one that runs
-_DRIVERS = {
-    ValidatedOUModel: lambda: (_paths.simulate_ou_paths, skorokhod_weight_ou),
-    ValidatedCIRModel: lambda: (_paths.simulate_cir_paths, skorokhod_weight_cir),
-}
+def drivers(model):
+    """(simulate, weight): the path simulator and the weight function of a
+    validated model. Both are looked up as module globals at each call, so
+    that a rebinding of them (a tracer, a test double) is the one that
+    runs. Anything but a validated model is a TypeError."""
+    if isinstance(model, ValidatedOUModel):
+        return _paths.simulate_ou_paths, skorokhod_weight_ou
+    if isinstance(model, ValidatedCIRModel):
+        return _paths.simulate_cir_paths, skorokhod_weight_cir
+    raise TypeError(f"not a validated model: {model!r}")
 
 
 def check_threads(threads):
@@ -106,12 +109,9 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     independent asset stream, for the plain-MC and martingale rows of
     ``pricing.ensemble_prices``.
     """
-    drivers = _DRIVERS.get(type(model))
-    if drivers is None:
-        raise TypeError(f"not a validated model: {model!r}")
+    simulate, skorokhod_weight = drivers(model)
     check_threads(threads)
     check_seed(seed)
-    simulate, skorokhod_weight = drivers()
     n_paths = int(n_paths)
     if n_paths < 1:
         raise EmptyEnsemble("n_paths must be >= 1")

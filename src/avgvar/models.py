@@ -48,10 +48,9 @@ class VolFunctionSpec:
     arrays of the shape of x, which the caller may overwrite. The OU path
     pass calls it once per tile of states (``paths.TILE_ROWS`` node rows),
     with the chunk's workspace ``ws`` (``avgvar.workspace``), from which it
-    may take tile-sized slots but not the pass's own (y, nu, nu_prime and
-    noise); the reference family's one pass takes tmp0-2, sigma and
-    sigma_prime, sharing its intermediates. The pass reuses slots tmp0 and
-    tmp2 once ``evaluate`` returns, so it returns none of its arrays there.
+    may take tile-sized slots but not the pass's own (y, nu, nu_prime,
+    noise and mask); the reference family's one pass takes tmp0-2, sigma
+    and sigma_prime, sharing its intermediates.
     ``sigma``, ``sigma_prime`` and ``sigma_second`` evaluate one each.
     """
 

@@ -143,13 +143,14 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     D_j = e^{-alpha dt} D_{j-1} + step_sd xi_{j-1} from D_0 = 0, and
     Y_j = y0 e^{-alpha t_j} + D_j into another tile slot, of which the
     batch keeps the last node row only; sigma, sigma' and sigma'' are
-    evaluated into tile-sized slots of ``ws``;
-    sigma^2 w_j is added to F row by row, in the node order of
-    ``node_sum``; the guard is applied; nu and nu' are written into their
-    whole-array slots; and w_j nu_j D_j is added to ``nu_noise``. The
-    scheme is linear in the normals, so <grad Y_j, xi> = D_j and the weight
-    reads g . xi off that sum (``weights.linear_weight``): no normal
-    outlives its tile. With k = 0, Y is exactly y0 e^{-alpha t_i}."""
+    evaluated into tile-sized slots of ``ws``; the guard is applied into
+    the bool tile slot ``mask``; nu and nu' are written into their
+    whole-array slots; sigma^2 w_j, formed in place in sigma, is added to F
+    row by row, in the node order of ``node_sum``; and w_j nu_j D_j is
+    added to ``nu_noise``. The scheme is linear in the normals, so
+    <grad Y_j, xi> = D_j and the weight reads g . xi off that sum
+    (``weights_ou.skorokhod_weight_ou``): no normal outlives its tile.
+    With k = 0, Y is exactly y0 e^{-alpha t_i}."""
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
@@ -177,16 +178,15 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
 
         values = vol.evaluate(tile, ws)
         sig, sig_p = values[:2]
-        # the volatility function has finished with its scratch slots tmp0 and tmp2
-        sq = np.multiply(sig, sig, out=ws.take("tmp0", tile.shape))
-        sq *= w[lo:hi, None]
-        for row in sq:
-            total += row
         # re-assert the volatility assumptions at every visited state
-        mask = np.greater(sig_p, 0, out=ws.take("tmp2", tile.shape, bool))
+        mask = np.greater(sig_p, 0, out=ws.take("mask", tile.shape, bool))
         ok &= mask.all(axis=0)
         ok &= np.greater_equal(sig, floor, out=mask).all(axis=0)
         nu_terms(*values, out=(nu[lo:hi], nu_prime[lo:hi]))
+        sig *= sig  # evaluate's own array, which the caller may overwrite
+        sig *= w[lo:hi, None]
+        for row in sig:
+            total += row
         d *= nu[lo:hi]
         d *= w[lo:hi, None]
         for row in d:

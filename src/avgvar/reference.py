@@ -21,6 +21,7 @@ for any check that reads the states at every node.
 import numpy as np
 
 from .models import ValidatedOUModel
+from .paths import ou_step
 from .workspace import Workspace
 
 
@@ -28,14 +29,13 @@ def ou_path(params, grid, xi):
     """(Y, D): the OU driver at the n+1 nodes and its noise part, on the
     step normals ``xi`` (n rows, time-major, any trailing shape), by the
     exact transition D_0 = 0, D_{j+1} = step_sd xi_j + e^{-alpha dt} D_j,
-    Y_j = y0 e^{-alpha t_j} + D_j. Each value is formed by the same
-    floating-point operations as in the simulator's pass, so a rebuilt path
-    equals a simulated one bit for bit."""
+    Y_j = y0 e^{-alpha t_j} + D_j. decay and step_sd are the simulator's
+    (``paths.ou_step``), and each value is formed by the same
+    floating-point operations as in its pass, so a rebuilt path equals a
+    simulated one bit for bit. The oracle's step derivatives (``_steps``)
+    keep their own expm1 form of Phi_xi, apart from the simulator."""
     xi = np.asarray(xi, dtype=float)
-    dt = grid.dt
-    decay = np.exp(-params.alpha * dt)
-    step_sd = params.k * np.sqrt((1.0 - np.exp(-2.0 * params.alpha * dt))
-                                 / (2.0 * params.alpha))
+    decay, step_sd = ou_step(params, grid.dt)
     d = np.zeros((grid.n_steps + 1,) + xi.shape[1:])
     for j in range(grid.n_steps):
         d[j + 1] = step_sd * xi[j] + d[j] * decay

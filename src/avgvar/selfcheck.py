@@ -35,23 +35,18 @@ import numpy as np
 
 from . import pricing
 from .density import auto_grid, kde_bandwidth, kde_density, malliavin_density
-from .ensemble import run_ensemble
-from .models import (CIRParams, OUParams, reference_vol_family, validate_cir,
-                     validate_ou)
-from .paths import make_grid, simulate_cir_paths, simulate_ou_paths
+from .ensemble import drivers, run_ensemble
+from .models import (CIRParams, OUParams, ValidatedOUModel, reference_vol_family,
+                     validate_cir, validate_ou)
+from .paths import make_grid
 from .reference import dense_weight, ou_path
 from .rng import PURPOSE_VOL, NoiseStream
-from .weights_cir import skorokhod_weight_cir
-from .weights_ou import skorokhod_weight_ou
 from .workspace import Workspace
 
 SEED = 20240601
 NAMESPACE_MOMENTS = 3  # and 4
 NAMESPACE_COARSE = 5
 OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
-# fast decay: alpha dt = 1.6 on the oracle's 64-step grid, where the
-# paper's kernels span 87 decades
-OU_FAST_DECAY = OUParams(alpha=100.0, k=5.0, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 CIR_REFERENCE = CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
 # fast mean reversion over a long horizon: on an 8-step grid one Euler step
 # moves Z a quarter of the way to b
@@ -329,18 +324,19 @@ def kernel_oracles(ctx):
     delta, on OU at alpha 1 and 100 and on CIR."""
     stream, ws = NoiseStream(ctx.seed, PURPOSE_VOL), Workspace()
     idx = range(ORACLE_PATHS)
-    fast = validate_ou(OU_FAST_DECAY, reference_vol_family(*REFERENCE_VOL))
     errs = []
-    for model, simulate, weigh in ((ctx.models["ou"], simulate_ou_paths, skorokhod_weight_ou),
-                                   (fast, simulate_ou_paths, skorokhod_weight_ou),
-                                   (ctx.models["cir"], simulate_cir_paths, skorokhod_weight_cir)):
+    # alpha 100 decays fast: alpha dt = 1.6 on the oracle's 64-step grid,
+    # where the paper's kernels span 87 decades
+    for tag in ("ou", "ou_alpha100", "cir"):
+        model = ctx.models[tag]
+        simulate, weigh = drivers(model)
         grid = make_grid(model.params.T, ORACLE_STEPS)
         batch = simulate(model, grid, stream, idx, ws)
         wb = weigh(batch, model.params, ws)
         xi = stream.normal_matrix(idx, 0, ORACLE_STEPS)
         dW = xi * np.sqrt(grid.dt)
         # an OU batch keeps its last node row only: rebuild its paths
-        states = (ou_path(model.params, grid, xi)[0] if simulate is simulate_ou_paths
+        states = (ou_path(model.params, grid, xi)[0] if isinstance(model, ValidatedOUModel)
                   else batch.states)
         for p in idx:
             ref = dense_weight(model, grid, states[:, p], dW[:, p])

@@ -14,7 +14,8 @@ took one ``bad``, and ``run_ensemble`` fails it.
 
 import numpy as np
 
-from .weights import sweep_weight
+from .paths import TILE_ROWS, node_sum
+from .weights import _divergence
 
 
 def cir_kernel(batch, params, ws, lo, hi):
@@ -38,9 +39,50 @@ def cir_kernel(batch, params, ws, lo, hi):
 
 def skorokhod_weight_cir(batch, params, ws):
     """Per-path weights of a batch of CIR paths, as a ``WeightBatch``.
-    The sweeps take the step derivatives a tile at a time from
-    ``cir_kernel``, looked up as a module global at each call."""
-    def kernel(lo, hi):
-        return cir_kernel(batch, params, ws, lo, hi)
+    Both sweeps take the step derivatives a tile at a time from
+    ``cir_kernel``, looked up as a module global at each call, and spend
+    them. The backward pass runs over tiles from the last, and leaves
+    g_j = Phi_xi lambda_{j+1} in rows 1..n of slot ``lam`` of ``ws``; the
+    forward pass runs over tiles from the first, and first overwrites each
+    tile's Phi_zxi, g and Phi_xi with 2 Phi_zxi g, Phi_xi g and Phi_xi^2."""
+    grid, dW = batch.grid, batch.dW
+    c = grid.trapezoid_weights / grid.T
+    n, P = dW.shape
+    starts = range(0, n, TILE_ROWS)
+    lam = ws.take("lam", (n + 1, P))
+    lam[:] = c[:, None]
+    for lo in reversed(starts):
+        hi = min(lo + TILE_ROWS, n)
+        phi_z, phi_xi = cir_kernel(batch, params, ws, lo, hi)[:2]
+        for j in range(hi - 1, max(lo, 1) - 1, -1):
+            lam[j] += lam[j + 1] * phi_z[j - lo]
+        lam[lo + 1:hi + 1] *= phi_xi  # rows this tile's loop has read
+    g = lam[1:]
+    g_xi = node_sum(dW, g) / np.sqrt(grid.dt)
+    g_sq = node_sum(g, g)
 
-    return sweep_weight(batch.grid, kernel, batch.dW, ws)
+    x = np.zeros((4, P))  # V, U, S, D at the current node
+    h = np.empty((2, P))
+    acc = np.zeros((2, P))  # sum_j U_j and sum_j D_j over interior nodes
+    for lo in starts:
+        hi = min(lo + TILE_ROWS, n)
+        phi_z, phi_xi, phi_zz, phi_zxi = cir_kernel(batch, params, ws, lo, hi)
+        g_tile = g[lo:hi]
+        phi_zxi *= g_tile
+        phi_zxi *= 2.0
+        g_tile *= phi_xi
+        phi_xi *= phi_xi
+        for i in range(hi - lo):
+            np.multiply(x[0::2], phi_zz[i], out=h)
+            h[0] += phi_zxi[i]
+            h[0] *= x[0]
+            x *= phi_z[i]
+            x[2] *= phi_z[i]
+            x[0] += g_tile[i]
+            x[2] += phi_xi[i]
+            x[1::2] += h
+            if lo + i < n - 1:
+                acc += x[1::2]
+    acc += 0.5 * x[1::2]
+    acc *= c[1]
+    return _divergence(g_xi, acc[1], acc[0], g_sq)

@@ -22,12 +22,12 @@ taken at both sizes. The slots, in the order a chunk fills them:
           noise       tile: the normals as drawn, turned in place into the
                       noise part D of Y, then nu D w_j
           y           tile: Y, whose last node row the batch keeps
-          tmp0        tile: the volatility function's scratch, then
-                      sigma^2 w_j
+          tmp0        tile: the volatility function's scratch
           tmp1        tile: sigma'', spent by nu_terms
-          tmp2        tile: the volatility function's mask, then the guard's
-          sigma       tile: sigma
+          tmp2        tile: the volatility function's mask
+          sigma       tile: sigma, then sigma^2 w_j
           sigma_prime tile: sigma'
+          mask        tile: the guard's mask
     CIR   dW          the normals, drawn one tile of step rows at a time
                       and scaled to dW in place, the batch's dW
           states      Z, the batch's states

@@ -44,7 +44,7 @@ def rng():
 
 @pytest.fixture
 def fault_weight(monkeypatch):
-    """Fault injection after the engine: ``fault_weight(fault, *models)``
+    """Fault injection after the weight: ``fault_weight(fault, *models)``
     wraps the ensembles' weight functions of the named models (both by
     default) so that each batch's delta becomes ``fault(wb)``, wb the
     batch's WeightBatch."""

@@ -2,6 +2,7 @@ import json
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ def test_threads_below_one_are_rejected(ou_model, threads):
     assert [code for code, _ in info.value.violations] == ["E_INVALID_THREADS"]
 
 
+@pytest.mark.parametrize("make", [lambda m: m.params, lambda m: vars(m),
+                                  lambda m: SimpleNamespace(**vars(m)),
+                                  lambda m: "ou", lambda m: None],
+                         ids=["params", "dict", "look-alike", "tag", "none"])
+def test_anything_but_a_validated_model_is_a_type_error(ou_model, make):
+    """Only a validated model picks a simulator and a weight: its bare
+    parameters, a look-alike with the same fields, a tag or None raise
+    TypeError from ``drivers`` and from ``run_ensemble``."""
+    other = make(ou_model)
+    with pytest.raises(TypeError, match="not a validated model"):
+        ens_mod.drivers(other)
+    with pytest.raises(TypeError, match="not a validated model"):
+        run_ensemble(other, make_grid(1.0, 32), 10, SEED)
+
+
 def test_thread_counts_do_not_change_a_byte(ou_model, cir_model):
     grid = make_grid(1.0, 64)
     for model in (ou_model, cir_model):
@@ -161,7 +177,7 @@ def test_a_path_does_not_depend_on_its_batch_width(model_name, request):
     a full chunk gives the same bytes, and so does the last path of an
     ensemble whose final chunk holds one path or two."""
     model = request.getfixturevalue(model_name)
-    simulate, weigh = ens_mod._DRIVERS[type(model)]()
+    simulate, weigh = ens_mod.drivers(model)
     grid = make_grid(1.0, 512)
     stream = NoiseStream(SEED, PURPOSE_VOL)
 
@@ -187,7 +203,7 @@ def test_a_reused_workspace_gives_a_fresh_workspace_bytes(model_name, request):
     outgrow the first batch's, then a 3-path batch again: each batch and
     its weight equal, bit for bit, the same batch run on a fresh one."""
     model = request.getfixturevalue(model_name)
-    simulate, weigh = ens_mod._DRIVERS[type(model)]()
+    simulate, weigh = ens_mod.drivers(model)
     grid = make_grid(1.0, 64)
     stream = NoiseStream(SEED, PURPOSE_VOL)
 

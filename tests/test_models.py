@@ -164,6 +164,28 @@ def test_three_callable_spec_runs_the_same_ensemble(ou_model):
         assert np.array_equal(getattr(ref, name), getattr(alt, name), equal_nan=True)
 
 
+def test_a_spec_may_return_its_values_in_its_scratch_slots(ou_model):
+    """The OU pass takes no scratch slot of the volatility function once
+    ``evaluate`` returns: a spec that hands back sigma, sigma' and sigma''
+    in the slots tmp2, tmp0 and tmp1, which the reference family uses for
+    its scratch, runs the reference family's ensemble bit for bit."""
+    joint, inner = ou_model.vol.evaluate, Workspace()
+
+    def evaluate(x, ws):
+        out = tuple(ws.take(name, x.shape) for name in ("tmp2", "tmp0", "tmp1"))
+        for slot, value in zip(out, joint(x, inner)):
+            slot[...] = value
+        return out
+
+    twin = validate_ou(ou_model.params, VolFunctionSpec(
+        *oracle_family(0.1, 0.1), lower_bound_c=0.1, evaluate=evaluate))
+    grid = make_grid(1.0, 128)
+    ref = run_ensemble(ou_model, grid, 3000, SEED)
+    alt = run_ensemble(twin, grid, 3000, SEED)
+    for name in ("avg_variance", "weight", "denominator", "failed"):
+        assert getattr(ref, name).tobytes() == getattr(alt, name).tobytes()
+
+
 finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 

@@ -1,4 +1,4 @@
-"""The weight engine of both models against the dense oracle, finite
+"""The weights of both models against the dense oracle, finite
 differences and the paper's continuous-time weight."""
 
 import math
@@ -8,6 +8,7 @@ import pytest
 
 from avgvar import (OUParams, make_grid, simulate_cir_paths, simulate_ou_paths,
                     validate_ou)
+from avgvar.ensemble import drivers
 from avgvar.reference import gradient_hessian, ou_path
 from avgvar.rng import PURPOSE_VOL, NoiseStream
 from avgvar.weights_cir import skorokhod_weight_cir
@@ -49,7 +50,7 @@ def test_dense_oracle_matches_pathwise_finite_differences(model_name, request):
     of F_n through simulate_*_paths on given normals, one step normal at a
     time."""
     model = request.getfixturevalue(model_name)
-    simulate = simulate_ou_paths if "ou" in model_name else simulate_cir_paths
+    simulate = drivers(model)[0]
     grid = make_grid(model.params.T, 8)
     xi_all = NoiseStream(SEED, PURPOSE_VOL).normal_matrix(range(2), 0, grid.n_steps).T
 
