@@ -8,7 +8,8 @@
      smallest of the three,
   2. mixing: average the conditional Black-Scholes price over the same
      volatility trajectories,
-  3. plain Monte Carlo: draw one terminal asset price per trajectory.
+  3. plain Monte Carlo: average the payoff of the terminal asset price
+     that every ensemble draws, one per trajectory.
 
 With independent drivers the price is a function of the law of the
 averaged variance F alone, so all three read the valid paths of one
@@ -44,7 +45,7 @@ for tag, model in models.items():
     p = model.params
 
     res = run_ensemble(model, make_grid(p.T, 256), N_PATHS, SEED,
-                       namespace=NAMESPACE_DENSITY, threads=2, collect_asset=True)
+                       namespace=NAMESPACE_DENSITY, threads=2)
     *prices, mart = ensemble_prices(res, STRIKE, p)
 
     print(f"\n{tag} model, K = {STRIKE}, {res.valid.sum()} valid paths of {res.n_paths}:")

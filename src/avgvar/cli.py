@@ -57,7 +57,7 @@ import numpy as np  # noqa: E402
 from . import __version__, pricing  # noqa: E402
 from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid,  # noqa: E402
                       kde_density, malliavin_density)
-from .ensemble import check_threads, run_ensemble  # noqa: E402
+from .ensemble import CHUNK, check_threads, run_ensemble  # noqa: E402
 from .errors import ConfigError, FailureBudgetExceeded, ValidationError  # noqa: E402
 from .models import (CIRParams, Contract, OUParams,  # noqa: E402
                      reference_vol_family, validate_cir, validate_contract,
@@ -227,15 +227,27 @@ def _write_rows(spec, name, header, columns):
     return path
 
 
-def _density_stage(spec, threads, **options):
-    """Density ensemble (``options`` go to ``run_ensemble``) -> W_ALPHA_DT and
-    LOW_SAMPLE lines -> valid samples; returns the ensemble, its F samples
-    and their weights."""
+def _check_addressable(spec, command):
+    """MemoryError, as numpy raises for an array too large to allocate, if a
+    float64 array of the run needs more bytes than numpy can address, which
+    it refuses with a ValueError before it tries: the ensemble's (N,)
+    arrays, a chunk's whole (n+1, P) ones or the x-grid that density builds."""
+    sizes = [spec.n_paths, (spec.density_steps + 1) * min(spec.n_paths, CHUNK)]
+    if command == "density" and spec.x_grid is not None:
+        sizes.append(spec.x_grid[2])
+    if 8 * max(sizes) > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {8 * max(sizes)} bytes: "
+                          "more than an array can address")
+
+
+def _density_stage(spec, threads):
+    """Density ensemble -> W_ALPHA_DT and LOW_SAMPLE lines -> valid samples;
+    returns the ensemble, its F samples and their weights."""
     print(f"[avgvar] density ensemble: {spec.n_paths} paths, n={spec.density_steps}",
           file=sys.stderr)
     result = run_ensemble(spec.model, make_grid(spec.model.params.T, spec.density_steps),
                           spec.n_paths, spec.seed, namespace=NAMESPACE_DENSITY,
-                          threads=threads, antithetic=spec.antithetic, **options)
+                          threads=threads, antithetic=spec.antithetic)
     rate = spec.model.grid_bias_rate
     if rate is not None and rate * result.grid.dt > ALPHA_DT_THRESHOLD:
         print(f"W_ALPHA_DT alpha*dt={_fmt(rate * result.grid.dt)} > {ALPHA_DT_THRESHOLD}; "
@@ -282,7 +294,7 @@ def cmd_density(spec, threads):
 def cmd_price(spec, threads):
     """All three prices are functions of F alone, so they read one ensemble:
     the weighted one's valid paths, with one terminal asset draw each."""
-    result = _density_stage(spec, threads, collect_asset=True)[0]
+    result = _density_stage(spec, threads)[0]
     estimates = pricing.ensemble_prices(result, spec.contract.strike, spec.model.params)
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
                        zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
@@ -340,6 +352,7 @@ def main(argv=None):
         if args.command == "validate":
             print("VALID")
             return EXIT_OK
+        _check_addressable(spec, args.command)
         return (cmd_density if args.command == "density" else cmd_price)(spec, args.threads)
     except ConfigError as exc:
         print(f"E_CONFIG {exc}", file=sys.stderr)

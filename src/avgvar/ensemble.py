@@ -12,8 +12,10 @@ output value -- threads only decide who computes which chunk. Reductions
 use numpy's pairwise summation on arrays assembled in path order, so means
 are bit-stable too (and exactly zero for exactly-cancelling inputs).
 
-Every ensemble computes the weight of each path, and keeps its F and its
-terminal state; ``collect_asset`` adds one terminal asset draw per path.
+Every ensemble computes the weight of each path, keeps its F and its
+terminal state, and draws its terminal asset price from the asset stream:
+one normal per path, so every ensemble can be priced
+(``pricing.ensemble_prices``).
 ``run_ensemble`` is the one place that decides whether a path fails. A
 path fails when its batch flags it ``bad`` (a volatility-assumption breach
 at a visited OU state, or a floored CIR step, where the scheme has no
@@ -47,7 +49,7 @@ class EnsembleResult:
     weight: np.ndarray          # (N,) NaN on failed paths
     denominator: np.ndarray     # (N,) the weight's denominator |grad F_n|^2
     terminal_state: np.ndarray  # (N,) Y_T (OU) or Z_T (CIR)
-    terminal_asset: np.ndarray | None  # (N,) S_T, with ``collect_asset`` only
+    terminal_asset: np.ndarray  # (N,) S_T
     failed: np.ndarray          # (N,) bool
     n_paths: int
     grid: _paths.TimeGrid
@@ -99,15 +101,12 @@ def check_threads(threads):
                                 f"--threads must be >= 1, got {threads}")])
 
 
-def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
-                 antithetic=False, collect_asset=False):
-    """Simulate n_paths volatility paths and their weights.
+def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1, antithetic=False):
+    """Simulate n_paths volatility paths, their weights and one terminal
+    asset price per path, drawn from the independent asset stream.
 
     Output is bit-identical for any ``threads`` value, which must be an
-    integer >= 1; ``seed`` must be an integer in [0, 2^64). ``collect_asset``
-    additionally draws one terminal asset price per path from the
-    independent asset stream, for the plain-MC and martingale rows of
-    ``pricing.ensemble_prices``.
+    integer >= 1; ``seed`` must be an integer in [0, 2^64).
     """
     simulate, skorokhod_weight = drivers(model)
     check_threads(threads)
@@ -120,7 +119,7 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
     weight = np.full(n_paths, np.nan)
     denom = np.full(n_paths, np.nan)
     terminal_state = np.empty(n_paths)
-    terminal_asset = np.empty(n_paths) if collect_asset else None
+    terminal_asset = np.empty(n_paths)
     failed = np.zeros(n_paths, dtype=bool)
 
     starts = range(0, n_paths, CHUNK)
@@ -141,9 +140,8 @@ def run_ensemble(model, grid, n_paths, seed, *, namespace=0, threads=1,
             with np.errstate(all="ignore"):
                 batch = simulate(model, grid, vol_stream, chunk, ws)
                 wb = skorokhod_weight(batch, model.params, ws)
-                if collect_asset:
-                    terminal_asset[lo:hi] = _paths.sample_terminal_asset(
-                        batch.avg_variance, model.params, asset_stream, chunk)
+                terminal_asset[lo:hi] = _paths.sample_terminal_asset(
+                    batch.avg_variance, model.params, asset_stream, chunk)
             den = wb.denominator
             bad = batch.bad | ~(den > 0) | ~np.isfinite(den) | ~np.isfinite(wb.delta)
             weight[lo:hi] = np.where(bad, np.nan, wb.delta)

@@ -84,10 +84,9 @@ def make_grid(T, n_steps):
 class PathBatch:
     """P paths on an n-step grid. Every (n, P) or (n+1, P) field, here or
     in a subclass, is a C-contiguous time-major array whose column p is
-    path ``path_indices[p]``."""
+    path p of the range the batch was simulated for."""
 
     grid: TimeGrid
-    path_indices: range
     states: np.ndarray        # (n+1, P) Z (CIR) at the nodes; (1, P) Y (OU) at t_n
     avg_variance: np.ndarray  # (P,) F: trapezoid of sigma^2(Y) or Z, over T
     bad: np.ndarray           # (P,) the path breaks an assumption of its model
@@ -192,9 +191,8 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
         for row in d:
             nu_noise += row
 
-    return OUPathBatch(grid=grid, path_indices=path_indices,
-                       states=tile[-1:].copy(), avg_variance=total / grid.T, bad=~ok,
-                       nu=nu, nu_prime=nu_prime, nu_noise=nu_noise)
+    return OUPathBatch(grid=grid, states=tile[-1:].copy(), avg_variance=total / grid.T,
+                       bad=~ok, nu=nu, nu_prime=nu_prime, nu_noise=nu_noise)
 
 
 def simulate_cir_paths(model, grid, stream, path_indices, ws):
@@ -226,9 +224,8 @@ def simulate_cir_paths(model, grid, stream, path_indices, ws):
                        out=z[j + 1])
         bad |= (z[lo + 1:hi + 1] == Z_FLOOR).any(axis=0)
 
-    return CIRPathBatch(grid=grid, path_indices=path_indices,
-                        dW=dW, states=z, avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T,
-                        bad=bad)
+    return CIRPathBatch(grid=grid, dW=dW, states=z,
+                        avg_variance=node_sum(z, grid.trapezoid_weights) / grid.T, bad=bad)
 
 
 def sample_terminal_asset(avg_variance, params, stream, path_indices):

@@ -119,14 +119,14 @@ def bs_conditional(sigma_bar, strike, s0, r, T):
     return float(disc[0]) if sig.ndim == 0 else disc
 
 
-def mc_estimate(terms, method="mean", empty_message="no sample to average", paired=False):
+def mc_estimate(terms, method="mean", paired=False):
     """The mean over axis 0 of ``terms`` with its standard error (by
     ``density.mean_and_se``, over antithetic pairs with ``paired``) and 95%
     interval, as floats for a vector and (m,) arrays for (N, m) terms;
-    EmptyEnsemble(``empty_message``) if N = 0."""
+    EmptyEnsemble, naming ``method``, if N = 0."""
     terms = np.atleast_1d(terms)
     if terms.shape[0] == 0:
-        raise EmptyEnsemble(empty_message)
+        raise EmptyEnsemble(f"{method}: no sample to average")
     value, se = mean_and_se(terms, paired)
     if terms.ndim == 1:
         value, se = float(value), float(se)
@@ -137,7 +137,7 @@ def mc_estimate(terms, method="mean", empty_message="no sample to average", pair
 def price_mixing(sigma_bar_samples, strike, s0, r, T, paired=False):
     """Mixing estimator: discounted mean of the conditional prices."""
     return mc_estimate(bs_conditional(sigma_bar_samples, strike, s0, r, T), "mixing_mc",
-                       "mixing pricer needs at least one sigma_bar sample", paired)
+                       paired)
 
 
 def payoff_integral(samples, strike, s0, r, T):
@@ -185,22 +185,20 @@ def price_from_density(samples, weights, strike, s0, r, T, paired=False):
 def price_plain_mc(terminal_prices, strike, r, T, paired=False):
     """Plain Monte Carlo: discounted mean of (S_T - K)^+."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    return mc_estimate(math.exp(-r * T) * np.maximum(s_t - strike, 0.0), "plain_mc",
-                       "plain MC pricer needs at least one terminal price", paired)
+    return mc_estimate(math.exp(-r * T) * np.maximum(s_t - strike, 0.0), "plain_mc", paired)
 
 
 def martingale_check(terminal_prices, s0, r, T, paired=False):
     """Mean of e^{-rT} S_T with its SE; it must sit within noise of s0."""
     s_t = np.asarray(terminal_prices, dtype=float)
-    return mc_estimate(math.exp(-r * T) * s_t, "martingale_check",
-                       "martingale check needs at least one terminal price", paired)
+    return mc_estimate(math.exp(-r * T) * s_t, "martingale_check", paired)
 
 
 def ensemble_prices(result, strike, params):
     """Density quadrature, mixing, plain MC and the martingale check on the
-    valid paths of one ensemble (``EnsembleResult.valid``) run with
-    ``collect_asset``, with the SEs over antithetic pairs when it is
-    paired. The pricers are looked up in this module's globals, so a
+    valid paths of any ensemble (``EnsembleResult.valid``): their F, weights
+    and terminal asset prices, with the SEs over antithetic pairs when it
+    is paired. The pricers are looked up in this module's globals, so a
     rebinding of them (a tracer, a test double) is the one that runs."""
     p, paired = params, result.antithetic
     f, w = result.valid_samples()

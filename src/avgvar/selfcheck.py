@@ -14,10 +14,10 @@ noise dominates the discretization bias, and the wider band keeps the
 battery seed-robust. An integration-by-parts row fails when the per-path
 terms phi(F) delta - phi'(F), raw or less their fit on delta, reach the band.
 
-Every ensemble of the battery computes weights. Each model's weighted
-(density) ensemble, in rng.NAMESPACE_DENSITY, also draws a terminal asset
-price per path, and the price triangle reads all three prices off it
-through ``pricing.ensemble_prices``, as ``avgvar price`` does. Noise
+Every ensemble of the battery computes weights and draws a terminal asset
+price per path. The price triangle reads all three prices off each
+model's weighted (density) ensemble, in rng.NAMESPACE_DENSITY, through
+``pricing.ensemble_prices``, as ``avgvar price`` does. Noise
 namespaces (``avgvar.rng``) separate the battery's other ensembles, which
 share the seed. The noise rows are time-major, so two ensembles of one
 namespace on grids of different step counts share each path's leading
@@ -112,27 +112,26 @@ class CheckContext:
             self._cache[key] = make()
         return self._cache[key]
 
-    def _ensemble(self, tag, n_paths, steps, **options):
+    def _ensemble(self, tag, n_paths, steps, namespace=0):
         model = self.models[tag]
-        return self._once((tag, n_paths, steps, *sorted(options.items())), lambda: run_ensemble(
+        return self._once((tag, n_paths, steps, namespace), lambda: run_ensemble(
             model, make_grid(model.params.T, steps), n_paths, self.seed,
-            threads=self.threads, **options))
+            namespace=namespace, threads=self.threads))
 
     def moments(self, tag):
-        """The terminal-moment ensemble, with a terminal asset draw per path
-        for the martingale row, in a namespace of its model's own: the two
-        models' moment grids differ in step count."""
+        """The terminal-moment ensemble, whose asset draws the martingale
+        row reads, in a namespace of its model's own: the two models'
+        moment grids differ in step count."""
         s = self.scale
         return self._ensemble(tag, s.n_moments, s.moment_steps[tag],
-                              namespace=NAMESPACE_MOMENTS + MODELS.index(tag),
-                              collect_asset=True)
+                              NAMESPACE_MOMENTS + MODELS.index(tag))
 
     def weighted(self, tag):
         """(ensemble, F, delta, Malliavin density on the 41-point auto grid),
-        the ensemble with a terminal asset draw per path for the prices."""
+        the ensemble in the density namespace, whose asset draws the price
+        triangle reads."""
         def make():
-            ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps,
-                                 collect_asset=True)
+            ens = self._ensemble(tag, self.scale.n_density, self.scale.density_steps)
             f, d = ens.valid_samples()
             x = auto_grid(f, lower_bound=self.models[tag].density_lower_bound)
             return ens, f, d, malliavin_density(f, d, x)

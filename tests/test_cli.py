@@ -191,22 +191,28 @@ SIZES = {"ensemble.n_paths": "n_paths", "grid.n_steps": "n_steps",
          "density.x_grid.points": "x_grid_points"}
 
 
-@pytest.mark.parametrize("key", SIZES)
+@pytest.mark.parametrize("key, size, demo", [
+    *(pytest.param(key, 10**15, "config_ou.json", id=key) for key in SIZES),
+    *(pytest.param(key, 2**62, "config_ou.json", id=f"{key}-2**62") for key in SIZES),
+    pytest.param("grid.n_steps", 10**15, "config_cir.json", id="grid.n_steps-cir")])
 @pytest.mark.parametrize("command", ["density", "price"])
-def test_a_size_too_large_to_allocate_exits_3_naming_the_sizes(tmp_path, capsys, command, key):
-    """demos/config_ou.json with one size at 10**15 asks for 7.11 PiB arrays,
-    which numpy refuses at once: the command exits 3 with one
-    E_OUT_OF_MEMORY line that names the sizes asked for, and writes nothing.
-    price builds no x-grid, so it prices (3000 paths) whatever its points."""
-    cfg = json.loads((DEMOS / "config_ou.json").read_text())
+def test_a_size_too_large_to_allocate_exits_3_naming_the_sizes(tmp_path, capsys, command, key,
+                                                               size, demo):
+    """The demo config with one size at 10**15 asks for PiB arrays, and at
+    2**62 (or, on CIR, a chunk's whole (n+1, 2048) arrays at 10**15 steps)
+    for arrays of more bytes than numpy can address, which it refuses with
+    a ValueError: either way the command exits 3 with one E_OUT_OF_MEMORY
+    line that names the sizes asked for, and writes nothing. price builds
+    no x-grid, so it prices (3000 paths) whatever its points."""
+    cfg = json.loads((DEMOS / demo).read_text())
     cfg["output"]["directory"] = str(tmp_path / "out")
     if key == "density.x_grid.points":
         cfg["ensemble"]["n_paths"] = 3000
-        cfg["density"]["x_grid"] = {"min": 0.001, "max": 0.2, "points": 10**15}
+        cfg["density"]["x_grid"] = {"min": 0.001, "max": 0.2, "points": size}
     else:
         block, name = key.split(".")
-        cfg[block][name] = 10**15
-    path = tmp_path / "config_ou.json"
+        cfg[block][name] = size
+    path = tmp_path / demo
     path.write_text(json.dumps(cfg))
     code = cli.main([command, "--config", str(path)])
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("E_")]
@@ -216,7 +222,7 @@ def test_a_size_too_large_to_allocate_exits_3_naming_the_sizes(tmp_path, capsys,
     assert code == 3
     assert len(errors) == 1 and errors[0].startswith("E_OUT_OF_MEMORY "), errors
     asked, _, reason = errors[0].partition(": ")
-    assert f"{SIZES[key]}={10**15}" in asked.split()
+    assert f"{SIZES[key]}={size}" in asked.split()
     assert reason.startswith("Unable to allocate")
     assert not (tmp_path / "out").exists()
 
@@ -486,7 +492,7 @@ def test_price_runs_one_ensemble(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_ensemble", counted)
     assert cli.main(["price", "--config", write_config(tmp_path)]) == 0
     assert len(calls) == 1
-    assert calls[0]["namespace"] == NAMESPACE_DENSITY and calls[0]["collect_asset"]
+    assert calls[0]["namespace"] == NAMESPACE_DENSITY
 
 
 @pytest.mark.parametrize("value", ["abc", 1])
@@ -708,11 +714,11 @@ def test_battery_draws_each_grid_in_a_namespace_of_its_own(monkeypatch):
 
 def test_battery_prices_off_the_weighted_ensemble_as_price_does(monkeypatch):
     """The battery's ensembles draw in namespaces 0 (the weighted ones), 3
-    and 4 (the moment ones) and 5-11 (the coarse grids), every
-    namespace-0 ensemble draws a terminal asset price per path, and the
-    price triangle's three prices are ``pricing.ensemble_prices`` on the
-    weighted ensemble, bit for bit, as ``avgvar price`` reads them
-    (``reproducibility`` reruns namespace 0 and is left out)."""
+    and 4 (the moment ones) and 5-11 (the coarse grids), each named
+    explicitly, and the price triangle's three prices are
+    ``pricing.ensemble_prices`` on the weighted ensemble, bit for bit, as
+    ``avgvar price`` reads them (``reproducibility`` reruns namespace 0 and
+    is left out)."""
     real, calls, priced = selfcheck.run_ensemble, [], []
 
     def record(model, grid, n_paths, seed, **options):
@@ -736,8 +742,7 @@ def test_battery_prices_off_the_weighted_ensemble_as_price_does(monkeypatch):
     selfcheck.price_triangle(ctx)
     monkeypatch.undo()
 
-    assert {c.get("namespace", 0) for c in calls} == {0, 3, 4, *range(5, 12)}
-    assert all(c.get("collect_asset") for c in calls if c.get("namespace", 0) == 0)
+    assert {c["namespace"] for c in calls} == {0, 3, 4, *range(5, 12)}
     want = [est for tag in selfcheck.MODELS for est in pricing.ensemble_prices(
         ctx.weighted(tag)[0], selfcheck.STRIKE, ctx.models[tag].params)[:3]]
     assert [(e.method, e.value, e.std_error) for e in priced] == [

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from avgvar import (EmptyEnsemble, OUParams, ValidatedOUModel, bs_conditional,
-                    make_grid, martingale_check, price_from_density, price_mixing,
+                    ensemble_prices, make_grid, martingale_check, price_from_density, price_mixing,
                     price_plain_mc, run_ensemble, sample_terminal_asset,
                     simulate_ou_paths, skorokhod_weight_ou)
 from avgvar import pricing, selfcheck
@@ -185,6 +185,18 @@ def test_quadrature_se_matches_the_seed_to_seed_spread(tag, ou_model, cir_model)
     ratio = np.std(values, ddof=1) / math.sqrt(np.mean(np.square(ses)))
     lo, hi = np.sqrt(chi2.ppf([0.0005, 0.9995], 31) / 31)
     assert lo < ratio < hi
+
+
+@pytest.mark.parametrize("model", ["ou_model", "cir_model"])
+def test_an_ensemble_run_with_default_options_prices_four_ways(request, model):
+    """Every ensemble draws its terminal asset prices, so ``ensemble_prices``
+    reads all four rows off one run with no options."""
+    model = request.getfixturevalue(model)
+    res = run_ensemble(model, make_grid(model.params.T, 32), 600, SEED)
+    estimates = ensemble_prices(res, 100.0, model.params)
+    assert [e.method for e in estimates] == [
+        "density_quadrature", "mixing_mc", "plain_mc", "martingale_check"]
+    assert all(math.isfinite(e.value) and math.isfinite(e.std_error) for e in estimates)
 
 
 def test_plain_mc_zero_strike_recovers_spot(ou_model):

@@ -3,6 +3,7 @@
 Every ``avgvar`` command starts a fresh interpreter and pays for what it
 imports, so ``import avgvar`` loads no numpy, ``validate`` loads neither
 numpy.random nor concurrent.futures, ``density`` does not load numpy.ma,
+no command nor the self check loads scipy, which only the tests depend on,
 and ``avgvar.cli`` caps OpenBLAS at one thread before numpy starts it. This test session has long since
 imported all of these, so each check runs in a fresh interpreter.
 """
@@ -68,20 +69,40 @@ def test_validate_loads_no_random_generator_or_thread_pool(config):
     assert out == ["VALID", "0", "[]"]
 
 
-def test_density_does_not_load_numpy_ma(tmp_path):
-    """numpy's percentile imports numpy.ma on its first call (about 10 ms);
-    the density grid's percentiles go around it."""
-    config = json.loads((ROOT / "demos" / "config_ou.json").read_text())
+def small_config(tmp_path, demo="config_ou.json"):
+    """The path of ``demo`` at 300 paths and 32 steps, writing under tmp_path."""
+    config = json.loads((ROOT / "demos" / demo).read_text())
     config["ensemble"]["n_paths"] = 300
     config["grid"]["n_steps"] = 32
     config["output"]["directory"] = str(tmp_path / "out")
-    path = tmp_path / "config.json"
+    path = tmp_path / demo
     path.write_text(json.dumps(config))
+    return path
+
+
+def test_density_does_not_load_numpy_ma(tmp_path):
+    """numpy's percentile imports numpy.ma on its first call (about 10 ms);
+    the density grid's percentiles go around it."""
+    path = small_config(tmp_path)
     out = run_python("import sys\n"
                      "import avgvar.cli as cli\n"
                      f"code = cli.main(['density', '--config', {str(path)!r}])\n"
                      "print(code, 'numpy.ma' in sys.modules)")
     assert out[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("demo", ["config_ou.json", "config_cir.json"])
+def test_commands_and_the_self_check_load_no_scipy(tmp_path, demo):
+    """scipy is a test-only dependency: density, price and the self check's
+    module run on numpy alone."""
+    path = str(small_config(tmp_path, demo))
+    out = run_python("import sys\n"
+                     "import avgvar.cli as cli\n"
+                     "import avgvar.selfcheck\n"
+                     f"print(cli.main(['density', '--config', {path!r}]),\n"
+                     f"      cli.main(['price', '--config', {path!r}]),\n"
+                     "      'scipy' in sys.modules)")
+    assert out[-3:] == ["0", "0", "False"]
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])

@@ -7,10 +7,11 @@ noise stream's ``NoiseStream.normal_matrix`` and ``NoiseStream._rewind``.
 A rename, or a call that goes round one of those names, leaves its span
 or count at zero without failing anything else, so each model's density
 command is traced here and its spans must have run, and so is the OU
-price command, whose asset draw and three pricers have spans of their
-own. The stream draws each step normal of each path once and starts each
-256-path block's generator once; the price command's asset stream draws
-one more normal per path and starts each block once more.
+price command, whose three pricers have spans of their own. Every
+ensemble, the density command's too, draws its terminal asset: the vol
+stream draws each step normal of each path once and starts each 256-path
+block's generator once, and the asset stream draws one more normal per
+path and starts each block once more.
 """
 
 import json
@@ -25,7 +26,7 @@ from avgvar.rng import BLOCK
 from test_cli import cir_overrides, write_config
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ("rng.normal_matrix", "paths.simulate", "ensemble.run")
+SPANS = ("rng.normal_matrix", "paths.simulate", "paths.terminal_asset", "ensemble.run")
 
 
 def _trace(tmp_path, command, model):
@@ -45,6 +46,14 @@ def _trace(tmp_path, command, model):
     return spec, json.loads(trace.read_text())
 
 
+def _assert_draws(spec, traced):
+    """One normal per step and one asset normal per path; each block's
+    generator started once per stream."""
+    n_paths, n_steps = spec["ensemble"]["n_paths"], spec["grid"]["n_steps"]
+    assert traced["counts"]["rng.normals"] == n_steps * n_paths + n_paths
+    assert traced["counts"]["rng.rewinds"] == 2 * -(-n_paths // BLOCK)
+
+
 def _assert_spans_ran(traced, names):
     total_s = traced["total_s"]
     for name in names:
@@ -58,18 +67,12 @@ def _assert_spans_ran(traced, names):
 def test_trace_times_every_layer_of_a_density_run(tmp_path, model, weight_spans):
     spec, traced = _trace(tmp_path, "density", model)
     _assert_spans_ran(traced, SPANS + weight_spans)
-    n_paths, n_steps = spec["ensemble"]["n_paths"], spec["grid"]["n_steps"]
-    assert traced["counts"]["rng.normals"] == n_steps * n_paths
-    assert traced["counts"]["rng.rewinds"] == -(-n_paths // BLOCK)
+    _assert_draws(spec, traced)
 
 
 def test_trace_times_the_asset_draw_and_pricers_of_a_price_run(tmp_path):
-    """The price command draws one asset normal per path from a second
-    stream, which starts each block once more."""
+    """The price command draws as the density command does, and prices."""
     spec, traced = _trace(tmp_path, "price", "ou")
-    _assert_spans_ran(traced, SPANS + ("weights_ou.weight", "paths.terminal_asset",
-                                       "pricing.density_quadrature", "pricing.mixing",
-                                       "pricing.plain_mc"))
-    n_paths, n_steps = spec["ensemble"]["n_paths"], spec["grid"]["n_steps"]
-    assert traced["counts"]["rng.normals"] == n_steps * n_paths + n_paths
-    assert traced["counts"]["rng.rewinds"] == 2 * -(-n_paths // BLOCK)
+    _assert_spans_ran(traced, SPANS + ("weights_ou.weight", "pricing.density_quadrature",
+                                       "pricing.mixing", "pricing.plain_mc"))
+    _assert_draws(spec, traced)
