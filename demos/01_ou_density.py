@@ -22,8 +22,7 @@ N_STEPS = 256
 SEED = 42
 
 vol = reference_vol_family(c=0.1, m=0.1)
-model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
-                             r=0.05, mu=0.05, T=1.0), vol)
+model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0), vol)
 
 print(f"simulating {N_PATHS} OU paths on {N_STEPS} steps ...")
 res = run_ensemble(model, make_grid(model.params.T, N_STEPS), N_PATHS, SEED,

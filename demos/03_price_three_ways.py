@@ -35,10 +35,8 @@ Z_BAND = 3.89  # the self check's QUICK band, two-sided p ~ 1e-4
 
 vol = reference_vol_family(c=0.1, m=0.1)
 models = {
-    "OU": validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
-                               r=0.05, mu=0.05, T=1.0), vol),
-    "CIR": validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
-                                  r=0.05, mu=0.05, T=1.0)),
+    "OU": validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0), vol),
+    "CIR": validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, T=1.0)),
 }
 
 for tag, model in models.items():

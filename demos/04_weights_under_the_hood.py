@@ -28,8 +28,7 @@ from avgvar.workspace import Workspace
 SEED = 11
 
 vol = reference_vol_family(c=0.1, m=0.1)
-model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
-                             r=0.05, mu=0.05, T=1.0), vol)
+model = validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0), vol)
 grid = make_grid(1.0, 64)
 
 # --- Part 1: one path, running sums vs the dense gradient and Hessian -----

@@ -5,7 +5,7 @@ Configs are JSON documents::
     {
       "model": "ou",                          # or "cir"
       "params": {"alpha": 1.0, "k": 0.5, "y0": 0.0,
-                 "s0": 100.0, "r": 0.05, "mu": 0.05, "T": 1.0},
+                 "s0": 100.0, "r": 0.05, "T": 1.0},
       "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},   # OU only
       "grid": {"n_steps": 512},               # optional
       "ensemble": {"n_paths": 50000, "seed": 1, "antithetic": false},
@@ -18,9 +18,11 @@ CIR configs put {"b":..,"k":..,"z0":..} in params instead. Every command
 parses the whole config into one RunSpec before anything runs, so
 ``validate`` accepts exactly what ``density`` and ``price`` can run, and a
 model-only config besides. Keys the parser does not read are ignored, but
-"ensemble.winsorize": true is E_CONFIG: weights are never clipped.
-"grid.pricing_n_steps" is accepted and ignored: ``price`` reads all three
-prices off the one weighted ensemble at "grid.n_steps".
+"ensemble.winsorize": true is E_CONFIG: weights are never clipped. Two
+such keys that older configs carry are accepted and ignored, whatever
+their values: "grid.pricing_n_steps", as ``price`` reads all three prices
+off the one weighted ensemble at "grid.n_steps", and "params.mu", the
+objective drift, which no price under the pricing measure reads.
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (the model's codes include
@@ -156,7 +158,6 @@ def parse_config(raw, command, seed=None, out=None):
 
     kind = _get(raw, "model", str, choices=("ou", "cir"))
     common = {"s0": num("s0"), "r": num("r"), "T": num("T")}
-    common["mu"] = num("mu", common["r"])
     if kind == "ou":
         _get(raw, "vol_family.name", str, "reference", choices=("reference",))
         c, m = (_get(raw, f"vol_family.{key}", float, 0.1) for key in ("c", "m"))

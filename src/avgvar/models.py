@@ -7,8 +7,10 @@ volatility driver keeps its objective dynamics):
     OU model:   dS = r S dt + sigma(Y) S dW,   dY = -alpha Y dt + k dW~
     CIR model:  dS = r S dt + sqrt(Z) S dW,    dZ = (b - Z) dt + k sqrt(Z) dW~
 
-with W and W~ independent. The objective drift mu is recorded for
-documentation but never used by pricing.
+with W and W~ independent. Under that measure the price depends on the
+volatility only through the law of the averaged variance, and otherwise on
+s0, r, T and the strike alone, so the records hold no objective drift mu:
+no price reads it.
 
 Validation is total: every parameter tuple either yields a validated model
 or raises ValidationError listing every violated assumption. Constraints on
@@ -60,6 +62,12 @@ class VolFunctionSpec:
     lower_bound_c: float
     evaluate: Callable
 
+    @property
+    def sigma_floor(self):
+        """The least sigma that validation and the path guard accept: c less
+        1e-12 of itself, room for the rounding of an evaluation at c."""
+        return self.lower_bound_c * (1.0 - 1e-12)
+
 
 def nu_terms(sig, sig_p, sig_pp, out):
     """nu = sigma * sigma' and nu' = sigma'^2 + sigma * sigma'' from the
@@ -81,7 +89,6 @@ class OUParams:
     y0: float     # initial driver state
     s0: float     # initial asset price, > 0
     r: float      # risk-free rate, >= 0
-    mu: float     # objective drift; unused under the pricing measure
     T: float      # maturity, > 0
 
 
@@ -92,7 +99,6 @@ class CIRParams:
     z0: float     # initial variance, > 0
     s0: float
     r: float
-    mu: float
     T: float
 
 
@@ -201,18 +207,21 @@ def reference_vol_family(c, m):
 
 
 def _check_vol_on_grid(vol, violations):
-    """Sample the (A2)-style constraints on the probe grid."""
+    """Sample the (A2)-style constraints on the probe grid. The probe runs
+    with floating-point warnings off, so that a value that overflows is
+    reported as the violation it makes, whatever the warning filters."""
     x = PROBE_GRID
     try:
-        sig, sig_p, sig_pp = vol.evaluate(x, Workspace())
-        nu, nu_p = nu_terms(sig, sig_p, sig_pp, out=(np.empty(x.shape), np.empty(x.shape)))
+        with np.errstate(all="ignore"):
+            sig, sig_p, sig_pp = vol.evaluate(x, Workspace())
+            nu, nu_p = nu_terms(sig, sig_p, sig_pp, out=(np.empty(x.shape), np.empty(x.shape)))
     except Exception as exc:  # a vol spec that cannot be evaluated is invalid
         violations.append(("E_VOL_EVAL", f"volatility function raised on probe grid: {exc!r}"))
         return
     if not (vol.lower_bound_c > 0):
         violations.append(("E_NONPOSITIVE_LOWER_BOUND",
                            f"lower bound c must be > 0, got {vol.lower_bound_c}"))
-    elif not np.all(sig >= vol.lower_bound_c * (1.0 - 1e-12)):
+    elif not np.all(sig >= vol.sigma_floor):
         violations.append(("E_SIGMA_BELOW_BOUND",
                            "sigma(x) dips below its declared lower bound on the probe grid"))
     if not np.all(sig_p > 0):

@@ -153,7 +153,7 @@ def simulate_ou_paths(model, grid, stream, path_indices, ws):
     p = model.params
     vol = model.vol
     decay, step_sd = ou_step(p, grid.dt)
-    floor = vol.lower_bound_c * (1.0 - 1e-12)
+    floor = vol.sigma_floor
     w = grid.trapezoid_weights
     mean = p.y0 * np.exp(-p.alpha * grid.t)
     n, P = grid.n_steps, len(path_indices)

@@ -46,11 +46,11 @@ from .workspace import Workspace
 SEED = 20240601
 NAMESPACE_MOMENTS = 3  # and 4
 NAMESPACE_COARSE = 5
-OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
-CIR_REFERENCE = CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+OU_REFERENCE = OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0)
+CIR_REFERENCE = CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, T=1.0)
 # fast mean reversion over a long horizon: on an 8-step grid one Euler step
 # moves Z a quarter of the way to b
-CIR_FAST_DECAY = CIRParams(b=20.0, k=1.5, z0=0.5, s0=100.0, r=0.05, mu=0.05, T=2.0)
+CIR_FAST_DECAY = CIRParams(b=20.0, k=1.5, z0=0.5, s0=100.0, r=0.05, T=2.0)
 REFERENCE_VOL = (0.1, 0.1)  # (c, m)
 MODELS = ("ou", "cir")
 STRIKE = 100.0

@@ -15,14 +15,12 @@ def ref_vol():
 
 @pytest.fixture(scope="session")
 def ou_model(ref_vol):
-    return validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0,
-                                r=0.05, mu=0.05, T=1.0), ref_vol)
+    return validate_ou(OUParams(alpha=1.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0), ref_vol)
 
 
 @pytest.fixture(scope="session")
 def cir_model():
-    return validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0,
-                                  r=0.05, mu=0.05, T=1.0))
+    return validate_cir(CIRParams(b=1.0, k=0.25, z0=1.0, s0=100.0, r=0.05, T=1.0))
 
 
 @pytest.fixture(scope="session")

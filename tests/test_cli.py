@@ -24,7 +24,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "model": "ou",
         "params": {"alpha": 1.0, "k": 0.5, "y0": 0.0, "s0": 100.0,
-                   "r": 0.05, "mu": 0.05, "T": 1.0},
+                   "r": 0.05, "T": 1.0},
         "vol_family": {"name": "reference", "c": 0.1, "m": 0.1},
         "grid": {"n_steps": 64},
         "ensemble": {"n_paths": 600, "seed": 11, "antithetic": False},
@@ -39,8 +39,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 
 def cir_overrides(**params):
-    base = {"b": 1.0, "k": 0.25, "z0": 1.0, "s0": 100.0, "r": 0.05,
-            "mu": 0.05, "T": 1.0}
+    base = {"b": 1.0, "k": 0.25, "z0": 1.0, "s0": 100.0, "r": 0.05, "T": 1.0}
     base.update(params)
     return {"model": "cir", "params": base}
 
@@ -74,16 +73,19 @@ def test_missing_file_is_io_error(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
 
 
-def test_malformed_json_is_io_error(tmp_path):
+def test_malformed_json_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["validate", "--config", str(bad)]) == 3
+    bad.write_text("[1, 2]")
+    capsys.readouterr()
+    assert cli.main(["validate", "--config", str(bad)]) == 3
+    assert capsys.readouterr().err == "E_CONFIG config root must be a JSON object\n"
 
 
 def test_non_numeric_param_is_io_error(tmp_path):
     cfg = write_config(tmp_path, params={"alpha": "fast", "k": 0.5, "y0": 0.0,
-                                         "s0": 100.0, "r": 0.05, "mu": 0.05,
-                                         "T": 1.0})
+                                         "s0": 100.0, "r": 0.05, "T": 1.0})
     assert cli.main(["validate", "--config", cfg]) == 3
     cfg = write_config(tmp_path, name="c2.json", contract={"strike": "atm"})
     assert cli.main(["validate", "--config", cfg]) == 3
@@ -148,6 +150,12 @@ MALFORMED = {
     "density_mode_off": ({**cir_overrides(k=1.2), "density_mode": False},
                          2, "E_DENSITY_CONDITION"),
     "winsorize_on": ({"ensemble": {"n_paths": 600, "winsorize": True}}, 3, "E_CONFIG"),
+    "model_unknown": ({"model": "heston"}, 3, "E_CONFIG"),
+    "s0_missing": ({"params": {"alpha": 1.0, "k": 0.5, "y0": 0.0, "r": 0.05, "T": 1.0}},
+                   3, "E_CONFIG"),
+    "strike_negative": ({"contract": {"strike": -1.0}}, 2, "E_NEGATIVE_STRIKE"),
+    # nu = sigma sigma' overflows on the probe grid: one answer under any warning filter
+    "vol_m_overflows": ({"vol_family": {"m": 1e160}}, 2, "E_NU_NOT_FINITE"),
 }
 
 
@@ -510,6 +518,26 @@ def test_pricing_n_steps_is_accepted_and_ignored(tmp_path, capsys, value):
             == (tmp_path / "plain" / "prices.csv").read_bytes())
 
 
+@pytest.mark.parametrize("value", [0.05, float("nan"), "drift"])
+@pytest.mark.parametrize("overrides", [{}, cir_overrides()], ids=["ou", "cir"])
+def test_params_mu_is_accepted_and_ignored(tmp_path, capsys, overrides, value):
+    """params.mu, the objective drift that older configs carry, neither
+    fails validation nor changes a byte of density.csv or prices.csv,
+    whatever its value: no price under the pricing measure reads it."""
+    plain = write_config(tmp_path, name="plain.json", **overrides)
+    cfg = json.loads(Path(plain).read_text())
+    cfg["params"]["mu"] = value
+    keyed = write_config(tmp_path, name="keyed.json", **cfg)
+    assert cli.main(["validate", "--config", keyed]) == 0
+    assert "VALID" in capsys.readouterr().out
+    for cfg, out in ((plain, "plain"), (keyed, "keyed")):
+        for command in ("density", "price"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    for name in ("density.csv", "prices.csv"):
+        assert ((tmp_path / "keyed" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
+
+
 @pytest.mark.parametrize("overrides", [{}, cir_overrides()], ids=["ou", "cir"])
 def test_price_rows_read_the_density_ensemble(tmp_path, overrides):
     """The quadrature row is price_from_density on the density ensemble
@@ -665,7 +693,7 @@ def test_price_near_deterministic_vol_matches_oracle(tmp_path):
     import math
     cfg = write_config(tmp_path,
                        params={"alpha": 1.0, "k": 1e-8, "y0": 0.0, "s0": 100.0,
-                               "r": 0.05, "mu": 0.05, "T": 1.0},
+                               "r": 0.05, "T": 1.0},
                        ensemble={"n_paths": 4000, "seed": 6})
     assert cli.main(["price", "--config", cfg]) == 0
     lines = (tmp_path / "out" / "prices.csv").read_text().splitlines()

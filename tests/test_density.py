@@ -162,6 +162,8 @@ def test_density_errors():
         malliavin_density(np.array([]), np.array([]), np.linspace(0, 1, 21))
     with pytest.raises(GridTooCoarse):
         malliavin_density(np.ones(10), np.ones(10), np.linspace(0, 1, 5))
+    with pytest.raises(EmptyEnsemble):
+        auto_grid(np.array([]))
 
 
 def test_auto_grid_respects_lower_bound():
@@ -171,6 +173,18 @@ def test_auto_grid_respects_lower_bound():
     assert g[0] >= 0.05
     assert g[-1] >= samples.max() * 0.9
     assert g.size == 41
+
+
+@pytest.mark.parametrize("samples, lower_bound, hi", [
+    (np.zeros(50), None, 1e-8),         # no spread, at 0
+    (np.full(50, 0.04), 0.1, 0.2),      # the bound above 1.2x the 99th percentile
+], ids=["zero_samples", "bound_above_samples"])
+def test_auto_grid_without_an_interval_widens_from_its_lower_end(samples, lower_bound, hi):
+    """Where 1.2x the 99th percentile is not above the lower end, the grid
+    runs from the lower end to that end plus max(|end|, 1e-8)."""
+    g = auto_grid(samples, lower_bound=lower_bound)
+    lo = 0.0 if lower_bound is None else lower_bound
+    assert g.size == 41 and g[0] == lo and g[-1] == hi and np.all(np.diff(g) > 0)
 
 
 def test_survival_from_density_matches_mass():
@@ -227,3 +241,11 @@ def test_subtract_controls_drops_a_control_without_spread():
     slope = np.sum(wc * terms) / np.sum(wc * wc)
     np.testing.assert_allclose(subtract_controls(terms, ibp_controls(np.full(500, 0.04), w)),
                                terms - slope * w, rtol=1e-12, atol=1e-12)
+
+
+def test_subtract_controls_returns_the_terms_of_a_singular_fit_unchanged():
+    # on two paths the three centred controls lie on one line, so their
+    # scaled normal equations are singular and no fit is subtracted
+    f, w = np.array([0.03, 0.05]), np.array([1.5, -0.5])
+    terms = np.array([0.7, -0.2])
+    assert subtract_controls(terms, ibp_controls(f, w)).tobytes() == terms.tobytes()

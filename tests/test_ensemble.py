@@ -84,6 +84,12 @@ def test_single_path_ensemble(ou_model):
     assert mc_estimate(res.avg_variance).std_error == 0.0
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_an_ensemble_of_no_paths_is_rejected(ou_model, n_paths):
+    with pytest.raises(EmptyEnsemble, match="n_paths must be >= 1"):
+        run_ensemble(ou_model, make_grid(1.0, 32), n_paths, SEED)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0, "1"])
 def test_seeds_outside_the_key_range_are_rejected(ou_model, seed):
     """The noise key holds a 64-bit seed, so 2^64 + 1 would alias 1."""
@@ -105,7 +111,7 @@ def test_runaway_paths_fail_without_float_warnings(ref_vol, params, antithetic):
     the overflow of such a path is flagged by the guards, and nothing on
     the way warns, with antithetic pairs or without."""
     model = validate_ou(OUParams(**{"alpha": 1.0, "k": 0.5, "y0": 0.0, "s0": 100.0,
-                                    "r": 0.05, "mu": 0.05, "T": 1.0, **params}), ref_vol)
+                                    "r": 0.05, "T": 1.0, **params}), ref_vol)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FailureBudgetExceeded):
@@ -359,7 +365,7 @@ def _flat_above_ten_vol():
 
 def _flat_above_ten_model(y0, k=0.5):
     return validate_ou(OUParams(alpha=1.0, k=k, y0=y0, s0=100.0,
-                                r=0.05, mu=0.05, T=1.0), _flat_above_ten_vol())
+                                r=0.05, T=1.0), _flat_above_ten_vol())
 
 
 @pytest.mark.parametrize("antithetic", [True, False])
@@ -424,7 +430,7 @@ def test_paths_failing_the_vol_guard_get_nan_weights(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "model": "ou", "params": {"alpha": 1.0, "k": 4.0, "y0": 0.0, "s0": 100.0,
-                                  "r": 0.05, "mu": 0.05, "T": 1.0},
+                                  "r": 0.05, "T": 1.0},
         "grid": {"n_steps": 32}, "ensemble": {"n_paths": 20000, "seed": SEED},
         "output": {"directory": str(tmp_path / "out")}}))
     assert cli.main(["density", "--config", str(cfg), "--threads", "1"]) == 0

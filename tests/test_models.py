@@ -31,7 +31,7 @@ def test_reference_ou_config_accepted(ou_model):
 
 
 def test_zero_alpha_rejected(ref_vol):
-    p = OUParams(alpha=0.0, k=0.5, y0=0.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    p = OUParams(alpha=0.0, k=0.5, y0=0.0, s0=100.0, r=0.05, T=1.0)
     with pytest.raises(ValidationError) as err:
         validate_ou(p, ref_vol)
     assert "E_NONPOSITIVE_ALPHA" in codes(err)
@@ -44,7 +44,7 @@ def test_zero_lower_bound_rejected():
 
 
 def test_all_violations_reported(ref_vol):
-    p = OUParams(alpha=-1.0, k=0.0, y0=0.0, s0=-5.0, r=0.05, mu=0.05, T=0.0)
+    p = OUParams(alpha=-1.0, k=0.0, y0=0.0, s0=-5.0, r=0.05, T=0.0)
     with pytest.raises(ValidationError) as err:
         validate_ou(p, ref_vol)
     got = codes(err)
@@ -59,7 +59,7 @@ def test_cir_reference_accepted(cir_model):
 
 def test_cir_density_condition_violation():
     # k^2 = 1.44 < 2 passes Feller, but 6 * 1.44 = 8.64 >= 1
-    p = CIRParams(b=1.0, k=1.2, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    p = CIRParams(b=1.0, k=1.2, z0=1.0, s0=100.0, r=0.05, T=1.0)
     with pytest.raises(ValidationError) as err:
         validate_cir(p)
     assert codes(err) == {"E_DENSITY_CONDITION"}
@@ -67,7 +67,7 @@ def test_cir_density_condition_violation():
 
 def test_cir_feller_violation():
     # 1.21 >= 1.0
-    p = CIRParams(b=0.5, k=1.1, z0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    p = CIRParams(b=0.5, k=1.1, z0=1.0, s0=100.0, r=0.05, T=1.0)
     with pytest.raises(ValidationError) as err:
         validate_cir(p)
     assert "E_FELLER" in codes(err)
@@ -186,6 +186,42 @@ def test_a_spec_may_return_its_values_in_its_scratch_slots(ou_model):
         assert getattr(ref, name).tobytes() == getattr(alt, name).tobytes()
 
 
+def _raising(x, ws):
+    raise ValueError("no volatility here")
+
+
+def _flat(x, ws):
+    return np.full(x.shape, 0.2), np.zeros(x.shape), np.zeros(x.shape)
+
+
+REFERENCE = reference_vol_family(0.1, 0.1).evaluate
+# each code of the probe grid, with an (evaluate, lower_bound_c) that breaks it alone
+PROBE_FAILURES = {
+    "E_VOL_EVAL": (_raising, 0.1),
+    "E_NONPOSITIVE_LOWER_BOUND": (REFERENCE, 0.0),
+    "E_SIGMA_BELOW_BOUND": (REFERENCE, 0.5),  # sigma(-10) = 0.105
+    "E_SIGMA_PRIME_NONPOSITIVE": (_flat, 0.1),
+    "E_NU_NOT_FINITE": (reference_vol_family(0.1, 1e160).evaluate, 0.1),
+}
+
+
+@pytest.mark.parametrize("code", PROBE_FAILURES)
+def test_a_vol_spec_failing_on_the_probe_grid_is_rejected(ou_model, code):
+    """Each probe-grid condition, broken alone by a small custom spec, is
+    the one violation reported. At m = 1e160, nu = sigma sigma' overflows
+    on the probe grid, and that is reported as E_NU_NOT_FINITE without a
+    floating-point warning, which pytest would raise as an error."""
+    evaluate, c = PROBE_FAILURES[code]
+    spec = VolFunctionSpec(*(lambda x, i=i: evaluate(np.asarray(x, dtype=float),
+                                                     Workspace())[i] for i in range(3)),
+                           lower_bound_c=c, evaluate=evaluate)
+    with pytest.raises(ValidationError) as err:
+        validate_ou(ou_model.params, spec)
+    assert codes(err) == {code}
+    if code == "E_VOL_EVAL":
+        assert "ValueError('no volatility here')" in err.value.violations[0][1]
+
+
 finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
@@ -195,7 +231,7 @@ finite_or_weird = st.floats(allow_nan=True, allow_infinity=True, width=64)
 def test_validation_is_total(alpha, k, y0, s0, r, T):
     """Every tuple maps to a model or a nonempty violation list; no crash."""
     vol = reference_vol_family(0.1, 0.1)
-    params = OUParams(alpha=alpha, k=k, y0=y0, s0=s0, r=r, mu=0.0, T=T)
+    params = OUParams(alpha=alpha, k=k, y0=y0, s0=s0, r=r, T=T)
     try:
         model = validate_ou(params, vol)
         assert model.params is params
@@ -208,7 +244,7 @@ def test_validation_is_total(alpha, k, y0, s0, r, T):
 @example(b=2.0, k=2.0, z0=1.0)        # k^2 == 2b exactly
 @example(b=1176.0, k=14.0, z0=1.0)    # 6k^2 == b exactly
 def test_cir_validation_is_total(b, k, z0):
-    params = CIRParams(b=b, k=k, z0=z0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    params = CIRParams(b=b, k=k, z0=z0, s0=100.0, r=0.05, T=1.0)
     try:
         validate_cir(params)
         # np floats saturate to inf instead of raising on overflow

@@ -54,7 +54,7 @@ def test_make_grid_rejects_small():
 def test_noiseless_ou_is_exact_decay(ref_vol):
     # k = 0 bypasses validation on purpose: the recursion must reduce to
     # the deterministic exponential decay exactly
-    params = OUParams(alpha=1.3, k=0.0, y0=2.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    params = OUParams(alpha=1.3, k=0.0, y0=2.0, s0=100.0, r=0.05, T=1.0)
     model = ValidatedOUModel(params=params, vol=ref_vol)
     grid = make_grid(1.0, 32)
     batch = simulate_ou_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
@@ -91,7 +91,7 @@ def test_ou_distribution_invariant_to_grid(ou_model):
 
 
 def test_noiseless_cir_matches_ode(cir_model, ref_vol):
-    params = CIRParams(b=1.0, k=0.0, z0=3.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    params = CIRParams(b=1.0, k=0.0, z0=3.0, s0=100.0, r=0.05, T=1.0)
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 4096)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL), range(1),
@@ -127,7 +127,7 @@ def test_floor_saturation_raises_on_coarse_grid():
     batch flags ``bad`` exactly the paths on which the Euler recursion,
     replayed here from the batch's dW, takes a step below Z_FLOOR, and
     the ensemble fails those paths, beyond its 0.1% budget."""
-    params = CIRParams(b=0.05, k=0.3, z0=0.01, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    params = CIRParams(b=0.05, k=0.3, z0=0.01, s0=100.0, r=0.05, T=1.0)
     model = ValidatedCIRModel(params=params)
     grid = make_grid(1.0, 16)
     batch = simulate_cir_paths(model, grid, NoiseStream(SEED, PURPOSE_VOL),

@@ -104,6 +104,11 @@ def test_mixing_empty_raises():
         price_mixing(np.array([]), 100.0, 100.0, 0.05, 1.0)
 
 
+def test_price_from_density_of_no_samples_raises():
+    with pytest.raises(EmptyEnsemble):
+        price_from_density(np.array([]), np.array([]), 100.0, 100.0, 0.05, 1.0)
+
+
 def _payoff_integral_error(strike, lo, hi):
     """G(F) - G(lo) against adaptive quadrature of the conditional price
     over [lo, F], at lo, hi and 8 uniform draws between; the errors and
@@ -215,7 +220,7 @@ def test_plain_mc_zero_strike_recovers_spot(ou_model):
 def test_deterministic_vol_model_matches_quadrature_oracle(ref_vol):
     """k = 0 and y0 = 1: sigma(Y_t) = sigma(e^{-t}) is deterministic, so the
     price is Black-Scholes at the quadrature-averaged volatility."""
-    params = OUParams(alpha=1.0, k=0.0, y0=1.0, s0=100.0, r=0.05, mu=0.05, T=1.0)
+    params = OUParams(alpha=1.0, k=0.0, y0=1.0, s0=100.0, r=0.05, T=1.0)
     model = ValidatedOUModel(params=params, vol=ref_vol)
     grid = make_grid(1.0, 256)
 

@@ -244,7 +244,7 @@ def test_kernel_survives_extreme_log_phi_range():
     paper's exp(-2 log phi) would overflow float64 by hundreds of orders of
     magnitude; the scheme's step derivatives stay finite, and the sweeps
     keep agreeing with the dense oracle."""
-    params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, mu=0.05, T=30.0)
+    params = CIRParams(b=1.0, k=0.25, z0=1e-5, s0=100.0, r=0.05, T=30.0)
     model = validate_cir(params)
     grid = make_grid(30.0, 64)
     ws = Workspace()

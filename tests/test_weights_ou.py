@@ -23,7 +23,7 @@ G_FLAT_UNIT = 2.0 / math.e - (1.0 - 1.0 / math.e) ** 2
 def _ou_model(alpha, vol, T=1.0):
     """An OU model with k = 0.5 sqrt(alpha), the reference one at alpha = 1."""
     return validate_ou(OUParams(alpha=alpha, k=0.5 * math.sqrt(alpha), y0=0.0,
-                                s0=100.0, r=0.05, mu=0.05, T=T), vol)
+                                s0=100.0, r=0.05, T=T), vol)
 
 
 def _fixed_batch(ou_model, grid, n_paths=5):
@@ -108,7 +108,7 @@ def test_pass_g_xi_is_the_gradient_along_the_normals(alpha, y0, n, ref_vol):
     lambda_n = c_n f'_n, lambda_j = c_j f'_j + Phi_y lambda_{j+1},
     g_{j-1} = Phi_xi lambda_j, to 1e-13 relative to sum_j |xi_j g_j|."""
     model = validate_ou(OUParams(alpha=alpha, k=0.5 * math.sqrt(alpha), y0=y0, s0=100.0,
-                                 r=0.05, mu=0.05, T=1.0), ref_vol)
+                                 r=0.05, T=1.0), ref_vol)
     grid = make_grid(1.0, n)
     batch = _fixed_batch(model, grid, n_paths=2048)
     xi = _fixed_normals(grid, n_paths=2048)
