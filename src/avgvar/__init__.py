@@ -10,9 +10,12 @@ calls three mutually consistent ways: quadrature against the density, the
 mixing formula, and plain path simulation.
 
 ``import avgvar`` loads no submodule and not numpy: each public name is
-imported from its submodule on first access (``_EXPORTS`` maps them), so a
-command that only validates a config pays for none of the simulation code.
-``from avgvar import <submodule>`` imports that submodule as usual.
+imported from its submodule on first access (``_EXPORTS`` maps them).
+``from avgvar import <submodule>`` imports that submodule as usual. The
+command line (``avgvar.cli``) loads the simulation, density and pricing
+modules for every command, ``validate`` included; only ``avgvar
+selfcheck`` loads the battery (``avgvar.selfcheck``) and its dense
+oracles (``avgvar.reference``).
 """
 
 import importlib
@@ -24,9 +27,9 @@ _EXPORTS = {
     "ensemble": ("EnsembleResult", "run_ensemble"),
     "errors": ("AvgVarError", "ConfigError", "EmptyEnsemble", "FailureBudgetExceeded",
                "GridTooCoarse", "InvalidGrid", "TooFewSamples", "ValidationError"),
-    "models": ("CIRParams", "Contract", "OUParams", "ValidatedCIRModel",
-               "ValidatedOUModel", "VolFunctionSpec", "reference_vol_family",
-               "validate_cir", "validate_contract", "validate_ou"),
+    "models": ("CIRParams", "OUParams", "ValidatedCIRModel", "ValidatedOUModel",
+               "VolFunctionSpec", "reference_vol_family", "validate_cir", "validate_ou",
+               "validate_strike"),
     "paths": ("CIRPathBatch", "OUPathBatch", "TimeGrid", "make_grid",
               "sample_terminal_asset", "simulate_cir_paths", "simulate_ou_paths"),
     "pricing": ("PriceEstimate", "bs_conditional", "ensemble_prices", "martingale_check",

@@ -17,12 +17,14 @@ Configs are JSON documents::
 CIR configs put {"b":..,"k":..,"z0":..} in params instead. Every command
 parses the whole config into one RunSpec before anything runs, so
 ``validate`` accepts exactly what ``density`` and ``price`` can run, and a
-model-only config besides. Keys the parser does not read are ignored, but
-"ensemble.winsorize": true is E_CONFIG: weights are never clipped. Two
-such keys that older configs carry are accepted and ignored, whatever
-their values: "grid.pricing_n_steps", as ``price`` reads all three prices
-off the one weighted ensemble at "grid.n_steps", and "params.mu", the
-objective drift, which no price under the pricing measure reads.
+model-only config besides. The "density" block is read by ``density`` and
+``validate`` only: ``price`` builds no density grid. Keys the parser does
+not read are ignored, but "ensemble.winsorize": true is E_CONFIG: weights
+are never clipped. Two such keys that older configs carry are accepted and
+ignored, whatever their values: "grid.pricing_n_steps", as ``price`` reads
+all three prices off the one weighted ensemble at "grid.n_steps", and
+"params.mu", the objective drift, which no price under the pricing measure
+reads.
 
 Exit codes: 0 success; 1 selfcheck failure; 2 validation failure, one
 ``E_*`` line per violation on stdout (the model's codes include
@@ -33,10 +35,10 @@ E_INVALID_GRID, E_GRID_TOO_COARSE, E_INVALID_X_GRID, E_INVALID_SEED for a
 seed outside [0, 2^64), and E_INVALID_THREADS for a --threads below 1);
 3 unreadable config, missing key, wrong type or unknown choice (E_CONFIG),
 outputs that cannot be written (E_OUTPUT), or arrays too large to allocate
-(E_OUT_OF_MEMORY, which names the n_paths, n_steps and x-grid points asked
-for); 4 runtime guard budget exceeded (E_FAILURE_BUDGET). Results go to
-stdout; ``[avgvar]`` progress lines, E_CONFIG, E_OUTPUT, E_OUT_OF_MEMORY
-and E_FAILURE_BUDGET to stderr.
+(E_OUT_OF_MEMORY, which names the n_paths, n_steps and, for density, the
+x-grid points asked for); 4 runtime guard budget exceeded
+(E_FAILURE_BUDGET). Results go to stdout; ``[avgvar]`` progress lines,
+E_CONFIG, E_OUTPUT, E_OUT_OF_MEMORY and E_FAILURE_BUDGET to stderr.
 Nothing is written unless the parse succeeds. Outputs are byte-stable
 across reruns and --threads values; floats have 17 significant digits, and
 JSON outputs write a non-finite value (NaN) as null.
@@ -61,12 +63,10 @@ from .density import (KDE_MIN_SAMPLES, MIN_GRID_POINTS, auto_grid,  # noqa: E402
                       kde_density, malliavin_density)
 from .ensemble import CHUNK, check_threads, run_ensemble  # noqa: E402
 from .errors import ConfigError, FailureBudgetExceeded, ValidationError  # noqa: E402
-from .models import (CIRParams, Contract, OUParams,  # noqa: E402
-                     reference_vol_family, validate_cir, validate_contract,
-                     validate_ou)
+from .models import (CIRParams, OUParams, reference_vol_family,  # noqa: E402
+                     validate_cir, validate_ou, validate_strike)
 from .paths import make_grid  # noqa: E402
 from .rng import NAMESPACE_DENSITY, check_seed  # noqa: E402
-from .selfcheck import SEED, format_table, run_battery  # noqa: E402
 
 DEFAULT_DENSITY_STEPS = 512
 LOW_SAMPLE_THRESHOLD = 1000
@@ -89,12 +89,12 @@ class RunSpec:
     """A whole config, parsed and validated before anything runs."""
 
     model: object                # ValidatedOUModel or ValidatedCIRModel
-    contract: Contract | None    # None when the config has no contract
+    strike: float | None         # None when the config has no contract
     n_paths: int | None          # None when the config has no ensemble
     seed: int
     antithetic: bool
-    density_steps: int
-    x_grid: tuple | None         # (min, max, points); None: auto grid; density only
+    n_steps: int
+    x_grid: tuple | None         # (min, max, points); None: auto grid, or price
     out_dir: str
     fmt: str                     # csv | json
 
@@ -168,10 +168,9 @@ def parse_config(raw, command, seed=None, out=None):
         p = CIRParams(b=num("b"), k=num("k"), z0=num("z0"), **common)
         model = validated(validate_cir, p)
 
-    contract = None
+    strike = None
     if "contract" in raw or command == "price":
-        contract = validated(validate_contract,
-                             Contract(strike=_get(raw, "contract.strike", float)))
+        strike = validated(validate_strike, _get(raw, "contract.strike", float))
 
     # validate accepts a model-only config; the other commands need a run
     has_run = command != "validate" or "ensemble" in raw
@@ -187,7 +186,7 @@ def parse_config(raw, command, seed=None, out=None):
     check(steps >= 2, "E_INVALID_GRID", f"grid.n_steps must be >= 2, got {steps}")
 
     x_grid = None
-    if _get(raw, "density", dict, {}).get("x_grid", "auto") != "auto":
+    if command != "price" and _get(raw, "density", dict, {}).get("x_grid", "auto") != "auto":
         x_grid = tuple(_get(raw, f"density.x_grid.{key}", t) for key, t
                        in (("min", float), ("max", float), ("points", int)))
         lo, hi, points = x_grid
@@ -200,11 +199,9 @@ def parse_config(raw, command, seed=None, out=None):
     fmt = _get(raw, "output.format", str, "csv", choices=("csv", "json"))
     if violations:
         raise ValidationError(violations)
-    return RunSpec(model=model, contract=contract, n_paths=n_paths,
-                   seed=seed,
+    return RunSpec(model=model, strike=strike, n_paths=n_paths, seed=seed,
                    antithetic=_get(raw, "ensemble.antithetic", bool, False),
-                   density_steps=steps,
-                   x_grid=x_grid, out_dir=out or directory, fmt=fmt)
+                   n_steps=steps, x_grid=x_grid, out_dir=out or directory, fmt=fmt)
 
 
 def _write_rows(spec, name, header, columns):
@@ -228,13 +225,13 @@ def _write_rows(spec, name, header, columns):
     return path
 
 
-def _check_addressable(spec, command):
+def _check_addressable(spec):
     """MemoryError, as numpy raises for an array too large to allocate, if a
     float64 array of the run needs more bytes than numpy can address, which
     it refuses with a ValueError before it tries: the ensemble's (N,)
     arrays, a chunk's whole (n+1, P) ones or the x-grid that density builds."""
-    sizes = [spec.n_paths, (spec.density_steps + 1) * min(spec.n_paths, CHUNK)]
-    if command == "density" and spec.x_grid is not None:
+    sizes = [spec.n_paths, (spec.n_steps + 1) * min(spec.n_paths, CHUNK)]
+    if spec.x_grid is not None:
         sizes.append(spec.x_grid[2])
     if 8 * max(sizes) > np.iinfo(np.intp).max:
         raise MemoryError(f"Unable to allocate {8 * max(sizes)} bytes: "
@@ -244,9 +241,9 @@ def _check_addressable(spec, command):
 def _density_stage(spec, threads):
     """Density ensemble -> W_ALPHA_DT and LOW_SAMPLE lines -> valid samples;
     returns the ensemble, its F samples and their weights."""
-    print(f"[avgvar] density ensemble: {spec.n_paths} paths, n={spec.density_steps}",
+    print(f"[avgvar] density ensemble: {spec.n_paths} paths, n={spec.n_steps}",
           file=sys.stderr)
-    result = run_ensemble(spec.model, make_grid(spec.model.params.T, spec.density_steps),
+    result = run_ensemble(spec.model, make_grid(spec.model.params.T, spec.n_steps),
                           spec.n_paths, spec.seed, namespace=NAMESPACE_DENSITY,
                           threads=threads, antithetic=spec.antithetic)
     rate = spec.model.grid_bias_rate
@@ -296,7 +293,7 @@ def cmd_price(spec, threads):
     """All three prices are functions of F alone, so they read one ensemble:
     the weighted one's valid paths, with one terminal asset draw each."""
     result = _density_stage(spec, threads)[0]
-    estimates = pricing.ensemble_prices(result, spec.contract.strike, spec.model.params)
+    estimates = pricing.ensemble_prices(result, spec.strike, spec.model.params)
     path = _write_rows(spec, "prices", "method value se ci_lo ci_hi",
                        zip(*[(e.method, e.value, e.std_error, *e.ci95) for e in estimates]))
     print(f"[avgvar] wrote {path} ({_failures(result)})", file=sys.stderr)
@@ -306,6 +303,8 @@ def cmd_price(spec, threads):
 
 
 def cmd_selfcheck(args):
+    # only this command loads the battery and its reference oracles
+    from .selfcheck import SEED, format_table, run_battery
     seed = SEED if args.seed is None else args.seed
     check_seed(seed)
     rows = run_battery(seed=seed, threads=args.threads)
@@ -353,7 +352,7 @@ def main(argv=None):
         if args.command == "validate":
             print("VALID")
             return EXIT_OK
-        _check_addressable(spec, args.command)
+        _check_addressable(spec)
         return (cmd_density if args.command == "density" else cmd_price)(spec, args.threads)
     except ConfigError as exc:
         print(f"E_CONFIG {exc}", file=sys.stderr)
@@ -369,10 +368,10 @@ def main(argv=None):
         print(f"E_FAILURE_BUDGET {exc}", file=sys.stderr)
         return EXIT_GUARD
     except MemoryError as exc:
-        asked = "" if spec is None else (
-            f"n_paths={spec.n_paths} n_steps={spec.density_steps} "
-            f"x_grid_points={'auto' if spec.x_grid is None else spec.x_grid[2]}: ")
-        print(f"E_OUT_OF_MEMORY {asked}{exc}", file=sys.stderr)
+        asked = "" if spec is None else f"n_paths={spec.n_paths} n_steps={spec.n_steps}"
+        if asked and args.command == "density":
+            asked += f" x_grid_points={'auto' if spec.x_grid is None else spec.x_grid[2]}"
+        print(f"E_OUT_OF_MEMORY {asked}{': ' if asked else ''}{exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -103,11 +103,6 @@ class CIRParams:
 
 
 @dataclass(frozen=True)
-class Contract:
-    strike: float  # K >= 0
-
-
-@dataclass(frozen=True)
 class ValidatedOUModel:
     params: OUParams
     vol: VolFunctionSpec
@@ -292,11 +287,11 @@ def validate_cir(params):
     return ValidatedCIRModel(params=params)
 
 
-def validate_contract(contract):
-    if not (contract.strike >= 0):
-        raise ValidationError([("E_NEGATIVE_STRIKE",
-                                f"strike must be >= 0, got {contract.strike}")])
-    if not (contract.strike <= MAX_PRICE):
+def validate_strike(strike):
+    """The call's strike K, if 0 <= K <= MAX_PRICE."""
+    if not (strike >= 0):
+        raise ValidationError([("E_NEGATIVE_STRIKE", f"strike must be >= 0, got {strike}")])
+    if not (strike <= MAX_PRICE):
         raise ValidationError([("E_STRIKE_TOO_LARGE",
-                                f"strike must be at most {MAX_PRICE:g}, got {contract.strike}")])
-    return contract
+                                f"strike must be at most {MAX_PRICE:g}, got {strike}")])
+    return strike

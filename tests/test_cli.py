@@ -166,12 +166,25 @@ def test_malformed_config_fails_before_simulating(tmp_path, capsys, monkeypatch,
         raise AssertionError("an ensemble ran before the config was rejected")
     monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
     cfg = write_config(tmp_path, **overrides)
-    for command in ("validate", "density", "price"):
+    # price reads no density block
+    for command in ("validate", "density") + (() if "density" in overrides else ("price",)):
         assert cli.main([command, "--config", cfg]) == code, command
         captured = capsys.readouterr()
         stream = captured.out if code == 2 else captured.err
         assert any(text.startswith(line + " ") for text in stream.splitlines()), command
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [v[0] for v in MALFORMED.values() if "density" in v[0]],
+                         ids=[k for k, v in MALFORMED.items() if "density" in v[0]])
+def test_price_ignores_an_x_grid_that_density_rejects(tmp_path, overrides):
+    """price builds no density grid, so it neither checks density.x_grid
+    nor prices differently for it."""
+    for name, extra in (("auto", {}), ("given", overrides)):
+        cfg = write_config(tmp_path, name=f"{name}.json", **extra)
+        assert cli.main(["price", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "given" / "prices.csv").read_bytes()
+            == (tmp_path / "auto" / "prices.csv").read_bytes())
 
 
 @pytest.mark.parametrize("demo, r", [("config_ou.json", 1000.0), ("config_cir.json", 800.0)])
@@ -279,7 +292,7 @@ def test_threads_below_one_fail_before_simulating(tmp_path, capsys, monkeypatch,
     def no_run(*args, **kwargs):
         raise AssertionError("work started before --threads was rejected")
     monkeypatch.setattr(cli, "run_ensemble", no_run)
-    monkeypatch.setattr(cli, "run_battery", no_run)
+    monkeypatch.setattr(selfcheck, "run_battery", no_run)
     argv = [command, "--threads", threads]
     if command != "selfcheck":
         argv += ["--config", write_config(tmp_path)]
@@ -297,7 +310,7 @@ def test_seed_outside_the_key_range_fails_before_simulating(tmp_path, capsys, mo
     def no_run(*args, **kwargs):
         raise AssertionError("work started before --seed was rejected")
     monkeypatch.setattr(cli, "run_ensemble", no_run)
-    monkeypatch.setattr(cli, "run_battery", no_run)
+    monkeypatch.setattr(selfcheck, "run_battery", no_run)
     argv = [command, "--seed", seed]
     if command != "selfcheck":
         argv += ["--config", write_config(tmp_path)]
@@ -548,7 +561,7 @@ def test_price_rows_read_the_density_ensemble(tmp_path, overrides):
             (tmp_path / "out" / "prices.csv").read_text().splitlines()[1:]}
     spec = cli.parse_config(cli.load_config(cfg), "price")
     p = spec.model.params
-    res = ensemble.run_ensemble(spec.model, make_grid(p.T, spec.density_steps), spec.n_paths,
+    res = ensemble.run_ensemble(spec.model, make_grid(p.T, spec.n_steps), spec.n_paths,
                                 spec.seed, namespace=NAMESPACE_DENSITY)
     f, w = res.valid_samples()
     for row, est in (("density_quadrature", pricing.price_from_density(f, w, 100.0, p.s0,
@@ -584,7 +597,7 @@ def test_cir_price_command(tmp_path):
 
 def test_selfcheck_exit_codes(monkeypatch, capsys):
     fake_rows = [selfcheck.CheckResult("a", True, "ok")]
-    monkeypatch.setattr(cli, "run_battery", lambda **kw: fake_rows)
+    monkeypatch.setattr(selfcheck, "run_battery", lambda **kw: fake_rows)
     assert cli.main(["selfcheck"]) == 0
     fake_rows.append(selfcheck.CheckResult("b", False, "broken"))
     assert cli.main(["selfcheck"]) == 1
@@ -601,50 +614,64 @@ def test_corrupted_phi_fails_bs_checks(monkeypatch):
     assert not any(r.passed for r in selfcheck.run_criterion(check, ctx))
 
 
+def _family_rows(ctx, family):
+    """(passed, detail) of the identity on each model's weighted ensemble at
+    each phi family of ``family`` on its own: a column name of
+    ``selfcheck._density_columns``, or "S" for all of its survival probes."""
+    rows = []
+    for tag in selfcheck.MODELS:
+        d, columns = ctx.weighted(tag)[2], selfcheck._density_columns(ctx, tag)
+        for name in family:
+            rows.append(selfcheck._identity(ctx, d, [
+                c for c in columns if c[0] == name or name == "S" and c[0].startswith("S")]))
+    return rows
+
+
 def test_scaled_ou_weight_fails_the_raw_weight_checks(fault_weight):
     """Fault injection: an OU weight 10% too large must fail the density
-    checks that read the raw weights, at QUICK and the pinned seed, while
-    the untouched CIR rows pass. (The quadrature price is nearly blind to
-    it: its F w - 1 control recalibrates a mis-scaled weight.)"""
+    checks that read the raw weights (the KDE row and the identity at the
+    survival probes), at QUICK and the pinned seed, while the untouched CIR
+    rows pass. (The quadrature price is nearly blind to it: its F w - 1
+    control recalibrates a mis-scaled weight.)"""
     fault_weight(lambda wb: 1.10 * wb.delta, "ou")
     ctx = selfcheck.CheckContext(selfcheck.QUICK)
-    for check in (selfcheck.density_vs_kde, selfcheck.density_cdf_consistency):
-        ou_row, cir_row = selfcheck.run_criterion(check, ctx)
-        assert not ou_row.passed, ou_row
-        assert cir_row.passed, cir_row
+    ou_kde, cir_kde = selfcheck.run_criterion(selfcheck.density_vs_kde, ctx)
+    ou_survival, cir_survival = _family_rows(ctx, ["S"])
+    assert not ou_kde.passed and not ou_survival[0], (ou_kde, ou_survival)
+    assert cir_kde.passed and cir_survival[0], (cir_kde, cir_survival)
 
 
-@pytest.mark.parametrize("check", [selfcheck.duality, selfcheck.density_cdf_consistency,
-                                   selfcheck.ibp_price_identity], ids=lambda c: c.__name__)
-def test_weight_five_percent_too_large_fails_the_price_identity(fault_weight, check):
-    """Fault injection: OU and CIR weights 5% too large must fail every row
-    of the duality, survival and price-identity criteria at QUICK and the
-    pinned seed. Each reads the residual of its terms off a fit on delta,
-    which stays mean-zero under any rescaling of delta: fitted z 5.39-5.94
-    on the duality rows here. Read raw, those rows see only z 0.23-1.41:
-    most of the variance of F delta - 1 lies along delta, and the fit
-    removes it."""
+# the ids name the identities: duality at phi = F and F^2, density/CDF
+# consistency at the survival probes, and the price identity at phi = G
+@pytest.mark.parametrize("family", [["F", "F^2"], ["S"], ["G"]],
+                         ids=["duality", "density_cdf_consistency", "ibp_price_identity"])
+def test_weight_five_percent_too_large_fails_the_price_identity(fault_weight, family):
+    """Fault injection: OU and CIR weights 5% too large must fail the
+    identity at every phi family, each on its own, at QUICK and the pinned
+    seed. Each reads the residual of its terms off a fit on delta, which
+    stays mean-zero under any rescaling of delta: fitted z 5.46-6.00 at
+    phi = F and F^2 here. Read raw, those see only z 0.98-2.91: most of the
+    variance of F delta - 1 lies along delta, and the fit removes it."""
     fault_weight(lambda wb: 1.05 * wb.delta)
-    rows = selfcheck.run_criterion(check, selfcheck.CheckContext(selfcheck.QUICK))
-    assert [row.name for row in rows] == list(check.rows)
-    assert not any(row.passed for row in rows), rows
+    rows = _family_rows(selfcheck.CheckContext(selfcheck.QUICK), family)
+    assert len(rows) == 2 * len(family) and not any(passed for passed, _ in rows), rows
 
 
 def test_additive_weight_error_fails_the_raw_identity_rows(fault_weight):
-    """Fault injection: delta + 0.05 std(delta) on both models must fail all
-    four duality rows and both zero-mean rows at QUICK and the pinned seed
-    (raw z 5.81-7.55 and 5.30/5.56). The fit on delta absorbs most of an
-    additive error (CIR duality fitted z 2.1), so it is the raw half of the
-    rule that catches it."""
+    """Fault injection: delta + 0.05 std(delta) on both models must fail the
+    identity at phi = F and at phi = F^2, each on its own, and both
+    zero-mean rows at QUICK and the pinned seed (raw z 7.41-9.05 and
+    6.71/7.25). The fit on delta absorbs most of an additive error (CIR at
+    phi = F fitted z 1.67), so it is the raw half of the rule that catches it."""
     fault_weight(lambda wb: wb.delta + 0.05 * np.std(wb.delta))
     ctx = selfcheck.CheckContext(selfcheck.QUICK)
-    rows = [row for check in (selfcheck.zero_mean_weights, selfcheck.duality)
-            for row in selfcheck.run_criterion(check, ctx)]
-    assert len(rows) == 6 and not any(row.passed for row in rows), rows
+    rows = [selfcheck._zcheck(ctx, ctx.weighted(tag)[2]) for tag in selfcheck.MODELS]
+    rows += _family_rows(ctx, ["F", "F^2"])
+    assert len(rows) == 6 and not any(passed for passed, _ in rows), rows
 
 
-def _identity_z(d, phi, dphi):
-    passed, detail = selfcheck._identity(SimpleNamespace(scale=selfcheck.QUICK), d, phi, dphi)
+def _identity_z(d, columns):
+    passed, detail = selfcheck._identity(SimpleNamespace(scale=selfcheck.QUICK), d, columns)
     raw, fitted = map(float, re.findall(r"z=([0-9.]+)", detail))
     return passed, raw, fitted
 
@@ -659,14 +686,16 @@ def test_identity_rule_on_a_stein_toy():
     m, s = 2.0, 0.5
     f = np.random.default_rng(7).normal(m, s, 20000)
     d = (f - m) / s**2
-    fc, x, top = f[:, None], np.array([m - s, m, m + s]), m + 2 * s
-    for phi, dphi in ((f, 1.0), (f * f, 2 * f),
-                      (np.maximum(np.minimum(fc, top) - x, 0.0), (fc > x) & (fc <= top))):
-        passed, raw, fitted = _identity_z(d, phi, dphi)
+    top = m + 2 * s
+    first, square, *survival = [("F", f, 1.0), ("F^2", f * f, 2 * f), *(
+        (f"S{x:g}", np.maximum(np.minimum(f, top) - x, 0.0), (f > x) & (f <= top))
+        for x in (m - s, m, m + s))]
+    for columns in ([first], [square], survival):
+        passed, raw, fitted = _identity_z(d, columns)
         assert passed, (raw, fitted)
-    passed, raw, fitted = _identity_z(1.10 * d, f, 1.0)
+    passed, raw, fitted = _identity_z(1.10 * d, [first])
     assert not passed and fitted >= selfcheck.QUICK.z, (raw, fitted)
-    passed, raw, fitted = _identity_z(d + 0.05 * d.std(), f, 1.0)
+    passed, raw, fitted = _identity_z(d + 0.05 * d.std(), [first])
     assert not passed and raw >= selfcheck.QUICK.z > fitted, (raw, fitted)
 
 

@@ -4,8 +4,10 @@ Every ``avgvar`` command starts a fresh interpreter and pays for what it
 imports, so ``import avgvar`` loads no numpy, ``validate`` loads neither
 numpy.random nor concurrent.futures, ``density`` does not load numpy.ma,
 no command nor the self check loads scipy, which only the tests depend on,
-and ``avgvar.cli`` caps OpenBLAS at one thread before numpy starts it. This test session has long since
-imported all of these, so each check runs in a fresh interpreter.
+only ``selfcheck`` loads the battery and its dense oracles, and
+``avgvar.cli`` caps OpenBLAS at one thread before numpy starts it. This
+test session has long since imported all of these, so each check runs in
+a fresh interpreter.
 """
 
 import json
@@ -103,6 +105,20 @@ def test_commands_and_the_self_check_load_no_scipy(tmp_path, demo):
                      f"      cli.main(['price', '--config', {path!r}]),\n"
                      "      'scipy' in sys.modules)")
     assert out[-3:] == ["0", "0", "False"]
+
+
+@pytest.mark.parametrize("demo", ["config_ou.json", "config_cir.json"])
+def test_commands_other_than_selfcheck_load_no_battery(tmp_path, demo):
+    """validate, density and price load neither the self check nor the
+    dense oracles it alone reads."""
+    path = str(small_config(tmp_path, demo))
+    out = run_python("import sys\n"
+                     "import avgvar.cli as cli\n"
+                     f"print(*(cli.main([c, '--config', {path!r}])\n"
+                     "        for c in ('validate', 'density', 'price')),\n"
+                     "      [m for m in ('avgvar.selfcheck', 'avgvar.reference')\n"
+                     "       if m in sys.modules])")
+    assert out[-4:] == ["0", "0", "0", "[]"]
 
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
